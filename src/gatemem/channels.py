@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, LabelError, SingularChannelError, ValidationError
+from .qcore import _as_matrix
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -100,10 +101,6 @@ class QuantumChannel:
     @property
     def dim(self) -> int:
         return math.isqrt(self.superop.shape[0])
-
-    def is_trace_preserving(self, tol: float = 1e-8) -> bool:
-        ident = vec(np.eye(self.dim))
-        return bool(np.max(np.abs(self.superop.conj().T @ ident - ident)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -277,8 +274,6 @@ def apply(chan: QuantumChannel, rho) -> np.ndarray:
     The result is returned unchecked: outputs of non-CP maps may
     legitimately violate positivity, and that violation is signal.
     """
-    from .qcore import _as_matrix
-
     mat = _as_matrix(rho)
     if mat.shape != (chan.dim, chan.dim):
         raise DimensionError(f"state shape {mat.shape} does not match dim {chan.dim}")

@@ -69,6 +69,8 @@ def _exit_codes(fn):
 
 def _load_model(path: str) -> tuple[SEModel, dict]:
     spec = serialize.load_json(path)
+    if not isinstance(spec, dict) or "gates" not in spec:
+        raise ValidationError(f"model file {path} has no 'gates' list")
     spam_cfg = spec.get("spam", {})
     spam = SpamSpec(
         prep_strength=float(spam_cfg.get("prep", 0.0)),
@@ -105,8 +107,13 @@ def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
     return sequences
 
 
+def _slug(text: str) -> str:
+    """File-name form of a label: 'CX@1.0' -> 'CX10', 'X@0,Z@0' -> 'X0_Z0'."""
+    return text.replace("@", "").replace(".", "").replace(",", "_")
+
+
 def _sequence_slug(gates) -> str:
-    return "-".join(f"{g.name}{''.join(str(q) for q in g.qubits)}" for g in gates)
+    return "-".join(_slug(str(g)) for g in gates)
 
 
 def _gate_tokens(gates) -> list[str]:
@@ -157,9 +164,7 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
 @_exit_codes
 def tomo(records_path, out_path):
     """Reconstruct a channel from a records file."""
-    payload = serialize.load_json(records_path)
-    records = serialize.records_from_payload(payload)
-    frame = build_frame(payload["n_qubits"])
+    payload, records, frame = _load_records(records_path)
     gates = payload.get("gates", [])
     result = pipeline.reconstruct_channel(records, frame, provenance="+".join(gates))
     cfg = {"command": "tomo", "records": payload}
@@ -176,21 +181,48 @@ def tomo(records_path, out_path):
     click.echo(f"wrote {out_path}")
 
 
-def _load_channel_dir(channels_dir: str):
-    """Split channel files into single-gate marginals and two-gate joints."""
-    marginals, joints = {}, {}
+def _load_records(path: str):
+    """A records file as (payload, records, tomography frame)."""
+    payload = serialize.load_json(path)
+    records = serialize.records_from_payload(payload)
+    if "n_qubits" not in payload:
+        raise ValidationError(f"records file {path} has no 'n_qubits'")
+    return payload, records, build_frame(payload["n_qubits"])
+
+
+def _load_channel_dir(channels_dir: str) -> dict:
+    """The directory's ``channel_*.json`` files keyed by gate sequence (a
+    tuple of canonical gate tokens).  Two files for one sequence are
+    ambiguous and rejected."""
     paths = sorted(glob.glob(os.path.join(channels_dir, "channel_*.json")))
     if not paths:
         raise IncompleteDataError(f"no channel files in {channels_dir}", [channels_dir])
+    channels, sources = {}, {}
     for path in paths:
         payload = serialize.load_json(path)
-        chan = serialize.channel_from_payload(payload)
-        gates = [GateLabel.parse(tok) for tok in payload.get("gates", [])]
-        if len(gates) == 1:
-            marginals[str(gates[0])] = chan
-        elif len(gates) == 2:
-            joints[(str(gates[0]), str(gates[1]))] = chan
+        key = tuple(str(GateLabel.parse(tok)) for tok in payload.get("gates", []))
+        if key in sources:
+            raise ValidationError(
+                f"{sources[key]} and {path} both hold the sequence {','.join(key)}"
+            )
+        sources[key] = path
+        channels[key] = serialize.channel_from_payload(payload)
+    return channels
+
+
+def _load_grid(channels_dir: str):
+    """Single-gate marginals and (first, second) two-gate joints of a
+    channel directory; longer sequences are ignored."""
+    channels = _load_channel_dir(channels_dir)
+    marginals = {key[0]: chan for key, chan in channels.items() if len(key) == 1}
+    joints = {key: chan for key, chan in channels.items() if len(key) == 2}
     return marginals, joints
+
+
+def _write_matrix(stem: str, matrix, cfg_hash: str, seed) -> None:
+    """A distance matrix as ``stem.csv`` plus its ``stem.json`` twin."""
+    serialize.atomic_write_text(stem + ".csv", serialize.matrix_csv(matrix, cfg_hash, seed))
+    serialize.dump_json(stem + ".json", serialize.matrix_payload(matrix, cfg_hash, seed))
 
 
 @main.command()
@@ -207,7 +239,7 @@ def _load_channel_dir(channels_dir: str):
 @_exit_codes
 def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, seed, out_dir):
     """Conditional-map analyses over a set of reconstructed channels."""
-    marginals, joints = _load_channel_dir(channels_dir)
+    marginals, joints = _load_grid(channels_dir)
     if not joints:
         raise IncompleteDataError("no two-gate channel files found", ["joints"])
     cfg = {
@@ -223,12 +255,7 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
     metrics = ["avg", "diamond"] if metric == "both" else [metric]
     os.makedirs(out_dir, exist_ok=True)
 
-    u_labels = sorted({u for u, _ in joints})
-    v_labels = sorted({v for _, v in joints})
-    missing = [f"{u},{v}" for u in u_labels for v in v_labels if (u, v) not in joints]
-    missing += [g for g in sorted(set(u_labels) | set(v_labels)) if g not in marginals]
-    if missing:
-        raise IncompleteDataError(f"channel grid is incomplete: {missing}", missing)
+    u_labels, v_labels = nonmarkov._grid_labels(marginals, joints)
 
     # CP-violation matrix of the conditioned maps
     cpv = np.zeros((len(u_labels), len(v_labels)))
@@ -241,13 +268,7 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
     cp_matrix = nonmarkov.DistanceMatrix(
         tuple(u_labels), tuple(v_labels), cpv, metric="cp-violation"
     )
-    serialize.atomic_write_text(
-        os.path.join(out_dir, "cp_violation.csv"), serialize.matrix_csv(cp_matrix, cfg_hash, seed)
-    )
-    serialize.dump_json(
-        os.path.join(out_dir, "cp_violation.json"),
-        serialize.matrix_payload(cp_matrix, cfg_hash, seed),
-    )
+    _write_matrix(os.path.join(out_dir, "cp_violation"), cp_matrix, cfg_hash, seed)
 
     for m in metrics:
         rng = np.random.default_rng(seed)
@@ -255,14 +276,7 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
             marginals, joints, metric=m, m_samples=samples, rng=rng,
             scale_figure=scale_figure,
         )
-        serialize.atomic_write_text(
-            os.path.join(out_dir, f"cond_vs_marginal_{m}.csv"),
-            serialize.matrix_csv(cvm, cfg_hash, seed),
-        )
-        serialize.dump_json(
-            os.path.join(out_dir, f"cond_vs_marginal_{m}.json"),
-            serialize.matrix_payload(cvm, cfg_hash, seed),
-        )
+        _write_matrix(os.path.join(out_dir, f"cond_vs_marginal_{m}"), cvm, cfg_hash, seed)
         for v in v_labels:
             if len(conditionals_by_v[v]) < 2:
                 continue
@@ -271,9 +285,8 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
                 conditionals_by_v[v], metric=m, m_samples=samples, rng=rng,
                 scale_figure=scale_figure, target_label=v,
             )
-            slug = v.replace("@", "").replace(".", "").replace(",", "_")
             serialize.atomic_write_text(
-                os.path.join(out_dir, f"gate_dependence_{slug}_{m}.csv"),
+                os.path.join(out_dir, f"gate_dependence_{_slug(v)}_{m}.csv"),
                 serialize.matrix_csv(gdm, cfg_hash, seed),
             )
 
@@ -284,33 +297,23 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
         tokens = [str(GateLabel.parse(t)) for t in pair.split(",")]
         pair_u, pair_v = tokens[0], tokens[1]
     if (pair_u, pair_v) in joints:
-        rng = np.random.default_rng(seed + 2)
-        cm = nonmarkov.conditional_map(joints[(pair_u, pair_v)], marginals[pair_u])
-        dist = nonmarkov.avg_trace_distance(cm.channel, marginals[pair_v], samples, rng)
-        payload = {
-            "schema": f"gatemem.histogram/{serialize.SCHEMA_VERSION}",
-            "config_hash": cfg_hash,
-            "seed": seed,
-            "pair": [pair_u, pair_v],
-            "mean": dist.mean,
-            "stderr": dist.stderr,
-            "samples": [float(x) for x in dist.samples],
-        }
+        payload = serialize._meta("histogram", cfg_hash, seed)
+        payload["pair"] = [pair_u, pair_v]
+        sets = [("", marginals, joints)]
         if baseline_dir is not None:
-            base_marg, base_joints = _load_channel_dir(baseline_dir)
-            if (pair_u, pair_v) in base_joints:
-                rng = np.random.default_rng(seed + 2)
-                base_cm = nonmarkov.conditional_map(
-                    base_joints[(pair_u, pair_v)], base_marg[pair_u]
-                )
-                base = nonmarkov.avg_trace_distance(
-                    base_cm.channel, base_marg[pair_v], samples, rng
-                )
-                payload["baseline_mean"] = base.mean
-                payload["baseline_stderr"] = base.stderr
-                payload["baseline_samples"] = [float(x) for x in base.samples]
-        slug = f"{pair_u}_{pair_v}".replace("@", "").replace(".", "").replace(",", "_")
-        serialize.dump_json(os.path.join(out_dir, f"histogram_{slug}.json"), payload)
+            sets.append(("baseline_", *_load_grid(baseline_dir)))
+        for prefix, marg, jts in sets:
+            if (pair_u, pair_v) not in jts:
+                continue
+            rng = np.random.default_rng(seed + 2)
+            cm = nonmarkov.conditional_map(jts[(pair_u, pair_v)], marg[pair_u])
+            dist = nonmarkov.avg_trace_distance(cm.channel, marg[pair_v], samples, rng)
+            payload[prefix + "mean"] = dist.mean
+            payload[prefix + "stderr"] = dist.stderr
+            payload[prefix + "samples"] = [float(x) for x in dist.samples]
+        serialize.dump_json(
+            os.path.join(out_dir, f"histogram_{_slug(f'{pair_u}_{pair_v}')}.json"), payload
+        )
     click.echo(f"wrote analysis to {out_dir}")
 
 
@@ -325,14 +328,13 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
 @_exit_codes
 def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     """Memory-length scan over channels for repeated gate applications."""
-    paths = sorted(glob.glob(os.path.join(channels_dir, "channel_*.json")))
-    by_length = {}
-    for path in paths:
-        payload = serialize.load_json(path)
-        n = len(payload.get("gates", []))
-        if 1 <= n <= nmax:
-            by_length[n] = serialize.channel_from_payload(payload)
-    missing = [str(n) for n in range(1, nmax + 1) if n not in by_length]
+    channels = _load_channel_dir(channels_dir)
+    longest = sorted(",".join(key) for key in channels if len(key) == nmax)
+    gates = tuple({gate for key in channels if len(key) == nmax for gate in key})
+    if len(gates) > 1:
+        raise ValidationError(f"the {nmax}-gate files must all repeat one gate: {longest}")
+    runs = [gates * n for n in range(1, nmax + 1)]
+    missing = [str(n) for n, key in enumerate(runs, 1) if not gates or key not in channels]
     if missing:
         raise IncompleteDataError(f"missing sequence lengths: {missing}", missing)
     cfg = {"command": "scan", "nmax": nmax, "metric": metric, "samples": samples, "seed": seed}
@@ -340,7 +342,7 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     metrics = ("avg", "diamond") if metric == "both" else (metric,)
     rng = np.random.default_rng(seed)
     result = nonmarkov.memory_scan(
-        [by_length[n] for n in range(1, nmax + 1)],
+        [channels[key] for key in runs],
         metrics=metrics, m_samples=samples, rng=rng,
     )
     os.makedirs(out_dir, exist_ok=True)
@@ -383,17 +385,15 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
         chan_v = pipeline.reconstruct_from_model(model, [v_gate], shots_val, seed + 1).channel
     reference = nonmarkov.markovian_choi_reference(chan_u, chan_v)
     value = nonmarkov.process_tensor_proxy(measured, reference)
-    payload = {
-        "schema": f"gatemem.ptensor/{serialize.SCHEMA_VERSION}",
-        "config_hash": serialize.config_hash(cfg),
-        "seed": seed,
+    payload = serialize._meta("ptensor", serialize.config_hash(cfg), seed)
+    payload.update({
         "gates": _gate_tokens(tokens),
         "shots": shots_val,
         "relative_entropy": float(value),
         "regularization": 1e-12,
         "measured": serialize.encode_matrix(measured.data),
         "reference": serialize.encode_matrix(reference),
-    }
+    })
     serialize.dump_json(out_path, payload)
     click.echo(f"relative entropy to memoryless reference: {value:.6f}")
     click.echo(f"wrote {out_path}")
@@ -411,9 +411,7 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
 def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     """Uncertainty reports: statistical propagation or SPAM scaling."""
     if records_path is not None:
-        payload = serialize.load_json(records_path)
-        records = serialize.records_from_payload(payload)
-        frame = build_frame(payload["n_qubits"])
+        payload, records, frame = _load_records(records_path)
         point = pipeline.reconstruct_channel(records, frame)
 
         def metric(trial_records) -> float:
@@ -427,10 +425,8 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
             records, metric, trials, rng, metric_name="frobenius-to-point-estimate"
         )
         cfg = {"command": "errors", "records": payload, "trials": trials, "seed": seed}
-        out = {
-            "schema": f"gatemem.uncertainty/{serialize.SCHEMA_VERSION}",
-            "config_hash": serialize.config_hash(cfg),
-            "seed": seed,
+        out = serialize._meta("uncertainty", serialize.config_hash(cfg), seed)
+        out.update({
             "metric": report.metric_name,
             "point_estimate": report.point_estimate,
             "std": report.std,
@@ -438,7 +434,7 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
             "failed_trials": report.failed_trials,
             "shots": report.shots,
             "values": list(report.values),
-        }
+        })
         serialize.dump_json(out_path, out)
         click.echo(f"{report.metric_name}: std={report.std:.6g} over {report.trials} trials")
         click.echo(f"wrote {out_path}")
@@ -453,17 +449,15 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
         "command": "errors-spam", "model": model_spec, "gate": gate,
         "eps_grid": eps_grid, "seed": seed,
     }
-    out = {
-        "schema": f"gatemem.spamscaling/{serialize.SCHEMA_VERSION}",
-        "config_hash": serialize.config_hash(cfg),
-        "seed": seed,
+    out = serialize._meta("spamscaling", serialize.config_hash(cfg), seed)
+    out.update({
         "gate": gate,
         "strengths": list(decomposition.strengths),
         "errors": list(decomposition.errors),
         "slope": decomposition.slope,
         "intercept": decomposition.intercept,
         "r_squared": decomposition.r_squared,
-    }
+    })
     serialize.dump_json(out_path, out)
     click.echo(
         f"error vs strength: slope={decomposition.slope:.3f} "

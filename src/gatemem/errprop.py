@@ -20,9 +20,9 @@ import numpy as np
 from .channels import GateLabel
 from .exceptions import GatememError, ValidationError
 from .pipeline import reconstruct_from_model
-from .sdp import _project_simplex
+from .qcore import _project_simplex
 from .simulator import SEModel, SpamSpec, extract_channel
-from .tomography import CountRecord, outcome_bitstrings
+from .tomography import CountRecord, _count_record
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class SpamDecomposition:
 
 def _perturb_record(record: CountRecord, rng: np.random.Generator) -> CountRecord:
     """Gaussian-perturb outcome probabilities at sigma = 1/sqrt(shots)."""
-    keys = outcome_bitstrings(record.n_qubits)
     probs = record.frequencies()
     if record.shots is not None:
         sigma = 1.0 / math.sqrt(record.shots)
@@ -72,8 +71,7 @@ def _perturb_record(record: CountRecord, rng: np.random.Generator) -> CountRecor
         if total <= 0.0:
             raise GatememError("perturbed probabilities vanished")
         probs = probs / total
-    counts = {k: float(p) for k, p in zip(keys, probs)}
-    return CountRecord(record.prep_label, record.meas_label, counts, None)
+    return _count_record(record.prep_label, record.meas_label, probs, None)
 
 
 def propagate_statistics(

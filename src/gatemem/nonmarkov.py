@@ -35,7 +35,13 @@ from .channels import (
     invert,
 )
 from .exceptions import DimensionError, IncompleteDataError, SupportError, ValidationError
-from .qcore import _as_matrix, relative_entropy
+from .qcore import (
+    _as_matrix,
+    _half_trace_norm,
+    _haar_vectors,
+    _relative_entropy_core,
+    relative_entropy,
+)
 from .sdp import DiamondResult, diamond_sdp
 
 #: Default Monte-Carlo sample count for the averaged trace distance.
@@ -143,22 +149,8 @@ def cp_violation(cm) -> float:
     trace-1-rescaled Choi matrix: exactly zero for CP maps, positive as
     soon as any eigenvalue dips below zero.
     """
-    chan = _channel_of(cm)
-    choi = choi_from_superop(chan).rescaled("trace-1").data
-    eigs = np.linalg.eigvalsh(choi)
-    return max(float(np.sum(np.abs(eigs)) - 1.0), 0.0)
-
-
-def _haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return np.einsum("ni,nj->nij", z, z.conj())
-
-
-def _batched_trace_distance(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
-    diff = a_out - b_out
-    diff = 0.5 * (diff + np.conj(diff.transpose(0, 2, 1)))
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    choi = choi_from_superop(_channel_of(cm)).rescaled("trace-1").data
+    return max(float(2.0 * _half_trace_norm(choi) - 1.0), 0.0)
 
 
 def avg_trace_distance(
@@ -185,11 +177,12 @@ def avg_trace_distance(
     batch = 20_000
     for start in range(0, m_samples, batch):
         count = min(batch, m_samples - start)
-        rhos = _haar_states(d, count, rng)
+        z = _haar_vectors(d, count, rng)
+        rhos = np.einsum("ni,nj->nij", z, z.conj())
         vecs = rhos.transpose(0, 2, 1).reshape(count, d * d)  # batched column-stacking
         out_a = (vecs @ a.superop.T).reshape(count, d, d).transpose(0, 2, 1)
         out_b = (vecs @ b.superop.T).reshape(count, d, d).transpose(0, 2, 1)
-        samples[start : start + count] = _batched_trace_distance(out_a, out_b)
+        samples[start : start + count] = _half_trace_norm(out_a - out_b)
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
@@ -244,20 +237,12 @@ def diamond_lower_bound(
             d * d, d * d
         )
 
-    def value(psi_mat: np.ndarray) -> float:
-        out = output(psi_mat)
-        out = 0.5 * (out + out.conj().T)
-        return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(out))))
-
     # batched random search
-    z = rng.standard_normal((n_samples, d * d)) + 1j * rng.standard_normal((n_samples, d * d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    psis = z.reshape(n_samples, d, d)
+    psis = _haar_vectors(d * d, n_samples, rng).reshape(n_samples, d, d)
     outs = np.einsum("stuv,nsa,nub->ntavb", choi4, psis, psis.conj()).reshape(
         n_samples, d * d, d * d
     )
-    outs = 0.5 * (outs + np.conj(outs.transpose(0, 2, 1)))
-    values = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(outs)), axis=1)
+    values = _half_trace_norm(outs)
 
     best = float(values.max())
     order = np.argsort(values)[::-1][:refine_candidates]
@@ -276,7 +261,7 @@ def diamond_lower_bound(
             ).reshape(d * d, d * d)
             h = 0.5 * (h + h.conj().T)
             psi_new = np.linalg.eigh(h)[1][:, -1].reshape(d, d)
-            new_value = value(psi_new)
+            new_value = float(_half_trace_norm(output(psi_new)))
             if new_value <= current + 1e-13:
                 break
             psi, current = psi_new, new_value
@@ -292,12 +277,6 @@ def _distance(a, b, metric, m_samples, rng, gap_tol) -> float:
     raise ValidationError(f"unknown metric {metric!r}; use 'avg' or 'diamond'")
 
 
-def _label_is_cx(label) -> bool:
-    if isinstance(label, GateLabel):
-        return label.name == "CX"
-    return str(label).startswith("CX")
-
-
 def _figure_scale(metric: str, dim: int, target_label) -> tuple[float, tuple[str, ...]]:
     """Display scaling: diamond entries by 1/d, everything doubled when
     the target gate is the two-qubit one."""
@@ -305,7 +284,7 @@ def _figure_scale(metric: str, dim: int, target_label) -> tuple[float, tuple[str
     if metric == "diamond":
         scale /= dim
         applied.append(f"diamond/{dim}")
-    if _label_is_cx(target_label):
+    if str(target_label).startswith("CX"):
         scale *= 2.0
         applied.append("x2-two-qubit-target")
     return scale, tuple(applied)
@@ -347,6 +326,22 @@ def gate_dependence_matrix(
     return DistanceMatrix(tuple(labels), tuple(labels), values, metric, applied)
 
 
+def _grid_labels(marginals, joints) -> tuple[list, list]:
+    """Sorted first-gate and second-gate labels of a complete grid.
+
+    Raises :class:`IncompleteDataError` listing every absent (first,
+    second) joint map and every absent single-gate marginal.
+    """
+    u_labels = sorted({u for (u, _) in joints}, key=str)
+    v_labels = sorted({v for (_, v) in joints}, key=str)
+    missing = [f"{u},{v}" for u in u_labels for v in v_labels if (u, v) not in joints]
+    gates = sorted(set(u_labels) | set(v_labels), key=str)
+    missing += [str(g) for g in gates if g not in marginals]
+    if missing:
+        raise IncompleteDataError(f"channel grid is incomplete: {missing}", missing)
+    return u_labels, v_labels
+
+
 def conditional_vs_marginal_matrix(
     marginals,
     joints,
@@ -365,13 +360,7 @@ def conditional_vs_marginal_matrix(
     Memoryless data gives the zero matrix; non-constant columns are the
     signature of a past-dependent process.
     """
-    u_labels = sorted({u for (u, _) in joints}, key=str)
-    v_labels = sorted({v for (_, v) in joints}, key=str)
-    missing = [
-        f"{u},{v}" for u in u_labels for v in v_labels if (u, v) not in joints
-    ] + [str(g) for g in set(u_labels) | set(v_labels) if g not in marginals]
-    if missing:
-        raise IncompleteDataError(f"missing channels: {missing}", missing)
+    u_labels, v_labels = _grid_labels(marginals, joints)
     values = np.zeros((len(u_labels), len(v_labels)))
     applied: set[str] = set()
     for i, u in enumerate(u_labels):
@@ -469,11 +458,6 @@ def process_tensor_proxy(measured, markovian_reference, regularization: float = 
     r = (1.0 - regularization) * 0.5 * (r + r.conj().T) + regularization * np.eye(d) / d
 
     lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
-    lam = np.clip(lam, 0.0, None)
     mu, v = np.linalg.eigh(r)
     mu = np.maximum(mu, 0.5 * regularization / d)  # guards roundoff only
-    pos = lam > 1e-12
-    entropy_term = float(np.sum(lam[pos] * np.log2(lam[pos])))
-    overlap = np.abs(u.conj().T @ v) ** 2
-    cross_term = float(lam @ overlap @ np.log2(mu))
-    return max(entropy_term - cross_term, 0.0)
+    return _relative_entropy_core(lam, u, mu, v, 1e-12)

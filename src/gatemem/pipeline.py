@@ -6,19 +6,19 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .channels import QuantumChannel, apply
 from .simulator import SEModel, sample_counts
 from .tomography import (
     CountRecord,
     TomographyFrame,
     TomographyResult,
+    _count_record,
+    _normalized,
+    _spawn_seeds,
     build_frame,
     enumerate_circuits,
     expected_distribution,
     mle_estimate,
-    outcome_bitstrings,
     process_tomography,
 )
 
@@ -37,14 +37,8 @@ def simulate_records(
     """
     frame = frame or build_frame(model.sys_qubits)
     descriptors = enumerate_circuits(gates, frame)
-    if shots is None:
-        return [sample_counts(model, desc, None) for desc in descriptors]
-    seq = np.random.SeedSequence(seed)
-    child_seeds = seq.generate_state(len(descriptors), dtype=np.uint64)
-    return [
-        sample_counts(model, desc, shots, int(child))
-        for desc, child in zip(descriptors, child_seeds)
-    ]
+    seeds = _spawn_seeds(seed, len(descriptors))
+    return [sample_counts(model, desc, shots, child) for desc, child in zip(descriptors, seeds)]
 
 
 def records_from_channel(
@@ -60,24 +54,13 @@ def records_from_channel(
     multinomially with its own spawned seed.
     """
     frame = frame or build_frame(int(math.log2(channel.dim)))
-    keys = outcome_bitstrings(frame.n_qubits)
+    seeds = iter(_spawn_seeds(seed, len(frame.prep_labels) * len(frame.meas_labels)))
     records = []
-    seq = np.random.SeedSequence(seed)
-    child_seeds = iter(seq.generate_state(len(frame.prep_labels) * len(frame.meas_labels), dtype=np.uint64))
     for prep in frame.prep_labels:
         out = apply(channel, frame.prep_state(prep))
         for meas in frame.meas_labels:
-            probs = np.clip(expected_distribution(out, meas), 0.0, None)
-            probs = probs / probs.sum()
-            if shots is None:
-                counts = {k: float(p) for k, p in zip(keys, probs)}
-                records.append(CountRecord(prep, meas, counts, None))
-            else:
-                child = int(next(child_seeds))
-                rng = np.random.default_rng(child)
-                draw = rng.multinomial(int(shots), probs)
-                counts = {k: int(c) for k, c in zip(keys, draw)}
-                records.append(CountRecord(prep, meas, counts, int(shots), seed=child))
+            probs = _normalized(expected_distribution(out, meas))
+            records.append(_count_record(prep, meas, probs, shots, next(seeds)))
     return records
 
 
@@ -136,11 +119,10 @@ def reconstruction_noise_samples(
     the detection floor.
     """
     frame = frame or build_frame(model.sys_qubits)
-    seq = np.random.SeedSequence(seed)
-    seeds = seq.generate_state(2 * n_pairs, dtype=np.uint64)
+    seeds = _spawn_seeds(seed, 2 * n_pairs)
     values = []
     for k in range(n_pairs):
-        a = reconstruct_from_model(model, gates, shots, int(seeds[2 * k]), frame)
-        b = reconstruct_from_model(model, gates, shots, int(seeds[2 * k + 1]), frame)
+        a = reconstruct_from_model(model, gates, shots, seeds[2 * k], frame)
+        b = reconstruct_from_model(model, gates, shots, seeds[2 * k + 1], frame)
         values.append(float(metric_fn(a.channel, b.channel)))
     return values

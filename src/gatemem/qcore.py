@@ -7,6 +7,14 @@ Conventions shared by the whole package:
 * Hermitian eigendecomposition is the single numerical kernel, and any
   eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
+The linear algebra every other module builds on lives here, once:
+``_half_trace_norm`` (one matrix or a stack; trace distances, SDP
+bounds, CP violation), ``_hermitian_function`` (PSD parts, square
+roots, density projections, unitaries from generators),
+``_project_simplex``, ``_haar_vectors`` (every Haar pure-state draw),
+and ``_relative_entropy_core`` (the spectral part of both relative
+entropies).
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
 """
@@ -98,8 +106,30 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+
+def _half_trace_norm(mat: np.ndarray):
+    """Half the trace norm of the Hermitian part of a matrix, or of each
+    matrix in a stack of shape (..., d, d).  No validation: batched
+    callers sit on hot paths."""
+    herm = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+
+
+def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
+    """``f(mat)`` for a Hermitian matrix, with ``fn`` mapping its
+    eigenvalue array to the new eigenvalues."""
+    w, v = np.linalg.eigh(mat)
+    return (v * fn(w)) @ v.conj().T
+
+
+def _project_simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex."""
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, w.size + 1)
+    k = np.nonzero(u * idx > (css - 1.0))[0][-1]
+    tau = (css[k] - 1.0) / (k + 1.0)
+    return np.clip(w - tau, 0.0, None)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -113,9 +143,7 @@ def trace_distance(rho, sigma) -> float:
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(_half_trace_norm(a - b))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -140,22 +168,36 @@ def relative_entropy(rho, sigma) -> float:
                 f"first state has weight {worst:.3e} outside the reference support", worst
             )
 
+    good = mu > ZERO_TOL
+    return _relative_entropy_core(lam, u, mu[good], v[:, good], ZERO_TOL)
+
+
+def _relative_entropy_core(lam, u, mu, v, tol: float) -> float:
+    """Base-2 relative entropy from the eigendecomposition ``(lam, u)``
+    of rho and the eigenpairs ``(mu, v)`` spanning the support of sigma.
+    Eigenvalues of rho at or below ``tol`` contribute nothing."""
     lam = np.clip(lam, 0.0, None)
-    pos = lam > ZERO_TOL
+    pos = lam > tol
     entropy_term = float(np.sum(lam[pos] * np.log2(lam[pos])))
 
     overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-    good = mu > ZERO_TOL
-    cross_term = float(lam @ overlap[:, good] @ np.log2(mu[good]))
+    cross_term = float(lam @ overlap @ np.log2(mu))
     return max(entropy_term - cross_term, 0.0)
+
+
+def _haar_vectors(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-random unit vectors as rows: normalized complex
+    Gaussians, real parts drawn before imaginary parts."""
+    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
 
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized complex-Gaussian vector."""
     if dim < 2:
         raise DimensionError(f"need dim >= 2, got {dim}")
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v))
+    return PureState(_haar_vectors(dim, 1, rng)[0])
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -41,35 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SolverError
+from .qcore import _half_trace_norm, _hermitian_function, _project_simplex
 
 
 def _psd_part(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
-
-
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, w.size + 1)
-    k = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    tau = (css[k] - 1.0) / (k + 1.0)
-    return np.clip(w - tau, 0.0, None)
-
-
-def _project_density(mat: np.ndarray) -> np.ndarray:
-    mat = 0.5 * (mat + mat.conj().T)
-    w, v = np.linalg.eigh(mat)
-    w = _project_simplex(w)
-    return (v * w) @ v.conj().T
+    return _hermitian_function(mat, lambda w: np.clip(w, 0.0, None))
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    return _hermitian_function(mat, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _project_density(mat: np.ndarray) -> np.ndarray:
+    return _hermitian_function(0.5 * (mat + mat.conj().T), _project_simplex)
 
 
 def _trace_out(mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -141,8 +125,7 @@ def diamond_sdp(
 
     def lower_bound(rho: np.ndarray) -> float:
         sq = np.kron(_sqrt_psd(rho), eye_out)
-        m = sq @ choi @ sq
-        return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(m))))
+        return float(_half_trace_norm(sq @ choi @ sq))
 
     def upper_bound(z: np.ndarray) -> float:
         z_feas = _psd_part(choi + _psd_part(z - choi))

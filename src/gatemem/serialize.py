@@ -125,6 +125,9 @@ def channel_from_payload(payload: dict) -> QuantumChannel:
         raise ValidationError(
             f"unsupported vectorization {payload.get('normalization')!r}"
         )
+    missing = [key for key in ("superop", "dim") if key not in payload]
+    if missing:
+        raise ValidationError(f"channel file is missing {missing}")
     superop = decode_matrix(payload["superop"])
     if superop.shape[0] != payload["dim"] ** 2:
         raise ValidationError("superoperator size disagrees with declared dimension")

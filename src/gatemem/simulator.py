@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
+    _GATE_MATRICES,
     GateLabel,
     QuantumChannel,
     embed_unitary,
@@ -28,13 +29,14 @@ from .channels import (
     vec,
 )
 from .exceptions import DimensionError, LabelError, ValidationError
-from .qcore import DensityMatrix, _as_matrix, _partial_trace_raw
+from .qcore import DensityMatrix, _as_matrix, _hermitian_function, _partial_trace_raw
 from .tomography import (
     CircuitDescriptor,
     CountRecord,
-    expected_distribution,
+    _count_record,
+    _normalized,
+    _rotated_probabilities,
     meas_rotation,
-    outcome_bitstrings,
     prep_unitary,
 )
 
@@ -47,8 +49,7 @@ DEFAULT_COUPLING_GRID = (0.05, 0.1, 0.2, 0.4, 0.55)
 #: single-gate maps stay well-conditioned for inversion.
 DEFAULT_COUPLING = 0.55
 
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_X, _Z, _H, _CX = (_GATE_MATRICES[name] for name in ("X", "Z", "H", "CX"))
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,7 @@ def _coupling_unitary(sys_qubits: int, strength: float, duration: float) -> np.n
     for q in range(sys_qubits):
         generator += np.kron(embed_unitary(_Z, (q,), dims), _Z)
         generator += COUPLING_MIX * np.kron(embed_unitary(_X, (q,), dims), _X)
-    w, v = np.linalg.eigh(strength * duration * generator)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return _hermitian_function(strength * duration * generator, lambda w: np.exp(-1j * w))
 
 
 def build_default_model(
@@ -180,21 +180,23 @@ def build_default_model(
     )
 
 
-def _evolve_joint(model: SEModel, gates, joint: np.ndarray) -> np.ndarray:
-    dims = (model.sys_dim, model.env_dim)
-    for gate in gates:
-        u = model.joint_unitary(gate)
-        joint = u @ joint @ u.conj().T
-        if model.reset_policy == "reset_each_gate":
-            reduced = _partial_trace_raw(joint, dims, keep=(0,))
-            joint = np.kron(reduced, model.env_initial)
-    return joint
+def _noisy_step(model: SEModel, u: np.ndarray, state: np.ndarray, dims) -> np.ndarray:
+    """Conjugate ``state`` by the full-space unitary ``u``; under the
+    ``reset_each_gate`` policy, then re-prepare the environment, which is
+    the last factor of ``dims``."""
+    state = u @ state @ u.conj().T
+    if model.reset_policy == "reset_each_gate":
+        reduced = _partial_trace_raw(state, dims, keep=range(len(dims) - 1))
+        state = np.kron(reduced, model.env_initial)
+    return state
 
 
 def _run_sequence_raw(model: SEModel, gates, system_mat: np.ndarray) -> np.ndarray:
+    dims = (model.sys_dim, model.env_dim)
     joint = np.kron(system_mat, model.env_initial)
-    joint = _evolve_joint(model, gates, joint)
-    return _partial_trace_raw(joint, (model.sys_dim, model.env_dim), keep=(0,))
+    for gate in gates:
+        joint = _noisy_step(model, model.joint_unitary(gate), joint, dims)
+    return _partial_trace_raw(joint, dims, keep=(0,))
 
 
 def run_sequence(model: SEModel, gates, input_state) -> DensityMatrix:
@@ -229,8 +231,7 @@ def _spam_kick(spec: SpamSpec, kind: str, label: str, dim: int, strength: float)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = 0.5 * (a + a.conj().T)
     herm = herm / np.linalg.norm(herm, 2)
-    w, v = np.linalg.eigh(herm)
-    return (v * np.exp(-1j * strength * w)) @ v.conj().T
+    return _hermitian_function(herm, lambda w: np.exp(-1j * strength * w))
 
 
 def circuit_distribution(model: SEModel, descriptor: CircuitDescriptor) -> np.ndarray:
@@ -252,14 +253,12 @@ def circuit_distribution(model: SEModel, descriptor: CircuitDescriptor) -> np.nd
 
     rho_out = _run_sequence_raw(model, descriptor.gates, rho_in)
 
+    rot = meas_rotation(descriptor.meas_label)
     if model.spam.meas_strength > 0:
-        kick = _spam_kick(model.spam, "meas", descriptor.meas_label, d, model.spam.meas_strength)
-        rot = meas_rotation(descriptor.meas_label) @ kick
-        probs = np.real(np.diag(rot @ rho_out @ rot.conj().T)).copy()
-        probs[np.abs(probs) < 1e-15] = 0.0
-    else:
-        probs = expected_distribution(rho_out, descriptor.meas_label)
-    return np.clip(probs, 0.0, None) / np.sum(np.clip(probs, 0.0, None))
+        rot = rot @ _spam_kick(
+            model.spam, "meas", descriptor.meas_label, d, model.spam.meas_strength
+        )
+    return _normalized(_rotated_probabilities(rho_out, rot))
 
 
 def sample_counts(
@@ -272,25 +271,7 @@ def sample_counts(
     None) for one configuration.  Passing an integer ``rng`` seeds a
     dedicated generator and records the seed on the record."""
     probs = circuit_distribution(model, descriptor)
-    keys = outcome_bitstrings(descriptor.n_qubits)
-    if shots is None:
-        counts = {k: float(p) for k, p in zip(keys, probs)}
-        return CountRecord(descriptor.prep_label, descriptor.meas_label, counts, None)
-    seed = None
-    if rng is None:
-        rng = np.random.default_rng()
-    elif isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
-    draw = rng.multinomial(int(shots), probs)
-    counts = {k: int(c) for k, c in zip(keys, draw)}
-    return CountRecord(
-        descriptor.prep_label, descriptor.meas_label, counts, int(shots), seed=seed
-    )
-
-
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_CX2 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    return _count_record(descriptor.prep_label, descriptor.meas_label, probs, shots, rng)
 
 
 def cji_circuit(model: SEModel, u_gate: GateLabel, v_gate: GateLabel) -> DensityMatrix:
@@ -318,21 +299,17 @@ def cji_circuit(model: SEModel, u_gate: GateLabel, v_gate: GateLabel) -> Density
     def noisy(gate):
         nonlocal state
         joint = model.joint_unitary(gate)  # acts on (system wire, env)
-        full = embed_unitary(joint, (1, 4), dims)
-        state = full @ state @ full.conj().T
-        if model.reset_policy == "reset_each_gate":
-            reduced = _partial_trace_raw(state, dims, keep=(0, 1, 2, 3))
-            state = np.kron(reduced, model.env_initial)
+        state = _noisy_step(model, embed_unitary(joint, (1, 4), dims), state, dims)
 
-    clean(_H2, (0,))
-    clean(_CX2, (0, 1))
+    clean(_H, (0,))
+    clean(_CX, (0, 1))
     noisy(u_gate)
-    clean(_H2, (2,))
-    clean(_CX2, (2, 3))
+    clean(_H, (2,))
+    clean(_CX, (2, 3))
     # swap wires 1 and 3 as three controlled-NOTs
-    clean(_CX2, (1, 3))
-    clean(_CX2, (3, 1))
-    clean(_CX2, (1, 3))
+    clean(_CX, (1, 3))
+    clean(_CX, (3, 1))
+    clean(_CX, (1, 3))
     noisy(v_gate)
 
     reduced = _partial_trace_raw(state, dims, keep=(0, 1, 2, 3))

@@ -12,13 +12,14 @@ are bitstrings with qubit 0 leftmost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GateLabel, QuantumChannel, vec
+from .channels import _GATE_MATRICES, GateLabel, QuantumChannel, vec
 from .exceptions import (
     ConvergenceError,
     DimensionError,
@@ -33,10 +34,7 @@ LABEL_GRAMMAR_VERSION = 1
 PREP_SYMBOLS = ("Z+", "Z-", "X+", "Y+")
 MEAS_SYMBOLS = ("X", "Y", "Z")
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_H, _S, _X = (_GATE_MATRICES[name] for name in ("H", "S", "X"))
 _I = np.eye(2, dtype=complex)
 
 #: Unitary taking |0> to the labelled preparation.
@@ -80,30 +78,24 @@ def join_label(symbols) -> str:
     return "*".join(symbols)
 
 
-def prep_unitary(label: str) -> np.ndarray:
-    """Tensor-product unitary preparing the labelled state from |0...0>."""
+def _tensor_operator(label: str, table: dict, kind: str) -> np.ndarray:
+    """Kronecker product of the per-qubit operators a label names."""
     mats = []
     for symbol in split_label(label):
-        if symbol not in PREP_UNITARIES:
-            raise LabelError(f"unknown preparation symbol {symbol!r} in {label!r}")
-        mats.append(PREP_UNITARIES[symbol])
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+        if symbol not in table:
+            raise LabelError(f"unknown {kind} symbol {symbol!r} in {label!r}")
+        mats.append(table[symbol])
+    return functools.reduce(np.kron, mats)
+
+
+def prep_unitary(label: str) -> np.ndarray:
+    """Tensor-product unitary preparing the labelled state from |0...0>."""
+    return _tensor_operator(label, PREP_UNITARIES, "preparation")
 
 
 def meas_rotation(label: str) -> np.ndarray:
     """Tensor-product basis-change rotation for the labelled setting."""
-    mats = []
-    for symbol in split_label(label):
-        if symbol not in MEAS_ROTATIONS:
-            raise LabelError(f"unknown measurement symbol {symbol!r} in {label!r}")
-        mats.append(MEAS_ROTATIONS[symbol])
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return _tensor_operator(label, MEAS_ROTATIONS, "measurement")
 
 
 def outcome_bitstrings(n_qubits: int) -> list[str]:
@@ -273,9 +265,46 @@ def expected_distribution(state, meas_label: str) -> np.ndarray:
     rot = meas_rotation(meas_label)
     if rho.shape != rot.shape:
         raise DimensionError(f"state dim {rho.shape[0]} does not match {meas_label!r}")
+    return _rotated_probabilities(rho, rot)
+
+
+def _rotated_probabilities(rho: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Computational-basis outcome probabilities of ``rot rho rot+``;
+    roundoff below 1e-15 in magnitude is set to zero."""
     probs = np.real(np.diag(rot @ rho @ rot.conj().T)).copy()
     probs[np.abs(probs) < 1e-15] = 0.0
     return probs
+
+
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """Clip negative roundoff and rescale to unit sum."""
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def _spawn_seeds(seed: int | None, count: int) -> list[int]:
+    """Independent per-configuration sampling seeds spawned from ``seed``."""
+    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+    return [int(child) for child in state]
+
+
+def _count_record(prep: str, meas: str, probs, shots: int | None, rng=None) -> CountRecord:
+    """Record of one configuration from its normalized outcome
+    probabilities: the probabilities themselves when ``shots`` is None,
+    otherwise a multinomial draw.  An integer ``rng`` seeds a dedicated
+    generator and is recorded as the record's seed."""
+    keys = outcome_bitstrings(len(split_label(prep)))
+    if shots is None:
+        return CountRecord(prep, meas, {k: float(p) for k, p in zip(keys, probs)}, None)
+    seed = None
+    if rng is None:
+        rng = np.random.default_rng()
+    elif isinstance(rng, (int, np.integer)):
+        seed = int(rng)
+        rng = np.random.default_rng(seed)
+    draw = rng.multinomial(int(shots), probs)
+    counts = {k: int(c) for k, c in zip(keys, draw)}
+    return CountRecord(prep, meas, counts, int(shots), seed=seed)
 
 
 def _measurement_effects(meas_label: str) -> np.ndarray:

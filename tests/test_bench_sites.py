@@ -1,0 +1,62 @@
+"""Guard for the benchmark's traced run.
+
+``perfbench/tracer.py`` replaces gatemem functions at the module
+attributes their callers look them up through, and its attribute readers
+bind call arguments by name.  A refactor that drops one of those import
+sites, or renames a parameter a reader binds, must fail here rather than
+in the benchmark.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+import re
+import sys
+
+import pytest
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the defining module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # read-only
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _bound_names(reader) -> set[str]:
+    """Argument names an attribute reader looks up on the bound call."""
+    if reader is None:
+        return set()
+    return set(re.findall(r'arguments\["(\w+)"\]', inspect.getsource(reader)))
+
+
+@pytest.mark.parametrize("module_name, attr, span, reader", tracer.SITES,
+                         ids=[f"{m}.{a}" for m, a, _, _ in tracer.SITES])
+def test_traced_site_exists_with_bound_parameters(module_name, attr, span, reader):
+    target = getattr(importlib.import_module(module_name), attr, None)
+    assert callable(target), f"{module_name}.{attr} is gone"
+    names = _bound_names(reader)
+    if span == "errprop.propagate_statistics":  # the wrapper swaps in a per-trial closure
+        names |= _bound_names(tracer.Tracer._wrap)
+    assert names <= set(inspect.signature(target).parameters)
+
+
+def test_readers_bind_the_expected_names():
+    # the guard above is only as strong as the name extraction
+    readers = {attr: reader for _, attr, _, reader in tracer.SITES}
+    assert _bound_names(readers["mle_estimate"]) == {"records"}
+    assert _bound_names(readers["avg_trace_distance"]) == {"m_samples"}
+    assert _bound_names(readers["dump_json"]) == {"path"}
+    assert _bound_names(tracer.Tracer._wrap) == {"pipeline"}

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gatemem.channels import GateLabel, ideal_channel
 from gatemem.cli import main
+from gatemem.pipeline import simulate_records
 from gatemem.serialize import (
     channel_from_payload,
+    channel_payload,
     decode_matrix,
     encode_matrix,
     load_json,
     records_from_payload,
+    records_payload,
 )
+from gatemem.simulator import build_default_model
 
 
 @pytest.fixture
@@ -241,6 +246,27 @@ class TestAnalyzeScanErrors:
         ])
         assert result.exit_code == 2
 
+    def test_duplicate_sequence_files_exit_2(self, runner, channel_dir, tmp_path):
+        # two files for one gate sequence are ambiguous: neither may win
+        (channel_dir / "channel_X0-again.json").write_bytes(
+            (channel_dir / "channel_X0.json").read_bytes()
+        )
+        result = runner.invoke(main, [
+            "analyze", "--channels", str(channel_dir), "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert "channel_X0.json" in result.output
+        assert "channel_X0-again.json" in result.output
+
+    def test_scan_mixed_gate_files_exit_2(self, runner, channel_dir, tmp_path):
+        # the 2-gate files are X,Z and Z,Z: no single repeated gate
+        result = runner.invoke(main, [
+            "scan", "--channels", str(channel_dir), "--nmax", "2",
+            "--out", str(tmp_path / "scanout"),
+        ])
+        assert result.exit_code == 2
+        assert "repeat one gate" in result.output
+
     def test_ptensor_exact(self, runner, model_file, tmp_path):
         out = tmp_path / "pt.json"
         _invoke(runner, [
@@ -314,3 +340,47 @@ class TestTwoQubitPipeline:
         ])
         cpv = load_json(str(out / "cp_violation.json"))
         assert np.max(np.array(cpv["values"])) > 1e-4  # memory visible at d=4
+
+
+def _valid_payload(kind, model_file):
+    x = GateLabel("X", (0,))
+    if kind == "model":
+        return load_json(model_file)
+    if kind == "records":
+        model = build_default_model([x])
+        return records_payload(simulate_records(model, [x], None), 1, "0", 0)
+    return channel_payload(ideal_channel(x), ["X@0"], None, "0", 0)
+
+
+#: (input kind, key removed from a valid file, command reading it)
+MALFORMED_INPUTS = [
+    ("model", "gates", "simulate"),
+    ("records", "n_qubits", "tomo"),
+    ("records", "n_qubits", "errors"),
+    ("records", "records", "tomo"),
+    ("channel", "superop", "analyze"),
+    ("channel", "dim", "analyze"),
+    ("channel", "superop", "scan"),
+]
+
+
+@pytest.mark.parametrize("kind, key, command", MALFORMED_INPUTS,
+                         ids=[f"{k}-without-{key}-{c}" for k, key, c in MALFORMED_INPUTS])
+def test_malformed_input_exits_2(runner, model_file, tmp_path, kind, key, command):
+    payload = _valid_payload(kind, model_file)
+    del payload[key]
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    path = inputs / "channel_X0.json"  # a name the channel loaders' glob also matches
+    path.write_text(json.dumps(payload))
+    out = str(tmp_path / "out")
+    args = {
+        "simulate": ["simulate", "--model", str(path), "--gates", "X", "--out", out],
+        "tomo": ["tomo", "--records", str(path), "--out", out],
+        "errors": ["errors", "--records", str(path), "--trials", "2", "--out", out],
+        "analyze": ["analyze", "--channels", str(inputs), "--out", out],
+        "scan": ["scan", "--channels", str(inputs), "--nmax", "2", "--out", out],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "validation error" in result.output

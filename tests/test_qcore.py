@@ -5,6 +5,7 @@ from gatemem.exceptions import DimensionError, SupportError, ValidationError
 from gatemem.qcore import (
     DensityMatrix,
     PureState,
+    _half_trace_norm,
     haar_random_pure,
     haar_random_unitary,
     partial_trace,
@@ -58,6 +59,15 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             trace_distance(KET0, DensityMatrix.maximally_mixed(4))
+
+    def test_batched_kernel_matches_per_matrix_distances(self, rng):
+        # the one trace-norm kernel, on a stack mixing Hermitian and
+        # non-Hermitian matrices (it takes the Hermitian part of each)
+        stack = rng.standard_normal((12, 4, 4)) + 1j * rng.standard_normal((12, 4, 4))
+        stack[::2] = 0.5 * (stack[::2] + np.conj(np.swapaxes(stack[::2], -1, -2)))
+        zero = np.zeros((4, 4), dtype=complex)
+        expected = [trace_distance(m, zero) for m in stack]
+        np.testing.assert_allclose(_half_trace_norm(stack), expected, rtol=0, atol=1e-12)
 
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
