@@ -185,8 +185,6 @@ def _load_records(path: str):
     """A records file as (payload, records, tomography frame)."""
     payload = serialize.load_json(path)
     records = serialize.records_from_payload(payload)
-    if "n_qubits" not in payload:
-        raise ValidationError(f"records file {path} has no 'n_qubits'")
     return payload, records, build_frame(payload["n_qubits"])
 
 
@@ -240,8 +238,26 @@ def _write_matrix(stem: str, matrix, cfg_hash: str, seed) -> None:
 def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, seed, out_dir):
     """Conditional-map analyses over a set of reconstructed channels."""
     marginals, joints = _load_grid(channels_dir)
-    if not joints:
-        raise IncompleteDataError("no two-gate channel files found", ["joints"])
+    u_labels, v_labels, conditionals = nonmarkov.conditional_grid(marginals, joints)
+    if pair is None:
+        pair_u, pair_v = u_labels[0], v_labels[0]
+    else:
+        tokens = [str(GateLabel.parse(t)) for t in pair.split(",")]
+        if len(tokens) != 2:
+            raise ValidationError(f"--pair needs exactly two gates, e.g. X,Z; got {pair!r}")
+        pair_u, pair_v = tokens
+        if (pair_u, pair_v) not in conditionals:
+            raise ValidationError(f"--pair {pair_u},{pair_v} is not in the channel grid")
+    # the per-sample histogram's conditioned map and marginal, per channel set
+    histogram_sets = [("", conditionals[(pair_u, pair_v)], marginals[pair_v])]
+    if baseline_dir is not None:
+        base_marginals, base_joints = _load_grid(baseline_dir)
+        try:
+            base = nonmarkov.conditional_grid(base_marginals, base_joints, (pair_u, pair_v))[2]
+        except IncompleteDataError as err:
+            raise IncompleteDataError(f"baseline {baseline_dir}: {err}", err.missing) from err
+        histogram_sets.append(("baseline_", base[(pair_u, pair_v)], base_marginals[pair_v]))
+
     cfg = {
         "command": "analyze",
         "channels": sorted(marginals) + [f"{u},{v}" for u, v in sorted(joints)],
@@ -255,21 +271,14 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
     metrics = ["avg", "diamond"] if metric == "both" else [metric]
     os.makedirs(out_dir, exist_ok=True)
 
-    u_labels, v_labels = nonmarkov._grid_labels(marginals, joints)
-
-    # CP-violation matrix of the conditioned maps
-    cpv = np.zeros((len(u_labels), len(v_labels)))
-    conditionals_by_v = {v: {} for v in v_labels}
-    for i, u in enumerate(u_labels):
-        for j, v in enumerate(v_labels):
-            cm = nonmarkov.conditional_map(joints[(u, v)], marginals[u])
-            cpv[i, j] = nonmarkov.cp_violation(cm)
-            conditionals_by_v[v][u] = cm
+    cpv = [[nonmarkov.cp_violation(conditionals[(u, v)]) for v in v_labels] for u in u_labels]
     cp_matrix = nonmarkov.DistanceMatrix(
         tuple(u_labels), tuple(v_labels), cpv, metric="cp-violation"
     )
     _write_matrix(os.path.join(out_dir, "cp_violation"), cp_matrix, cfg_hash, seed)
 
+    # a gate-dependence matrix compares at least two first gates
+    targets = v_labels if len(u_labels) > 1 else []
     for m in metrics:
         rng = np.random.default_rng(seed)
         cvm = nonmarkov.conditional_vs_marginal_matrix(
@@ -277,43 +286,28 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
             scale_figure=scale_figure,
         )
         _write_matrix(os.path.join(out_dir, f"cond_vs_marginal_{m}"), cvm, cfg_hash, seed)
-        for v in v_labels:
-            if len(conditionals_by_v[v]) < 2:
-                continue
+        for v in targets:
             rng = np.random.default_rng(seed + 1)
             gdm = nonmarkov.gate_dependence_matrix(
-                conditionals_by_v[v], metric=m, m_samples=samples, rng=rng,
-                scale_figure=scale_figure, target_label=v,
+                {u: conditionals[(u, v)] for u in u_labels}, metric=m, m_samples=samples,
+                rng=rng, scale_figure=scale_figure, target_label=v,
             )
             serialize.atomic_write_text(
                 os.path.join(out_dir, f"gate_dependence_{_slug(v)}_{m}.csv"),
                 serialize.matrix_csv(gdm, cfg_hash, seed),
             )
 
-    # per-sample distance histogram for one pair, with optional baseline
-    if pair is None:
-        pair_u, pair_v = u_labels[0], v_labels[0]
-    else:
-        tokens = [str(GateLabel.parse(t)) for t in pair.split(",")]
-        pair_u, pair_v = tokens[0], tokens[1]
-    if (pair_u, pair_v) in joints:
-        payload = serialize._meta("histogram", cfg_hash, seed)
-        payload["pair"] = [pair_u, pair_v]
-        sets = [("", marginals, joints)]
-        if baseline_dir is not None:
-            sets.append(("baseline_", *_load_grid(baseline_dir)))
-        for prefix, marg, jts in sets:
-            if (pair_u, pair_v) not in jts:
-                continue
-            rng = np.random.default_rng(seed + 2)
-            cm = nonmarkov.conditional_map(jts[(pair_u, pair_v)], marg[pair_u])
-            dist = nonmarkov.avg_trace_distance(cm.channel, marg[pair_v], samples, rng)
-            payload[prefix + "mean"] = dist.mean
-            payload[prefix + "stderr"] = dist.stderr
-            payload[prefix + "samples"] = [float(x) for x in dist.samples]
-        serialize.dump_json(
-            os.path.join(out_dir, f"histogram_{_slug(f'{pair_u}_{pair_v}')}.json"), payload
-        )
+    payload = serialize._meta("histogram", cfg_hash, seed)
+    payload["pair"] = [pair_u, pair_v]
+    for prefix, cm, marginal in histogram_sets:
+        rng = np.random.default_rng(seed + 2)
+        dist = nonmarkov.avg_trace_distance(cm.channel, marginal, samples, rng)
+        payload[prefix + "mean"] = dist.mean
+        payload[prefix + "stderr"] = dist.stderr
+        payload[prefix + "samples"] = [float(x) for x in dist.samples]
+    serialize.dump_json(
+        os.path.join(out_dir, f"histogram_{_slug(f'{pair_u}_{pair_v}')}.json"), payload
+    )
     click.echo(f"wrote analysis to {out_dir}")
 
 

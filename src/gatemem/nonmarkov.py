@@ -115,8 +115,6 @@ class AvgDistanceResult:
 def conditional_map(
     phi_vu: QuantumChannel,
     phi_u: QuantumChannel,
-    cond_threshold: float = 1e-8,
-    pseudo_inverse: bool = False,
     conditioned_on: GateLabel | None = None,
     target: GateLabel | None = None,
 ) -> ConditionalMap:
@@ -124,12 +122,13 @@ def conditional_map(
 
     Returns ``compose(phi_vu, invert(phi_u))``; for memoryless data this
     reproduces the unconditioned second-gate map, and any CP violation
-    or dependence on the first gate witnesses memory.
+    or dependence on the first gate witnesses memory.  A first-gate map
+    whose singular-value ratio is below :func:`invert`'s default 1e-8
+    raises :class:`SingularChannelError`.
     """
     if phi_vu.dim != phi_u.dim:
         raise DimensionError(f"dimension mismatch: {phi_vu.dim} vs {phi_u.dim}")
-    inverse = invert(phi_u, cond_threshold, pseudo_inverse=pseudo_inverse)
-    chan = compose(phi_vu, inverse)
+    chan = compose(phi_vu, invert(phi_u))
     return ConditionalMap(
         channel=chan,
         conditioned_on=conditioned_on,
@@ -188,24 +187,20 @@ def avg_trace_distance(
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
 
 
-def diamond_distance(
-    a: QuantumChannel,
-    b: QuantumChannel,
-    gap_tol: float = 1e-6,
-    max_iterations: int = 2_000_000,
-) -> DiamondResult:
+def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     """Half the diamond norm of the difference, with a solver certificate.
 
     The difference map must be Hermiticity-preserving (Hermitian
-    difference Choi); the result carries the certified primal-dual gap
-    and the optimizing joint input.
+    difference Choi).  The SDP runs at its default 1e-6 gap tolerance;
+    the result carries the certified primal-dual gap and the optimizing
+    joint input.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     delta = choi_from_superop(a).data - choi_from_superop(b).data
     if np.max(np.abs(delta - delta.conj().T)) > 1e-8:
         raise ValidationError("difference map is not Hermiticity-preserving")
-    return diamond_sdp(delta, gap_tol=gap_tol, max_iterations=max_iterations)
+    return diamond_sdp(delta)
 
 
 def diamond_lower_bound(
@@ -213,16 +208,15 @@ def diamond_lower_bound(
     b: QuantumChannel,
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-    refine_candidates: int = 5,
-    refine_iterations: int = 300,
 ) -> float:
     """Brute-force lower bound on the diamond distance.
 
     Maximizes the output trace distance over Haar-random pure inputs on
-    system (x) ancilla, then locally refines the best candidates by
-    alternating between the optimal discriminating projector and the
-    top eigenvector of its pullback.  Every reported value is an
-    achieved distance, hence a true lower bound.
+    system (x) ancilla, then locally refines the best five candidates,
+    up to 300 steps each, by alternating between the optimal
+    discriminating projector and the top eigenvector of its pullback.
+    Every reported value is an achieved distance, hence a true lower
+    bound.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -245,11 +239,11 @@ def diamond_lower_bound(
     values = _half_trace_norm(outs)
 
     best = float(values.max())
-    order = np.argsort(values)[::-1][:refine_candidates]
+    order = np.argsort(values)[::-1][:5]
     for idx in order:
         psi = psis[idx].copy()
         current = values[idx]
-        for _ in range(refine_iterations):
+        for _ in range(300):
             out = output(psi)
             out = 0.5 * (out + out.conj().T)
             w, v = np.linalg.eigh(out)
@@ -269,11 +263,11 @@ def diamond_lower_bound(
     return best
 
 
-def _distance(a, b, metric, m_samples, rng, gap_tol) -> float:
+def _distance(a, b, metric, m_samples, rng) -> float:
     if metric == "avg":
         return avg_trace_distance(a, b, m_samples, rng).mean
     if metric == "diamond":
-        return diamond_distance(a, b, gap_tol=gap_tol).value
+        return diamond_distance(a, b).value
     raise ValidationError(f"unknown metric {metric!r}; use 'avg' or 'diamond'")
 
 
@@ -295,7 +289,6 @@ def gate_dependence_matrix(
     metric: str = "avg",
     m_samples: int = DEFAULT_AVG_SAMPLES,
     rng: np.random.Generator | None = None,
-    gap_tol: float = 1e-6,
     scale_figure: bool = False,
     target_label=None,
 ) -> DistanceMatrix:
@@ -317,7 +310,7 @@ def gate_dependence_matrix(
     for i in range(n):
         for j in range(i + 1, n):
             values[i, j] = values[j, i] = _distance(
-                chans[i], chans[j], metric, m_samples, rng, gap_tol
+                chans[i], chans[j], metric, m_samples, rng
             )
     applied: tuple[str, ...] = ()
     if scale_figure:
@@ -326,20 +319,31 @@ def gate_dependence_matrix(
     return DistanceMatrix(tuple(labels), tuple(labels), values, metric, applied)
 
 
-def _grid_labels(marginals, joints) -> tuple[list, list]:
-    """Sorted first-gate and second-gate labels of a complete grid.
+def conditional_grid(marginals, joints, pair=None) -> tuple[list, list, dict]:
+    """Every history-conditioned map of a complete grid.
 
-    Raises :class:`IncompleteDataError` listing every absent (first,
-    second) joint map and every absent single-gate marginal.
+    ``marginals`` maps gate labels to single-gate channels and
+    ``joints`` maps (first, second) label pairs to two-gate channels.
+    The grid spans every first and second gate in ``joints``, or only
+    the (first, second) cell ``pair`` when given.  Returns the sorted
+    first-gate labels, the sorted second-gate labels, and the
+    :class:`ConditionalMap` of each (first, second) cell.  Raises
+    :class:`IncompleteDataError` listing every absent joint map and
+    single-gate marginal, or when ``joints`` is empty.
     """
-    u_labels = sorted({u for (u, _) in joints}, key=str)
-    v_labels = sorted({v for (_, v) in joints}, key=str)
+    if pair is None:
+        u_labels = sorted({u for (u, _) in joints}, key=str)
+        v_labels = sorted({v for (_, v) in joints}, key=str)
+    else:
+        u_labels, v_labels = [pair[0]], [pair[1]]
     missing = [f"{u},{v}" for u in u_labels for v in v_labels if (u, v) not in joints]
-    gates = sorted(set(u_labels) | set(v_labels), key=str)
-    missing += [str(g) for g in gates if g not in marginals]
-    if missing:
+    missing += [str(g) for g in sorted({*u_labels, *v_labels}, key=str) if g not in marginals]
+    if missing or not joints:
+        missing = missing or ["two-gate maps"]
         raise IncompleteDataError(f"channel grid is incomplete: {missing}", missing)
-    return u_labels, v_labels
+    maps = {(u, v): conditional_map(joints[(u, v)], marginals[u])
+            for u in u_labels for v in v_labels}
+    return u_labels, v_labels, maps
 
 
 def conditional_vs_marginal_matrix(
@@ -348,25 +352,21 @@ def conditional_vs_marginal_matrix(
     metric: str = "avg",
     m_samples: int = DEFAULT_AVG_SAMPLES,
     rng: np.random.Generator | None = None,
-    gap_tol: float = 1e-6,
     scale_figure: bool = False,
-    cond_threshold: float = 1e-8,
 ) -> DistanceMatrix:
     """Distance between each history-conditioned map and its marginal.
 
-    ``marginals`` maps gate labels to single-gate channels; ``joints``
-    maps (first, second) label pairs to two-gate channels, all on one
-    common dimension.  Rows are the first gate, columns the second.
-    Memoryless data gives the zero matrix; non-constant columns are the
-    signature of a past-dependent process.
+    ``marginals`` and ``joints`` form a complete grid, all on one common
+    dimension (see :func:`conditional_grid`).  Rows are the first gate,
+    columns the second.  Memoryless data gives the zero matrix;
+    non-constant columns are the signature of a past-dependent process.
     """
-    u_labels, v_labels = _grid_labels(marginals, joints)
+    u_labels, v_labels, maps = conditional_grid(marginals, joints)
     values = np.zeros((len(u_labels), len(v_labels)))
     applied: set[str] = set()
     for i, u in enumerate(u_labels):
         for j, v in enumerate(v_labels):
-            cm = conditional_map(joints[(u, v)], marginals[u], cond_threshold)
-            cell = _distance(cm.channel, marginals[v], metric, m_samples, rng, gap_tol)
+            cell = _distance(maps[(u, v)].channel, marginals[v], metric, m_samples, rng)
             if scale_figure:
                 scale, tags = _figure_scale(metric, joints[(u, v)].dim, v)
                 cell *= scale
@@ -386,7 +386,6 @@ def memory_scan(
     metrics=("avg", "diamond"),
     m_samples: int = DEFAULT_AVG_SAMPLES,
     rng: np.random.Generator | None = None,
-    gap_tol: float = 1e-6,
 ) -> MemoryScan:
     """Compare n-step maps against every (m, n-m) concatenation.
 
@@ -406,7 +405,7 @@ def memory_scan(
         for m in range(1, n):
             concat = compose(chans[m - 1], chans[n - m - 1])
             entries[(n, m)] = {
-                metric: _distance(chans[n - 1], concat, metric, m_samples, rng, gap_tol)
+                metric: _distance(chans[n - 1], concat, metric, m_samples, rng)
                 for metric in metrics
             }
     return MemoryScan(n_max=n_max, entries=entries)

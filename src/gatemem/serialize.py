@@ -89,8 +89,11 @@ def records_payload(records, n_qubits: int, cfg_hash: str, seed) -> dict:
 
 
 def records_from_payload(payload: dict) -> list[CountRecord]:
-    if "records" not in payload:
-        raise ValidationError("records file is missing the 'records' array")
+    missing = [key for key in ("n_qubits", "records") if key not in payload]
+    missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
+                for key in ("prep", "meas", "counts", "shots") if key not in entry]
+    if missing or not payload["records"]:
+        raise ValidationError(f"records file is missing {missing or 'every record'}")
     return [
         CountRecord(
             prep_label=entry["prep"],

@@ -4,9 +4,11 @@
 attributes their callers look them up through, and its attribute readers
 bind call arguments by name.  A refactor that drops one of those import
 sites, or renames a parameter a reader binds, must fail here rather than
-in the benchmark.
+in the benchmark.  The same holds for the arguments the benchmark's
+workloads pass to gatemem's functions.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -16,7 +18,8 @@ import sys
 
 import pytest
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
 
 
 def _load_tracer():
@@ -60,3 +63,43 @@ def test_readers_bind_the_expected_names():
     assert _bound_names(readers["avg_trace_distance"]) == {"m_samples"}
     assert _bound_names(readers["dump_json"]) == {"path"}
     assert _bound_names(tracer.Tracer._wrap) == {"pipeline"}
+
+
+def _workload_calls():
+    """(module, function, positional count, keyword names, line) of each
+    ``nonmarkov.*``, ``pipeline.*`` or ``errprop.*`` call in the
+    benchmark's workloads, read from the source without importing it."""
+    with open(os.path.join(PERFBENCH, "workloads.py")) as handle:
+        tree = ast.parse(handle.read())
+    calls = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("nonmarkov", "pipeline", "errprop")):
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)
+            calls.append((func.value.id, func.attr, len(node.args),
+                          [k.arg for k in node.keywords], node.lineno))
+    return calls
+
+
+WORKLOAD_CALLS = _workload_calls()
+
+
+@pytest.mark.parametrize("module_name, attr, n_positional, keywords, line", WORKLOAD_CALLS,
+                         ids=[f"{m}.{a}:{line}" for m, a, _, _, line in WORKLOAD_CALLS])
+def test_workload_call_binds_to_signature(module_name, attr, n_positional, keywords, line):
+    target = getattr(importlib.import_module(f"gatemem.{module_name}"), attr, None)
+    assert callable(target), f"{module_name}.{attr} (workloads.py:{line}) is gone"
+    # raises TypeError for a removed keyword or one positional argument too many
+    inspect.signature(target).bind_partial(*[None] * n_positional, **dict.fromkeys(keywords))
+
+
+def test_workload_scan_finds_the_keyword_calls():
+    # the guard above is only as strong as the call extraction
+    found = {(m, a): kws for m, a, _, kws, _ in WORKLOAD_CALLS}
+    assert found[("nonmarkov", "memory_scan")] == ["metrics", "m_samples", "rng"]
+    assert found[("nonmarkov", "conditional_vs_marginal_matrix")] == [
+        "metric", "m_samples", "rng"]
+    assert found[("errprop", "propagate_statistics")] == ["metric_name"]

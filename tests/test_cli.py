@@ -214,6 +214,36 @@ class TestAnalyzeScanErrors:
         # memory signal sits above the statistics-only baseline
         assert hist["mean"] > hist["baseline_mean"]
 
+    @pytest.mark.parametrize("absent", ["channel_X0-Z0.json", "channel_X0.json",
+                                        "channel_Z0.json"])
+    def test_baseline_without_pair_channels_exits_2(self, runner, channel_dir, tmp_path,
+                                                    absent):
+        # the baseline needs the pair's two-gate file and both one-gate files
+        base = tmp_path / "base"
+        base.mkdir()
+        for name in ("channel_X0.json", "channel_Z0.json", "channel_X0-Z0.json"):
+            if name != absent:
+                (base / name).write_bytes((channel_dir / name).read_bytes())
+        result = runner.invoke(main, [
+            "analyze", "--channels", str(channel_dir), "--baseline", str(base),
+            "--pair", "X,Z", "--samples", "100", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        gates = absent[len("channel_"):-len(".json")].split("-")
+        missing = ",".join(f"{g[0]}@{g[1:]}" for g in gates)
+        assert f"baseline {base}" in result.output
+        assert f"missing: [{missing!r}]" in result.output
+
+    @pytest.mark.parametrize("pair", ["X", "X,Z,Z", "Z,X"])
+    def test_pair_not_a_grid_cell_exits_2(self, runner, channel_dir, tmp_path, pair):
+        # the grid's first gates are X and Z, its only second gate is Z
+        result = runner.invoke(main, [
+            "analyze", "--channels", str(channel_dir), "--pair", pair,
+            "--samples", "100", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--pair" in result.output
+
     def test_scan_lower_triangle(self, runner, model_file, tmp_path):
         rec = tmp_path / "rec"
         gates = ";".join(",".join(["X"] * n) for n in range(1, 5))
@@ -342,6 +372,18 @@ class TestTwoQubitPipeline:
         assert np.max(np.array(cpv["values"])) > 1e-4  # memory visible at d=4
 
 
+def _remove(payload, path):
+    """Delete ``path`` ('records/0/counts') from a payload; a last
+    part '*' empties the list instead."""
+    *parents, last = path.split("/")
+    for part in parents:
+        payload = payload[int(part) if isinstance(payload, list) else part]
+    if last == "*":
+        payload.clear()
+    else:
+        del payload[last]
+
+
 def _valid_payload(kind, model_file):
     x = GateLabel("X", (0,))
     if kind == "model":
@@ -352,12 +394,18 @@ def _valid_payload(kind, model_file):
     return channel_payload(ideal_channel(x), ["X@0"], None, "0", 0)
 
 
-#: (input kind, key removed from a valid file, command reading it)
+#: (input kind, path removed from a valid file, command reading it)
 MALFORMED_INPUTS = [
     ("model", "gates", "simulate"),
     ("records", "n_qubits", "tomo"),
     ("records", "n_qubits", "errors"),
     ("records", "records", "tomo"),
+    ("records", "records/*", "tomo"),
+    ("records", "records/*", "errors"),
+    ("records", "records/0/prep", "tomo"),
+    ("records", "records/0/meas", "tomo"),
+    ("records", "records/0/counts", "tomo"),
+    ("records", "records/3/shots", "errors"),
     ("channel", "superop", "analyze"),
     ("channel", "dim", "analyze"),
     ("channel", "superop", "scan"),
@@ -368,7 +416,7 @@ MALFORMED_INPUTS = [
                          ids=[f"{k}-without-{key}-{c}" for k, key, c in MALFORMED_INPUTS])
 def test_malformed_input_exits_2(runner, model_file, tmp_path, kind, key, command):
     payload = _valid_payload(kind, model_file)
-    del payload[key]
+    _remove(payload, key)
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     path = inputs / "channel_X0.json"  # a name the channel loaders' glob also matches

@@ -14,6 +14,7 @@ from gatemem.nonmarkov import (
     DEFAULT_AVG_SAMPLES,
     DEFAULT_SCAN_NMAX,
     avg_trace_distance,
+    conditional_grid,
     conditional_map,
     conditional_vs_marginal_matrix,
     cp_violation,
@@ -227,6 +228,47 @@ class TestConditionalVsMarginal:
         joints = {("A", "B"): random_channel(2, rng)}
         with pytest.raises(IncompleteDataError):
             conditional_vs_marginal_matrix(marginals, joints, m_samples=10, rng=rng)
+
+    def test_no_joint_maps_is_an_incomplete_grid(self, rng):
+        from gatemem.exceptions import IncompleteDataError
+
+        with pytest.raises(IncompleteDataError):
+            conditional_vs_marginal_matrix({"A": random_channel(2, rng)}, {}, m_samples=10)
+
+
+class TestConditionalGrid:
+    def test_sorted_labels_and_one_map_per_cell(self, memory_channels):
+        labels, singles, joints = memory_channels
+        sub = {(u, v): joints[(u, v)] for u in labels[4::-2] for v in labels[:2]}
+        u_labels, v_labels, maps = conditional_grid(singles, sub)
+        assert u_labels == sorted(labels[4::-2], key=str)
+        assert v_labels == sorted(labels[:2], key=str)
+        assert set(maps) == set(sub)
+        for (u, v), cm in maps.items():
+            expected = conditional_map(joints[(u, v)], singles[u]).channel.superop
+            np.testing.assert_array_equal(cm.channel.superop, expected)
+
+    def test_pair_builds_and_checks_only_that_cell(self, memory_channels):
+        from gatemem.exceptions import IncompleteDataError
+
+        labels, singles, joints = memory_channels
+        u, v = labels[3], labels[5]
+        partial = {g: singles[g] for g in (u, v)}
+        assert set(conditional_grid(partial, joints, (u, v))[2]) == {(u, v)}
+        with pytest.raises(IncompleteDataError) as err:
+            conditional_grid(partial, {}, (u, v))
+        assert err.value.missing == [f"{u},{v}"]
+        with pytest.raises(IncompleteDataError) as err:
+            conditional_grid({v: singles[v]}, joints, (u, v))
+        assert err.value.missing == [str(u)]
+
+    def test_lists_every_absent_channel(self, rng):
+        from gatemem.exceptions import IncompleteDataError
+
+        joints = {("A", "B"): random_channel(2, rng), ("C", "D"): random_channel(2, rng)}
+        with pytest.raises(IncompleteDataError) as err:
+            conditional_grid({"A": random_channel(2, rng)}, joints)
+        assert err.value.missing == ["A,D", "C,B", "B", "C", "D"]
 
 
 class TestMemoryScan:
