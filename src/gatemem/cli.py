@@ -190,15 +190,18 @@ def _load_records(path: str):
 
 def _load_channel_dir(channels_dir: str) -> dict:
     """The directory's ``channel_*.json`` files keyed by gate sequence (a
-    tuple of canonical gate tokens).  Two files for one sequence are
-    ambiguous and rejected."""
+    tuple of canonical gate tokens).  A file without a gate sequence
+    cannot be placed, and two files for one sequence are ambiguous; both
+    are rejected."""
     paths = sorted(glob.glob(os.path.join(channels_dir, "channel_*.json")))
     if not paths:
         raise IncompleteDataError(f"no channel files in {channels_dir}", [channels_dir])
     channels, sources = {}, {}
     for path in paths:
         payload = serialize.load_json(path)
-        key = tuple(str(GateLabel.parse(tok)) for tok in payload.get("gates", []))
+        if not isinstance(payload, dict) or not payload.get("gates"):
+            raise ValidationError(f"channel file {path} has no 'gates' sequence")
+        key = tuple(str(GateLabel.parse(tok)) for tok in payload["gates"])
         if key in sources:
             raise ValidationError(
                 f"{sources[key]} and {path} both hold the sequence {','.join(key)}"

@@ -164,6 +164,10 @@ def avg_trace_distance(
     this is the typical-case counterpart of the worst-case diamond
     distance.  The raw per-sample distances are returned for
     distribution plots, along with the Monte-Carlo standard error.
+
+    Inputs are drawn in batches of 20,000 and go once through the
+    difference map ``a - b``, in slices of 4,000; qubit outputs take
+    the closed-form trace norm.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -172,16 +176,20 @@ def avg_trace_distance(
     rng = np.random.default_rng() if rng is None else rng
     d = a.dim
 
+    delta_t = (a.superop - b.superop).T
     samples = np.empty(m_samples)
-    batch = 20_000
-    for start in range(0, m_samples, batch):
-        count = min(batch, m_samples - start)
-        z = _haar_vectors(d, count, rng)
-        rhos = np.einsum("ni,nj->nij", z, z.conj())
-        vecs = rhos.transpose(0, 2, 1).reshape(count, d * d)  # batched column-stacking
-        out_a = (vecs @ a.superop.T).reshape(count, d, d).transpose(0, 2, 1)
-        out_b = (vecs @ b.superop.T).reshape(count, d, d).transpose(0, 2, 1)
-        samples[start : start + count] = _half_trace_norm(out_a - out_b)
+    for start in range(0, m_samples, 20_000):
+        z = _haar_vectors(d, min(20_000, m_samples - start), rng)
+        # the draw size fixes the random stream; the map goes over
+        # slices of the draw to keep the temporaries small
+        for lo in range(0, len(z), 4_000):
+            zs = z[lo : lo + 4_000]
+            # column-stacked |z><z|: entry j*d + i is z_i conj(z_j)
+            vecs = (np.conj(zs)[:, :, None] * zs[:, None, :]).reshape(len(zs), d * d)
+            # reshaping a column-stacked output gives its transpose,
+            # which has the same trace norm
+            out = (vecs @ delta_t).reshape(len(zs), d, d)
+            samples[start + lo : start + lo + len(zs)] = _half_trace_norm(out)
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)

@@ -4,16 +4,18 @@ Conventions shared by the whole package:
 
 * matrices are dense ``complex128`` numpy arrays,
 * subsystem index 0 is the leftmost tensor factor,
-* Hermitian eigendecomposition is the single numerical kernel, and any
-  eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
+* Hermitian eigendecomposition is the numerical kernel, with one
+  exception: the trace norm of a 2 x 2 block (a qubit state or output)
+  is taken in closed form,
+* any eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
 The linear algebra every other module builds on lives here, once:
 ``_half_trace_norm`` (one matrix or a stack; trace distances, SDP
-bounds, CP violation), ``_hermitian_function`` (PSD parts, square
-roots, density projections, unitaries from generators),
-``_project_simplex``, ``_haar_vectors`` (every Haar pure-state draw),
-and ``_relative_entropy_core`` (the spectral part of both relative
-entropies).
+bounds, CP violation; closed form for 2 x 2, ``eigvalsh`` otherwise),
+``_hermitian_function`` (PSD parts, square roots, density projections,
+unitaries from generators), ``_project_simplex``, ``_haar_vectors``
+(every Haar pure-state draw), and ``_relative_entropy_core`` (the
+spectral part of both relative entropies).
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -110,7 +112,16 @@ class PureState:
 def _half_trace_norm(mat: np.ndarray):
     """Half the trace norm of the Hermitian part of a matrix, or of each
     matrix in a stack of shape (..., d, d).  No validation: batched
-    callers sit on hot paths."""
+    callers sit on hot paths.
+
+    For 2 x 2 blocks the Hermitian part has eigenvalues ``mid +- rad``
+    (``mid`` half its trace, ``rad`` the spectral norm of its traceless
+    part), so half the trace norm is ``max(|mid|, rad)`` in closed form;
+    larger blocks go through ``eigvalsh``."""
+    if mat.shape[-2:] == (2, 2):
+        p, r = mat[..., 0, 0].real, mat[..., 1, 1].real
+        q = 0.5 * (mat[..., 0, 1] + np.conj(mat[..., 1, 0]))
+        return np.maximum(np.abs(0.5 * (p + r)), np.hypot(0.5 * (p - r), np.abs(q)))
     herm = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
 

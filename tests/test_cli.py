@@ -288,6 +288,21 @@ class TestAnalyzeScanErrors:
         assert "channel_X0.json" in result.output
         assert "channel_X0-again.json" in result.output
 
+    def test_channel_file_without_gates_exits_2(self, runner, channel_dir, tmp_path):
+        # a file that names no gate sequence cannot be placed in the grid;
+        # dropping it would leave a smaller grid that passes the check
+        path = channel_dir / "channel_Z0-Z0.json"
+        payload = json.loads(path.read_text())
+        del payload["gates"]
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, [
+            "analyze", "--channels", str(channel_dir), "--samples", "100",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "channel_Z0-Z0.json" in result.output
+        assert not (tmp_path / "out" / "cp_violation.csv").exists()
+
     def test_scan_mixed_gate_files_exit_2(self, runner, channel_dir, tmp_path):
         # the 2-gate files are X,Z and Z,Z: no single repeated gate
         result = runner.invoke(main, [
@@ -409,6 +424,8 @@ MALFORMED_INPUTS = [
     ("channel", "superop", "analyze"),
     ("channel", "dim", "analyze"),
     ("channel", "superop", "scan"),
+    ("channel", "gates", "analyze"),
+    ("channel", "gates", "scan"),
 ]
 
 

@@ -24,6 +24,7 @@ from gatemem.nonmarkov import (
     process_tensor_proxy,
     statistical_floor,
 )
+from gatemem.qcore import _haar_vectors
 from gatemem.simulator import build_default_model, extract_channel
 
 
@@ -155,6 +156,38 @@ class TestAvgTraceDistance:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             avg_trace_distance(identity_channel(2), identity_channel(4), 10, rng)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_matches_eigvalsh_reference_on_the_same_draws(self, d):
+        # 45,000 samples: two full 20,000-sample batches and a partial one
+        rng = np.random.default_rng(2024)
+        a = random_channel(d, rng)
+        b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel  # non-CP
+        gen = np.random.default_rng(11)
+        result = avg_trace_distance(a, b, 45_000, gen)
+
+        # reference: apply each channel to each density matrix, subtract,
+        # and take eigenvalues of the Hermitian part
+        ref_rng = np.random.default_rng(11)
+        expected = []
+        for count in (20_000, 20_000, 5_000):
+            z = _haar_vectors(d, count, ref_rng)
+            rhos = np.einsum("ni,nj->nij", z, z.conj())
+            vecs = rhos.reshape(count, d * d, order="F")
+            outs = [(vecs @ c.superop.T).reshape(count, d, d, order="F") for c in (a, b)]
+            diff = outs[0] - outs[1]
+            herm = 0.5 * (diff + np.conj(np.swapaxes(diff, -1, -2)))
+            expected.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1))
+        expected = np.concatenate(expected)
+
+        np.testing.assert_allclose(result.samples, expected, rtol=0, atol=1e-12)
+        assert result.mean == pytest.approx(expected.mean(), rel=0, abs=1e-12)
+        assert result.stderr == pytest.approx(
+            expected.std(ddof=1) / np.sqrt(expected.size), rel=0, abs=1e-12
+        )
+        # the kernel leaves the generator where those batches left it, so
+        # the streams of later calls see the same inputs
+        assert gen.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestGateDependence:

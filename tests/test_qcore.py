@@ -69,6 +69,19 @@ class TestTraceDistance:
         expected = [trace_distance(m, zero) for m in stack]
         np.testing.assert_allclose(_half_trace_norm(stack), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 2, 2), (3, 5, 2, 2)])
+    def test_qubit_closed_form_matches_eigvalsh(self, rng, shape):
+        # independent reference: eigenvalues of the explicit Hermitian part
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        herm = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
+        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+        got = _half_trace_norm(mat)
+        assert np.shape(got) == shape[:-2]
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_qubit_closed_form_of_zero_is_exactly_zero(self):
+        assert _half_trace_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
             a, b, c = (random_density(3, rng) for _ in range(3))
