@@ -71,7 +71,10 @@ class GateLabel:
         """
         name, _, wires = text.strip().partition("@")
         if wires:
-            qubits = tuple(int(q) for q in wires.replace(",", ".").split("."))
+            try:
+                qubits = tuple(int(q) for q in wires.replace(",", ".").split("."))
+            except ValueError:
+                raise LabelError(f"bad wire indices in gate {text!r}") from None
         else:
             qubits = (0, 1) if name == "CX" else (0,)
         return cls(name, qubits)
@@ -226,23 +229,24 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(second.superop @ first.superop, provenance=provenance)
 
 
-def invert(
-    chan: QuantumChannel,
-    cond_threshold: float = 1e-8,
-    pseudo_inverse: bool = False,
-) -> QuantumChannel:
+#: Smallest ``sigma_min / sigma_max`` that :func:`invert` treats as invertible.
+INVERT_COND_THRESHOLD = 1e-8
+
+
+def invert(chan: QuantumChannel, pseudo_inverse: bool = False) -> QuantumChannel:
     """Matrix inverse of the superoperator.
 
     Raises :class:`SingularChannelError` when ``sigma_min / sigma_max``
-    falls below ``cond_threshold``; passing ``pseudo_inverse=True``
-    instead returns the Moore-Penrose pseudo-inverse with that cutoff.
+    falls below :data:`INVERT_COND_THRESHOLD`; passing
+    ``pseudo_inverse=True`` instead returns the Moore-Penrose
+    pseudo-inverse with that cutoff.
     """
     s = np.linalg.svd(chan.superop, compute_uv=False)
     sigma_max, sigma_min = float(s[0]), float(s[-1])
     provenance = f"inv({chan.provenance})"
-    if sigma_max == 0.0 or sigma_min / sigma_max < cond_threshold:
+    if sigma_max == 0.0 or sigma_min / sigma_max < INVERT_COND_THRESHOLD:
         if pseudo_inverse:
-            pinv = np.linalg.pinv(chan.superop, rcond=cond_threshold)
+            pinv = np.linalg.pinv(chan.superop, rcond=INVERT_COND_THRESHOLD)
             return QuantumChannel(pinv, provenance=provenance)
         raise SingularChannelError(
             f"superoperator is singular (sigma_min={sigma_min:.3e}, "

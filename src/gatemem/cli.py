@@ -69,27 +69,30 @@ def _exit_codes(fn):
 
 def _load_model(path: str) -> tuple[SEModel, dict]:
     spec = serialize.load_json(path)
-    if not isinstance(spec, dict) or "gates" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list):
         raise ValidationError(f"model file {path} has no 'gates' list")
-    spam_cfg = spec.get("spam", {})
-    spam = SpamSpec(
-        prep_strength=float(spam_cfg.get("prep", 0.0)),
-        meas_strength=float(spam_cfg.get("meas", 0.0)),
-        seed=int(spam_cfg.get("seed", 0)),
-    )
-    env_initial = None
-    if "env_initial" in spec:
-        env_initial = serialize.decode_matrix(spec["env_initial"])
-    model = build_default_model(
-        labels=spec["gates"],
-        coupling=float(spec.get("coupling", DEFAULT_COUPLING)),
-        reset_policy=spec.get("reset_policy", "persistent"),
-        sys_qubits=spec.get("sys_qubits"),
-        env_omega=float(spec.get("env_omega", 0.7)),
-        durations=spec.get("durations"),
-        env_initial=env_initial,
-        spam=spam,
-    )
+    try:
+        spam_cfg = spec.get("spam", {})
+        spam = SpamSpec(
+            prep_strength=float(spam_cfg.get("prep", 0.0)),
+            meas_strength=float(spam_cfg.get("meas", 0.0)),
+            seed=int(spam_cfg.get("seed", 0)),
+        )
+        env_initial = None
+        if "env_initial" in spec:
+            env_initial = serialize.decode_matrix(spec["env_initial"])
+        model = build_default_model(
+            labels=spec["gates"],
+            coupling=float(spec.get("coupling", DEFAULT_COUPLING)),
+            reset_policy=spec.get("reset_policy", "persistent"),
+            sys_qubits=spec.get("sys_qubits"),
+            env_omega=float(spec.get("env_omega", 0.7)),
+            durations=spec.get("durations"),
+            env_initial=env_initial,
+            spam=spam,
+        )
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"model file {path} is malformed: {err}") from err
     return model, spec
 
 
@@ -165,7 +168,9 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
 def tomo(records_path, out_path):
     """Reconstruct a channel from a records file."""
     payload, records, frame = _load_records(records_path)
-    gates = payload.get("gates", [])
+    gates = payload.get("gates")
+    if not gates:
+        raise ValidationError(f"records file {records_path} has no 'gates' sequence")
     result = pipeline.reconstruct_channel(records, frame, provenance="+".join(gates))
     cfg = {"command": "tomo", "records": payload}
     out = serialize.channel_payload(
@@ -184,7 +189,7 @@ def tomo(records_path, out_path):
 def _load_records(path: str):
     """A records file as (payload, records, tomography frame)."""
     payload = serialize.load_json(path)
-    records = serialize.records_from_payload(payload)
+    records = serialize.records_from_payload(payload, path)
     return payload, records, build_frame(payload["n_qubits"])
 
 
@@ -199,7 +204,8 @@ def _load_channel_dir(channels_dir: str) -> dict:
     channels, sources = {}, {}
     for path in paths:
         payload = serialize.load_json(path)
-        if not isinstance(payload, dict) or not payload.get("gates"):
+        channel = serialize.channel_from_payload(payload, path)
+        if not payload.get("gates"):
             raise ValidationError(f"channel file {path} has no 'gates' sequence")
         key = tuple(str(GateLabel.parse(tok)) for tok in payload["gates"])
         if key in sources:
@@ -207,7 +213,7 @@ def _load_channel_dir(channels_dir: str) -> dict:
                 f"{sources[key]} and {path} both hold the sequence {','.join(key)}"
             )
         sources[key] = path
-        channels[key] = serialize.channel_from_payload(payload)
+        channels[key] = channel
     return channels
 
 
@@ -387,7 +393,7 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
         "gates": _gate_tokens(tokens),
         "shots": shots_val,
         "relative_entropy": float(value),
-        "regularization": 1e-12,
+        "regularization": nonmarkov.PTENSOR_REGULARIZATION,
         "measured": serialize.encode_matrix(measured.data),
         "reference": serialize.encode_matrix(reference),
     })
@@ -440,7 +446,10 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     if model_path is None or gate is None:
         raise ValidationError("need either --records or both --model and --gate")
     model, model_spec = _load_model(model_path)
-    strengths = [float(tok) for tok in eps_grid.split(",")]
+    try:
+        strengths = [float(tok) for tok in eps_grid.split(",")]
+    except ValueError:
+        raise ValidationError(f"--eps-grid takes comma-separated numbers: {eps_grid!r}") from None
     decomposition = errprop.spam_scaling(model, GateLabel.parse(gate), strengths)
     cfg = {
         "command": "errors-spam", "model": model_spec, "gate": gate,

@@ -2,17 +2,17 @@
 reconstruction pipeline, and scaling of preparation/measurement
 imperfections.
 
-Shot statistics enter as a Gaussian perturbation of each outcome
-probability with standard deviation 1/sqrt(N), clamped to [0, 1] and
-renormalized by Euclidean projection onto the probability simplex
-(projection distorts the perturbation less than rescaling when one
-outcome dominates); a direct count-resampling oracle lives in the test
-suite to bound the bias of the whole model.
+Shot statistics enter as a parametric bootstrap: each trial redraws
+every finite-shot record's counts with ``tomography._count_record``,
+the multinomial sampler that also simulates data, at the record's own
+shot count and from its observed frequencies.  Trial records keep
+``shots``, so the likelihood estimator weighs and stops them as it does
+the data.  A direct count-resampling oracle lives in the test suite to
+bound the bias of the whole procedure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,9 +20,8 @@ import numpy as np
 from .channels import GateLabel
 from .exceptions import GatememError, ValidationError
 from .pipeline import reconstruct_from_model
-from .qcore import _project_simplex
 from .simulator import SEModel, SpamSpec, extract_channel
-from .tomography import CountRecord, _count_record
+from .tomography import _count_record
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,6 @@ class SpamDecomposition:
     r_squared: float
 
 
-def _perturb_record(record: CountRecord, rng: np.random.Generator) -> CountRecord:
-    """Gaussian-perturb outcome probabilities at sigma = 1/sqrt(shots)."""
-    probs = record.frequencies()
-    if record.shots is not None:
-        sigma = 1.0 / math.sqrt(record.shots)
-        probs = np.clip(probs + rng.normal(0.0, sigma, probs.size), 0.0, 1.0)
-        probs = _project_simplex(probs)
-        total = probs.sum()
-        if total <= 0.0:
-            raise GatememError("perturbed probabilities vanished")
-        probs = probs / total
-    return _count_record(record.prep_label, record.meas_label, probs, None)
-
-
 def propagate_statistics(
     records,
     pipeline,
@@ -84,10 +69,12 @@ def propagate_statistics(
     """Push resampled statistics through an analysis closure.
 
     ``pipeline`` maps a list of records to a real number.  Each trial
-    perturbs every record's outcome probabilities, reruns the closure,
-    and contributes one value; trials whose reconstruction fails are
+    redraws every finite-shot record's counts from its observed
+    frequencies at its own shot count, reruns the closure, and
+    contributes one value; trials whose reconstruction fails are
     excluded and counted.  Exact-mode records carry no statistical
-    noise, so their reported spread is zero.
+    noise: they pass through unchanged, and when every record is exact
+    the reported spread is zero.
     """
     if trials < 2:
         raise ValidationError("need at least two trials")
@@ -109,8 +96,12 @@ def propagate_statistics(
     failed = 0
     for _ in range(trials):
         try:
-            perturbed = [_perturb_record(r, rng) for r in records]
-            values.append(float(pipeline(perturbed)))
+            resampled = [
+                r if r.shots is None
+                else _count_record(r.prep_label, r.meas_label, r.frequencies(), r.shots, rng)
+                for r in records
+            ]
+            values.append(float(pipeline(resampled)))
         except GatememError:
             failed += 1
     if len(values) < 2:

@@ -34,18 +34,21 @@ from .channels import (
     condition_number,
     invert,
 )
-from .exceptions import DimensionError, IncompleteDataError, SupportError, ValidationError
+from .exceptions import DimensionError, IncompleteDataError, ValidationError
 from .qcore import (
     _as_matrix,
     _half_trace_norm,
     _haar_vectors,
     _relative_entropy_core,
-    relative_entropy,
 )
 from .sdp import DiamondResult, diamond_sdp
 
 #: Default Monte-Carlo sample count for the averaged trace distance.
 DEFAULT_AVG_SAMPLES = 100_000
+
+#: Weight of the maximally mixed state that :func:`process_tensor_proxy`
+#: blends into its memoryless reference.
+PTENSOR_REGULARIZATION = 1e-12
 
 #: Default upper sequence length of a memory-length scan.
 DEFAULT_SCAN_NMAX = 15
@@ -123,7 +126,7 @@ def conditional_map(
     Returns ``compose(phi_vu, invert(phi_u))``; for memoryless data this
     reproduces the unconditioned second-gate map, and any CP violation
     or dependence on the first gate witnesses memory.  A first-gate map
-    whose singular-value ratio is below :func:`invert`'s default 1e-8
+    whose singular-value ratio is below :func:`invert`'s threshold 1e-8
     raises :class:`SingularChannelError`.
     """
     if phi_vu.dim != phi_u.dim:
@@ -440,31 +443,25 @@ def markovian_choi_reference(chan_u: QuantumChannel, chan_v: QuantumChannel) -> 
     return 0.5 * (ref + ref.conj().T)
 
 
-def process_tensor_proxy(measured, markovian_reference, regularization: float = 1e-12) -> float:
+def process_tensor_proxy(measured, markovian_reference) -> float:
     """Relative entropy of a measured multi-step state to its memoryless
     reference.
 
-    The reference is blended with ``regularization`` times the
-    maximally mixed state, which makes it full rank by construction, so
-    the entropy is evaluated against the exact regularized spectrum
-    (every eigenvalue is at least ``regularization / d``) instead of the
-    generic support-checked path.
+    The reference is blended with :data:`PTENSOR_REGULARIZATION` times
+    the maximally mixed state, which makes it full rank by construction,
+    so the entropy is evaluated against the exact regularized spectrum
+    (every eigenvalue is at least ``PTENSOR_REGULARIZATION / d``)
+    instead of the generic support-checked path.
     """
     m = _as_matrix(measured)
     r = _as_matrix(markovian_reference)
     if m.shape != r.shape or m.shape[0] != m.shape[1]:
         raise DimensionError(f"incompatible shapes {m.shape} vs {r.shape}")
-    if regularization <= 0.0:
-        try:
-            return relative_entropy(m, r)
-        except SupportError as err:
-            raise SupportError(
-                f"support violation with no regularization applied: {err}", err.weight
-            ) from err
+    reg = PTENSOR_REGULARIZATION
     d = m.shape[0]
-    r = (1.0 - regularization) * 0.5 * (r + r.conj().T) + regularization * np.eye(d) / d
+    r = (1.0 - reg) * 0.5 * (r + r.conj().T) + reg * np.eye(d) / d
 
     lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
     mu, v = np.linalg.eigh(r)
-    mu = np.maximum(mu, 0.5 * regularization / d)  # guards roundoff only
+    mu = np.maximum(mu, 0.5 * reg / d)  # guards roundoff only
     return _relative_entropy_core(lam, u, mu, v, 1e-12)

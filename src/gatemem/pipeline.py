@@ -101,28 +101,3 @@ def reconstruct_from_model(
     provenance = "+".join(str(g) for g in gates) or "I"
     return reconstruct_channel(records, frame, provenance=provenance)
 
-
-def reconstruction_noise_samples(
-    model: SEModel,
-    gates,
-    shots: int,
-    metric_fn,
-    n_pairs: int,
-    seed: int | None = None,
-    frame: TomographyFrame | None = None,
-) -> list[float]:
-    """Metric values between independent reconstructions of one channel.
-
-    Each sample reconstructs the same ground truth twice with fresh
-    shot noise and evaluates ``metric_fn(channel_a, channel_b)``; the
-    resulting distribution is pure statistical fluctuation, the basis of
-    the detection floor.
-    """
-    frame = frame or build_frame(model.sys_qubits)
-    seeds = _spawn_seeds(seed, 2 * n_pairs)
-    values = []
-    for k in range(n_pairs):
-        a = reconstruct_from_model(model, gates, shots, seeds[2 * k], frame)
-        b = reconstruct_from_model(model, gates, shots, seeds[2 * k + 1], frame)
-        values.append(float(metric_fn(a.channel, b.channel)))
-    return values

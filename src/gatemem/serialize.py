@@ -88,22 +88,33 @@ def records_payload(records, n_qubits: int, cfg_hash: str, seed) -> dict:
     return payload
 
 
-def records_from_payload(payload: dict) -> list[CountRecord]:
-    missing = [key for key in ("n_qubits", "records") if key not in payload]
-    missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
-                for key in ("prep", "meas", "counts", "shots") if key not in entry]
-    if missing or not payload["records"]:
-        raise ValidationError(f"records file is missing {missing or 'every record'}")
-    return [
-        CountRecord(
-            prep_label=entry["prep"],
-            meas_label=entry["meas"],
-            counts=dict(entry["counts"]),
-            shots=entry["shots"],
-            seed=entry.get("seed"),
-        )
-        for entry in payload["records"]
-    ]
+def _check_gates(payload: dict, kind: str, path: str) -> None:
+    gates = payload.get("gates", [])
+    if not isinstance(gates, list) or not all(isinstance(tok, str) for tok in gates):
+        raise ValidationError(f"{kind} file {path}: 'gates' must be a list of gate tokens")
+
+
+def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRecord]:
+    """Count records of a records file; error messages name ``path``."""
+    try:
+        _check_gates(payload, "records", path)
+        missing = [key for key in ("n_qubits", "records") if key not in payload]
+        missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
+                    for key in ("prep", "meas", "counts", "shots") if key not in entry]
+        if missing or not payload["records"]:
+            raise ValidationError(f"records file {path} is missing {missing or 'every record'}")
+        return [
+            CountRecord(
+                prep_label=entry["prep"],
+                meas_label=entry["meas"],
+                counts=dict(entry["counts"]),
+                shots=entry["shots"],
+                seed=entry.get("seed"),
+            )
+            for entry in payload["records"]
+        ]
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"records file {path} is malformed: {err}") from err
 
 
 def channel_payload(
@@ -123,18 +134,22 @@ def channel_payload(
     return payload
 
 
-def channel_from_payload(payload: dict) -> QuantumChannel:
-    if payload.get("normalization") != "column-stacking":
-        raise ValidationError(
-            f"unsupported vectorization {payload.get('normalization')!r}"
-        )
-    missing = [key for key in ("superop", "dim") if key not in payload]
-    if missing:
-        raise ValidationError(f"channel file is missing {missing}")
-    superop = decode_matrix(payload["superop"])
-    if superop.shape[0] != payload["dim"] ** 2:
-        raise ValidationError("superoperator size disagrees with declared dimension")
-    return QuantumChannel(superop, provenance=payload.get("provenance", ""))
+def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChannel:
+    """The channel of a channel file; error messages name ``path``."""
+    try:
+        _check_gates(payload, "channel", path)
+        normalization = payload.get("normalization")
+        if normalization != "column-stacking":
+            raise ValidationError(f"channel file {path}: unknown vectorization {normalization!r}")
+        missing = [key for key in ("superop", "dim") if key not in payload]
+        if missing:
+            raise ValidationError(f"channel file {path} is missing {missing}")
+        superop = decode_matrix(payload["superop"])
+        if superop.shape[0] != payload["dim"] ** 2:
+            raise ValidationError(f"channel file {path}: superop size disagrees with dim")
+        return QuantumChannel(superop, provenance=payload.get("provenance", ""))
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"channel file {path} is malformed: {err}") from err
 
 
 def _float_cell(value: float) -> str:

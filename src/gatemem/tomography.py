@@ -333,12 +333,11 @@ def _group_by_setting(records) -> dict[str, CountRecord]:
     return grouped
 
 
-def mle_estimate(
-    records,
-    frame: TomographyFrame,
-    step_tol: float = 1e-12,
-    max_iterations: int = 10_000,
-) -> MleEstimate:
+#: Iteration cap of the likelihood estimator.
+MLE_MAX_ITERATIONS = 10_000
+
+
+def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     """Diluted fixed-point maximum-likelihood state estimate.
 
     ``records`` must cover every measurement setting of the frame for a
@@ -346,7 +345,7 @@ def mle_estimate(
     update with the step diluted whenever the log-likelihood would
     decrease, so the likelihood is non-decreasing and the iterate stays
     positive semidefinite throughout.  Convergence is declared when the
-    Frobenius step falls below ``step_tol`` (loosened to the statistical
+    Frobenius step falls below 1e-12 (loosened to the statistical
     resolution of the data when counts are finite).  Exact-mode data
     that is consistent with a physical state short-circuits to that
     state, which is the exact optimum.
@@ -364,6 +363,7 @@ def mle_estimate(
     total_weight = float(sum(grouped[m].weight for m in settings))
     wf = weights * freqs  # per-effect weighted frequency
 
+    step_tol = 1e-12
     # Beyond the shot-noise radius extra iterations buy nothing.
     if any(grouped[m].shots is not None for m in settings):
         step_tol = max(step_tol, 1e-3 / math.sqrt(total_weight))
@@ -413,7 +413,7 @@ def mle_estimate(
     # terminal phase runs ungated on the step criterion alone.
     stalled = False
     polish_left = 1_000
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MLE_MAX_ITERATIONS + 1):
         r = r_operator(rho)
         cand = r @ rho @ r
         cand = cand / np.trace(cand).real
@@ -444,9 +444,9 @@ def mle_estimate(
             break
     else:
         raise ConvergenceError(
-            f"MLE did not converge in {max_iterations} iterations",
+            f"MLE did not converge in {MLE_MAX_ITERATIONS} iterations",
             rho,
-            max_iterations,
+            MLE_MAX_ITERATIONS,
         )
 
     rho = 0.5 * (rho + rho.conj().T)
@@ -454,9 +454,9 @@ def mle_estimate(
     return MleEstimate(state=DensityMatrix(rho), loglik=ll, iterations=iterations)
 
 
-def mle_state(records, frame: TomographyFrame, **kwargs) -> DensityMatrix:
+def mle_state(records, frame: TomographyFrame) -> DensityMatrix:
     """The physical state maximizing the likelihood of ``records``."""
-    return mle_estimate(records, frame, **kwargs).state
+    return mle_estimate(records, frame).state
 
 
 def process_tomography(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gatemem.channels import GateLabel, ideal_channel
+from gatemem.channels import GateLabel, compose, ideal_channel
 from gatemem.cli import main
 from gatemem.pipeline import simulate_records
 from gatemem.serialize import (
@@ -405,7 +405,9 @@ def _valid_payload(kind, model_file):
         return load_json(model_file)
     if kind == "records":
         model = build_default_model([x])
-        return records_payload(simulate_records(model, [x], None), 1, "0", 0)
+        payload = records_payload(simulate_records(model, [x], None), 1, "0", 0)
+        payload["gates"] = ["X@0"]  # as simulate writes it
+        return payload
     return channel_payload(ideal_channel(x), ["X@0"], None, "0", 0)
 
 
@@ -421,6 +423,7 @@ MALFORMED_INPUTS = [
     ("records", "records/0/meas", "tomo"),
     ("records", "records/0/counts", "tomo"),
     ("records", "records/3/shots", "errors"),
+    ("records", "gates", "tomo"),
     ("channel", "superop", "analyze"),
     ("channel", "dim", "analyze"),
     ("channel", "superop", "scan"),
@@ -449,3 +452,73 @@ def test_malformed_input_exits_2(runner, model_file, tmp_path, kind, key, comman
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "validation error" in result.output
+
+
+def _set(payload, path, value):
+    """Set ``path`` ('records/0/shots') in a payload to ``value``; the
+    empty path replaces the whole payload."""
+    if not path:
+        return value
+    *parents, last = path.split("/")
+    node = payload
+    for part in parents:
+        node = node[int(part) if isinstance(node, list) else part]
+    node[int(last) if isinstance(node, list) else last] = value
+    return payload
+
+
+#: (input kind, path in a valid file or option name, bad value, command)
+MALFORMED_VALUES = [
+    ("option", "--gates", "X@a", "simulate"),
+    ("option", "--pair", "X@a,X", "analyze"),
+    ("option", "--gate", "X@a", "errors-spam"),
+    ("option", "--eps-grid", "a,b", "errors-spam"),
+    ("model", "coupling", "abc", "simulate"),
+    ("model", "spam", "x", "simulate"),
+    ("model", "durations", [1], "simulate"),
+    ("model", "env_initial", [[1]], "simulate"),
+    ("model", "gates", "XZ", "simulate"),
+    ("records", "", [1, 2], "tomo"),
+    ("records", "records/0/counts", [1, 2], "tomo"),
+    ("records", "records/0/shots", "many", "tomo"),
+    ("records", "gates", [], "tomo"),
+    ("records", "gates", "X@0", "tomo"),
+    ("channel", "dim", "2", "analyze"),
+    ("channel", "superop", 3, "analyze"),
+    ("channel", "superop", [[[1, 0]], [[1, 0], [0, 0]]], "analyze"),
+    ("channel", "gates", "XZ", "analyze"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, command", MALFORMED_VALUES,
+                         ids=[f"{k}-{p or 'top'}={json.dumps(v)}-{c}"
+                              for k, p, v, c in MALFORMED_VALUES])
+def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value, command):
+    source_kind = {"simulate": "model", "errors-spam": "model", "tomo": "records",
+                   "analyze": "channel"}[command]
+    payload = _valid_payload(source_kind, model_file)
+    if kind != "option":
+        payload = _set(payload, path, value)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    source = inputs / "channel_X0.json"
+    source.write_text(json.dumps(payload))
+    # with the X@0 file, a complete one-cell grid for analyze
+    x = ideal_channel(GateLabel("X", (0,)))
+    (inputs / "channel_X0-X0.json").write_text(
+        json.dumps(channel_payload(compose(x, x), ["X@0", "X@0"], None, "0", 0))
+    )
+    out = str(tmp_path / "out")
+    args = {
+        "simulate": ["simulate", "--model", str(source), "--gates", "X", "--out", out],
+        "tomo": ["tomo", "--records", str(source), "--out", out],
+        "analyze": ["analyze", "--channels", str(inputs), "--samples", "100", "--out", out],
+        "errors-spam": ["errors", "--model", str(source), "--gate", "X", "--out", out],
+    }[command]
+    if kind == "option":
+        args += [path, value]  # the last occurrence of an option wins
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "validation error" in result.output
+    if kind != "option":
+        assert str(source) in result.output

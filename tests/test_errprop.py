@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gatemem.channels import GateLabel, random_channel
+from gatemem.channels import GateLabel, apply, random_channel
 from gatemem.errprop import propagate_statistics, spam_scaling
 from gatemem.exceptions import ValidationError
-from gatemem.pipeline import records_from_channel
+from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
 from gatemem.qcore import trace_distance
 from gatemem.simulator import build_default_model
 from gatemem.tomography import build_frame, mle_state
@@ -89,6 +89,65 @@ class TestPropagateStatistics:
             stds.append(propagate_statistics(records, pipeline, 120, rng).std)
         slope = np.polyfit(np.log10(shot_grid), np.log10(stds), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
+
+    def test_trial_records_are_count_draws_at_the_data_shots(self, rng):
+        # each trial is a multinomial redraw, not exact-mode pseudo-data,
+        # so the estimator weighs and stops it as it does the data
+        frame = build_frame(1)
+        chan = random_channel(2, np.random.default_rng(21))
+        records = records_from_channel(chan, 1024, seed=3, frame=frame)
+        seen = []
+
+        def spy(trial_records):
+            seen.append(trial_records)
+            return 0.0 if len(seen) == 1 else float(len(seen))
+
+        propagate_statistics(records, spy, 3, rng)
+        for trial in seen[1:]:
+            assert [(r.prep_label, r.meas_label) for r in trial] == [
+                (r.prep_label, r.meas_label) for r in records
+            ]
+            for r in trial:
+                assert r.shots == 1024
+                assert all(isinstance(c, int) for c in r.counts.values())
+                assert sum(r.counts.values()) == 1024
+
+    def test_spread_matches_direct_resampling_oracle_within_forty_percent(self):
+        # the setup of acceptance criterion 09, held to a tighter band
+        frame = build_frame(1)
+        chan = random_channel(2, np.random.default_rng(41))
+        truth = apply(chan, frame.prep_state("Z+"))
+        pipeline = state_pipeline(frame, truth)
+        shots, trials = 1024, 200
+
+        def z_plus(seed):
+            return [
+                r for r in records_from_channel(chan, shots, seed=seed, frame=frame)
+                if r.prep_label == "Z+"
+            ]
+
+        report = propagate_statistics(z_plus(77), pipeline, trials, np.random.default_rng(13))
+        oracle_std = np.std([pipeline(z_plus(5000 + k)) for k in range(trials)], ddof=1)
+        assert 1 / 1.4 <= report.std / oracle_std <= 1.4
+
+    def test_two_qubit_trials_converge(self):
+        # finite-shot trials stop at the data's statistical resolution
+        # instead of running into the estimator's iteration cap
+        model = build_default_model(
+            ["H@1", "S@1", "T@1", "X@1", "Y@1", "Z@1", "CX@1.0"],
+            coupling=0.55, reset_policy="persistent",
+        )
+        frame = build_frame(2)
+        records = simulate_records(model, [GateLabel("CX", (1, 0))], 100_000, seed=7, frame=frame)
+        point = reconstruct_channel(records, frame).channel.superop
+
+        def metric(trial_records):
+            result = reconstruct_channel(trial_records, frame)
+            return float(np.linalg.norm(result.channel.superop - point))
+
+        report = propagate_statistics(records, metric, 3, np.random.default_rng(7))
+        assert report.failed_trials == 0
+        assert report.std > 0.0
 
 
 class TestSpamScaling:

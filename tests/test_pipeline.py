@@ -1,11 +1,9 @@
 import numpy as np
 
 from gatemem.channels import GateLabel, random_channel
-from gatemem.nonmarkov import avg_trace_distance
 from gatemem.pipeline import (
     reconstruct_channel,
     reconstruct_from_model,
-    reconstruction_noise_samples,
     records_from_channel,
     simulate_records,
 )
@@ -60,16 +58,3 @@ class TestSeeding:
         records = simulate_records(model, [LABELS[3]], 512, seed=3)
         assert all(r.seed is not None for r in records)
 
-
-class TestNoiseFloorSamples:
-    def test_floor_samples_are_small_and_positive(self, rng):
-        model = build_default_model(LABELS, coupling=0.4, reset_policy="reset_each_gate")
-
-        def metric(a, b):
-            return avg_trace_distance(a, b, 2_000, np.random.default_rng(0)).mean
-
-        values = reconstruction_noise_samples(
-            model, [LABELS[3]], shots=10_000, metric_fn=metric, n_pairs=3, seed=5
-        )
-        assert len(values) == 3
-        assert all(0 <= v < 0.1 for v in values)
