@@ -15,8 +15,8 @@ import tempfile
 
 import numpy as np
 
-from .channels import QuantumChannel
-from .exceptions import ValidationError
+from .channels import GateLabel, QuantumChannel
+from .exceptions import LabelError, ValidationError
 from .nonmarkov import DistanceMatrix, MemoryScan
 from .tomography import CountRecord
 
@@ -63,9 +63,13 @@ def load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _schema_tag(kind: str) -> str:
+    return f"gatemem.{kind}/{SCHEMA_VERSION}"
+
+
 def _meta(kind: str, cfg_hash: str, seed) -> dict:
     return {
-        "schema": f"gatemem.{kind}/{SCHEMA_VERSION}",
+        "schema": _schema_tag(kind),
         "config_hash": cfg_hash,
         "seed": seed,
     }
@@ -88,21 +92,40 @@ def records_payload(records, n_qubits: int, cfg_hash: str, seed) -> dict:
     return payload
 
 
-def _check_gates(payload: dict, kind: str, path: str) -> None:
+def _check_schema(payload: dict, kind: str, path: str) -> None:
+    """A schema tag, when present, must name this kind at this version;
+    hand-written files carry none."""
+    expected = _schema_tag(kind)
+    tag = payload.get("schema", expected)
+    if tag != expected:
+        raise ValidationError(f"{kind} file {path} has schema {tag!r}, expected {expected!r}")
+
+
+def _check_gates(payload: dict, kind: str, path: str, n_qubits: int) -> None:
+    """``gates``, when present, lists gate tokens on wires below ``n_qubits``."""
     gates = payload.get("gates", [])
     if not isinstance(gates, list) or not all(isinstance(tok, str) for tok in gates):
         raise ValidationError(f"{kind} file {path}: 'gates' must be a list of gate tokens")
+    for tok in gates:
+        try:
+            gate = GateLabel.parse(tok)
+        except (LabelError, ValidationError) as err:
+            raise ValidationError(f"{kind} file {path}: {err}") from None
+        if min(gate.qubits) < 0 or max(gate.qubits) >= n_qubits:
+            raise ValidationError(
+                f"{kind} file {path}: gate {tok!r} does not fit on {n_qubits} qubit(s)")
 
 
 def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRecord]:
     """Count records of a records file; error messages name ``path``."""
     try:
-        _check_gates(payload, "records", path)
+        _check_schema(payload, "records", path)
         missing = [key for key in ("n_qubits", "records") if key not in payload]
         missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
         if missing or not payload["records"]:
             raise ValidationError(f"records file {path} is missing {missing or 'every record'}")
+        _check_gates(payload, "records", path, payload["n_qubits"])
         return [
             CountRecord(
                 prep_label=entry["prep"],
@@ -137,7 +160,7 @@ def channel_payload(
 def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChannel:
     """The channel of a channel file; error messages name ``path``."""
     try:
-        _check_gates(payload, "channel", path)
+        _check_schema(payload, "channel", path)
         normalization = payload.get("normalization")
         if normalization != "column-stacking":
             raise ValidationError(f"channel file {path}: unknown vectorization {normalization!r}")
@@ -147,6 +170,7 @@ def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChann
         superop = decode_matrix(payload["superop"])
         if superop.shape[0] != payload["dim"] ** 2:
             raise ValidationError(f"channel file {path}: superop size disagrees with dim")
+        _check_gates(payload, "channel", path, int(payload["dim"]).bit_length() - 1)
         return QuantumChannel(superop, provenance=payload.get("provenance", ""))
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"channel file {path} is malformed: {err}") from err

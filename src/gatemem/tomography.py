@@ -8,6 +8,15 @@ symbols are ``Z+`` (|0>), ``Z-`` (|1>), ``X+`` (|+>), ``Y+`` (|+i>);
 measurement symbols are ``X``, ``Y``, ``Z``, realized as a basis-change
 rotation followed by a computational-basis measurement.  Outcome keys
 are bitstrings with qubit 0 leftmost.
+
+Likelihood estimation runs on all preparations of a record set at once
+(:func:`mle_estimates`).  The preparations share the frame's effect
+stack, so the outcome probabilities of a whole stack of states are one
+product with a real design matrix.  Each preparation is one row of
+weighted frequencies over the full outcome list; an outcome with zero
+counts has weight 0.  A candidate's probabilities serve both its
+log-likelihood and the next R operator.  Each preparation keeps its own
+stopping state, and only unfinished preparations advance.
 """
 
 from __future__ import annotations
@@ -317,6 +326,31 @@ def _measurement_effects(meas_label: str) -> np.ndarray:
     return effects
 
 
+@functools.lru_cache(maxsize=None)
+def _likelihood_design(meas_labels: tuple[str, ...]):
+    """Maps between states and the probabilities of every outcome of the
+    settings, whose effects ``E_k`` are stacked in setting order.
+
+    Returns the complex design ``A`` with ``A @ rho.ravel() = tr(E_k
+    rho)``; its real form ``B`` of shape ``(2*d*d, S*d)``, so that a
+    stack of states viewed as interleaved real/imaginary parts, times
+    ``B``, gives ``Re tr(E_k rho)`` for the whole stack in one product;
+    and the effects as rows in that interleaved view, so that a stack of
+    coefficient rows times them gives the operators ``sum_k c_k E_k``.
+    """
+    effects = np.concatenate([_measurement_effects(m) for m in meas_labels])
+    k, d = effects.shape[0], effects.shape[1]
+    design = effects.transpose(0, 2, 1).reshape(k, d * d)
+    real_design = np.empty((d * d, 2, k))
+    real_design[:, 0] = design.real.T
+    real_design[:, 1] = -design.imag.T
+    real_design = real_design.reshape(2 * d * d, k)
+    effect_rows = effects.reshape(k, d * d).view(float)
+    for array in (design, real_design, effect_rows):
+        array.setflags(write=False)
+    return design, real_design, effect_rows
+
+
 @dataclass(frozen=True)
 class MleEstimate:
     state: DensityMatrix
@@ -333,8 +367,170 @@ def _group_by_setting(records) -> dict[str, CountRecord]:
     return grouped
 
 
+def _likelihood_row(records, frame: TomographyFrame):
+    """One preparation's data over the frame's outcome list: frequencies,
+    weighted frequencies, total weight, step tolerance, and whether
+    every setting is exact."""
+    grouped = _group_by_setting(records)
+    settings = frame.meas_labels
+    missing = [m for m in settings if m not in grouped]
+    if missing:
+        raise IncompleteDataError(f"missing measurement settings: {missing}", missing)
+    freqs = np.concatenate([grouped[m].frequencies(frame.n_qubits) for m in settings])
+    weights = np.repeat([grouped[m].weight for m in settings], frame.dim)
+    total_weight = float(sum(grouped[m].weight for m in settings))
+    step_tol = 1e-12
+    exact = all(grouped[m].shots is None for m in settings)
+    # Beyond the shot-noise radius extra iterations buy nothing.
+    if not exact:
+        step_tol = max(step_tol, 1e-3 / math.sqrt(total_weight))
+    return freqs, weights * freqs, total_weight, step_tol, exact
+
+
 #: Iteration cap of the likelihood estimator.
 MLE_MAX_ITERATIONS = 10_000
+
+
+def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]:
+    """Diluted fixed-point estimates of several preparations at once;
+    ``record_sets[i]`` holds the records of preparation ``labels[i]``.
+    See :func:`mle_estimate` for the iteration."""
+    design, real_design, effect_rows = _likelihood_design(frame.meas_labels)
+    d, n_preps = frame.dim, len(labels)
+    rows = [_likelihood_row(records, frame) for records in record_sets]
+    freqs, wf, total, step_tol, exact = (np.array(column) for column in zip(*rows))
+
+    def normalized(rho):
+        trace = np.einsum("pii->p", rho.real)
+        return rho / trace[:, None, None]
+
+    def real_probabilities(rho):
+        return rho.reshape(len(rho), d * d).view(float) @ real_design
+
+    def probabilities(rho):
+        return np.maximum(real_probabilities(rho), 1e-300)
+
+    def loglik(probs, wf, total):
+        return np.einsum("pk,pk->p", wf, np.log(probs)) / total
+
+    def r_operators(probs, wf, total):
+        coeff = wf / probs / total[:, None]
+        return (coeff @ effect_rows).view(complex).reshape(len(probs), d, d)
+
+    states = np.empty((n_preps, d, d), dtype=complex)
+    logliks = np.empty(n_preps)
+    iterations = np.zeros(n_preps, dtype=int)
+    live = np.ones(n_preps, dtype=bool)
+
+    # With exact probabilities the unconstrained likelihood maximum is
+    # the least-squares state reproducing them; when that state is
+    # physical it is the estimate, to machine precision rather than the
+    # sqrt(eps) floor of likelihood-monitored iteration.
+    if exact.any():
+        ex = np.flatnonzero(exact)
+        solution, *_ = np.linalg.lstsq(design, freqs[ex].T.astype(complex), rcond=None)
+        rho_lin = np.ascontiguousarray(solution.T).reshape(len(ex), d, d)
+        rho_lin = normalized(0.5 * (rho_lin + rho_lin.conj().transpose(0, 2, 1)))
+        residual = np.max(np.abs(real_probabilities(rho_lin) - freqs[ex]), axis=1)
+        w, v = np.linalg.eigh(rho_lin)
+        physical = (residual < 1e-10) & (w[:, 0] >= -1e-11)
+        w = np.clip(w[physical], 0.0, None)
+        v = v[physical]
+        rho_lin = (v * (w / w.sum(axis=1, keepdims=True))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        solved = ex[physical]
+        states[solved] = rho_lin
+        logliks[solved] = loglik(probabilities(rho_lin), wf[solved], total[solved])
+        live[solved] = False
+        # inconsistent or unphysical exact-mode data heads for a boundary
+        # optimum, where the fixed point contracts sublinearly; such
+        # pseudo-data carries no exactness requirement
+        step_tol[ex[~physical]] = np.maximum(step_tol[ex[~physical]], 1e-9)
+
+    idx = np.flatnonzero(live)
+    wf, total, step_tol = wf[idx], total[idx], step_tol[idx]
+    ident = np.eye(d, dtype=complex)
+    rho = np.repeat(ident[None] / d, len(idx), axis=0)
+    probs = probabilities(rho)
+    ll = loglik(probs, wf, total)
+    # Likelihood gating resolves improvements only down to sqrt(machine
+    # epsilon) in state error; once it stalls, the plain fixed-point
+    # update keeps contracting for interior optima, so a bounded
+    # terminal phase runs ungated on the step criterion alone.
+    stalled = np.zeros(len(idx), dtype=bool)
+    polish_left = np.full(len(idx), 1_000)
+    iteration = 0
+    while idx.size and iteration < MLE_MAX_ITERATIONS:
+        iteration += 1
+        r = r_operators(probs, wf, total)
+        cand = normalized(r @ rho @ r)
+        probs_cand = probabilities(cand)  # for the likelihood and the next R
+        ll_cand = loglik(probs_cand, wf, total)
+        if any_stalled := stalled.any():
+            ll_cand[stalled] = ll[stalled]
+            polish_left -= stalled
+        dropped = (ll_cand < ll).nonzero()[0]
+        eps = 0.5
+        while dropped.size and eps > 1e-8:  # dilute toward the identity
+            g = ident + eps * (r[dropped] - ident)
+            diluted = normalized(g @ rho[dropped] @ g)
+            probs_diluted = probabilities(diluted)
+            ll_diluted = loglik(probs_diluted, wf[dropped], total[dropped])
+            kept = ll_diluted >= ll[dropped]
+            taken = dropped[kept]
+            cand[taken], probs_cand[taken], ll_cand[taken] = (
+                diluted[kept], probs_diluted[kept], ll_diluted[kept])
+            dropped = dropped[~kept]
+            eps *= 0.5
+        if dropped.size:  # no dilution improves these: stall on the undiluted candidate
+            ll_cand[dropped] = ll[dropped]
+            stalled[dropped] = True
+            any_stalled = True
+        diff = (cand - rho).reshape(len(idx), d * d).view(float)
+        step = np.sqrt(np.einsum("pk,pk->p", diff, diff))
+        rho, probs, ll = cand, probs_cand, ll_cand
+        finished = step < step_tol
+        if any_stalled:
+            finished |= stalled & (polish_left <= 0)
+        if finished.any():
+            out = idx[finished]
+            done = rho[finished]
+            states[out] = normalized(0.5 * (done + done.conj().transpose(0, 2, 1)))
+            logliks[out] = ll[finished]
+            iterations[out] = iteration
+            going = ~finished
+            idx, rho, probs, ll = idx[going], rho[going], probs[going], ll[going]
+            wf, total, step_tol = wf[going], total[going], step_tol[going]
+            stalled, polish_left = stalled[going], polish_left[going]
+    if idx.size:
+        raise ConvergenceError(
+            f"MLE did not converge in {MLE_MAX_ITERATIONS} iterations"
+            f" (preparation {labels[idx[0]]!r})",
+            rho[0].copy(),
+            MLE_MAX_ITERATIONS,
+        )
+    return [
+        MleEstimate(state=DensityMatrix(states[i]), loglik=float(logliks[i]),
+                    iterations=int(iterations[i]))
+        for i in range(n_preps)
+    ]
+
+
+def mle_estimates(records, frame: TomographyFrame) -> dict[str, MleEstimate]:
+    """Likelihood estimates of every preparation of the frame from one
+    record set, keyed by preparation label; records of preparations the
+    frame does not name are ignored.  All preparations run the iteration
+    of :func:`mle_estimate` together, each with its own stopping rule.
+    The batch changes a preparation's iterates only by roundoff, which
+    matters only where the likelihood gate compares two values equal to
+    the last bits (exact-mode data iterating to the 1e-9 tolerance).
+    If preparations hit the iteration cap, :class:`ConvergenceError`
+    names the first of them in frame order."""
+    by_prep = {label: [] for label in frame.prep_labels}
+    for rec in records:
+        if rec.prep_label in by_prep:
+            by_prep[rec.prep_label].append(rec)
+    estimates = _mle_batch(list(by_prep.values()), frame.prep_labels, frame)
+    return dict(zip(frame.prep_labels, estimates))
 
 
 def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
@@ -349,109 +545,17 @@ def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     resolution of the data when counts are finite).  Exact-mode data
     that is consistent with a physical state short-circuits to that
     state, which is the exact optimum.
+
+    This is the batched kernel of :func:`mle_estimates` on one
+    preparation.  The data is one row of weighted frequencies over the
+    frame's full outcome list; an outcome with zero counts has weight 0
+    and drops out of the likelihood and of R.  Each candidate's outcome
+    probabilities are computed once, for its log-likelihood, and reused
+    for the next R.
     """
-    grouped = _group_by_setting(records)
-    missing = [m for m in frame.meas_labels if m not in grouped]
-    if missing:
-        raise IncompleteDataError(f"missing measurement settings: {missing}", missing)
-
-    d = frame.dim
-    settings = list(frame.meas_labels)
-    effects = np.concatenate([_measurement_effects(m) for m in settings])  # (S*d, d, d)
-    freqs = np.concatenate([grouped[m].frequencies(frame.n_qubits) for m in settings])
-    weights = np.repeat([grouped[m].weight for m in settings], d)
-    total_weight = float(sum(grouped[m].weight for m in settings))
-    wf = weights * freqs  # per-effect weighted frequency
-
-    step_tol = 1e-12
-    # Beyond the shot-noise radius extra iterations buy nothing.
-    if any(grouped[m].shots is not None for m in settings):
-        step_tol = max(step_tol, 1e-3 / math.sqrt(total_weight))
-
-    active = wf > 0.0
-    eff_active = effects[active]
-    wf_active = wf[active]
-
-    def probabilities(rho: np.ndarray) -> np.ndarray:
-        return np.maximum(np.real(np.einsum("kij,ji->k", eff_active, rho)), 1e-300)
-
-    def loglik(rho: np.ndarray) -> float:
-        return float(wf_active @ np.log(probabilities(rho))) / total_weight
-
-    def r_operator(rho: np.ndarray) -> np.ndarray:
-        coeff = wf_active / probabilities(rho) / total_weight
-        return np.einsum("k,kij->ij", coeff, eff_active)
-
-    # With exact probabilities the unconstrained likelihood maximum is
-    # the least-squares state reproducing them; when that state is
-    # physical it is the estimate, to machine precision rather than the
-    # sqrt(eps) floor of likelihood-monitored iteration.
-    if all(grouped[m].shots is None for m in settings):
-        design = effects.transpose(0, 2, 1).reshape(effects.shape[0], d * d)
-        solution, *_ = np.linalg.lstsq(design, freqs.astype(complex), rcond=None)
-        rho_lin = solution.reshape(d, d)
-        rho_lin = 0.5 * (rho_lin + rho_lin.conj().T)
-        rho_lin = rho_lin / np.trace(rho_lin).real
-        residual = float(np.max(np.abs(np.real(np.einsum("kij,ji->k", effects, rho_lin)) - freqs)))
-        w, v = np.linalg.eigh(rho_lin)
-        if residual < 1e-10 and w[0] >= -1e-11:
-            w = np.clip(w, 0.0, None)
-            rho_lin = (v * (w / w.sum())) @ v.conj().T
-            return MleEstimate(state=DensityMatrix(rho_lin), loglik=loglik(rho_lin), iterations=0)
-        # inconsistent or unphysical exact-mode data heads for a boundary
-        # optimum, where the fixed point contracts sublinearly; such
-        # pseudo-data carries no exactness requirement
-        step_tol = max(step_tol, 1e-9)
-
-    ident = np.eye(d, dtype=complex)
-    rho = ident / d
-    ll = loglik(rho)
-    iterations = 0
-    # Likelihood gating resolves improvements only down to sqrt(machine
-    # epsilon) in state error; once it stalls, the plain fixed-point
-    # update keeps contracting for interior optima, so a bounded
-    # terminal phase runs ungated on the step criterion alone.
-    stalled = False
-    polish_left = 1_000
-    for iterations in range(1, MLE_MAX_ITERATIONS + 1):
-        r = r_operator(rho)
-        cand = r @ rho @ r
-        cand = cand / np.trace(cand).real
-        if not stalled:
-            ll_cand = loglik(cand)
-            if ll_cand < ll:
-                eps = 0.5
-                while eps > 1e-8:  # dilute toward the identity
-                    g = ident + eps * (r - ident)
-                    diluted = g @ rho @ g
-                    diluted = diluted / np.trace(diluted).real
-                    ll_diluted = loglik(diluted)
-                    if ll_diluted >= ll:
-                        cand, ll_cand = diluted, ll_diluted
-                        break
-                    eps *= 0.5
-                if ll_cand < ll:
-                    stalled = True
-                    cand = r @ rho @ r
-                    cand = cand / np.trace(cand).real
-                    ll_cand = ll
-            ll = ll_cand
-        else:
-            polish_left -= 1
-        step = float(np.linalg.norm(cand - rho))
-        rho = cand
-        if step < step_tol or (stalled and polish_left <= 0):
-            break
-    else:
-        raise ConvergenceError(
-            f"MLE did not converge in {MLE_MAX_ITERATIONS} iterations",
-            rho,
-            MLE_MAX_ITERATIONS,
-        )
-
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    return MleEstimate(state=DensityMatrix(rho), loglik=ll, iterations=iterations)
+    records = list(records)
+    label = records[0].prep_label if records else ""
+    return _mle_batch([records], (label,), frame)[0]
 
 
 def mle_state(records, frame: TomographyFrame) -> DensityMatrix:

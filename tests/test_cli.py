@@ -9,6 +9,7 @@ from gatemem.channels import GateLabel, compose, ideal_channel
 from gatemem.cli import main
 from gatemem.pipeline import simulate_records
 from gatemem.serialize import (
+    SCHEMA_VERSION,
     channel_from_payload,
     channel_payload,
     decode_matrix,
@@ -483,10 +484,17 @@ MALFORMED_VALUES = [
     ("records", "records/0/shots", "many", "tomo"),
     ("records", "gates", [], "tomo"),
     ("records", "gates", "X@0", "tomo"),
+    ("records", "gates", ["Q@0"], "tomo"),
+    ("records", "gates", ["CX@0.1"], "tomo"),
+    ("records", "schema", "gatemem.channel/1", "tomo"),
+    ("records", "schema", "gatemem.records/2", "tomo"),
     ("channel", "dim", "2", "analyze"),
     ("channel", "superop", 3, "analyze"),
     ("channel", "superop", [[[1, 0]], [[1, 0], [0, 0]]], "analyze"),
     ("channel", "gates", "XZ", "analyze"),
+    ("channel", "gates", ["CX@0.1"], "analyze"),
+    ("channel", "schema", "gatemem.records/1", "analyze"),
+    ("channel", "schema", "gatemem.channel/2", "analyze"),
 ]
 
 
@@ -522,3 +530,27 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
     assert "validation error" in result.output
     if kind != "option":
         assert str(source) in result.output
+    if path == "schema":  # the message names the found and the expected tag
+        assert value in result.output
+        assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
+
+
+@pytest.mark.parametrize("kind, command", [("records", "tomo"), ("channel", "analyze")])
+def test_file_without_schema_tag_is_accepted(runner, model_file, tmp_path, kind, command):
+    payload = _valid_payload(kind, model_file)
+    del payload["schema"]  # as a hand-written file
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    source = inputs / "channel_X0.json"
+    source.write_text(json.dumps(payload))
+    x = ideal_channel(GateLabel("X", (0,)))
+    (inputs / "channel_X0-X0.json").write_text(
+        json.dumps(channel_payload(compose(x, x), ["X@0", "X@0"], None, "0", 0))
+    )
+    out = str(tmp_path / "out")
+    args = {
+        "tomo": ["tomo", "--records", str(source), "--out", out],
+        "analyze": ["analyze", "--channels", str(inputs), "--samples", "100", "--out", out],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
