@@ -18,7 +18,6 @@ from .channels import (
     identity_channel,
     invert,
     random_channel,
-    superop_from_choi,
 )
 from .exceptions import (
     ConvergenceError,
@@ -50,10 +49,7 @@ from .nonmarkov import (
 )
 from .qcore import (
     DensityMatrix,
-    PureState,
-    haar_random_pure,
     haar_random_unitary,
-    partial_trace,
     relative_entropy,
     trace_distance,
 )

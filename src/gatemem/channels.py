@@ -112,7 +112,7 @@ class ChoiMatrix:
 
     ``normalization`` is ``"trace-d"`` (the stored convention for TP
     maps) or ``"trace-1"``.  The matrix must be Hermitian to 1e-8; CP
-    and TP are queries, not invariants.
+    and TP are not checked.
     """
 
     data: np.ndarray
@@ -144,15 +144,6 @@ class ChoiMatrix:
         if normalization == "trace-d":
             return ChoiMatrix(self.data * self.dim, "trace-d")
         raise ValidationError(f"unknown normalization {normalization!r}")
-
-    def is_cp(self, tol: float = 1e-8) -> bool:
-        return bool(np.linalg.eigvalsh(self.data)[0] >= -tol)
-
-    def is_tp(self, tol: float = 1e-8) -> bool:
-        d = self.dim
-        scale = 1.0 if self.normalization == "trace-d" else float(d)
-        marginal = scale * np.einsum(self.data.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
-        return bool(np.max(np.abs(marginal - np.eye(d))) <= tol)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -233,21 +224,16 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
 INVERT_COND_THRESHOLD = 1e-8
 
 
-def invert(chan: QuantumChannel, pseudo_inverse: bool = False) -> QuantumChannel:
+def invert(chan: QuantumChannel) -> QuantumChannel:
     """Matrix inverse of the superoperator.
 
     Raises :class:`SingularChannelError` when ``sigma_min / sigma_max``
-    falls below :data:`INVERT_COND_THRESHOLD`; passing
-    ``pseudo_inverse=True`` instead returns the Moore-Penrose
-    pseudo-inverse with that cutoff.
+    falls below :data:`INVERT_COND_THRESHOLD`.
     """
     s = np.linalg.svd(chan.superop, compute_uv=False)
     sigma_max, sigma_min = float(s[0]), float(s[-1])
     provenance = f"inv({chan.provenance})"
     if sigma_max == 0.0 or sigma_min / sigma_max < INVERT_COND_THRESHOLD:
-        if pseudo_inverse:
-            pinv = np.linalg.pinv(chan.superop, rcond=INVERT_COND_THRESHOLD)
-            return QuantumChannel(pinv, provenance=provenance)
         raise SingularChannelError(
             f"superoperator is singular (sigma_min={sigma_min:.3e}, "
             f"sigma_max={sigma_max:.3e})",
@@ -265,11 +251,6 @@ def condition_number(chan: QuantumChannel) -> float:
 def choi_from_superop(chan: QuantumChannel) -> ChoiMatrix:
     """Choi matrix (input factor first, trace-d normalization)."""
     return ChoiMatrix(_reshuffle(chan.superop), "trace-d")
-
-
-def superop_from_choi(choi: ChoiMatrix) -> QuantumChannel:
-    data = choi.data if choi.normalization == "trace-d" else choi.data * choi.dim
-    return QuantumChannel(_reshuffle(data))
 
 
 def apply(chan: QuantumChannel, rho) -> np.ndarray:

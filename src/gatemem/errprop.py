@@ -17,18 +17,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import pipeline
 from .channels import GateLabel
 from .exceptions import GatememError, ValidationError
-from .pipeline import reconstruct_from_model
 from .simulator import SEModel, SpamSpec, extract_channel
-from .tomography import _count_record
+from .tomography import TomographyFrame, _count_record
 
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Spread of a pipeline metric under resampled statistics."""
+    """Spread of a pipeline metric, named ``metric``, under resampled
+    statistics."""
 
-    metric_name: str
+    metric: str
     point_estimate: float
     std: float
     trials: int
@@ -84,7 +85,7 @@ def propagate_statistics(
 
     if all(r.shots is None for r in records):
         return UncertaintyReport(
-            metric_name=metric_name,
+            metric=metric_name,
             point_estimate=point,
             std=0.0,
             trials=trials,
@@ -108,13 +109,30 @@ def propagate_statistics(
         raise ValidationError(f"only {len(values)} trials survived, cannot report a spread")
     arr = np.asarray(values)
     return UncertaintyReport(
-        metric_name=metric_name,
+        metric=metric_name,
         point_estimate=point,
         std=float(arr.std(ddof=1)),
         trials=trials,
         shots=shots,
         values=tuple(values),
         failed_trials=failed,
+    )
+
+
+def reconstruction_uncertainty(
+    records, frame: TomographyFrame, trials: int, rng: np.random.Generator
+) -> UncertaintyReport:
+    """Statistical spread of a reconstructed channel: the Frobenius
+    distance of each trial's reconstruction to the point estimate's,
+    through :func:`propagate_statistics`."""
+    point = pipeline.reconstruct_channel(records, frame).channel.superop
+
+    def metric(trial_records) -> float:
+        trial = pipeline.reconstruct_channel(trial_records, frame).channel.superop
+        return float(np.linalg.norm(trial - point))
+
+    return propagate_statistics(
+        records, metric, trials, rng, metric_name="frobenius-to-point-estimate"
     )
 
 
@@ -136,7 +154,7 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     for eps in strengths:
         spec = SpamSpec(prep_strength=eps, meas_strength=eps, seed=model.spam.seed)
         noisy = replace(model, spam=spec)
-        result = reconstruct_from_model(noisy, [gate], shots=None)
+        result = pipeline.reconstruct_from_model(noisy, [gate], shots=None)
         errors.append(float(np.linalg.norm(result.channel.superop - truth.superop)))
 
     log_eps = np.log10([s for s in strengths if s > 0])

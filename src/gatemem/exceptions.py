@@ -29,8 +29,7 @@ class SupportError(GatememError):
 
 class SingularChannelError(GatememError):
     """A channel superoperator is numerically singular.  Carries both
-    extreme singular values so callers can decide whether to retry with
-    a pseudo-inverse."""
+    extreme singular values."""
 
     def __init__(self, message: str, sigma_min: float, sigma_max: float):
         super().__init__(message)

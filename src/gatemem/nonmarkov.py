@@ -17,6 +17,10 @@ process against its memoryless reference.
 Stored distance values are never scaled; the display conventions
 (1/d for diamond entries, a factor 2 for two-qubit columns) are opt-in
 presentation flags.
+
+:func:`analyze_grid` runs every witness of a channel grid at once, as
+``gatemem analyze`` does, and :func:`repetitions` picks the channels a
+memory scan compares, as ``gatemem scan`` does.
 """
 
 from __future__ import annotations
@@ -113,6 +117,21 @@ class AvgDistanceResult:
 
     def __float__(self) -> float:
         return self.mean
+
+
+@dataclass(frozen=True)
+class GridAnalysis:
+    """Every memory witness of one channel grid.  ``cond_vs_marginal``
+    is keyed by metric, ``gate_dependence`` by (second gate, metric), and
+    the histograms hold the ``pair`` cell's per-sample distances, in the
+    grid and in a memoryless baseline grid when one was given."""
+
+    cp_violation: DistanceMatrix
+    cond_vs_marginal: dict
+    gate_dependence: dict
+    pair: tuple[str, str]
+    histogram: AvgDistanceResult
+    baseline_histogram: AvgDistanceResult | None = None
 
 
 def conditional_map(
@@ -390,6 +409,86 @@ def conditional_vs_marginal_matrix(
         metric,
         tuple(sorted(applied)),
     )
+
+
+def analyze_grid(
+    marginals,
+    joints,
+    metrics=("avg",),
+    m_samples: int = DEFAULT_AVG_SAMPLES,
+    seed: int = 0,
+    scale_figure: bool = False,
+    pair=None,
+    baseline=None,
+    baseline_name: str = "baseline",
+) -> GridAnalysis:
+    """Every memory witness of a complete grid (see :func:`conditional_grid`).
+
+    Each conditioned-vs-marginal matrix draws from ``default_rng(seed)``,
+    each gate-dependence matrix from ``default_rng(seed + 1)`` and each
+    histogram from ``default_rng(seed + 2)``.  ``pair`` holds the gate
+    tokens of the histogram's cell (default: the first cell).
+    ``baseline`` is a memoryless run's (marginals, joints), which needs
+    only the pair's maps; ``baseline_name`` prefixes its errors.
+    """
+    u_labels, v_labels, conditionals = conditional_grid(marginals, joints)
+    if pair is None:
+        pair_u, pair_v = u_labels[0], v_labels[0]
+    else:
+        tokens = [str(GateLabel.parse(t)) for t in pair]
+        if len(tokens) != 2:
+            raise ValidationError(
+                f"--pair needs exactly two gates, e.g. X,Z; got {','.join(pair)!r}")
+        pair_u, pair_v = tokens
+        if (pair_u, pair_v) not in conditionals:
+            raise ValidationError(f"--pair {pair_u},{pair_v} is not in the channel grid")
+    # the histogram's conditioned map and marginal, per channel set
+    histogram_sets = [(conditionals[(pair_u, pair_v)], marginals[pair_v])]
+    if baseline is not None:
+        base_marginals, base_joints = baseline
+        try:
+            base = conditional_grid(base_marginals, base_joints, (pair_u, pair_v))[2]
+        except IncompleteDataError as err:
+            raise IncompleteDataError(f"{baseline_name}: {err}", err.missing) from err
+        histogram_sets.append((base[(pair_u, pair_v)], base_marginals[pair_v]))
+
+    cpv = [[cp_violation(conditionals[(u, v)]) for v in v_labels] for u in u_labels]
+    cp_matrix = DistanceMatrix(
+        tuple(str(u) for u in u_labels), tuple(str(v) for v in v_labels), cpv,
+        metric="cp-violation",
+    )
+    # a gate-dependence matrix compares at least two first gates
+    targets = v_labels if len(u_labels) > 1 else []
+    cvm, gdm = {}, {}
+    for m in metrics:
+        cvm[m] = conditional_vs_marginal_matrix(
+            marginals, joints, metric=m, m_samples=m_samples,
+            rng=np.random.default_rng(seed), scale_figure=scale_figure,
+        )
+        for v in targets:
+            gdm[(str(v), m)] = gate_dependence_matrix(
+                {u: conditionals[(u, v)] for u in u_labels}, metric=m, m_samples=m_samples,
+                rng=np.random.default_rng(seed + 1), scale_figure=scale_figure, target_label=v,
+            )
+    hists = [avg_trace_distance(cm.channel, marginal, m_samples, np.random.default_rng(seed + 2))
+             for cm, marginal in histogram_sets]
+    return GridAnalysis(cp_matrix, cvm, gdm, (str(pair_u), str(pair_v)), *hists)
+
+
+def repetitions(channels, nmax: int) -> list[QuantumChannel]:
+    """The maps of the gate that the ``nmax``-gate sequences of
+    ``channels`` (keyed by gate-token tuples) repeat, applied 1, ...,
+    ``nmax`` times.  Raises :class:`ValidationError` when those sequences
+    repeat different gates, :class:`IncompleteDataError` for gaps."""
+    longest = sorted(",".join(key) for key in channels if len(key) == nmax)
+    gates = tuple({gate for key in channels if len(key) == nmax for gate in key})
+    if len(gates) > 1:
+        raise ValidationError(f"the {nmax}-gate files must all repeat one gate: {longest}")
+    runs = [gates * n for n in range(1, nmax + 1)]
+    missing = [str(n) for n, key in enumerate(runs, 1) if not gates or key not in channels]
+    if missing:
+        raise IncompleteDataError(f"missing sequence lengths: {missing}", missing)
+    return [channels[key] for key in runs]
 
 
 def memory_scan(

@@ -1,13 +1,18 @@
 """End-to-end reconstruction flows shared by the CLI, the error
 analysis, and the test suite: enumerate configurations, sample (or
-evaluate exactly), estimate output states, and invert to a channel."""
+evaluate exactly), estimate output states, and invert to a channel;
+and the two-step process state against its memoryless reference."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from .channels import QuantumChannel, apply
-from .simulator import SEModel, sample_counts
+import numpy as np
+
+from . import nonmarkov
+from .channels import GateLabel, QuantumChannel, apply
+from .simulator import SEModel, cji_circuit, extract_channel, sample_counts
 from .tomography import (
     CountRecord,
     TomographyFrame,
@@ -101,3 +106,30 @@ def reconstruct_from_model(
     provenance = "+".join(str(g) for g in gates) or "I"
     return reconstruct_channel(records, frame, provenance=provenance)
 
+
+@dataclass(frozen=True)
+class ProcessTensorPair:
+    """A measured two-step process state, its memoryless reference, and
+    the relative entropy of the first to the second."""
+
+    measured: np.ndarray
+    reference: np.ndarray
+    relative_entropy: float
+
+
+def process_tensor_pair(
+    model: SEModel, u: GateLabel, v: GateLabel, shots: int | None, seed: int = 0
+) -> ProcessTensorPair:
+    """Two-step process state of ``u`` then ``v`` against its memoryless
+    reference, built from the model's exact single-gate maps when
+    ``shots`` is None and otherwise from maps reconstructed with seeds
+    ``seed`` (for ``u``) and ``seed + 1`` (for ``v``)."""
+    measured = cji_circuit(model, u, v)
+    if shots is None:
+        chan_u, chan_v = extract_channel(model, [u]), extract_channel(model, [v])
+    else:
+        chan_u = reconstruct_from_model(model, [u], shots, seed).channel
+        chan_v = reconstruct_from_model(model, [v], shots, seed + 1).channel
+    reference = nonmarkov.markovian_choi_reference(chan_u, chan_v)
+    value = nonmarkov.process_tensor_proxy(measured, reference)
+    return ProcessTensorPair(measured.data, reference, float(value))

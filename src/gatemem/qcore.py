@@ -39,8 +39,6 @@ def _as_matrix(obj) -> np.ndarray:
     """Return the underlying matrix of a state-like object."""
     if isinstance(obj, DensityMatrix):
         return obj.data
-    if isinstance(obj, PureState):
-        return np.outer(obj.amplitudes, obj.amplitudes.conj())
     return np.asarray(obj, dtype=complex)
 
 
@@ -72,41 +70,10 @@ class DensityMatrix:
         return self.data.shape[0]
 
     @classmethod
-    def from_pure(cls, amplitudes) -> "DensityMatrix":
-        """Projector onto the given state vector (normalized internally)."""
-        v = np.asarray(amplitudes, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
     def computational(cls, dim: int, index: int = 0) -> "DensityMatrix":
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
         return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """A unit-norm complex state vector (norm checked to 1e-12)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex).ravel()
-        if amp.size == 0:
-            raise ValidationError("state vector is empty")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
-            raise ValidationError("state vector is not normalized")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 def _half_trace_norm(mat: np.ndarray):
@@ -204,13 +171,6 @@ def _haar_vectors(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
-def haar_random_pure(dim: int, rng: np.random.Generator) -> PureState:
-    """Haar-distributed pure state: normalized complex-Gaussian vector."""
-    if dim < 2:
-        raise DimensionError(f"need dim >= 2, got {dim}")
-    return PureState(_haar_vectors(dim, 1, rng)[0])
-
-
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 2:
@@ -239,13 +199,3 @@ def _partial_trace_raw(mat: np.ndarray, dims, keep) -> np.ndarray:
     reduced = np.einsum(tensor, row + col, out)
     d_keep = math.prod(dims[i] for i in keep) if keep else 1
     return reduced.reshape(d_keep, d_keep)
-
-
-def partial_trace(rho, dims, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions with index 0 leftmost; their
-    product must equal the state dimension.  Keeping every index is the
-    identity.
-    """
-    return DensityMatrix(_partial_trace_raw(_as_matrix(rho), dims, keep))

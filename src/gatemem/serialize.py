@@ -1,13 +1,16 @@
-"""JSON/CSV formats for every artifact the command line emits.
+"""Every file format of the package: the loaders of model, records and
+channel files, and the writers of every artifact the command line emits.
 
 Complex matrices serialize as nested arrays of [re, im] pairs.  Every
-file embeds a schema tag, the configuration hash, and the seed, and all
-writes are atomic (temp file + rename) with deterministic content, so a
-rerun with the same configuration is byte-identical.
+written file embeds a schema tag, the configuration hash, and the seed,
+and all writes are atomic (temp file + rename) with deterministic
+content, so a rerun with the same configuration is byte-identical.
+Loaders reject a malformed file with :class:`ValidationError` naming it.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -16,9 +19,16 @@ import tempfile
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel
-from .exceptions import LabelError, ValidationError
-from .nonmarkov import DistanceMatrix, MemoryScan
-from .tomography import CountRecord
+from .exceptions import IncompleteDataError, LabelError, ValidationError
+from .nonmarkov import DistanceMatrix, GridAnalysis, MemoryScan
+from .simulator import DEFAULT_COUPLING, SEModel, SpamSpec, build_default_model
+from .tomography import (
+    LABEL_GRAMMAR_VERSION,
+    CountRecord,
+    TomographyFrame,
+    TomographyResult,
+    build_frame,
+)
 
 SCHEMA_VERSION = 1
 
@@ -67,18 +77,30 @@ def _schema_tag(kind: str) -> str:
     return f"gatemem.{kind}/{SCHEMA_VERSION}"
 
 
-def _meta(kind: str, cfg_hash: str, seed) -> dict:
-    return {
-        "schema": _schema_tag(kind),
-        "config_hash": cfg_hash,
-        "seed": seed,
-    }
+def _meta(kind: str, cfg_hash: str, seed, **fields) -> dict:
+    return {"schema": _schema_tag(kind), "config_hash": cfg_hash, "seed": seed, **fields}
 
 
-def records_payload(records, n_qubits: int, cfg_hash: str, seed) -> dict:
+def report_payload(kind: str, cfg: dict, seed, **fields) -> dict:
+    """A one-file report of schema ``kind``: the hash of ``cfg``, the
+    seed, and ``fields``, with array fields written as complex matrices."""
+    return _meta(kind, config_hash(cfg), seed, **{
+        k: encode_matrix(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()
+    })
+
+
+def _slug(text: str) -> str:
+    """File-name form of a label: 'CX@1.0' -> 'CX10', 'X@0,Z@0' -> 'X0_Z0'."""
+    return text.replace("@", "").replace(".", "").replace(",", "_")
+
+
+def records_payload(records, n_qubits: int, cfg_hash: str, seed, gates=None) -> dict:
+    """A records file; ``gates``, when given, is the simulated sequence."""
     payload = _meta("records", cfg_hash, seed)
     payload["n_qubits"] = n_qubits
-    payload["grammar_version"] = 1
+    payload["grammar_version"] = LABEL_GRAMMAR_VERSION
+    if gates is not None:
+        payload["gates"] = [str(g) for g in gates]
     payload["records"] = [
         {
             "prep": r.prep_label,
@@ -90,6 +112,15 @@ def records_payload(records, n_qubits: int, cfg_hash: str, seed) -> dict:
         for r in records
     ]
     return payload
+
+
+def write_records(out_dir: str, gates, records, n_qubits: int, cfg_hash: str, seed) -> str:
+    """Write the records of one gate sequence as ``records_<sequence>.json``
+    (e.g. ``records_X0-Z0.json``) in ``out_dir``; returns the path."""
+    slug = "-".join(_slug(str(g)) for g in gates)
+    path = os.path.join(out_dir, f"records_{slug}.json")
+    dump_json(path, records_payload(records, n_qubits, cfg_hash, seed, gates))
+    return path
 
 
 def _check_schema(payload: dict, kind: str, path: str) -> None:
@@ -120,6 +151,11 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
     """Count records of a records file; error messages name ``path``."""
     try:
         _check_schema(payload, "records", path)
+        version = payload.get("grammar_version", LABEL_GRAMMAR_VERSION)
+        if version != LABEL_GRAMMAR_VERSION:
+            raise ValidationError(
+                f"records file {path} uses label grammar version {version!r}, "
+                f"expected {LABEL_GRAMMAR_VERSION}")
         missing = [key for key in ("n_qubits", "records") if key not in payload]
         missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
@@ -140,21 +176,55 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
         raise ValidationError(f"records file {path} is malformed: {err}") from err
 
 
+def load_records(path: str) -> tuple[dict, list[CountRecord], TomographyFrame]:
+    """A records file as (payload, records, tomography frame)."""
+    payload = load_json(path)
+    records = records_from_payload(payload, path)
+    return payload, records, build_frame(payload["n_qubits"])
+
+
+def load_model(path: str) -> tuple[SEModel, dict]:
+    """A model file as (simulator model, the file's specification)."""
+    spec = load_json(path)
+    if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list):
+        raise ValidationError(f"model file {path} has no 'gates' list")
+    try:
+        spam_cfg = spec.get("spam", {})
+        spam = SpamSpec(
+            prep_strength=float(spam_cfg.get("prep", 0.0)),
+            meas_strength=float(spam_cfg.get("meas", 0.0)),
+            seed=int(spam_cfg.get("seed", 0)),
+        )
+        env_initial = None
+        if "env_initial" in spec:
+            env_initial = decode_matrix(spec["env_initial"])
+        model = build_default_model(
+            labels=spec["gates"],
+            coupling=float(spec.get("coupling", DEFAULT_COUPLING)),
+            reset_policy=spec.get("reset_policy", "persistent"),
+            sys_qubits=spec.get("sys_qubits"),
+            env_omega=float(spec.get("env_omega", 0.7)),
+            durations=spec.get("durations"),
+            env_initial=env_initial,
+            spam=spam,
+        )
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"model file {path} is malformed: {err}") from err
+    return model, spec
+
+
 def channel_payload(
     channel: QuantumChannel, gates, shots, cfg_hash: str, seed
 ) -> dict:
-    payload = _meta("channel", cfg_hash, seed)
-    payload.update(
-        {
-            "dim": channel.dim,
-            "normalization": "column-stacking",
-            "superop": encode_matrix(channel.superop),
-            "provenance": channel.provenance,
-            "gates": list(gates),
-            "shots": shots,
-        }
+    return _meta(
+        "channel", cfg_hash, seed,
+        dim=channel.dim,
+        normalization="column-stacking",
+        superop=encode_matrix(channel.superop),
+        provenance=channel.provenance,
+        gates=list(gates),
+        shots=shots,
     )
-    return payload
 
 
 def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChannel:
@@ -176,6 +246,48 @@ def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChann
         raise ValidationError(f"channel file {path} is malformed: {err}") from err
 
 
+def tomography_payload(result: TomographyResult, gates, shots, cfg_hash: str, seed) -> dict:
+    """A channel file of a reconstruction, with its per-preparation
+    log-likelihoods and likelihood iterations."""
+    payload = channel_payload(result.channel, gates, shots, cfg_hash, seed)
+    payload["loglik"] = {k: float(v) for k, v in result.loglik.items()}
+    payload["iterations"] = {k: int(v) for k, v in result.iterations.items()}
+    return payload
+
+
+def load_channel_dir(channels_dir: str) -> dict:
+    """The directory's ``channel_*.json`` files keyed by gate sequence (a
+    tuple of canonical gate tokens).  A file without a gate sequence
+    cannot be placed, and two files for one sequence are ambiguous; both
+    are rejected."""
+    paths = sorted(glob.glob(os.path.join(channels_dir, "channel_*.json")))
+    if not paths:
+        raise IncompleteDataError(f"no channel files in {channels_dir}", [channels_dir])
+    channels, sources = {}, {}
+    for path in paths:
+        payload = load_json(path)
+        channel = channel_from_payload(payload, path)
+        if not payload.get("gates"):
+            raise ValidationError(f"channel file {path} has no 'gates' sequence")
+        key = tuple(str(GateLabel.parse(tok)) for tok in payload["gates"])
+        if key in sources:
+            raise ValidationError(
+                f"{sources[key]} and {path} both hold the sequence {','.join(key)}"
+            )
+        sources[key] = path
+        channels[key] = channel
+    return channels
+
+
+def load_grid(channels_dir: str) -> tuple[dict, dict]:
+    """Single-gate marginals and (first, second) two-gate joints of a
+    channel directory; longer sequences are ignored."""
+    channels = load_channel_dir(channels_dir)
+    marginals = {key[0]: chan for key, chan in channels.items() if len(key) == 1}
+    joints = {key: chan for key, chan in channels.items() if len(key) == 2}
+    return marginals, joints
+
+
 def _float_cell(value: float) -> str:
     return repr(float(value))
 
@@ -193,17 +305,46 @@ def matrix_csv(matrix: DistanceMatrix, cfg_hash: str, seed) -> str:
 
 
 def matrix_payload(matrix: DistanceMatrix, cfg_hash: str, seed) -> dict:
-    payload = _meta("matrix", cfg_hash, seed)
-    payload.update(
-        {
-            "metric": matrix.metric,
-            "scaling": list(matrix.scaling),
-            "row_labels": list(matrix.row_labels),
-            "col_labels": list(matrix.col_labels),
-            "values": [[float(v) for v in row] for row in matrix.values],
-        }
+    return _meta(
+        "matrix", cfg_hash, seed,
+        metric=matrix.metric,
+        scaling=list(matrix.scaling),
+        row_labels=list(matrix.row_labels),
+        col_labels=list(matrix.col_labels),
+        values=[[float(v) for v in row] for row in matrix.values],
     )
-    return payload
+
+
+def write_matrix(stem: str, matrix: DistanceMatrix, cfg_hash: str, seed) -> None:
+    """A distance matrix as ``stem.csv`` plus its ``stem.json`` twin."""
+    atomic_write_text(stem + ".csv", matrix_csv(matrix, cfg_hash, seed))
+    dump_json(stem + ".json", matrix_payload(matrix, cfg_hash, seed))
+
+
+def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) -> None:
+    """The files of a grid analysis in ``out_dir``: the ``cp_violation``
+    and ``cond_vs_marginal_<metric>`` matrices (CSV and JSON), one
+    ``gate_dependence_<target>_<metric>.csv`` per target gate, and the
+    pair's ``histogram_<U>_<V>.json`` (baseline fields prefixed
+    ``baseline_``)."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_matrix(os.path.join(out_dir, "cp_violation"), analysis.cp_violation, cfg_hash, seed)
+    for metric, matrix in analysis.cond_vs_marginal.items():
+        write_matrix(os.path.join(out_dir, f"cond_vs_marginal_{metric}"), matrix, cfg_hash, seed)
+    for (target, metric), matrix in analysis.gate_dependence.items():
+        atomic_write_text(
+            os.path.join(out_dir, f"gate_dependence_{_slug(target)}_{metric}.csv"),
+            matrix_csv(matrix, cfg_hash, seed),
+        )
+    u, v = analysis.pair
+    payload = _meta("histogram", cfg_hash, seed)
+    payload["pair"] = [u, v]
+    for prefix, dist in (("", analysis.histogram), ("baseline_", analysis.baseline_histogram)):
+        if dist is not None:
+            payload[prefix + "mean"] = dist.mean
+            payload[prefix + "stderr"] = dist.stderr
+            payload[prefix + "samples"] = [float(x) for x in dist.samples]
+    dump_json(os.path.join(out_dir, f"histogram_{_slug(f'{u}_{v}')}.json"), payload)
 
 
 def scan_csv(scan: MemoryScan, metric: str, cfg_hash: str, seed) -> str:
@@ -226,3 +367,14 @@ def scan_payload(scan: MemoryScan, cfg_hash: str, seed) -> dict:
         for (n, m), metrics in sorted(scan.entries.items())
     ]
     return payload
+
+
+def write_scan(out_dir: str, scan: MemoryScan, cfg_hash: str, seed) -> None:
+    """A memory scan in ``out_dir``: one ``scan_<metric>.csv`` per metric
+    it holds, and ``scan.json`` with every entry."""
+    os.makedirs(out_dir, exist_ok=True)
+    for metric in scan.entries[(2, 1)]:
+        atomic_write_text(
+            os.path.join(out_dir, f"scan_{metric}.csv"), scan_csv(scan, metric, cfg_hash, seed)
+        )
+    dump_json(os.path.join(out_dir, "scan.json"), scan_payload(scan, cfg_hash, seed))

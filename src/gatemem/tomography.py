@@ -62,23 +62,6 @@ MEAS_ROTATIONS = {
     "Z": _I,
 }
 
-#: Gate realization of each preparation, applied to |0>.
-PREP_GATE_NAMES = {
-    "Z+": (),
-    "Z-": ("X",),
-    "X+": ("H",),
-    "Y+": ("H", "S"),  # applied left to right: S(H|0>) = |+i>
-}
-
-#: Gate realization of each measurement rotation (S applied three times
-#: realizes S-dagger).
-MEAS_GATE_NAMES = {
-    "X": ("H",),
-    "Y": ("S", "S", "S", "H"),
-    "Z": (),
-}
-
-
 def split_label(label: str) -> tuple[str, ...]:
     return tuple(label.split("*"))
 
@@ -241,14 +224,6 @@ class CircuitDescriptor:
     meas_label: str
     gates: tuple[GateLabel, ...]
     n_qubits: int
-
-    @property
-    def prep_gate_names(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(PREP_GATE_NAMES[s] for s in split_label(self.prep_label))
-
-    @property
-    def meas_gate_names(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(MEAS_GATE_NAMES[s] for s in split_label(self.meas_label))
 
 
 def enumerate_circuits(gate_sequence, frame: TomographyFrame) -> list[CircuitDescriptor]:

@@ -19,3 +19,17 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def is_cp(choi, tol: float) -> bool:
+    """Complete positivity of a Choi matrix: no eigenvalue below -tol."""
+    return bool(np.linalg.eigvalsh(choi.data)[0] >= -tol)
+
+
+def is_tp(choi, tol: float) -> bool:
+    """Trace preservation of a Choi matrix: its output-traced marginal is
+    the identity (trace-d) or the identity over d (trace-1), to tol."""
+    d = choi.dim
+    scale = 1.0 if choi.normalization == "trace-d" else float(d)
+    marginal = scale * np.einsum(choi.data.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
+    return bool(np.max(np.abs(marginal - np.eye(d))) <= tol)

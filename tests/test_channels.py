@@ -5,6 +5,7 @@ from gatemem.channels import (
     ChoiMatrix,
     GateLabel,
     QuantumChannel,
+    _reshuffle,
     apply,
     choi_from_superop,
     compose,
@@ -14,7 +15,6 @@ from gatemem.channels import (
     identity_channel,
     invert,
     random_channel,
-    superop_from_choi,
     unvec,
     vec,
 )
@@ -26,7 +26,7 @@ from gatemem.exceptions import (
 )
 from gatemem.qcore import DensityMatrix
 
-from conftest import random_density
+from conftest import is_cp, is_tp, random_density
 
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
@@ -61,7 +61,7 @@ class TestIdealChannels:
         np.testing.assert_allclose(out, np.diag([0, 1]).astype(complex), atol=1e-14)
 
     def test_s_fourth_power_is_identity(self):
-        plus = DensityMatrix.from_pure([1, 1])
+        plus = DensityMatrix(np.full((2, 2), 0.5))
         s = ideal_channel(GateLabel("S", (0,)))
         state = plus.data
         for _ in range(4):
@@ -82,8 +82,8 @@ class TestIdealChannels:
         labels = single_qubit_labels + [GateLabel("CX", (0, 1))]
         for label in labels:
             choi = choi_from_superop(ideal_channel(label))
-            assert choi.is_cp(1e-12), label
-            assert choi.is_tp(1e-12), label
+            assert is_cp(choi, 1e-12), label
+            assert is_tp(choi, 1e-12), label
 
     def test_embedding_on_second_wire(self):
         u = gate_unitary(GateLabel("H", (1,)), 2)
@@ -119,8 +119,8 @@ class TestCompose:
         for _ in range(10):
             chan = compose(random_channel(2, rng), random_channel(2, rng))
             choi = choi_from_superop(chan)
-            assert choi.is_cp(1e-8)
-            assert choi.is_tp(1e-8)
+            assert is_cp(choi, 1e-8)
+            assert is_tp(choi, 1e-8)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
@@ -144,11 +144,6 @@ class TestInvert:
         with pytest.raises(SingularChannelError) as excinfo:
             invert(depolarizing_channel(2))
         assert excinfo.value.sigma_min < 1e-10 * excinfo.value.sigma_max
-
-    def test_pseudo_inverse_escape_hatch(self):
-        pinv = invert(depolarizing_channel(2), pseudo_inverse=True)
-        assert pinv.superop.shape == (4, 4)
-        assert np.all(np.isfinite(pinv.superop))
 
     def test_condition_scaled_identity_error(self, rng):
         from gatemem.channels import condition_number
@@ -177,8 +172,8 @@ class TestChoiConversions:
     def test_round_trip_on_random_channels(self, rng):
         for _ in range(50):
             chan = random_channel(2, rng)
-            back = superop_from_choi(choi_from_superop(chan))
-            assert np.linalg.norm(back.superop - chan.superop) <= 1e-12
+            back = _reshuffle(choi_from_superop(chan).data)
+            assert np.linalg.norm(back - chan.superop) <= 1e-12
 
     def test_depolarizing_choi_is_maximally_mixed(self):
         choi = choi_from_superop(depolarizing_channel(2))

@@ -7,18 +7,27 @@ from click.testing import CliRunner
 
 from gatemem.channels import GateLabel, compose, ideal_channel
 from gatemem.cli import main
-from gatemem.pipeline import simulate_records
+from gatemem.errprop import reconstruction_uncertainty
+from gatemem.exceptions import IncompleteDataError, ValidationError
+from gatemem.nonmarkov import analyze_grid, repetitions
+from gatemem.pipeline import process_tensor_pair, simulate_records
 from gatemem.serialize import (
     SCHEMA_VERSION,
     channel_from_payload,
     channel_payload,
     decode_matrix,
     encode_matrix,
+    load_channel_dir,
+    load_grid,
     load_json,
+    load_model,
+    load_records,
+    matrix_csv,
     records_from_payload,
     records_payload,
 )
 from gatemem.simulator import build_default_model
+from gatemem.tomography import LABEL_GRAMMAR_VERSION
 
 
 @pytest.fixture
@@ -135,23 +144,25 @@ class TestSimulateAndTomo:
         assert blobs[0] == blobs[1]
 
 
-class TestAnalyzeScanErrors:
-    @pytest.fixture
-    def channel_dir(self, runner, model_file, tmp_path):
-        rec = tmp_path / "rec"
+@pytest.fixture
+def channel_dir(runner, model_file, tmp_path):
+    """Exact-mode channel files of X, Z, (X, Z) and (Z, Z)."""
+    rec = tmp_path / "rec"
+    _invoke(runner, [
+        "simulate", "--model", model_file, "--gates", "X;Z;X,Z;Z,Z",
+        "--exact", "--seed", "2", "--out", str(rec),
+    ])
+    chans = tmp_path / "chan"
+    os.makedirs(chans)
+    for slug in ("X0", "Z0", "X0-Z0", "Z0-Z0"):
         _invoke(runner, [
-            "simulate", "--model", model_file, "--gates", "X;Z;X,Z;Z,Z",
-            "--exact", "--seed", "2", "--out", str(rec),
+            "tomo", "--records", str(rec / f"records_{slug}.json"),
+            "--out", str(chans / f"channel_{slug}.json"),
         ])
-        chans = tmp_path / "chan"
-        os.makedirs(chans)
-        for slug in ("X0", "Z0", "X0-Z0", "Z0-Z0"):
-            _invoke(runner, [
-                "tomo", "--records", str(rec / f"records_{slug}.json"),
-                "--out", str(chans / f"channel_{slug}.json"),
-            ])
-        return chans
+    return chans
 
+
+class TestAnalyzeScanErrors:
     def test_analyze_outputs(self, runner, channel_dir, tmp_path):
         out = tmp_path / "analysis"
         _invoke(runner, [
@@ -488,6 +499,7 @@ MALFORMED_VALUES = [
     ("records", "gates", ["CX@0.1"], "tomo"),
     ("records", "schema", "gatemem.channel/1", "tomo"),
     ("records", "schema", "gatemem.records/2", "tomo"),
+    ("records", "grammar_version", 2, "tomo"),
     ("channel", "dim", "2", "analyze"),
     ("channel", "superop", 3, "analyze"),
     ("channel", "superop", [[[1, 0]], [[1, 0], [0, 0]]], "analyze"),
@@ -533,6 +545,8 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
     if path == "schema":  # the message names the found and the expected tag
         assert value in result.output
         assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
+    if path == "grammar_version":  # and the found and the expected grammar
+        assert f"version {value}, expected {LABEL_GRAMMAR_VERSION}" in result.output
 
 
 @pytest.mark.parametrize("kind, command", [("records", "tomo"), ("channel", "analyze")])
@@ -554,3 +568,165 @@ def test_file_without_schema_tag_is_accepted(runner, model_file, tmp_path, kind,
     }[command]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
+
+
+def test_records_without_grammar_version_are_accepted(runner, model_file, tmp_path):
+    payload = _valid_payload("records", model_file)
+    del payload["grammar_version"]  # as a hand-written file
+    source = tmp_path / "records.json"
+    source.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["tomo", "--records", str(source),
+                                  "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 0, result.output
+
+
+#: (command, option, value): a negative seed or shot count is refused
+#: when the flags are parsed, before any input is read
+NEGATIVE_OPTIONS = [
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--shots", "-5"),
+    ("analyze", "--seed", "-1"),
+    ("scan", "--seed", "-1"),
+    ("ptensor", "--seed", "-1"),
+    ("ptensor", "--shots", "-3"),
+    ("errors-records", "--seed", "-1"),
+    ("errors-spam", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", NEGATIVE_OPTIONS,
+                         ids=[f"{c}{o}={v}" for c, o, v in NEGATIVE_OPTIONS])
+def test_negative_option_exits_2(runner, model_file, tmp_path, command, option, value):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    x = ideal_channel(GateLabel("X", (0,)))
+    # a one-cell grid for analyze that is also the X, X.X scan for --nmax 2
+    (inputs / "channel_X0.json").write_text(
+        json.dumps(channel_payload(x, ["X@0"], None, "0", 0)))
+    (inputs / "channel_X0-X0.json").write_text(
+        json.dumps(channel_payload(compose(x, x), ["X@0", "X@0"], None, "0", 0)))
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps(_valid_payload("records", model_file)))
+    out = str(tmp_path / "out")
+    args = {
+        "simulate": ["simulate", "--model", model_file, "--gates", "X", "--out", out],
+        "analyze": ["analyze", "--channels", str(inputs), "--samples", "100", "--out", out],
+        "scan": ["scan", "--channels", str(inputs), "--nmax", "2", "--samples", "100",
+                 "--out", out],
+        "ptensor": ["ptensor", "--model", model_file, "--shots", "100", "--out", out],
+        "errors-records": ["errors", "--records", str(records), "--trials", "2", "--out", out],
+        "errors-spam": ["errors", "--model", model_file, "--gate", "X", "--out", out],
+    }[command]
+    result = runner.invoke(main, args + [option, value])  # the last occurrence wins
+    assert result.exit_code == 2, result.output
+    assert f"'{option}'" in result.output
+    assert not os.path.exists(out)
+
+
+class TestLibraryEntryPoints:
+    """Each command's analysis is one library call that returns the
+    numbers the command writes."""
+
+    def test_analyze_grid_matches_analyze_files(self, runner, channel_dir, tmp_path):
+        out = tmp_path / "analysis"
+        _invoke(runner, [
+            "analyze", "--channels", str(channel_dir), "--samples", "2000",
+            "--pair", "X,Z", "--seed", "4", "--out", str(out),
+        ])
+        marginals, joints = load_grid(str(channel_dir))
+        analysis = analyze_grid(marginals, joints, metrics=("avg",), m_samples=2000, seed=4,
+                                pair=("X", "Z"))
+        cvm = load_json(str(out / "cond_vs_marginal_avg.json"))
+        assert cvm["values"] == analysis.cond_vs_marginal["avg"].values.tolist()
+        cpv = load_json(str(out / "cp_violation.json"))
+        assert cpv["values"] == analysis.cp_violation.values.tolist()
+        hist = load_json(str(out / "histogram_X0_Z0.json"))
+        assert hist["pair"] == list(analysis.pair) == ["X@0", "Z@0"]
+        assert hist["samples"] == analysis.histogram.samples.tolist()
+        assert hist["mean"] == analysis.histogram.mean
+        assert analysis.baseline_histogram is None
+        gdm = analysis.gate_dependence[("Z@0", "avg")]
+        csv = matrix_csv(gdm, cvm["config_hash"], 4)
+        assert (out / "gate_dependence_Z0_avg.csv").read_text() == csv
+
+    def test_reconstruction_uncertainty_matches_unc_json(self, runner, model_file, tmp_path):
+        _invoke(runner, [
+            "simulate", "--model", model_file, "--gates", "X",
+            "--shots", "1024", "--seed", "3", "--out", str(tmp_path),
+        ])
+        path = str(tmp_path / "records_X0.json")
+        out = tmp_path / "unc.json"
+        _invoke(runner, ["errors", "--records", path, "--trials", "4", "--seed", "5",
+                         "--out", str(out)])
+        _, records, frame = load_records(path)
+        report = reconstruction_uncertainty(records, frame, 4, np.random.default_rng(5))
+        written = load_json(str(out))
+        assert written["values"] == list(report.values)
+        assert written["std"] == report.std
+        assert written["metric"] == report.metric == "frobenius-to-point-estimate"
+
+    def test_process_tensor_pair_matches_ptensor_json(self, runner, model_file, tmp_path):
+        out = tmp_path / "pt.json"
+        _invoke(runner, ["ptensor", "--model", model_file, "--gates", "X,Z",
+                         "--shots", "500", "--seed", "3", "--out", str(out)])
+        model, _ = load_model(model_file)
+        pair = process_tensor_pair(model, GateLabel("X", (0,)), GateLabel("Z", (0,)), 500, 3)
+        written = load_json(str(out))
+        assert written["relative_entropy"] == pair.relative_entropy
+        assert written["reference"] == encode_matrix(pair.reference)
+        assert written["measured"] == encode_matrix(pair.measured)
+
+    def test_repetitions_orders_the_runs(self):
+        x = ideal_channel(GateLabel("X", (0,)))
+        z = ideal_channel(GateLabel("Z", (0,)))
+        xx = compose(x, x)
+        channels = {("X@0",) * 2: xx, ("X@0",): x, ("Z@0",): z}
+        runs = repetitions(channels, 2)
+        assert len(runs) == 2 and runs[0] is x and runs[1] is xx
+
+    def test_repetitions_rejects_mixed_longest_sequences(self):
+        x = ideal_channel(GateLabel("X", (0,)))
+        channels = {("X@0",): x, ("X@0", "X@0"): x, ("X@0", "Z@0"): x}
+        with pytest.raises(ValidationError, match="repeat one gate"):
+            repetitions(channels, 2)
+
+    def test_repetitions_lists_missing_lengths(self):
+        x = ideal_channel(GateLabel("X", (0,)))
+        channels = {("X@0",): x, ("X@0",) * 3: x}
+        with pytest.raises(IncompleteDataError) as excinfo:
+            repetitions(channels, 3)
+        assert excinfo.value.missing == ["2"]
+
+
+class TestLoaders:
+    def test_load_model(self, model_file):
+        model, spec = load_model(model_file)
+        assert spec["coupling"] == 0.55
+        assert model.sys_qubits == 1
+
+    def test_load_records(self, runner, model_file, tmp_path):
+        _invoke(runner, ["simulate", "--model", model_file, "--gates", "X,Z", "--shots", "64",
+                         "--out", str(tmp_path)])
+        payload, records, frame = load_records(str(tmp_path / "records_X0-Z0.json"))
+        assert payload["gates"] == ["X@0", "Z@0"]
+        assert payload["grammar_version"] == LABEL_GRAMMAR_VERSION
+        assert len(records) == 12 and all(r.shots == 64 for r in records)
+        assert frame.n_qubits == 1
+
+    def test_load_channel_dir_keys_files_by_sequence(self, channel_dir):
+        (channel_dir / "notes.json").write_text("{}")  # not a channel_*.json file
+        channels = load_channel_dir(str(channel_dir))
+        assert sorted(channels) == [("X@0",), ("X@0", "Z@0"), ("Z@0",), ("Z@0", "Z@0")]
+
+    def test_load_grid_splits_marginals_and_joints(self, channel_dir):
+        x = ideal_channel(GateLabel("X", (0,)))
+        (channel_dir / "channel_X0-X0-X0.json").write_text(json.dumps(
+            channel_payload(compose(x, compose(x, x)), ["X@0"] * 3, None, "0", 0)))
+        marginals, joints = load_grid(str(channel_dir))
+        assert sorted(marginals) == ["X@0", "Z@0"]
+        assert sorted(joints) == [("X@0", "Z@0"), ("Z@0", "Z@0")]
+
+    def test_empty_channel_dir_is_incomplete(self, tmp_path):
+        with pytest.raises(IncompleteDataError) as excinfo:
+            load_channel_dir(str(tmp_path))
+        assert excinfo.value.missing == [str(tmp_path)]

@@ -4,11 +4,10 @@ import pytest
 from gatemem.exceptions import DimensionError, SupportError, ValidationError
 from gatemem.qcore import (
     DensityMatrix,
-    PureState,
     _half_trace_norm,
-    haar_random_pure,
+    _haar_vectors,
+    _partial_trace_raw,
     haar_random_unitary,
-    partial_trace,
     relative_entropy,
     trace_distance,
 )
@@ -17,7 +16,7 @@ from conftest import random_density
 
 KET0 = DensityMatrix.computational(2, 0)
 KET1 = DensityMatrix.computational(2, 1)
-PLUS = DensityMatrix.from_pure([1, 1])
+PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
 class TestDensityMatrix:
@@ -37,10 +36,6 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             KET0.data[0, 0] = 0.0
 
-    def test_pure_state_norm_check(self):
-        with pytest.raises(ValidationError):
-            PureState(np.array([1.0, 1.0]))
-
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
@@ -58,7 +53,7 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            trace_distance(KET0, DensityMatrix.maximally_mixed(4))
+            trace_distance(KET0, DensityMatrix(np.eye(4) / 4))
 
     def test_batched_kernel_matches_per_matrix_distances(self, rng):
         # the one trace-norm kernel, on a stack mixing Hermitian and
@@ -106,7 +101,7 @@ class TestRelativeEntropy:
         assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_vs_maximally_mixed_is_one(self):
-        assert relative_entropy(KET0, DensityMatrix.maximally_mixed(2)) == pytest.approx(
+        assert relative_entropy(KET0, DensityMatrix(np.eye(2) / 2)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -136,63 +131,53 @@ class TestRelativeEntropy:
 
 
 class TestHaarSampling:
-    def test_rejects_dim_one(self, rng):
-        with pytest.raises(DimensionError):
-            haar_random_pure(1, rng)
-
     def test_seeded_determinism(self):
-        a = haar_random_pure(2, np.random.default_rng(42))
-        b = haar_random_pure(2, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+        a = _haar_vectors(2, 5, np.random.default_rng(42))
+        b = _haar_vectors(2, 5, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-15)
 
     def test_mean_state_is_maximally_mixed(self):
         # Haar average of |psi><psi| is I/d; Monte-Carlo check
-        rng = np.random.default_rng(7)
-        total = np.zeros((2, 2), dtype=complex)
-        n = 100_000
-        for _ in range(n):
-            amp = haar_random_pure(2, rng).amplitudes
-            total += np.outer(amp, amp.conj())
-        assert np.max(np.abs(total / n - np.eye(2) / 2)) < 5e-3
+        amps = _haar_vectors(2, 100_000, np.random.default_rng(7))
+        mean = np.einsum("ni,nj->ij", amps, amps.conj()) / len(amps)
+        assert np.max(np.abs(mean - np.eye(2) / 2)) < 5e-3
 
     def test_unitary_invariance_of_mean(self):
-        rng = np.random.default_rng(8)
         u = haar_random_unitary(2, np.random.default_rng(3))
-        total = np.zeros((2, 2), dtype=complex)
-        n = 100_000
-        for _ in range(n):
-            amp = u @ haar_random_pure(2, rng).amplitudes
-            total += np.outer(amp, amp.conj())
-        assert np.max(np.abs(total / n - np.eye(2) / 2)) < 5e-3
+        amps = _haar_vectors(2, 100_000, np.random.default_rng(8)) @ u.T
+        mean = np.einsum("ni,nj->ij", amps, amps.conj()) / len(amps)
+        assert np.max(np.abs(mean - np.eye(2) / 2)) < 5e-3
 
 
 class TestPartialTrace:
     def test_product_state(self, rng):
         a, b = random_density(2, rng), random_density(3, rng)
-        reduced = partial_trace(np.kron(a, b), (2, 3), keep=(0,))
-        np.testing.assert_allclose(reduced.data, a, atol=1e-12)
+        reduced = _partial_trace_raw(np.kron(a, b), (2, 3), keep=(0,))
+        np.testing.assert_allclose(reduced, a, atol=1e-12)
 
     def test_bell_state_marginal(self):
-        bell = DensityMatrix.from_pure([1, 0, 0, 1])
-        reduced = partial_trace(bell, (2, 2), keep=(1,))
-        np.testing.assert_allclose(reduced.data, np.eye(2) / 2, atol=1e-12)
+        bell = DensityMatrix(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2)
+        reduced = _partial_trace_raw(bell.data, (2, 2), keep=(1,))
+        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_trace_composition(self, rng):
         rho = random_density(4, rng)
-        first = partial_trace(DensityMatrix(rho), (2, 2), keep=(1,))
-        assert np.trace(first.data).real == pytest.approx(1.0, abs=1e-12)
+        first = _partial_trace_raw(rho, (2, 2), keep=(1,))
+        assert np.trace(first).real == pytest.approx(1.0, abs=1e-12)
 
     def test_keep_everything_is_identity(self, rng):
         rho = random_density(4, rng)
-        kept = partial_trace(DensityMatrix(rho), (2, 2), keep=(0, 1))
-        np.testing.assert_allclose(kept.data, rho, atol=1e-14)
+        kept = _partial_trace_raw(rho, (2, 2), keep=(0, 1))
+        np.testing.assert_allclose(kept, rho, atol=1e-14)
 
     def test_inconsistent_dims(self):
         with pytest.raises(DimensionError):
-            partial_trace(DensityMatrix.maximally_mixed(4), (2, 3), keep=(0,))
+            _partial_trace_raw(np.eye(4) / 4, (2, 3), keep=(0,))
 
     def test_preserves_positivity(self, rng):
         for _ in range(10):
             rho = random_density(4, rng)
-            reduced = partial_trace(DensityMatrix(rho), (2, 2), keep=(0,))
-            assert np.linalg.eigvalsh(reduced.data)[0] >= -1e-12
+            reduced = _partial_trace_raw(rho, (2, 2), keep=(0,))
+            DensityMatrix(reduced)  # Hermitian with unit trace
+            assert np.linalg.eigvalsh(reduced)[0] >= -1e-12

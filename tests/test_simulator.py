@@ -25,7 +25,7 @@ from gatemem.simulator import (
 )
 from gatemem.tomography import build_frame, enumerate_circuits
 
-from conftest import random_density
+from conftest import is_cp, is_tp, random_density
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 H, S, T, X, Y, Z = LABELS
@@ -62,7 +62,7 @@ class TestModelValidation:
 
     def test_unknown_gate_raises(self, persistent_model):
         with pytest.raises(LabelError):
-            run_sequence(persistent_model, [GateLabel("CX", (0, 1))], DensityMatrix.maximally_mixed(2))
+            run_sequence(persistent_model, [GateLabel("CX", (0, 1))], DensityMatrix(np.eye(2) / 2))
 
 
 class TestRunSequence:
@@ -91,7 +91,7 @@ class TestRunSequence:
 
     def test_input_dimension_checked(self, persistent_model):
         with pytest.raises(DimensionError):
-            run_sequence(persistent_model, [X], DensityMatrix.maximally_mixed(4))
+            run_sequence(persistent_model, [X], DensityMatrix(np.eye(4) / 4))
 
 
 class TestExtractChannel:
@@ -120,8 +120,8 @@ class TestExtractChannel:
 
         chan = extract_channel(persistent_model, [X, Z])
         choi = choi_from_superop(chan)
-        assert choi.is_cp(1e-12)
-        assert choi.is_tp(1e-12)
+        assert is_cp(choi, 1e-12)
+        assert is_tp(choi, 1e-12)
 
 
 class TestSampleCounts:
