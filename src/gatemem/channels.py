@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,15 @@ class QuantumChannel:
     @property
     def dim(self) -> int:
         return math.isqrt(self.superop.shape[0])
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the superoperator, descending; computed once
+        per channel and shared by :func:`invert` and
+        :func:`condition_number`."""
+        s = np.linalg.svd(self.superop, compute_uv=False)
+        s.setflags(write=False)
+        return s
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ def invert(chan: QuantumChannel) -> QuantumChannel:
     Raises :class:`SingularChannelError` when ``sigma_min / sigma_max``
     falls below :data:`INVERT_COND_THRESHOLD`.
     """
-    s = np.linalg.svd(chan.superop, compute_uv=False)
+    s = chan.singular_values
     sigma_max, sigma_min = float(s[0]), float(s[-1])
     provenance = f"inv({chan.provenance})"
     if sigma_max == 0.0 or sigma_min / sigma_max < INVERT_COND_THRESHOLD:
@@ -244,7 +254,7 @@ def invert(chan: QuantumChannel) -> QuantumChannel:
 
 
 def condition_number(chan: QuantumChannel) -> float:
-    s = np.linalg.svd(chan.superop, compute_uv=False)
+    s = chan.singular_values
     return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
 

@@ -251,12 +251,10 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     except ValueError:
         raise ValidationError(f"--eps-grid takes comma-separated numbers: {eps_grid!r}") from None
     decomposition = errprop.spam_scaling(model, GateLabel.parse(gate), strengths)
-    cfg = {
-        "command": "errors-spam", "model": model_spec, "gate": gate,
-        "eps_grid": eps_grid, "seed": seed,
-    }
+    # exact-mode tomography draws nothing, so --seed takes no part here
+    cfg = {"command": "errors-spam", "model": model_spec, "gate": gate, "eps_grid": eps_grid}
     serialize.dump_json(out_path, serialize.report_payload(
-        "spamscaling", cfg, seed, gate=gate, **dataclasses.asdict(decomposition)
+        "spamscaling", cfg, None, gate=gate, **dataclasses.asdict(decomposition)
     ))
     click.echo(
         f"error vs strength: slope={decomposition.slope:.3f} "

@@ -146,7 +146,8 @@ def conditional_map(
     reproduces the unconditioned second-gate map, and any CP violation
     or dependence on the first gate witnesses memory.  A first-gate map
     whose singular-value ratio is below :func:`invert`'s threshold 1e-8
-    raises :class:`SingularChannelError`.
+    raises :class:`SingularChannelError`.  The check and ``cond_number``
+    read the same singular values, computed once per first-gate map.
     """
     if phi_vu.dim != phi_u.dim:
         raise DimensionError(f"dimension mismatch: {phi_vu.dim} vs {phi_u.dim}")
@@ -188,8 +189,8 @@ def avg_trace_distance(
     distribution plots, along with the Monte-Carlo standard error.
 
     Inputs are drawn in batches of 20,000 and go once through the
-    difference map ``a - b``, in slices of 4,000; qubit outputs take
-    the closed-form trace norm.
+    difference map ``a - b``, in slices of 4,000; qubit and two-qubit
+    outputs take the closed-form trace norms of :mod:`.qcore`.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")

@@ -4,14 +4,17 @@ Conventions shared by the whole package:
 
 * matrices are dense ``complex128`` numpy arrays,
 * subsystem index 0 is the leftmost tensor factor,
-* Hermitian eigendecomposition is the numerical kernel, with one
-  exception: the trace norm of a 2 x 2 block (a qubit state or output)
-  is taken in closed form,
+* Hermitian eigendecomposition is the numerical kernel, with two
+  closed-form exceptions for the trace norm: a 2 x 2 block (a qubit
+  state or output), and each block of a stack of 4 x 4 blocks (the
+  outputs of a two-qubit averaged distance), which falls back to
+  ``eigvalsh`` on nearly degenerate spectra,
 * any eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
 The linear algebra every other module builds on lives here, once:
 ``_half_trace_norm`` (one matrix or a stack; trace distances, SDP
-bounds, CP violation; closed form for 2 x 2, ``eigvalsh`` otherwise),
+bounds, CP violation; closed form for 2 x 2 and for stacked 4 x 4,
+``eigvalsh`` otherwise),
 ``_hermitian_function`` (PSD parts, square roots, density projections,
 unitaries from generators), ``_project_simplex``, ``_haar_vectors``
 (every Haar pure-state draw), and ``_relative_entropy_core`` (the
@@ -76,6 +79,17 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()))
 
 
+#: Smallest relative spacing ``(y1 - y2)(y2 - y3) / y1**2`` of the
+#: resolvent roots at which the stacked 4 x 4 closed form is trusted.
+#: Measured on spectra with close pairs, triples, two pairs and
+#: quadruples, and on ``(a, -a, e, e')``, scaled from 1e-8 to 1e3, its
+#: error against ``eigvalsh`` stays below about 5e-16 / spacing times
+#: the spectral norm (5.7e-14 at this bound).
+_RESOLVENT_GAP = 1e-2
+
+_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
 def _half_trace_norm(mat: np.ndarray):
     """Half the trace norm of the Hermitian part of a matrix, or of each
     matrix in a stack of shape (..., d, d).  No validation: batched
@@ -83,14 +97,93 @@ def _half_trace_norm(mat: np.ndarray):
 
     For 2 x 2 blocks the Hermitian part has eigenvalues ``mid +- rad``
     (``mid`` half its trace, ``rad`` the spectral norm of its traceless
-    part), so half the trace norm is ``max(|mid|, rad)`` in closed form;
-    larger blocks go through ``eigvalsh``."""
+    part), so half the trace norm is ``max(|mid|, rad)`` in closed form.
+    A stack of more than one 4 x 4 block goes through
+    :func:`_half_trace_norm_4x4`; a lone 4 x 4 matrix and larger blocks
+    go through ``eigvalsh``, which costs less there than the ~100 array
+    operations of the closed form."""
     if mat.shape[-2:] == (2, 2):
         p, r = mat[..., 0, 0].real, mat[..., 1, 1].real
         q = 0.5 * (mat[..., 0, 1] + np.conj(mat[..., 1, 0]))
         return np.maximum(np.abs(0.5 * (p + r)), np.hypot(0.5 * (p - r), np.abs(q)))
+    if mat.ndim == 3 and mat.shape[1:] == (4, 4) and len(mat) > 1:
+        return _half_trace_norm_4x4(mat)
+    return _half_trace_norm_eigvalsh(mat)
+
+
+def _half_trace_norm_eigvalsh(mat: np.ndarray):
     herm = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+
+
+def _half_trace_norm_4x4(mat: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each block's Hermitian part, for a stack of
+    shape (n, 4, 4), from the resolvent cubic of its characteristic
+    polynomial.
+
+    The Hermitian part is shifted by ``t = tr / 4`` to a traceless ``B``
+    with eigenvalues ``mu``; ``s2, s3, s4 = tr B^2, tr B^3, tr B^4`` come
+    entry by entry from the upper triangles of ``B`` and ``B^2``, one
+    array per entry.  The pair sums ``(mu_1 + mu_k)^2``, k = 2, 3, 4, are
+    the roots ``y1 >= y2 >= y3 >= 0`` of
+
+        y^3 - s2 y^2 + (s4 - s2^2 / 4) y - (s3 / 3)^2 = 0.
+
+    ``y1`` and ``y2`` come from the trigonometric solution and ``y3``
+    from Vieta (``y1 y2 y3 = (s3 / 3)^2``), which keeps ``sqrt(y3)``
+    accurate near zero.  With ``a, b, c`` their square roots, the
+    eigenvalues are ``sign(s3) / 2`` times ``a + b + c``, ``a - b - c``,
+    ``-a + b - c`` and ``-a - b + c``, and the result is
+    ``sum |mu + t| / 2``.
+
+    Close roots mean close eigenvalues, where the cubic loses about half
+    its digits; blocks whose roots are closer than ``_RESOLVENT_GAP``
+    (zero and rank-1 blocks among them) go through ``eigvalsh``."""
+    diag = [mat[:, i, i].real for i in range(4)]
+    t = 0.25 * (diag[0] + diag[1] + diag[2] + diag[3])
+    d = [x - t for x in diag]
+    b = {}  # B off the diagonal, one array per entry
+    for i, j in _PAIRS:
+        b[i, j] = 0.5 * (mat[:, i, j] + np.conj(mat[:, j, i]))
+        b[j, i] = np.conj(b[i, j])
+    norm2 = {}
+    for i, j in _PAIRS:
+        norm2[i, j] = norm2[j, i] = (b[i, j] * b[j, i]).real
+
+    # B^2: a real diagonal, and the upper triangle
+    sq_diag = [d[i] * d[i] + sum(norm2[i, k] for k in range(4) if k != i) for i in range(4)]
+    sq = {}
+    for i, j in _PAIRS:
+        k, l = (k for k in range(4) if k not in (i, j))
+        sq[i, j] = (d[i] + d[j]) * b[i, j] + (b[i, k] * b[k, j] + b[i, l] * b[l, j])
+    s2 = sum(sq_diag)
+    s3 = sum(d[i] * sq_diag[i] for i in range(4))
+    s3 += 2.0 * sum(b[j, i] * sq[i, j] for i, j in _PAIRS).real
+    s4 = sum(x * x for x in sq_diag) + 2.0 * sum((x * np.conj(x)).real for x in sq.values())
+
+    # in x = y - m the cubic reads x^3 - 3 r^2 x + q = 0, with roots
+    # 2 r cos(phi - 2 pi k / 3) for cos(3 phi) = -q / (2 r^3), k = 0, 1
+    c1 = s4 - 0.25 * s2 * s2
+    c0 = (s3 / 3.0) ** 2
+    m = s2 / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(np.maximum(m * m - c1 / 3.0, 0.0))
+        q = m * (c1 - 2.0 * m * m) - c0
+        cos_phi = np.cos(np.arccos(np.clip(-q / (2.0 * r**3), -1.0, 1.0)) / 3.0)
+        y1 = m + 2.0 * r * cos_phi
+        y2 = m + r * (np.sqrt(3.0 * (1.0 - cos_phi * cos_phi)) - cos_phi)
+        y3 = c0 / (y1 * y2)
+        # False on NaN, and only true for y1 > y2 > y3 >= 0
+        trusted = (y3 >= 0.0) & ((y1 - y2) * (y2 - y3) >= _RESOLVENT_GAP * y1 * y1)
+        a, bb, c = np.sqrt(y1), np.sqrt(y2), np.sqrt(y3)
+
+    h = np.copysign(0.5, s3)
+    u, v = h * (a + bb), h * (a - bb)
+    hc = h * c
+    out = 0.5 * (np.abs(t + u + hc) + np.abs(t + v - hc) + np.abs(t - v - hc) + np.abs(t - u + hc))
+    if not trusted.all():
+        out[~trusted] = _half_trace_norm_eigvalsh(mat[~trusted])
+    return out
 
 
 def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:

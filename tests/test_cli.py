@@ -358,6 +358,17 @@ class TestAnalyzeScanErrors:
         assert payload["slope"] == pytest.approx(1.0, abs=0.15)
         assert payload["r_squared"] >= 0.99
 
+    def test_errors_spam_ignores_the_seed(self, runner, model_file, tmp_path):
+        # exact-mode tomography draws nothing: the seed is not provenance
+        outs = [tmp_path / f"spam_{seed}.json" for seed in (1, 2)]
+        for seed, out in zip((1, 2), outs):
+            _invoke(runner, [
+                "errors", "--model", model_file, "--gate", "X",
+                "--eps-grid", "0,1e-4,1e-3", "--seed", str(seed), "--out", str(out),
+            ])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert load_json(str(outs[0]))["seed"] is None
+
     def test_errors_without_inputs_exits_2(self, runner, tmp_path):
         result = CliRunner().invoke(main, ["errors", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 2

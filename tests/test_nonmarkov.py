@@ -66,6 +66,21 @@ class TestConditionalMap:
         rebuilt = compose(cm.channel, singles[u])
         assert np.max(np.abs(rebuilt.superop - joints[(u, v)].superop)) <= 1e-8 * cm.cond_number
 
+    def test_first_gate_map_is_decomposed_once(self, rng, monkeypatch):
+        phi_u, phi_v = random_channel(4, rng), random_channel(4, rng)
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        cm = conditional_map(compose(phi_v, phi_u), phi_u)
+        assert calls == [(16, 16)]
+        s = svd(phi_u.superop, compute_uv=False)
+        assert cm.cond_number == s[0] / s[-1]
+
     def test_memory_shows_in_distance_to_marginal(self, memory_channels, rng):
         labels, singles, joints = memory_channels
         u, v = labels[3], labels[5]

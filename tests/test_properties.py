@@ -1,4 +1,5 @@
-"""Property tests of the qubit trace-norm kernel and the trace distance.
+"""Property tests of the closed-form trace-norm kernels (qubit blocks
+and stacks of 4 x 4 blocks) and of the trace distance.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatemem.qcore import _half_trace_norm, trace_distance
+from gatemem.qcore import _half_trace_norm, haar_random_unitary, trace_distance
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -55,6 +56,55 @@ def test_closed_form_matches_eigvalsh(mat):
     herm = 0.5 * (mat + mat.conj().T)
     expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)))
     assert _half_trace_norm(mat) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def hermitian_4x4(draw):
+    """``U diag(lam) U+`` for a Haar unitary ``U`` and four eigenvalues,
+    generic or with the structure where the 4 x 4 closed form is least
+    accurate or falls back: degenerate, rank 1, rank 2 as ``(a, -a, 0,
+    0)``, or nearly a multiple of the identity; optionally split by
+    relative gaps of 1e-9 to 1e-3; scaled by 1e-8 to 1e3.  The values
+    come from a drawn seed, so that they are typical rather than shrunk
+    towards simple numbers."""
+    kind = draw(st.sampled_from(
+        ["generic", "pair", "triple", "two-pairs", "rank-1", "rank-2", "shifted"]
+    ))
+    near = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(-1.0, 1.0, 4)
+    if kind == "pair":
+        lam[1] = lam[0]
+    elif kind == "triple":
+        lam[1:3] = lam[0]
+    elif kind == "two-pairs":
+        lam[1], lam[3] = lam[0], lam[2]
+    elif kind == "rank-1":
+        lam[1:] = 0.0
+    elif kind == "rank-2":
+        lam[1], lam[2:] = -lam[0], 0.0
+    elif kind == "shifted":
+        lam = 1.0 + 1e-3 * lam
+    if near:
+        lam += 10.0 ** rng.uniform(-9.0, -3.0) * rng.uniform(-1.0, 1.0, 4)
+    lam *= 10.0 ** rng.uniform(-8.0, 3.0)
+    u = haar_random_unitary(4, rng)
+    return (u * lam) @ u.conj().T
+
+
+@PROPERTY
+@given(st.lists(hermitian_4x4(), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_stacked_4x4_closed_form_matches_eigvalsh(blocks, seed):
+    # one non-Hermitian complex block in every stack: the kernel takes
+    # the Hermitian part of each block
+    rng = np.random.default_rng(seed)
+    blocks.append(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    stack = np.array(blocks)
+    herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+    eigs = np.linalg.eigvalsh(herm)
+    expected = 0.5 * np.sum(np.abs(eigs), axis=-1)
+    bound = 1e-12 * np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
+    assert np.all(np.abs(_half_trace_norm(stack) - expected) <= bound)
 
 
 @PROPERTY

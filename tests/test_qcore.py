@@ -77,6 +77,40 @@ class TestTraceDistance:
     def test_qubit_closed_form_of_zero_is_exactly_zero(self):
         assert _half_trace_norm(np.zeros((2, 2), dtype=complex)) == 0.0
 
+    def test_stacked_4x4_of_zeros_is_exactly_zero(self):
+        got = _half_trace_norm(np.zeros((3, 4, 4), dtype=complex))
+        assert got.shape == (3,)
+        assert np.all(got == 0.0)
+
+    def test_one_block_stack_agrees_with_the_lone_matrix(self, rng):
+        mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert _half_trace_norm(mat[None]) == pytest.approx([_half_trace_norm(mat)], abs=1e-15)
+        pair = _half_trace_norm(np.array([mat, mat]))  # the closed form
+        np.testing.assert_allclose(pair, _half_trace_norm(mat), rtol=1e-13, atol=0)
+
+    def test_degenerate_4x4_blocks_take_the_eigvalsh_fallback(self, rng, monkeypatch):
+        u = haar_random_unitary(4, rng)
+        spectra = [
+            [1.0, 2.0, -3.0, 0.5],  # generic: closed form
+            [0.7, 0.0, 0.0, 0.0],  # rank 1
+            [0.4, -0.4, 0.0, 0.0],  # rank 2, (a, -a, 0, 0)
+        ]
+        blocks = [(u * np.array(lam)) @ u.conj().T for lam in spectra]
+        # a multiple of the identity; rotated, its traceless part would be
+        # rounding noise with a spectrum of its own
+        stack = np.array(blocks + [0.3 * np.eye(4, dtype=complex)])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(mat):
+            seen.append(mat.shape)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        got = _half_trace_norm(stack)
+        assert seen == [(3, 4, 4)]  # the three degenerate blocks, in one call
+        np.testing.assert_allclose(got, [3.25, 0.35, 0.4, 0.6], rtol=1e-13, atol=0)
+
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
             a, b, c = (random_density(3, rng) for _ in range(3))
