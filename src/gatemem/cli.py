@@ -45,7 +45,7 @@ _seed_option = click.option("--seed", default=0, show_default=True, type=click.I
 _metric_option = click.option("--metric", type=click.Choice(["avg", "diamond", "both"]),
                               default="avg", show_default=True)
 _samples_option = click.option("--samples", default=DEFAULT_AVG_SAMPLES, show_default=True,
-                               type=int)
+                               type=click.IntRange(min=1))
 
 
 def _exit_codes(fn):

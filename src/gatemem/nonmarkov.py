@@ -41,6 +41,7 @@ from .channels import (
 from .exceptions import DimensionError, IncompleteDataError, ValidationError
 from .qcore import (
     _as_matrix,
+    _complex_normals,
     _half_trace_norm,
     _haar_vectors,
     _relative_entropy_core,
@@ -188,34 +189,90 @@ def avg_trace_distance(
     distance.  The raw per-sample distances are returned for
     distribution plots, along with the Monte-Carlo standard error.
 
-    Inputs are drawn in batches of 20,000 and go once through the
-    difference map ``a - b``, in slices of 4,000; qubit and two-qubit
-    outputs take the closed-form trace norms of :mod:`.qcore`.
+    Inputs are drawn in batches of 20,000 and handled in slices of
+    4,000.  On a qubit, each sample is computed in real Bloch
+    coordinates straight from its Gaussian draw, with no normalization
+    (see :func:`_qubit_half_norms`).  Larger inputs are normalized and
+    go once through the difference map ``a - b``, and their outputs
+    take the trace norms of :mod:`.qcore`.  Both paths draw the same
+    normals as :func:`.qcore._haar_vectors`, so a generator gives the
+    same inputs and ends in the same state either way.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if m_samples < 1:
         raise ValidationError(f"need at least one sample, got {m_samples}")
     rng = np.random.default_rng() if rng is None else rng
-    d = a.dim
 
-    delta_t = (a.superop - b.superop).T
+    delta = a.superop - b.superop
     samples = np.empty(m_samples)
-    for start in range(0, m_samples, 20_000):
-        z = _haar_vectors(d, min(20_000, m_samples - start), rng)
-        # the draw size fixes the random stream; the map goes over
-        # slices of the draw to keep the temporaries small
-        for lo in range(0, len(z), 4_000):
-            zs = z[lo : lo + 4_000]
-            # column-stacked |z><z|: entry j*d + i is z_i conj(z_j)
-            vecs = (np.conj(zs)[:, :, None] * zs[:, None, :]).reshape(len(zs), d * d)
-            # reshaping a column-stacked output gives its transpose,
-            # which has the same trace norm
-            out = (vecs @ delta_t).reshape(len(zs), d, d)
-            samples[start + lo : start + lo + len(zs)] = _half_trace_norm(out)
+    # the draw size fixes the random stream; each path goes over slices
+    # of the draw to keep the temporaries small: on a qubit, unsliced
+    # rows of 20,000 doubles are large enough for the allocator to map
+    # and unmap each one, which made the path about 1.5x slower
+    if a.dim == 2:
+        transfer = _bloch_transfer(delta)
+        for start in range(0, m_samples, 20_000):
+            re, im = _complex_normals(2, min(20_000, m_samples - start), rng)
+            for lo in range(0, len(re), 4_000):
+                hi = min(lo + 4_000, len(re))
+                samples[start + lo : start + hi] = _qubit_half_norms(transfer, re[lo:hi], im[lo:hi])
+    else:
+        d, delta_t = a.dim, delta.T
+        for start in range(0, m_samples, 20_000):
+            z = _haar_vectors(d, min(20_000, m_samples - start), rng)
+            for lo in range(0, len(z), 4_000):
+                zs = z[lo : lo + 4_000]
+                # column-stacked |z><z|: entry j*d + i is z_i conj(z_j)
+                vecs = (np.conj(zs)[:, :, None] * zs[:, None, :]).reshape(len(zs), d * d)
+                # reshaping a column-stacked output gives its transpose,
+                # which has the same trace norm
+                out = (vecs @ delta_t).reshape(len(zs), d, d)
+                samples[start + lo : start + lo + len(zs)] = _half_trace_norm(out)
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
+
+
+#: The Pauli basis I, X, Y, Z of a qubit.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_transfer(delta: np.ndarray) -> np.ndarray:
+    """Real 4 x 4 transfer matrix ``R[k, l] = Re tr(P_k D(P_l)) / 2`` of
+    a column-stacked qubit superoperator ``delta`` (``D``), P = I, X, Y, Z.
+
+    For ``rho = sum_l u_l P_l / 2`` the Hermitian part of ``D(rho)`` is
+    ``sum_k c_k P_k / 2`` with ``c = R u``; taking the real part keeps
+    exactly that Hermitian part, so ``D`` need not preserve trace or
+    Hermiticity."""
+    # tr(P_k M) = P_k.ravel() . vec(M), and vec(P_l) = P_l.T.ravel()
+    rows = _PAULIS.reshape(4, 4)
+    cols = _PAULIS.transpose(0, 2, 1).reshape(4, 4).T
+    return 0.5 * (rows @ delta @ cols).real
+
+
+def _qubit_half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Half the trace norm of the Hermitian part of ``D(|z><z|)`` for
+    the Haar-random qubit states ``|z>`` of the rows of a Gaussian draw
+    ``re + i im`` (see :func:`.qcore._complex_normals`), ``D`` given by
+    its :func:`_bloch_transfer` matrix.
+
+    From the normals ``z = (a0 + i b0, a1 + i b1)`` of one row, the
+    unnormalized Bloch coordinates of ``|z><z|`` are ``u = (|z|^2,
+    2(a0 a1 + b0 b1), 2(a0 b1 - b0 a1), a0^2 + b0^2 - a1^2 - b1^2)``.
+    With ``c = R u`` and ``r = |(c_1, c_2, c_3)|``, the output's
+    Hermitian part has eigenvalues ``(c_0 +- r) / 2``, so half its trace
+    norm is ``max(|c_0|, r) / 2``.  That is homogeneous of degree 1 in
+    ``u``, so dividing by ``|z|^2`` takes the place of normalizing ``z``."""
+    (a0, a1), (b0, b1) = re.T, im.T
+    p = a0 * a0 + b0 * b0
+    q = a1 * a1 + b1 * b1
+    u = np.stack([p + q, a0 * a1 + b0 * b1, a0 * b1 - b0 * a1, p - q])
+    # the factor 2 of u_1, u_2 and the final 1/2 are folded into R
+    c = (0.5 * transfer * [1.0, 2.0, 2.0, 1.0]) @ u
+    r = np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
+    return np.maximum(np.abs(c[0]), r) / u[0]
 
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
@@ -393,13 +450,22 @@ def conditional_vs_marginal_matrix(
     non-constant columns are the signature of a past-dependent process.
     """
     u_labels, v_labels, maps = conditional_grid(marginals, joints)
+    return _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples, rng,
+                             scale_figure)
+
+
+def _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples, rng,
+                      scale_figure) -> DistanceMatrix:
+    """:func:`conditional_vs_marginal_matrix` over the conditioned maps
+    of :func:`conditional_grid`, built once by the caller."""
     values = np.zeros((len(u_labels), len(v_labels)))
     applied: set[str] = set()
     for i, u in enumerate(u_labels):
         for j, v in enumerate(v_labels):
-            cell = _distance(maps[(u, v)].channel, marginals[v], metric, m_samples, rng)
+            chan = maps[(u, v)].channel
+            cell = _distance(chan, marginals[v], metric, m_samples, rng)
             if scale_figure:
-                scale, tags = _figure_scale(metric, joints[(u, v)].dim, v)
+                scale, tags = _figure_scale(metric, chan.dim, v)
                 cell *= scale
                 applied.update(tags)
             values[i, j] = cell
@@ -462,10 +528,8 @@ def analyze_grid(
     targets = v_labels if len(u_labels) > 1 else []
     cvm, gdm = {}, {}
     for m in metrics:
-        cvm[m] = conditional_vs_marginal_matrix(
-            marginals, joints, metric=m, m_samples=m_samples,
-            rng=np.random.default_rng(seed), scale_figure=scale_figure,
-        )
+        cvm[m] = _cond_vs_marginal(u_labels, v_labels, conditionals, marginals, m, m_samples,
+                                   np.random.default_rng(seed), scale_figure)
         for v in targets:
             gdm[(str(v), m)] = gate_dependence_matrix(
                 {u: conditionals[(u, v)] for u in u_labels}, metric=m, m_samples=m_samples,

@@ -16,9 +16,12 @@ The linear algebra every other module builds on lives here, once:
 bounds, CP violation; closed form for 2 x 2 and for stacked 4 x 4,
 ``eigvalsh`` otherwise),
 ``_hermitian_function`` (PSD parts, square roots, density projections,
-unitaries from generators), ``_project_simplex``, ``_haar_vectors``
-(every Haar pure-state draw), and ``_relative_entropy_core`` (the
-spectral part of both relative entropies).
+unitaries from generators), ``_project_simplex``, ``_complex_normals``
+(the one Gaussian draw behind Haar states and unitaries, and behind the
+averaged distance's qubit path, which uses the normals unnormalized),
+``_haar_vectors`` (every Haar pure-state draw), and
+``_relative_entropy_core`` (the spectral part of both relative
+entropies).
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -256,10 +259,20 @@ def _relative_entropy_core(lam, u, mu, v, tol: float) -> float:
     return max(entropy_term - cross_term, 0.0)
 
 
+def _complex_normals(dim: int, count: int, rng: np.random.Generator):
+    """Real and imaginary parts, each of shape (count, dim), of ``count``
+    standard complex Gaussian vectors: the real parts are drawn first,
+    then the imaginary parts.  Every Haar draw goes through here, so one
+    generator state gives one set of inputs whether a caller normalizes
+    them or not."""
+    return rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
+
+
 def _haar_vectors(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-random unit vectors as rows: normalized complex
-    Gaussians, real parts drawn before imaginary parts."""
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    """``count`` Haar-random unit vectors as rows: the complex Gaussians
+    of :func:`_complex_normals`, normalized."""
+    re, im = _complex_normals(dim, count, rng)
+    z = re + 1j * im
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
@@ -268,7 +281,8 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 2:
         raise DimensionError(f"need dim >= 2, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    re, im = _complex_normals(dim, dim, rng)
+    z = (re + 1j * im) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diag(r)
     return q * (phases / np.abs(phases))

@@ -597,7 +597,9 @@ NEGATIVE_OPTIONS = [
     ("simulate", "--seed", "-1"),
     ("simulate", "--shots", "-5"),
     ("analyze", "--seed", "-1"),
+    ("analyze", "--samples", "-7"),
     ("scan", "--seed", "-1"),
+    ("scan", "--samples", "-7"),
     ("ptensor", "--seed", "-1"),
     ("ptensor", "--shots", "-3"),
     ("errors-records", "--seed", "-1"),

@@ -9,10 +9,12 @@ from gatemem.channels import (
     identity_channel,
     random_channel,
 )
+from gatemem import nonmarkov
 from gatemem.exceptions import DimensionError, SingularChannelError, ValidationError
 from gatemem.nonmarkov import (
     DEFAULT_AVG_SAMPLES,
     DEFAULT_SCAN_NMAX,
+    analyze_grid,
     avg_trace_distance,
     conditional_grid,
     conditional_map,
@@ -174,18 +176,38 @@ class TestAvgTraceDistance:
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_matches_eigvalsh_reference_on_the_same_draws(self, d):
-        # 45,000 samples: two full 20,000-sample batches and a partial one
+        # 45,000 samples: two full batches of 20,000 and a partial one
+        self._check_against_eigvalsh_reference(d, 45_000, "channels")
+
+    @pytest.mark.parametrize("m_samples, maps", [
+        (1, "channels"), (20_000, "channels"), (20_001, "channels"),
+        (1, "raw"), (20_000, "raw"), (20_001, "raw"), (45_000, "raw"),
+    ])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_batch_edges_and_raw_maps_match_eigvalsh_reference(self, d, m_samples, maps):
+        # 20,000 samples fill one batch exactly, 20,001 start a second one
+        self._check_against_eigvalsh_reference(d, m_samples, maps)
+
+    @staticmethod
+    def _check_against_eigvalsh_reference(d, m_samples, maps):
         rng = np.random.default_rng(2024)
-        a = random_channel(d, rng)
-        b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel  # non-CP
+        if maps == "channels":
+            a = random_channel(d, rng)
+            b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel  # non-CP
+        else:
+            # complex superoperators that preserve neither trace nor Hermiticity
+            a, b = (QuantumChannel(rng.standard_normal((d * d, d * d))
+                                   + 1j * rng.standard_normal((d * d, d * d)))
+                    for _ in range(2))
         gen = np.random.default_rng(11)
-        result = avg_trace_distance(a, b, 45_000, gen)
+        result = avg_trace_distance(a, b, m_samples, gen)
 
         # reference: apply each channel to each density matrix, subtract,
         # and take eigenvalues of the Hermitian part
         ref_rng = np.random.default_rng(11)
         expected = []
-        for count in (20_000, 20_000, 5_000):
+        for start in range(0, m_samples, 20_000):
+            count = min(20_000, m_samples - start)
             z = _haar_vectors(d, count, ref_rng)
             rhos = np.einsum("ni,nj->nij", z, z.conj())
             vecs = rhos.reshape(count, d * d, order="F")
@@ -197,9 +219,8 @@ class TestAvgTraceDistance:
 
         np.testing.assert_allclose(result.samples, expected, rtol=0, atol=1e-12)
         assert result.mean == pytest.approx(expected.mean(), rel=0, abs=1e-12)
-        assert result.stderr == pytest.approx(
-            expected.std(ddof=1) / np.sqrt(expected.size), rel=0, abs=1e-12
-        )
+        expected_stderr = expected.std(ddof=1) / np.sqrt(expected.size) if m_samples > 1 else 0.0
+        assert result.stderr == pytest.approx(expected_stderr, rel=0, abs=1e-12)
         # the kernel leaves the generator where those batches left it, so
         # the streams of later calls see the same inputs
         assert gen.bit_generator.state == ref_rng.bit_generator.state
@@ -282,6 +303,25 @@ class TestConditionalVsMarginal:
 
         with pytest.raises(IncompleteDataError):
             conditional_vs_marginal_matrix({"A": random_channel(2, rng)}, {}, m_samples=10)
+
+    def test_analyze_grid_builds_each_conditioned_map_once(self, rng, monkeypatch):
+        gates = ["A", "B"]
+        marginals = {g: random_channel(2, rng) for g in gates}
+        joints = {(u, v): compose(random_channel(2, rng), marginals[u])
+                  for u in gates for v in gates}
+        expected = conditional_vs_marginal_matrix(marginals, joints, m_samples=200,
+                                                  rng=np.random.default_rng(3))
+        build = nonmarkov.conditional_map
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(nonmarkov, "conditional_map", spy)
+        analysis = analyze_grid(marginals, joints, metrics=("avg",), m_samples=200, seed=3)
+        assert len(calls) == 4  # one per cell of the 2 x 2 grid
+        np.testing.assert_array_equal(analysis.cond_vs_marginal["avg"].values, expected.values)
 
 
 class TestConditionalGrid:

@@ -1,5 +1,6 @@
-"""Property tests of the closed-form trace-norm kernels (qubit blocks
-and stacks of 4 x 4 blocks) and of the trace distance.
+"""Property tests of the closed-form trace-norm kernels (qubit blocks,
+stacks of 4 x 4 blocks, and the averaged distance's real Bloch
+coordinates on qubits) and of the trace distance.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatemem.qcore import _half_trace_norm, haar_random_unitary, trace_distance
+from gatemem.channels import QuantumChannel
+from gatemem.nonmarkov import avg_trace_distance
+from gatemem.qcore import _haar_vectors, _half_trace_norm, haar_random_unitary, trace_distance
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -105,6 +108,25 @@ def test_stacked_4x4_closed_form_matches_eigvalsh(blocks, seed):
     expected = 0.5 * np.sum(np.abs(eigs), axis=-1)
     bound = 1e-12 * np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
     assert np.all(np.abs(_half_trace_norm(stack) - expected) <= bound)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-10.0, 10.0), min_size=32, max_size=32), st.integers(0, 2**32 - 1))
+def test_qubit_averaged_distance_matches_eigvalsh(parts, seed):
+    # any complex 4 x 4 superoperator difference, trace- and
+    # Hermiticity-preserving or not
+    parts = np.array(parts)
+    delta = (parts[:16] + 1j * parts[16:]).reshape(4, 4)
+    result = avg_trace_distance(QuantumChannel(delta), QuantumChannel(np.zeros((4, 4))), 50,
+                                np.random.default_rng(seed))
+
+    z = _haar_vectors(2, 50, np.random.default_rng(seed))
+    vecs = np.einsum("ni,nj->nij", z, z.conj()).reshape(50, 4, order="F")
+    out = (vecs @ delta.T).reshape(50, 2, 2, order="F")
+    eigs = np.linalg.eigvalsh(0.5 * (out + np.conj(np.swapaxes(out, -1, -2))))
+    expected = 0.5 * np.sum(np.abs(eigs), axis=-1)
+    bound = 1e-12 * np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
+    assert np.all(np.abs(result.samples - expected) <= bound)
 
 
 @PROPERTY
