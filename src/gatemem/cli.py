@@ -95,7 +95,7 @@ def main():
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--gates", required=True, help="semicolon-separated gate sequences, e.g. 'X;Z;X,Z'")
-@click.option("--shots", default=1024, show_default=True, type=click.IntRange(min=0))
+@click.option("--shots", default=1024, show_default=True, type=click.IntRange(min=1))
 @click.option("--exact", is_flag=True, help="emit exact probabilities instead of counts")
 @_seed_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -194,7 +194,7 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--gates", default="S,T", show_default=True, help="U,V pair for the two-step circuit")
-@click.option("--shots", default=None, type=click.IntRange(min=0),
+@click.option("--shots", default=None, type=click.IntRange(min=1),
               help="shot count for the reference maps")
 @click.option("--exact", is_flag=True, help="exact-statistics reference maps")
 @_seed_option

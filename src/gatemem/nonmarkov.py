@@ -279,9 +279,9 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     """Half the diamond norm of the difference, with a solver certificate.
 
     The difference map must be Hermiticity-preserving (Hermitian
-    difference Choi).  The SDP runs at its default 1e-6 gap tolerance;
-    the result carries the certified primal-dual gap and the optimizing
-    joint input.
+    difference Choi).  The result carries the certified primal-dual gap
+    (at most ``sdp.GAP_TOL``), the Newton steps taken as ``iterations``,
+    and the optimizing input.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")

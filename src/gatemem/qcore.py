@@ -12,11 +12,10 @@ Conventions shared by the whole package:
 * any eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
 The linear algebra every other module builds on lives here, once:
-``_half_trace_norm`` (one matrix or a stack; trace distances, SDP
-bounds, CP violation; closed form for 2 x 2 and for stacked 4 x 4,
-``eigvalsh`` otherwise),
-``_hermitian_function`` (PSD parts, square roots, density projections,
-unitaries from generators), ``_project_simplex``, ``_complex_normals``
+``_half_trace_norm`` (one matrix or a stack; trace distances, the
+brute-force diamond bound, CP violation; closed form for 2 x 2 and for
+stacked 4 x 4, ``eigvalsh`` otherwise), ``_hermitian_function`` (PSD
+parts, square roots, unitaries from generators), ``_complex_normals``
 (the one Gaussian draw behind Haar states and unitaries, and behind the
 averaged distance's qubit path, which uses the normals unnormalized),
 ``_haar_vectors`` (every Haar pure-state draw), and
@@ -194,16 +193,6 @@ def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
     eigenvalue array to the new eigenvalues."""
     w, v = np.linalg.eigh(mat)
     return (v * fn(w)) @ v.conj().T
-
-
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, w.size + 1)
-    k = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    tau = (css[k] - 1.0) / (k + 1.0)
-    return np.clip(w - tau, 0.0, None)
 
 
 def trace_distance(rho, sigma) -> float:

@@ -596,12 +596,14 @@ def test_records_without_grammar_version_are_accepted(runner, model_file, tmp_pa
 NEGATIVE_OPTIONS = [
     ("simulate", "--seed", "-1"),
     ("simulate", "--shots", "-5"),
+    ("simulate", "--shots", "0"),
     ("analyze", "--seed", "-1"),
     ("analyze", "--samples", "-7"),
     ("scan", "--seed", "-1"),
     ("scan", "--samples", "-7"),
     ("ptensor", "--seed", "-1"),
     ("ptensor", "--shots", "-3"),
+    ("ptensor", "--shots", "0"),
     ("errors-records", "--seed", "-1"),
     ("errors-spam", "--seed", "-1"),
 ]

@@ -1,6 +1,7 @@
 """Property tests of the closed-form trace-norm kernels (qubit blocks,
 stacks of 4 x 4 blocks, and the averaged distance's real Bloch
-coordinates on qubits) and of the trace distance.
+coordinates on qubits), of the trace distance, and of the certified
+diamond distance against the averaged one.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatemem.channels import QuantumChannel
-from gatemem.nonmarkov import avg_trace_distance
+from gatemem.channels import QuantumChannel, choi_from_superop, random_channel
+from gatemem.nonmarkov import avg_trace_distance, diamond_distance
 from gatemem.qcore import _haar_vectors, _half_trace_norm, haar_random_unitary, trace_distance
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -140,3 +141,31 @@ def test_unitary_invariance(rho, sigma, u):
 @given(qubit_states(), qubit_states(), qubit_states())
 def test_triangle_inequality(a, b, c):
     assert trace_distance(a, b) <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
+
+
+@st.composite
+def qubit_channel_pairs(draw):
+    """Two random qubit channels from Stinespring isometries: both
+    unitary (Kraus rank 1), one unitary, or both of Kraus rank 2 to 4.
+    Unitary pairs have pure optimal inputs, the hard case for the
+    diamond solver."""
+    kind = draw(st.sampled_from(["unitaries", "unitary-channel", "channels"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = {"unitaries": (1, 1), "unitary-channel": (1, rng.integers(2, 5)),
+             "channels": rng.integers(2, 5, size=2)}[kind]
+    return tuple(random_channel(2, rng, kraus_rank=int(k)) for k in ranks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(qubit_channel_pairs(), st.integers(0, 2**32 - 1))
+def test_diamond_distance_dominates_averaged_distance(pair, seed):
+    a, b = pair
+    result = diamond_distance(a, b)
+    avg = avg_trace_distance(a, b, 4_000, np.random.default_rng(seed))
+    assert result.gap <= 1e-6
+    assert result.primal_bound <= result.value
+    assert result.value >= avg.mean - 3.0 * avg.stderr - 1e-6
+    # the joint witness input reproduces the primal bound
+    choi4 = (choi_from_superop(a).data - choi_from_superop(b).data).reshape(2, 2, 2, 2)
+    out = np.einsum("stuv,saub->tavb", choi4, result.optimal_input.reshape(2, 2, 2, 2))
+    assert _half_trace_norm(out.reshape(4, 4)) == pytest.approx(result.primal_bound, abs=1e-9)

@@ -1,6 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from gatemem import pipeline, sdp
 from gatemem.channels import (
     GateLabel,
     choi_from_superop,
@@ -9,24 +13,20 @@ from gatemem.channels import (
     random_channel,
 )
 from gatemem.exceptions import SolverError
-from gatemem.nonmarkov import avg_trace_distance, diamond_distance, diamond_lower_bound
-from gatemem.sdp import _project_simplex, diamond_sdp
+from gatemem.nonmarkov import (
+    avg_trace_distance,
+    conditional_map,
+    diamond_distance,
+    diamond_lower_bound,
+)
+from gatemem.sdp import diamond_sdp
+from gatemem.simulator import build_default_model
+from gatemem.tomography import build_frame
 
-
-class TestSimplexProjection:
-    def test_already_on_simplex(self):
-        w = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(_project_simplex(w), w, atol=1e-12)
-
-    def test_projects_negative_entries(self, rng):
-        for _ in range(50):
-            w = rng.standard_normal(4)
-            p = _project_simplex(w)
-            assert p.min() >= 0.0
-            assert p.sum() == pytest.approx(1.0, abs=1e-10)
-            # optimality: projection is closer than any random simplex point
-            q = rng.dirichlet(np.ones(4))
-            assert np.linalg.norm(w - p) <= np.linalg.norm(w - q) + 1e-12
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+GRID_GATES = ("H@0", "S@0", "T@0", "X@0", "Y@0", "Z@0")
+CX = "CX@1.0"
+CX_GATES = ("H@1", "S@1", "T@1", "X@1", "Y@1", "Z@1", CX)
 
 
 class TestDiamondDistance:
@@ -117,9 +117,90 @@ class TestDiamondDistance:
         assert result.value >= bound - 1e-9
         assert result.value - bound <= 1e-3
 
-    def test_solver_error_reports_gap(self, rng):
+    def test_solver_error_reports_gap(self, rng, monkeypatch):
         a, b = random_channel(2, rng), random_channel(2, rng)
         delta = choi_from_superop(a).data - choi_from_superop(b).data
+        monkeypatch.setattr(sdp, "GAP_TOL", 1e-15)
+        monkeypatch.setattr(sdp, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(SolverError) as excinfo:
-            diamond_sdp(delta, gap_tol=1e-15, max_iterations=1, check_every=1)
-        assert excinfo.value.gap > 0.0
+            diamond_sdp(delta)
+        assert 0.0 < excinfo.value.gap < np.inf
+
+
+def _reconstructions(gates, sequences, seed, wanted=None, **model_kw):
+    """The benchmark's channels: sequence i of ``sequences`` is sampled at
+    1e5 shots with seed ``seed + i`` and reconstructed; ``wanted``
+    restricts which sequences are built, without moving the seeds."""
+    model = build_default_model(list(gates), **model_kw)
+    frame = build_frame(model.sys_qubits)
+    chans = {}
+    for index, seq in enumerate(sequences):
+        if wanted is None or seq in wanted:
+            gate_labels = tuple(GateLabel.parse(t) for t in seq)
+            records = pipeline.simulate_records(model, gate_labels, 100_000, seed=seed + index,
+                                                frame=frame)
+            chans[seq] = pipeline.reconstruct_channel(records, frame).channel
+    return chans
+
+
+def _cx_column(seed, wanted=None):
+    """Conditioned-vs-marginal cells of the CX target, keyed as in the
+    benchmark's reference."""
+    seqs = [(g,) for g in CX_GATES] + [(u, CX) for u in CX_GATES]
+    chans = _reconstructions(CX_GATES, seqs, seed, wanted, coupling=0.55)
+    return {f"dia:cvm:{u},{CX}": (conditional_map(chans[(u, CX)], chans[(u,)]).channel,
+                                  chans[(CX,)])
+            for u in CX_GATES if (u, CX) in chans}
+
+
+class TestReferenceCells:
+    """The hard cells of the paper protocol: near-pure optimal inputs on
+    the README grid, and the CX target, whose (CX, CX) optimum has rank
+    one and a difference Choi matrix of spectral norm ~360."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with open(REFERENCE) as handle:
+            return {k: v for k, v in json.load(handle)["seeds"]["7"].items()
+                    if k.startswith("dia:")}
+
+    def _check(self, cells, reference):
+        steps = []
+        for key, (a, b) in cells.items():
+            result = diamond_distance(a, b)
+            assert result.gap <= 1e-6, key
+            assert abs(result.value - reference[key][0]) <= 2e-6, key
+            steps.append(result.iterations)
+        return steps
+
+    def test_readme_grid_at_seed_7(self, reference):
+        seqs = [(g,) for g in GRID_GATES] + [(u, v) for u in GRID_GATES for v in GRID_GATES]
+        chans = _reconstructions(GRID_GATES, seqs, 7, coupling=0.55, env_omega=0.7,
+                                 reset_policy="persistent")
+        conds = {(u, v): conditional_map(chans[(u, v)], chans[(u,)]).channel
+                 for u in GRID_GATES for v in GRID_GATES}
+        cells = {f"dia:cvm:{u},{v}": (conds[(u, v)], chans[(v,)])
+                 for u in GRID_GATES for v in GRID_GATES}
+        cells.update({f"dia:gd:{v}:{a},{b}": (conds[(a, v)], conds[(b, v)])
+                      for v in GRID_GATES for i, a in enumerate(GRID_GATES)
+                      for b in GRID_GATES[i + 1:]})
+        assert len(cells) == 126
+        steps = self._check(cells, reference)
+        assert max(steps) <= 2 * np.median(steps)
+
+    def test_cx_column_at_seed_7(self, reference):
+        cells = _cx_column(7)
+        cx_keys = sorted(k for k in reference if CX in k)
+        assert len(cx_keys) == 6
+        self._check({k: cells[k] for k in cx_keys}, reference)
+
+    def test_cx_cx_at_seed_3(self):
+        (a, b), = _cx_column(3, wanted={(CX,), (CX, CX)}).values()
+        result = diamond_distance(a, b)
+        assert result.gap <= 1e-6
+        assert result.primal_bound <= result.value
+        # the rank-one witness input reproduces the primal bound
+        choi = (choi_from_superop(a).data - choi_from_superop(b).data).reshape((4,) * 4)
+        out = np.einsum("stuv,saub->tavb", choi, result.optimal_input.reshape((4,) * 4))
+        achieved = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(out.reshape(16, 16))))
+        assert achieved == pytest.approx(result.primal_bound, rel=1e-9)
