@@ -156,7 +156,9 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
     baseline = None if baseline_dir is None else serialize.load_grid(baseline_dir)
     cfg = {
         "command": "analyze",
-        "channels": sorted(marginals) + [f"{u},{v}" for u, v in sorted(joints)],
+        "channels": serialize.channel_digests({**marginals, **joints}),
+        "baseline": None if baseline is None else serialize.channel_digests(
+            {**baseline[0], **baseline[1]}),
         "metric": metric,
         "samples": samples,
         "scale_figure": scale_figure,
@@ -183,7 +185,10 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
 def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     """Memory-length scan over channels for repeated gate applications."""
     runs = nonmarkov.repetitions(serialize.load_channel_dir(channels_dir), nmax)
-    cfg = {"command": "scan", "nmax": nmax, "metric": metric, "samples": samples, "seed": seed}
+    cfg = {
+        "command": "scan", "channels": serialize.channel_digests(dict(enumerate(runs, 1))),
+        "nmax": nmax, "metric": metric, "samples": samples, "seed": seed,
+    }
     result = nonmarkov.memory_scan(
         runs, metrics=_metrics(metric), m_samples=samples, rng=np.random.default_rng(seed)
     )

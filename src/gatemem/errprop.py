@@ -145,8 +145,12 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     fitted log-log slope should sit near one.
     """
     strengths = sorted(float(s) for s in strengths)
+    if not np.all(np.isfinite(strengths)):
+        raise ValidationError(f"strengths must be finite, got {strengths}")
     if 0.0 not in strengths:
         raise ValidationError("strength grid must include 0")
+    if len({s for s in strengths if s > 0}) < 2:
+        raise ValidationError("the log-log fit needs at least two distinct positive strengths")
     if strengths[-1] > 0.05:
         raise ValidationError("strengths beyond 0.05 leave the small-kick regime")
     truth = extract_channel(model, [gate])

@@ -12,24 +12,43 @@ import numpy as np
 
 from . import nonmarkov
 from .channels import GateLabel, QuantumChannel, apply
-from .simulator import SEModel, cji_circuit, extract_channel, sample_counts
+from .simulator import SEModel, cji_circuit, extract_channel, output_state, setting_rotation
 from .tomography import (
     CountRecord,
     TomographyFrame,
     TomographyResult,
     _count_record,
+    _fitted_gates,
     _normalized,
+    _rotated_probabilities,
     _spawn_seeds,
     build_frame,
-    enumerate_circuits,
-    expected_distribution,
+    meas_rotation,
     mle_estimates,
     process_tomography,
 )
 
-# Not called here: perfbench/tracer.py wraps ``pipeline.mle_estimate``
-# and tests/test_bench_sites.py checks that this import site exists.
+# Not called here: perfbench/tracer.py wraps ``pipeline.mle_estimate`` and
+# ``pipeline.sample_counts``, and tests/test_bench_sites.py checks that
+# these import sites exist.
+from .simulator import sample_counts  # noqa: F401
 from .tomography import mle_estimate  # noqa: F401
+
+
+def _sampled_records(
+    frame: TomographyFrame, outputs, rotations, shots: int | None, seed: int | None
+) -> list[CountRecord]:
+    """The one record loop: a record for every (preparation, setting) of
+    ``frame`` in preparation-major order, each with its own seed spawned
+    from ``seed``.  ``outputs`` yields each preparation's output state in
+    frame order, and ``rotations`` holds each setting's basis change."""
+    seeds = iter(_spawn_seeds(seed, len(frame.prep_labels) * len(frame.meas_labels)))
+    records = []
+    for prep, out in zip(frame.prep_labels, outputs):
+        for meas, rot in zip(frame.meas_labels, rotations):
+            probs = _normalized(_rotated_probabilities(out, rot))
+            records.append(_count_record(prep, meas, probs, shots, next(seeds)))
+    return records
 
 
 def simulate_records(
@@ -41,13 +60,20 @@ def simulate_records(
 ) -> list[CountRecord]:
     """Count records for every tomography configuration of one sequence.
 
-    Sampling seeds are spawned per configuration from ``seed`` so runs
-    are reproducible and records carry their own seeds.
+    Two steps: the sequence runs once per preparation
+    (``simulator.output_state``), each setting's rotation is built once
+    (``simulator.setting_rotation``), and every record reads its
+    probabilities off its preparation's output state.  The records are
+    those of ``sample_counts`` on each configuration of
+    ``enumerate_circuits``, bit for bit.  Sampling seeds are spawned per
+    configuration from ``seed`` so runs are reproducible and records
+    carry their own seeds.
     """
     frame = frame or build_frame(model.sys_qubits)
-    descriptors = enumerate_circuits(gates, frame)
-    seeds = _spawn_seeds(seed, len(descriptors))
-    return [sample_counts(model, desc, shots, child) for desc, child in zip(descriptors, seeds)]
+    gates = _fitted_gates(gates, frame.n_qubits)
+    rotations = [setting_rotation(model, meas) for meas in frame.meas_labels]
+    outputs = (output_state(model, gates, prep) for prep in frame.prep_labels)
+    return _sampled_records(frame, outputs, rotations, shots, seed)
 
 
 def records_from_channel(
@@ -63,14 +89,9 @@ def records_from_channel(
     multinomially with its own spawned seed.
     """
     frame = frame or build_frame(int(math.log2(channel.dim)))
-    seeds = iter(_spawn_seeds(seed, len(frame.prep_labels) * len(frame.meas_labels)))
-    records = []
-    for prep in frame.prep_labels:
-        out = apply(channel, frame.prep_state(prep))
-        for meas in frame.meas_labels:
-            probs = _normalized(expected_distribution(out, meas))
-            records.append(_count_record(prep, meas, probs, shots, next(seeds)))
-    return records
+    rotations = [meas_rotation(meas) for meas in frame.meas_labels]
+    outputs = (apply(channel, state) for state in frame.prep_states)
+    return _sampled_records(frame, outputs, rotations, shots, seed)
 
 
 def reconstruct_channel(

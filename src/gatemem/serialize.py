@@ -50,6 +50,20 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
+def channel_digests(channels: dict) -> dict:
+    """Content digest of each channel of ``channels``: a SHA-256 prefix
+    of its superoperator's bytes, keyed as in ``channels`` with a gate
+    sequence written as its tokens joined by commas (``"X@0,Z@0"``).  A
+    configuration that includes them hashes the data an analysis read,
+    not only its labels."""
+    return {
+        ",".join(map(str, key)) if isinstance(key, tuple) else str(key): hashlib.sha256(
+            np.ascontiguousarray(chan.superop, dtype="<c16").tobytes()
+        ).hexdigest()[:16]
+        for key, chan in channels.items()
+    }
+
+
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

@@ -8,6 +8,16 @@ through a ZZ interaction of tunable strength and gives the environment
 an always-on transverse rotation, so the noise a gate sees depends on
 what the previous gates did to the environment.
 
+A tomography configuration is evaluated in two steps.  The circuit up
+to the measurement depends only on the preparation, so
+:func:`output_state` runs it once per preparation: preparation unitary,
+preparation SPAM kick, joint evolution, trace over the environment.
+:func:`setting_rotation` builds each measurement setting's basis change
+with its SPAM kick, and a configuration's outcome probabilities are the
+diagonal of the rotated output state.  :func:`circuit_distribution` is
+the two steps for one configuration; ``pipeline.simulate_records`` runs
+the first once per preparation and the second once per setting.
+
 The sampler emits count records with the same schema as externally
 supplied data; analysis code cannot distinguish provenance.
 """
@@ -234,30 +244,45 @@ def _spam_kick(spec: SpamSpec, kind: str, label: str, dim: int, strength: float)
     return _hermitian_function(herm, lambda w: np.exp(-1j * strength * w))
 
 
-def circuit_distribution(model: SEModel, descriptor: CircuitDescriptor) -> np.ndarray:
-    """Exact outcome probabilities of one tomography configuration,
-    including any configured preparation/measurement kicks."""
-    if descriptor.n_qubits != model.sys_qubits:
-        raise DimensionError(
-            f"descriptor is for {descriptor.n_qubits} qubit(s), model has {model.sys_qubits}"
-        )
+def output_state(model: SEModel, gates, prep_label: str) -> np.ndarray:
+    """System state after ``gates`` act on the labelled preparation: the
+    preparation unitary with its SPAM kick, the joint evolution from a
+    fresh environment, and the trace over the environment.  Every
+    measurement setting of that preparation reads this one state."""
     d = model.sys_dim
-    prep = prep_unitary(descriptor.prep_label)
+    prep = prep_unitary(prep_label)
+    if prep.shape[0] != d:
+        raise DimensionError(
+            f"preparation {prep_label!r} has dimension {prep.shape[0]}, the system {d}")
     if model.spam.prep_strength > 0:
-        kick = _spam_kick(model.spam, "prep", descriptor.prep_label, d, model.spam.prep_strength)
-        prep = kick @ prep
+        prep = _spam_kick(model.spam, "prep", prep_label, d, model.spam.prep_strength) @ prep
     ket0 = np.zeros(d, dtype=complex)
     ket0[0] = 1.0
     psi = prep @ ket0
-    rho_in = np.outer(psi, psi.conj())
+    return _run_sequence_raw(model, gates, np.outer(psi, psi.conj()))
 
-    rho_out = _run_sequence_raw(model, descriptor.gates, rho_in)
 
-    rot = meas_rotation(descriptor.meas_label)
+def setting_rotation(model: SEModel, meas_label: str) -> np.ndarray:
+    """Basis change of the labelled setting with its measurement SPAM
+    kick; outcome probabilities of a state are the diagonal of the
+    rotated state (``tomography._rotated_probabilities``)."""
+    d = model.sys_dim
+    rot = meas_rotation(meas_label)
+    if rot.shape[0] != d:
+        raise DimensionError(
+            f"setting {meas_label!r} has dimension {rot.shape[0]}, the system {d}")
     if model.spam.meas_strength > 0:
-        rot = rot @ _spam_kick(
-            model.spam, "meas", descriptor.meas_label, d, model.spam.meas_strength
-        )
+        rot = rot @ _spam_kick(model.spam, "meas", meas_label, d, model.spam.meas_strength)
+    return rot
+
+
+def circuit_distribution(model: SEModel, descriptor: CircuitDescriptor) -> np.ndarray:
+    """Exact outcome probabilities of one tomography configuration,
+    including any configured preparation/measurement kicks: the
+    configuration's :func:`output_state` read through its
+    :func:`setting_rotation`."""
+    rho_out = output_state(model, descriptor.gates, descriptor.prep_label)
+    rot = setting_rotation(model, descriptor.meas_label)
     return _normalized(_rotated_probabilities(rho_out, rot))
 
 

@@ -71,22 +71,29 @@ def join_label(symbols) -> str:
 
 
 def _tensor_operator(label: str, table: dict, kind: str) -> np.ndarray:
-    """Kronecker product of the per-qubit operators a label names."""
+    """Read-only Kronecker product of the per-qubit operators a label
+    names."""
     mats = []
     for symbol in split_label(label):
         if symbol not in table:
             raise LabelError(f"unknown {kind} symbol {symbol!r} in {label!r}")
         mats.append(table[symbol])
-    return functools.reduce(np.kron, mats)
+    op = np.array(functools.reduce(np.kron, mats))
+    op.setflags(write=False)
+    return op
 
 
+@functools.lru_cache(maxsize=64)  # every label of the one- and two-qubit frames
 def prep_unitary(label: str) -> np.ndarray:
-    """Tensor-product unitary preparing the labelled state from |0...0>."""
+    """Tensor-product unitary preparing the labelled state from |0...0>
+    (memoized by label, read-only)."""
     return _tensor_operator(label, PREP_UNITARIES, "preparation")
 
 
+@functools.lru_cache(maxsize=64)
 def meas_rotation(label: str) -> np.ndarray:
-    """Tensor-product basis-change rotation for the labelled setting."""
+    """Tensor-product basis-change rotation for the labelled setting
+    (memoized by label, read-only)."""
     return _tensor_operator(label, MEAS_ROTATIONS, "measurement")
 
 
@@ -226,12 +233,18 @@ class CircuitDescriptor:
     n_qubits: int
 
 
-def enumerate_circuits(gate_sequence, frame: TomographyFrame) -> list[CircuitDescriptor]:
-    """All 4^N x 3^N configurations for one gate sequence."""
+def _fitted_gates(gate_sequence, n_qubits: int) -> tuple[GateLabel, ...]:
+    """The sequence as a tuple, once every gate fits on ``n_qubits``."""
     gates = tuple(gate_sequence)
     for gate in gates:
-        if max(gate.qubits) >= frame.n_qubits:
-            raise DimensionError(f"gate {gate} does not fit on {frame.n_qubits} qubit(s)")
+        if max(gate.qubits) >= n_qubits:
+            raise DimensionError(f"gate {gate} does not fit on {n_qubits} qubit(s)")
+    return gates
+
+
+def enumerate_circuits(gate_sequence, frame: TomographyFrame) -> list[CircuitDescriptor]:
+    """All 4^N x 3^N configurations for one gate sequence."""
+    gates = _fitted_gates(gate_sequence, frame.n_qubits)
     return [
         CircuitDescriptor(p, m, gates, frame.n_qubits)
         for p in frame.prep_labels

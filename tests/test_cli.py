@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gatemem.channels import GateLabel, compose, ideal_channel
+from gatemem.channels import GateLabel, compose, ideal_channel, random_channel
 from gatemem.cli import main
 from gatemem.errprop import reconstruction_uncertainty
 from gatemem.exceptions import IncompleteDataError, ValidationError
@@ -496,6 +496,12 @@ MALFORMED_VALUES = [
     ("option", "--pair", "X@a,X", "analyze"),
     ("option", "--gate", "X@a", "errors-spam"),
     ("option", "--eps-grid", "a,b", "errors-spam"),
+    ("option", "--eps-grid", "0", "errors-spam"),
+    ("option", "--eps-grid", "0,0", "errors-spam"),
+    ("option", "--eps-grid", "0,1e-3,1e-3", "errors-spam"),
+    ("option", "--eps-grid", "0,nan,1e-3", "errors-spam"),
+    ("option", "--eps-grid", "0,1e-3,inf", "errors-spam"),
+    ("option", "--eps-grid", "0,1e-3,-inf", "errors-spam"),
     ("model", "coupling", "abc", "simulate"),
     ("model", "spam", "x", "simulate"),
     ("model", "durations", [1], "simulate"),
@@ -711,6 +717,60 @@ class TestLibraryEntryPoints:
         with pytest.raises(IncompleteDataError) as excinfo:
             repetitions(channels, 3)
         assert excinfo.value.missing == ["2"]
+
+
+def _write_channels(directory, channels):
+    """Channel files for ``{sequence tokens: channel}``."""
+    os.makedirs(directory)
+    for tokens, chan in channels.items():
+        slug = "-".join(t.replace("@", "") for t in tokens)
+        (directory / f"channel_{slug}.json").write_text(
+            json.dumps(channel_payload(chan, list(tokens), None, "0", 0)))
+
+
+class TestProvenance:
+    """``config_hash`` identifies the channel data an analysis read, not
+    only its labels and flags."""
+
+    @staticmethod
+    def _hash(out, name):
+        return load_json(str(out / name))["config_hash"]
+
+    def test_analyze_hash_covers_channel_contents(self, runner, tmp_path, rng):
+        x, z = (ideal_channel(GateLabel(n, (0,))) for n in ("X", "Z"))
+        grid = {("X@0",): x, ("Z@0",): z, ("X@0", "Z@0"): compose(x, z),
+                ("Z@0", "Z@0"): compose(z, z)}
+        _write_channels(tmp_path / "a", grid)
+        _write_channels(tmp_path / "b", {**grid, ("X@0", "Z@0"): random_channel(2, rng)})
+        hashes = []
+        for name in ("a", "a", "b"):
+            out = tmp_path / f"out_{len(hashes)}"
+            _invoke(runner, ["analyze", "--channels", str(tmp_path / name), "--samples", "100",
+                             "--out", str(out)])
+            hashes.append(self._hash(out, "cp_violation.json"))
+            assert self._hash(out, "cond_vs_marginal_avg.json") == hashes[-1]
+        assert hashes[0] == hashes[1] != hashes[2]
+        # a baseline directory is data too
+        based = []
+        for name in ("a", "b"):
+            out = tmp_path / f"based_{name}"
+            _invoke(runner, ["analyze", "--channels", str(tmp_path / "a"), "--samples", "100",
+                             "--pair", "X,Z", "--baseline", str(tmp_path / name),
+                             "--out", str(out)])
+            based.append(self._hash(out, "cp_violation.json"))
+        assert len({hashes[0], *based}) == 3
+
+    def test_scan_hash_covers_channel_contents(self, runner, tmp_path, rng):
+        x = ideal_channel(GateLabel("X", (0,)))
+        _write_channels(tmp_path / "a", {("X@0",): x, ("X@0", "X@0"): compose(x, x)})
+        _write_channels(tmp_path / "b", {("X@0",): x, ("X@0", "X@0"): random_channel(2, rng)})
+        hashes = []
+        for name in ("a", "b"):
+            out = tmp_path / f"scan_{name}"
+            _invoke(runner, ["scan", "--channels", str(tmp_path / name), "--nmax", "2",
+                             "--samples", "100", "--out", str(out)])
+            hashes.append(self._hash(out, "scan.json"))
+        assert hashes[0] != hashes[1]
 
 
 class TestLoaders:

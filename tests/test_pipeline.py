@@ -1,14 +1,17 @@
 import numpy as np
+import pytest
 
+from gatemem import simulator
 from gatemem.channels import GateLabel, random_channel
+from gatemem.exceptions import DimensionError
 from gatemem.pipeline import (
     reconstruct_channel,
     reconstruct_from_model,
     records_from_channel,
     simulate_records,
 )
-from gatemem.simulator import build_default_model, extract_channel
-from gatemem.tomography import build_frame
+from gatemem.simulator import SpamSpec, build_default_model, extract_channel, sample_counts
+from gatemem.tomography import _spawn_seeds, build_frame, enumerate_circuits
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 
@@ -58,3 +61,67 @@ class TestSeeding:
         records = simulate_records(model, [LABELS[3]], 512, seed=3)
         assert all(r.seed is not None for r in records)
 
+
+CX = GateLabel("CX", (1, 0))
+SPAM = SpamSpec(prep_strength=0.01, meas_strength=0.02, seed=4)
+
+
+def _models():
+    """(name, model, gate sequence) over one and two qubits, both reset
+    policies, and zero and nonzero preparation/measurement kicks."""
+    cases = []
+    for policy in ("persistent", "reset_each_gate"):
+        for spam in (SpamSpec(), SPAM):
+            tag = f"{policy}-{'spam' if spam.prep_strength else 'clean'}"
+            one = build_default_model(LABELS, reset_policy=policy, spam=spam)
+            two = build_default_model([CX, GateLabel("X", (1,))], reset_policy=policy, spam=spam)
+            cases.append((f"1q-{tag}", one, (LABELS[3], LABELS[0])))
+            cases.append((f"2q-{tag}", two, (GateLabel("X", (1,)), CX)))
+    return cases
+
+
+MODELS = _models()
+
+
+class TestTwoStepSimulation:
+    """``simulate_records`` runs each preparation once and reads every
+    setting off its output state; it must equal the one-configuration
+    path record for record."""
+
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "finite"])
+    @pytest.mark.parametrize("name, model, gates", MODELS, ids=[m[0] for m in MODELS])
+    def test_equals_per_configuration_sampling(self, name, model, gates, shots):
+        frame = build_frame(model.sys_qubits)
+        descriptors = enumerate_circuits(gates, frame)
+        seeds = _spawn_seeds(11, len(descriptors))
+        expected = [sample_counts(model, d, shots, s) for d, s in zip(descriptors, seeds)]
+        records = simulate_records(model, gates, shots, seed=11, frame=frame)
+        assert len(records) == len(expected) == 4**model.sys_qubits * 3**model.sys_qubits
+        for got, want in zip(records, expected):
+            assert (got.prep_label, got.meas_label) == (want.prep_label, want.meas_label)
+            assert (got.shots, got.seed) == (want.shots, want.seed)
+            assert list(got.counts) == list(want.counts)
+            # exact-mode probabilities bit for bit, finite counts exactly
+            assert [float(v).hex() for v in got.counts.values()] == [
+                float(v).hex() for v in want.counts.values()]
+
+    def test_one_sequence_run_per_preparation(self, monkeypatch):
+        calls = []
+        original = simulator._run_sequence_raw
+
+        def counting(model, gates, system_mat):
+            calls.append(tuple(gates))
+            return original(model, gates, system_mat)
+
+        monkeypatch.setattr(simulator, "_run_sequence_raw", counting)
+        model = build_default_model([CX], spam=SPAM)
+        records = simulate_records(model, [CX], 1000, seed=3)
+        assert len(records) == 144
+        assert calls == [(CX,)] * 16
+
+    def test_frame_must_match_the_model(self):
+        model = build_default_model(LABELS)
+        with pytest.raises(DimensionError):
+            simulate_records(model, [LABELS[3]], None, frame=build_frame(2))
+        with pytest.raises(DimensionError):
+            simulate_records(build_default_model([CX]), [GateLabel("X", (2,))], None)

@@ -1,7 +1,9 @@
 """Property tests of the closed-form trace-norm kernels (qubit blocks,
 stacks of 4 x 4 blocks, and the averaged distance's real Bloch
-coordinates on qubits), of the trace distance, and of the certified
-diamond distance against the averaged one.
+coordinates on qubits), of the trace distance, of the certified diamond
+distance against the averaged one, and of the algebra under every
+channel: column stacking, the Choi representation, composition, gate
+labels, and the CP test on maps known to be CP or not.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -10,8 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatemem.channels import QuantumChannel, choi_from_superop, random_channel
-from gatemem.nonmarkov import avg_trace_distance, diamond_distance
+from gatemem.channels import (
+    GATE_SET,
+    GateLabel,
+    QuantumChannel,
+    _reshuffle,
+    apply,
+    choi_from_superop,
+    compose,
+    random_channel,
+    unvec,
+    vec,
+)
+from gatemem.nonmarkov import avg_trace_distance, cp_violation, diamond_distance
 from gatemem.qcore import _haar_vectors, _half_trace_norm, haar_random_unitary, trace_distance
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -169,3 +182,100 @@ def test_diamond_distance_dominates_averaged_distance(pair, seed):
     choi4 = (choi_from_superop(a).data - choi_from_superop(b).data).reshape(2, 2, 2, 2)
     out = np.einsum("stuv,saub->tavb", choi4, result.optimal_input.reshape(2, 2, 2, 2))
     assert _half_trace_norm(out.reshape(4, 4)) == pytest.approx(result.primal_bound, abs=1e-9)
+
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.sampled_from([2, 4])
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _channel(dim, rng):
+    """A random CPTP map of random Kraus rank."""
+    return random_channel(dim, rng, kraus_rank=int(rng.integers(1, dim * dim + 1)))
+
+
+def _matrix_units(d):
+    for j in range(d):
+        for i in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            yield i, j, unit
+
+
+@PROPERTY
+@given(st.integers(1, 5), seeds)
+def test_vec_unvec_round_trip_and_column_stacking(d, seed):
+    rng = np.random.default_rng(seed)
+    x, a, b = (_complex(rng, (d, d)) for _ in range(3))
+    np.testing.assert_array_equal(unvec(vec(x)), x)
+    v = _complex(rng, d * d)
+    np.testing.assert_array_equal(vec(unvec(v)), v)
+    # column stacking: vec(A X B) = (B^T (x) A) vec(X)
+    np.testing.assert_allclose(vec(a @ x @ b), np.kron(b.T, a) @ vec(x), atol=1e-12)
+
+
+@PROPERTY
+@given(dims, st.floats(-2.0, 2.0), seeds)
+def test_choi_superoperator_round_trip(d, weight, seed):
+    # any Hermiticity-preserving map, CP or not: a real mixture of channels
+    rng = np.random.default_rng(seed)
+    chan = QuantumChannel(_channel(d, rng).superop + weight * _channel(d, rng).superop)
+    choi = choi_from_superop(chan).data
+    np.testing.assert_array_equal(_reshuffle(choi), chan.superop)
+    # input factor first: J = sum_ij |i><j| (x) map(|i><j|)
+    expected = sum(np.kron(unit, apply(chan, unit)) for _, _, unit in _matrix_units(d))
+    np.testing.assert_allclose(choi, expected, atol=1e-12)
+
+
+@PROPERTY
+@given(dims, seeds)
+def test_compose_is_associative_and_applies_first_then_second(d, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (_channel(d, rng) for _ in range(3))
+    left, right = compose(compose(a, b), c), compose(a, compose(b, c))
+    np.testing.assert_allclose(left.superop, right.superop, atol=1e-12)
+    rho = _complex(rng, (d, d))
+    np.testing.assert_allclose(apply(compose(a, b), rho), apply(a, apply(b, rho)), atol=1e-12)
+
+
+@st.composite
+def gate_labels(draw):
+    name = draw(st.sampled_from(GATE_SET))
+    if name == "CX":
+        control = draw(st.integers(0, 20))
+        target = draw(st.integers(0, 20).filter(lambda q: q != control))
+        return GateLabel(name, (control, target))
+    return GateLabel(name, (draw(st.integers(0, 20)),))
+
+
+@PROPERTY
+@given(st.lists(gate_labels(), min_size=1, max_size=4))
+def test_gate_label_parse_str_round_trip(labels):
+    for label in labels:
+        assert GateLabel.parse(str(label)) == label
+        assert str(GateLabel.parse(str(label))) == str(label)
+    # a comma-joined sequence splits back into its gates, as the CLI reads one
+    text = ",".join(str(label) for label in labels)
+    assert [GateLabel.parse(token) for token in text.split(",")] == labels
+
+
+def _transpose_superop(d):
+    superop = np.zeros((d * d, d * d), dtype=complex)
+    for i, j, unit in _matrix_units(d):
+        superop[:, j * d + i] = vec(unit.T)
+    return superop
+
+
+@PROPERTY
+@given(dims, seeds)
+def test_cp_violation_vanishes_exactly_on_cp_maps(d, seed):
+    rng = np.random.default_rng(seed)
+    assert cp_violation(_channel(d, rng)) <= 1e-12
+    # after a transpose a unitary channel's trace-1 Choi matrix has trace
+    # norm d, so the violation is d - 1
+    unitary = random_channel(d, rng, kraus_rank=1)
+    transposed = QuantumChannel(_transpose_superop(d) @ unitary.superop)
+    assert cp_violation(transposed) == pytest.approx(d - 1, abs=1e-9)

@@ -217,6 +217,13 @@ class TestEnumerateCircuits:
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         np.testing.assert_allclose(meas_rotation("X"), hadamard, atol=1e-15)
 
+    @pytest.mark.parametrize("build, label", [(prep_unitary, "X+*Z-"), (meas_rotation, "Y*X")])
+    def test_label_operators_are_memoized_read_only(self, build, label):
+        op = build(label)
+        assert build(label) is op
+        with pytest.raises(ValueError):
+            op[0, 0] = 0.0
+
     def test_sequence_must_fit_frame(self):
         frame = build_frame(1)
         with pytest.raises(DimensionError):
