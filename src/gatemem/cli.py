@@ -23,7 +23,7 @@ import sys
 import click
 import numpy as np
 
-from . import errprop, nonmarkov, pipeline, serialize
+from . import pipeline, serialize
 from .channels import GateLabel
 from .exceptions import (
     ConvergenceError,
@@ -35,7 +35,7 @@ from .exceptions import (
     SupportError,
     ValidationError,
 )
-from .nonmarkov import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX
+from .qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX
 from .tomography import build_frame
 
 _VALIDATION_ERRORS = (ValidationError, DimensionError, LabelError, IncompleteDataError)
@@ -152,6 +152,8 @@ def tomo(records_path, out_path):
 @_exit_codes
 def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, seed, out_dir):
     """Conditional-map analyses over a set of reconstructed channels."""
+    from . import nonmarkov
+
     marginals, joints = serialize.load_grid(channels_dir)
     baseline = None if baseline_dir is None else serialize.load_grid(baseline_dir)
     cfg = {
@@ -184,6 +186,8 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
 @_exit_codes
 def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     """Memory-length scan over channels for repeated gate applications."""
+    from . import nonmarkov
+
     runs = nonmarkov.repetitions(serialize.load_channel_dir(channels_dir), nmax)
     cfg = {
         "command": "scan", "channels": serialize.channel_digests(dict(enumerate(runs, 1))),
@@ -207,6 +211,8 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
 @_exit_codes
 def ptensor(model_path, gates, shots, exact, seed, out_path):
     """Two-step process state against its memoryless reference."""
+    from . import nonmarkov
+
     model, model_spec = serialize.load_model(model_path)
     tokens = [GateLabel.parse(t) for t in gates.split(",")]
     if len(tokens) != 2:
@@ -236,6 +242,8 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
 @_exit_codes
 def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     """Uncertainty reports: statistical propagation or SPAM scaling."""
+    from . import errprop
+
     if records_path is not None:
         payload, records, frame = serialize.load_records(records_path)
         rng = np.random.default_rng(seed)

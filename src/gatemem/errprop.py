@@ -14,14 +14,17 @@ bound the bias of the whole procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import pipeline
 from .channels import GateLabel
 from .exceptions import GatememError, ValidationError
-from .simulator import SEModel, SpamSpec, extract_channel
 from .tomography import TomographyFrame, _count_record
+
+if TYPE_CHECKING:
+    from .simulator import SEModel
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,12 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     Runs exact-statistics tomography at each strength (preparation and
     measurement set equal) and compares against the model's true
     channel; to first order the error is linear in the strength, so the
-    fitted log-log slope should sit near one.
+    fitted log-log slope should sit near one.  Errors that are zero, or
+    all equal, carry no slope (below roundoff they are the
+    floating-point floor), and are rejected rather than fitted.
     """
+    from .simulator import SpamSpec, extract_channel
+
     strengths = sorted(float(s) for s in strengths)
     if not np.all(np.isfinite(strengths)):
         raise ValidationError(f"strengths must be finite, got {strengths}")
@@ -161,13 +168,19 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
         result = pipeline.reconstruct_from_model(noisy, [gate], shots=None)
         errors.append(float(np.linalg.norm(result.channel.superop - truth.superop)))
 
+    positive = [e for s, e in zip(strengths, errors) if s > 0]
+    log_err = np.log10(positive) if min(positive) > 0 else None
+    if log_err is None or np.ptp(log_err) == 0:
+        raise ValidationError(
+            f"the errors at positive strengths, {positive}, are zero or all equal, "
+            "so they admit no log-log fit"
+        )
     log_eps = np.log10([s for s in strengths if s > 0])
-    log_err = np.log10([e for s, e in zip(strengths, errors) if s > 0])
     slope, intercept = np.polyfit(log_eps, log_err, 1)
     fitted = slope * log_eps + intercept
     ss_res = float(np.sum((log_err - fitted) ** 2))
     ss_tot = float(np.sum((log_err - log_err.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r_squared = 1.0 - ss_res / ss_tot
     return SpamDecomposition(
         strengths=tuple(strengths),
         errors=tuple(errors),

@@ -40,6 +40,8 @@ from .channels import (
 )
 from .exceptions import DimensionError, IncompleteDataError, ValidationError
 from .qcore import (
+    DEFAULT_AVG_SAMPLES,
+    DEFAULT_SCAN_NMAX,  # noqa: F401  (re-exported with the scan it bounds)
     _as_matrix,
     _complex_normals,
     _half_trace_norm,
@@ -48,15 +50,9 @@ from .qcore import (
 )
 from .sdp import DiamondResult, diamond_sdp
 
-#: Default Monte-Carlo sample count for the averaged trace distance.
-DEFAULT_AVG_SAMPLES = 100_000
-
 #: Weight of the maximally mixed state that :func:`process_tensor_proxy`
 #: blends into its memoryless reference.
 PTENSOR_REGULARIZATION = 1e-12
-
-#: Default upper sequence length of a memory-length scan.
-DEFAULT_SCAN_NMAX = 15
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import nonmarkov
 from .channels import GateLabel, QuantumChannel, apply
-from .simulator import SEModel, cji_circuit, extract_channel, output_state, setting_rotation
 from .tomography import (
     CountRecord,
     TomographyFrame,
@@ -29,10 +28,23 @@ from .tomography import (
 )
 
 # Not called here: perfbench/tracer.py wraps ``pipeline.mle_estimate`` and
-# ``pipeline.sample_counts``, and tests/test_bench_sites.py checks that
-# these import sites exist.
-from .simulator import sample_counts  # noqa: F401
+# ``pipeline.sample_counts`` (served by ``__getattr__`` below), and
+# tests/test_bench_sites.py checks that these import sites exist.
 from .tomography import mle_estimate  # noqa: F401
+
+if TYPE_CHECKING:
+    from .simulator import SEModel
+
+# :mod:`.simulator` and :mod:`.nonmarkov` load inside the functions that
+# use them, so reconstructing a channel from records imports neither.
+
+
+def __getattr__(name: str):
+    if name == "sample_counts":
+        from .simulator import sample_counts
+
+        return sample_counts
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sampled_records(
@@ -69,6 +81,8 @@ def simulate_records(
     configuration from ``seed`` so runs are reproducible and records
     carry their own seeds.
     """
+    from .simulator import output_state, setting_rotation
+
     frame = frame or build_frame(model.sys_qubits)
     gates = _fitted_gates(gates, frame.n_qubits)
     rotations = [setting_rotation(model, meas) for meas in frame.meas_labels]
@@ -145,6 +159,9 @@ def process_tensor_pair(
     reference, built from the model's exact single-gate maps when
     ``shots`` is None and otherwise from maps reconstructed with seeds
     ``seed`` (for ``u``) and ``seed + 1`` (for ``v``)."""
+    from . import nonmarkov
+    from .simulator import cji_circuit, extract_channel
+
     measured = cji_circuit(model, u, v)
     if shots is None:
         chan_u, chan_v = extract_channel(model, [u]), extract_channel(model, [v])

@@ -39,6 +39,15 @@ from .exceptions import DimensionError, SupportError, ValidationError
 #: small (d <= 64), so double precision leaves ample headroom.
 ZERO_TOL = 1e-10
 
+# The analysis defaults live in this bottom module so that the command
+# line binds its option defaults without importing :mod:`.nonmarkov`.
+
+#: Default Monte-Carlo sample count for the averaged trace distance.
+DEFAULT_AVG_SAMPLES = 100_000
+
+#: Default upper sequence length of a memory-length scan.
+DEFAULT_SCAN_NMAX = 15
+
 
 def _as_matrix(obj) -> np.ndarray:
     """Return the underlying matrix of a state-like object."""

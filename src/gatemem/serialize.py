@@ -13,15 +13,15 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
+import math
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel
 from .exceptions import IncompleteDataError, LabelError, ValidationError
-from .nonmarkov import DistanceMatrix, GridAnalysis, MemoryScan
-from .simulator import DEFAULT_COUPLING, SEModel, SpamSpec, build_default_model
 from .tomography import (
     LABEL_GRAMMAR_VERSION,
     CountRecord,
@@ -29,6 +29,10 @@ from .tomography import (
     TomographyResult,
     build_frame,
 )
+
+if TYPE_CHECKING:
+    from .nonmarkov import DistanceMatrix, GridAnalysis, MemoryScan
+    from .simulator import SEModel
 
 SCHEMA_VERSION = 1
 
@@ -197,33 +201,50 @@ def load_records(path: str) -> tuple[dict, list[CountRecord], TomographyFrame]:
     return payload, records, build_frame(payload["n_qubits"])
 
 
+def _finite(value, field: str) -> float:
+    """``value`` as a finite float; ``nan`` and ``inf`` name ``field``."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(f"'{field}' must be finite, got {number}")
+    return number
+
+
 def load_model(path: str) -> tuple[SEModel, dict]:
     """A model file as (simulator model, the file's specification)."""
+    from .simulator import DEFAULT_COUPLING, SpamSpec, build_default_model
+
     spec = load_json(path)
     if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list):
         raise ValidationError(f"model file {path} has no 'gates' list")
     try:
         spam_cfg = spec.get("spam", {})
         spam = SpamSpec(
-            prep_strength=float(spam_cfg.get("prep", 0.0)),
-            meas_strength=float(spam_cfg.get("meas", 0.0)),
+            prep_strength=_finite(spam_cfg.get("prep", 0.0), "spam.prep"),
+            meas_strength=_finite(spam_cfg.get("meas", 0.0), "spam.meas"),
             seed=int(spam_cfg.get("seed", 0)),
         )
+        durations = spec.get("durations")
+        for name, value in dict(durations or {}).items():
+            _finite(value, f"durations.{name}")
         env_initial = None
         if "env_initial" in spec:
             env_initial = decode_matrix(spec["env_initial"])
+            if not np.isfinite(env_initial).all():
+                raise ValidationError("'env_initial' must be finite")
         model = build_default_model(
             labels=spec["gates"],
-            coupling=float(spec.get("coupling", DEFAULT_COUPLING)),
+            coupling=_finite(spec.get("coupling", DEFAULT_COUPLING), "coupling"),
             reset_policy=spec.get("reset_policy", "persistent"),
             sys_qubits=spec.get("sys_qubits"),
-            env_omega=float(spec.get("env_omega", 0.7)),
-            durations=spec.get("durations"),
+            env_omega=_finite(spec.get("env_omega", 0.7), "env_omega"),
+            durations=durations,
             env_initial=env_initial,
             spam=spam,
         )
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"model file {path} is malformed: {err}") from err
+    except ValidationError as err:
+        raise ValidationError(f"model file {path}: {err}") from err
     return model, spec
 
 

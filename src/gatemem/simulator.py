@@ -167,10 +167,16 @@ def build_default_model(
     gates 2), and R_env a transverse environment rotation that keeps the
     memory moving between gates.  At ``coupling=0`` every joint unitary
     is a product, so the model reproduces ideal gates under either reset
-    policy.
+    policy.  ``sys_qubits`` is the widest gate's width when None, and
+    otherwise must be a positive integer.
     """
     labels = [l if isinstance(l, GateLabel) else GateLabel.parse(l) for l in labels]
-    n = sys_qubits or max(max(l.qubits) for l in labels) + 1
+    if sys_qubits is None:
+        sys_qubits = max(max(l.qubits) for l in labels) + 1
+    if isinstance(sys_qubits, bool) or not isinstance(sys_qubits, (int, np.integer)) \
+            or sys_qubits < 1:
+        raise ValidationError(f"'sys_qubits' must be a positive integer, got {sys_qubits!r}")
+    n = int(sys_qubits)
     durations = dict(durations or {})
     unitaries = {}
     for label in labels:

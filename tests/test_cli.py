@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -502,7 +503,17 @@ MALFORMED_VALUES = [
     ("option", "--eps-grid", "0,nan,1e-3", "errors-spam"),
     ("option", "--eps-grid", "0,1e-3,inf", "errors-spam"),
     ("option", "--eps-grid", "0,1e-3,-inf", "errors-spam"),
+    ("option", "--eps-grid", "0,1e-20,1e-19", "errors-spam"),  # errors at the roundoff floor
     ("model", "coupling", "abc", "simulate"),
+    ("model", "sys_qubits", 0, "simulate"),
+    ("model", "sys_qubits", -1, "simulate"),
+    ("model", "sys_qubits", 0, "errors-spam"),
+    ("model", "env_omega", float("nan"), "simulate"),
+    ("model", "env_omega", float("inf"), "errors-spam"),
+    ("model", "spam/prep", float("nan"), "simulate"),
+    ("model", "spam/meas", float("nan"), "errors-spam"),
+    ("model", "durations", {"X": float("nan")}, "simulate"),
+    ("model", "env_initial", [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "simulate"),
     ("model", "spam", "x", "simulate"),
     ("model", "durations", [1], "simulate"),
     ("model", "env_initial", [[1]], "simulate"),
@@ -564,6 +575,21 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
         assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
     if path == "grammar_version":  # and the found and the expected grammar
         assert f"version {value}, expected {LABEL_GRAMMAR_VERSION}" in result.output
+
+
+@pytest.mark.parametrize("field", ["coupling", "env_omega", "durations/X", "spam/prep",
+                                   "spam/meas", "sys_qubits"])
+def test_unusable_model_scalar_is_named(runner, model_file, tmp_path, field):
+    # ptensor, which the rows above do not run, reads the model with the same loader
+    payload = load_json(model_file)
+    payload["durations"] = {"X": 1.0}
+    source = tmp_path / "model_bad.json"
+    source.write_text(json.dumps(_set(payload, field, 0 if field == "sys_qubits" else math.nan)))
+    result = runner.invoke(main, ["ptensor", "--model", str(source), "--gates", "X,Z",
+                                  "--exact", "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, result.output
+    assert str(source) in result.output
+    assert f"'{field.replace('/', '.')}'" in result.output
 
 
 @pytest.mark.parametrize("kind, command", [("records", "tomo"), ("channel", "analyze")])

@@ -178,3 +178,10 @@ class TestSpamScaling:
         model = build_default_model(LABELS, coupling=0.3, reset_policy="persistent")
         with pytest.raises(ValidationError):
             spam_scaling(model, GateLabel("X", (0,)), [0.0, 0.2])
+
+    @pytest.mark.parametrize("grid", [[0.0, 1e-20, 1e-19], [0.0, 1e-30, 1e-25, 1e-20]])
+    def test_errors_at_the_roundoff_floor_get_no_fit(self, grid):
+        # the kicks vanish against 1.0, so every error is the same roundoff
+        model = build_default_model(LABELS, coupling=0.3, reset_policy="persistent")
+        with pytest.raises(ValidationError, match="no log-log fit"):
+            spam_scaling(model, GateLabel("X", (0,)), grid)

@@ -1,0 +1,158 @@
+"""Import cost of the command line: ``import gatemem`` loads no
+submodule, and each command loads only the modules it runs.
+
+Both checks run in fresh interpreters, because this test session has
+long since imported every module.  The command runs go through
+``python -c`` + ``runpy``, as the benchmark's ``CLI_MAIN`` launches
+them, and report ``sys.modules`` at exit.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gatemem
+from gatemem.channels import GateLabel, compose, ideal_channel
+from gatemem.pipeline import simulate_records
+from gatemem.serialize import channel_payload, dump_json, write_records
+from gatemem.simulator import build_default_model
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gatemem.__file__)))
+
+#: The public names of ``gatemem``, by the submodule that defines them.
+PUBLIC = {
+    "channels": ["ChoiMatrix", "GateLabel", "QuantumChannel", "apply", "choi_from_superop",
+                 "compose", "ideal_channel", "identity_channel", "invert", "random_channel"],
+    "exceptions": ["ConvergenceError", "DimensionError", "GatememError",
+                   "IncompleteDataError", "LabelError", "SingularChannelError", "SolverError",
+                   "SupportError", "ValidationError"],
+    "nonmarkov": ["AvgDistanceResult", "ConditionalMap", "DistanceMatrix", "MemoryScan",
+                  "avg_trace_distance", "conditional_map", "conditional_vs_marginal_matrix",
+                  "cp_violation", "diamond_distance", "diamond_lower_bound",
+                  "gate_dependence_matrix", "markovian_choi_reference", "memory_scan",
+                  "process_tensor_proxy", "statistical_floor"],
+    "qcore": ["DensityMatrix", "haar_random_unitary", "relative_entropy", "trace_distance"],
+    "simulator": ["SEModel", "SpamSpec", "build_default_model", "cji_circuit",
+                  "extract_channel", "run_sequence", "sample_counts"],
+    "tomography": ["CountRecord", "TomographyFrame", "TomographyResult", "build_frame",
+                   "enumerate_circuits", "expected_distribution", "mle_state",
+                   "process_tomography"],
+}
+
+#: What every command loads: the shell, its file formats, and the
+#: reconstruction chain.
+COMMON = {"channels", "exceptions", "pipeline", "qcore", "serialize", "tomography"}
+
+#: Modules beyond ``COMMON`` that each command loads.
+BEYOND_COMMON = {
+    "tomo": set(),
+    "simulate": {"simulator"},
+    "analyze": {"nonmarkov", "sdp"},
+    "scan": {"nonmarkov", "sdp"},
+    "ptensor": {"simulator", "nonmarkov", "sdp"},
+    "errors-records": {"errprop"},
+    "errors-model": {"errprop", "simulator"},
+}
+
+CLI_PROGRAM = """\
+import atexit, runpy, sys
+def _loaded():
+    with open({out!r}, "w") as handle:
+        handle.write("\\n".join(m for m in sys.modules if m.startswith("gatemem.")))
+atexit.register(_loaded)
+runpy.run_module("gatemem.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _python(args, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A model, a finite-shot records file, and a one-cell channel grid
+    that also serves as a scan to n = 2."""
+    root = tmp_path_factory.mktemp("inputs")
+    x = GateLabel("X", (0,))
+    (root / "model.json").write_text(json.dumps({"gates": ["X"]}))
+    model = build_default_model([x])
+    write_records(str(root), [x], simulate_records(model, [x], 200, seed=7), 1, "0", 7)
+    ideal = ideal_channel(x)
+    dump_json(str(root / "channels" / "channel_X0.json"),
+              channel_payload(ideal, ["X@0"], None, "0", 0))
+    dump_json(str(root / "channels" / "channel_X0-X0.json"),
+              channel_payload(compose(ideal, ideal), ["X@0", "X@0"], None, "0", 0))
+    return root
+
+
+def _command_args(case, inputs, out):
+    model, records, channels = (str(inputs / "model.json"), str(inputs / "records_X0.json"),
+                                str(inputs / "channels"))
+    return {
+        "tomo": ["tomo", "--records", records, "--out", str(out / "channel.json")],
+        "simulate": ["simulate", "--model", model, "--gates", "X", "--shots", "10",
+                     "--out", str(out)],
+        "analyze": ["analyze", "--channels", channels, "--samples", "50", "--out", str(out)],
+        "scan": ["scan", "--channels", channels, "--nmax", "2", "--samples", "50",
+                 "--out", str(out)],
+        "ptensor": ["ptensor", "--model", model, "--gates", "X,X", "--exact",
+                    "--out", str(out / "ptensor.json")],
+        "errors-records": ["errors", "--records", records, "--trials", "2",
+                           "--out", str(out / "unc.json")],
+        "errors-model": ["errors", "--model", model, "--gate", "X",
+                         "--out", str(out / "spam.json")],
+    }[case]
+
+
+@pytest.mark.parametrize("case", list(BEYOND_COMMON))
+def test_command_loads_only_the_modules_it_runs(case, inputs, tmp_path):
+    loaded_file = tmp_path / "loaded.txt"
+    program = CLI_PROGRAM.format(out=str(loaded_file))
+    proc = _python(["-c", program, *_command_args(case, inputs, tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("gatemem.") for name in loaded_file.read_text().split()}
+    loaded.discard("cli")  # runpy runs it as __main__
+    assert loaded == COMMON | BEYOND_COMMON[case]
+
+
+def test_import_gatemem_is_lazy_and_keeps_every_public_name(tmp_path):
+    program = """\
+import importlib, json, sys
+import gatemem
+loaded = sorted(m for m in sys.modules if m.startswith("gatemem."))
+public = json.loads(sys.argv[1])
+print(json.dumps({
+    "loaded": loaded,
+    "all": sorted(gatemem.__all__),
+    "not_in_dir": sorted(set(gatemem.__all__) - set(dir(gatemem))),
+    "mismatched": sorted(
+        name for module, names in public.items() for name in names
+        if getattr(gatemem, name) is not getattr(
+            importlib.import_module("gatemem." + module), name)),
+    "nonmarkov": gatemem.nonmarkov.__name__,
+}))
+"""
+    proc = _python(["-c", program, json.dumps(PUBLIC)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert report["all"] == sorted(name for names in PUBLIC.values() for name in names)
+    assert report["not_in_dir"] == []
+    assert report["mismatched"] == []
+    assert report["nonmarkov"] == "gatemem.nonmarkov"
+
+
+def test_unknown_attribute_still_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gatemem.no_such_name
+    import gatemem.pipeline as pipeline
+
+    assert pipeline.sample_counts is gatemem.sample_counts
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pipeline.no_such_name

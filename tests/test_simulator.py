@@ -60,6 +60,16 @@ class TestModelValidation:
         for label, u in persistent_model.gate_unitaries.items():
             np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("width", [0, -1, True, 1.0, "1"])
+    def test_rejects_a_width_that_is_not_a_positive_integer(self, width):
+        with pytest.raises(ValidationError, match="'sys_qubits' must be a positive integer"):
+            build_default_model([X], sys_qubits=width)
+
+    def test_width_defaults_to_the_widest_gate(self):
+        assert build_default_model([X]).sys_qubits == 1
+        assert build_default_model([GateLabel("CX", (1, 0))]).sys_qubits == 2
+        assert build_default_model([X], sys_qubits=np.int64(2)).sys_qubits == 2
+
     def test_unknown_gate_raises(self, persistent_model):
         with pytest.raises(LabelError):
             run_sequence(persistent_model, [GateLabel("CX", (0, 1))], DensityMatrix(np.eye(2) / 2))
