@@ -14,9 +14,12 @@ scan compares an n-step map against concatenations of its shorter
 reconstructions, and a relative-entropy proxy scores the multi-step
 process against its memoryless reference.
 
-Stored distance values are never scaled; the display conventions
-(1/d for diamond entries, a factor 2 for two-qubit columns) are opt-in
-presentation flags.
+Every matrix and scan cell is computed by one routine, :func:`_distances`,
+which takes all the channel pairs of a call at once.  The matrix
+functions return unscaled distances: :func:`analyze_grid` alone applies
+the display conventions (1/d for diamond entries, a factor 2 for
+two-qubit target columns), once, to its finished matrices, and only when
+asked.
 
 :func:`analyze_grid` runs every witness of a channel grid at once, as
 ``gatemem analyze`` does, and :func:`repetitions` picks the channels a
@@ -25,6 +28,7 @@ memory scan compares, as ``gatemem scan`` does.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -347,25 +351,33 @@ def diamond_lower_bound(
     return best
 
 
-def _distance(a, b, metric, m_samples, rng) -> float:
+def _distances(pairs, metric: str, m_samples: int, rng) -> np.ndarray:
+    """The ``metric`` distance of each (a, b) channel pair of ``pairs``,
+    in order.  Every matrix and scan cell goes through here: only
+    ``"avg"`` draws from ``rng``, in the order of ``pairs``.  Both
+    distance functions are looked up at call time, so wrapping the
+    module attributes sees every cell."""
     if metric == "avg":
-        return avg_trace_distance(a, b, m_samples, rng).mean
+        return np.array([avg_trace_distance(a, b, m_samples, rng).mean for a, b in pairs])
     if metric == "diamond":
-        return diamond_distance(a, b).value
+        return np.array([diamond_distance(a, b).value for a, b in pairs])
     raise ValidationError(f"unknown metric {metric!r}; use 'avg' or 'diamond'")
 
 
-def _figure_scale(metric: str, dim: int, target_label) -> tuple[float, tuple[str, ...]]:
-    """Display scaling: diamond entries by 1/d, everything doubled when
-    the target gate is the two-qubit one."""
-    scale, applied = 1.0, []
-    if metric == "diamond":
+def _display_scaled(matrix: DistanceMatrix, dim: int, targets) -> DistanceMatrix:
+    """``matrix`` under the figure conventions, given the target gate of
+    each of its columns: diamond entries divided by ``dim``, and the
+    columns whose target is the two-qubit gate doubled."""
+    scale, applied = np.ones(len(targets)), set()
+    if matrix.metric == "diamond":
         scale /= dim
-        applied.append(f"diamond/{dim}")
-    if str(target_label).startswith("CX"):
-        scale *= 2.0
-        applied.append("x2-two-qubit-target")
-    return scale, tuple(applied)
+        applied.add(f"diamond/{dim}")
+    two_qubit = [str(t).startswith("CX") for t in targets]
+    if any(two_qubit):
+        scale[two_qubit] *= 2.0
+        applied.add("x2-two-qubit-target")
+    return dataclasses.replace(matrix, values=matrix.values * scale,
+                               scaling=tuple(sorted(applied)))
 
 
 def gate_dependence_matrix(
@@ -373,8 +385,6 @@ def gate_dependence_matrix(
     metric: str = "avg",
     m_samples: int = DEFAULT_AVG_SAMPLES,
     rng: np.random.Generator | None = None,
-    scale_figure: bool = False,
-    target_label=None,
 ) -> DistanceMatrix:
     """Pairwise distances between maps conditioned on different first gates.
 
@@ -389,18 +399,12 @@ def gate_dependence_matrix(
     chans = [_channel_of(v) for v in conditionals.values()]
     if len({c.dim for c in chans}) != 1:
         raise DimensionError("conditioned maps must share one dimension")
-    n = len(labels)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = _distance(
-                chans[i], chans[j], metric, m_samples, rng
-            )
-    applied: tuple[str, ...] = ()
-    if scale_figure:
-        scale, applied = _figure_scale(metric, chans[0].dim, target_label)
-        values = values * scale
-    return DistanceMatrix(tuple(labels), tuple(labels), values, metric, applied)
+    upper = np.triu_indices(len(labels), 1)
+    values = np.zeros((len(labels), len(labels)))
+    values[upper] = _distances([(chans[i], chans[j]) for i, j in zip(*upper)],
+                               metric, m_samples, rng)
+    values[upper[::-1]] = values[upper]
+    return DistanceMatrix(tuple(labels), tuple(labels), values, metric)
 
 
 def conditional_grid(marginals, joints, pair=None) -> tuple[list, list, dict]:
@@ -436,7 +440,6 @@ def conditional_vs_marginal_matrix(
     metric: str = "avg",
     m_samples: int = DEFAULT_AVG_SAMPLES,
     rng: np.random.Generator | None = None,
-    scale_figure: bool = False,
 ) -> DistanceMatrix:
     """Distance between each history-conditioned map and its marginal.
 
@@ -446,32 +449,17 @@ def conditional_vs_marginal_matrix(
     non-constant columns are the signature of a past-dependent process.
     """
     u_labels, v_labels, maps = conditional_grid(marginals, joints)
-    return _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples, rng,
-                             scale_figure)
+    return _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples, rng)
 
 
-def _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples, rng,
-                      scale_figure) -> DistanceMatrix:
+def _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples,
+                      rng) -> DistanceMatrix:
     """:func:`conditional_vs_marginal_matrix` over the conditioned maps
-    of :func:`conditional_grid`, built once by the caller."""
-    values = np.zeros((len(u_labels), len(v_labels)))
-    applied: set[str] = set()
-    for i, u in enumerate(u_labels):
-        for j, v in enumerate(v_labels):
-            chan = maps[(u, v)].channel
-            cell = _distance(chan, marginals[v], metric, m_samples, rng)
-            if scale_figure:
-                scale, tags = _figure_scale(metric, chan.dim, v)
-                cell *= scale
-                applied.update(tags)
-            values[i, j] = cell
-    return DistanceMatrix(
-        tuple(str(u) for u in u_labels),
-        tuple(str(v) for v in v_labels),
-        values,
-        metric,
-        tuple(sorted(applied)),
-    )
+    of :func:`conditional_grid`, built once by the caller; cells row-major."""
+    cells = [(maps[(u, v)].channel, marginals[v]) for u in u_labels for v in v_labels]
+    values = _distances(cells, metric, m_samples, rng).reshape(len(u_labels), len(v_labels))
+    return DistanceMatrix(tuple(str(u) for u in u_labels), tuple(str(v) for v in v_labels),
+                          values, metric)
 
 
 def analyze_grid(
@@ -493,6 +481,8 @@ def analyze_grid(
     tokens of the histogram's cell (default: the first cell).
     ``baseline`` is a memoryless run's (marginals, joints), which needs
     only the pair's maps; ``baseline_name`` prefixes its errors.
+    ``scale_figure`` applies the display conventions to the finished
+    distance matrices, and records them in each matrix's ``scaling``.
     """
     u_labels, v_labels, conditionals = conditional_grid(marginals, joints)
     if pair is None:
@@ -525,12 +515,17 @@ def analyze_grid(
     cvm, gdm = {}, {}
     for m in metrics:
         cvm[m] = _cond_vs_marginal(u_labels, v_labels, conditionals, marginals, m, m_samples,
-                                   np.random.default_rng(seed), scale_figure)
+                                   np.random.default_rng(seed))
         for v in targets:
             gdm[(str(v), m)] = gate_dependence_matrix(
                 {u: conditionals[(u, v)] for u in u_labels}, metric=m, m_samples=m_samples,
-                rng=np.random.default_rng(seed + 1), scale_figure=scale_figure, target_label=v,
+                rng=np.random.default_rng(seed + 1),
             )
+    if scale_figure:
+        dim = marginals[pair_v].dim
+        cvm = {m: _display_scaled(matrix, dim, v_labels) for m, matrix in cvm.items()}
+        gdm = {key: _display_scaled(matrix, dim, [key[0]] * len(u_labels))
+               for key, matrix in gdm.items()}
     hists = [avg_trace_distance(cm.channel, marginal, m_samples, np.random.default_rng(seed + 2))
              for cm, marginal in histogram_sets]
     return GridAnalysis(cp_matrix, cvm, gdm, (str(pair_u), str(pair_v)), *hists)
@@ -571,14 +566,13 @@ def memory_scan(
         raise ValidationError("memory scan needs channels up to n >= 2")
     if len({c.dim for c in chans}) != 1:
         raise DimensionError("memory scan channels must share one dimension")
-    entries: dict = {}
-    for n in range(2, n_max + 1):
-        for m in range(1, n):
-            concat = compose(chans[m - 1], chans[n - m - 1])
-            entries[(n, m)] = {
-                metric: _distance(chans[n - 1], concat, metric, m_samples, rng)
-                for metric in metrics
-            }
+    cuts = [(n, m) for n in range(2, n_max + 1) for m in range(1, n)]
+    pairs = [(chans[n - 1], compose(chans[m - 1], chans[n - m - 1])) for n, m in cuts]
+    # only "avg" draws, so one metric after another draws what a
+    # cell-by-cell loop over the metrics would
+    columns = {metric: _distances(pairs, metric, m_samples, rng) for metric in metrics}
+    entries = {cut: {metric: float(columns[metric][k]) for metric in metrics}
+               for k, cut in enumerate(cuts)}
     return MemoryScan(n_max=n_max, entries=entries)
 
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel
-from .exceptions import IncompleteDataError, LabelError, ValidationError
+from .exceptions import DimensionError, IncompleteDataError, LabelError, ValidationError
 from .tomography import (
     LABEL_GRAMMAR_VERSION,
     CountRecord,
@@ -221,7 +221,7 @@ def load_model(path: str) -> tuple[SEModel, dict]:
         spam = SpamSpec(
             prep_strength=_finite(spam_cfg.get("prep", 0.0), "spam.prep"),
             meas_strength=_finite(spam_cfg.get("meas", 0.0), "spam.meas"),
-            seed=int(spam_cfg.get("seed", 0)),
+            seed=spam_cfg.get("seed", 0),
         )
         durations = spec.get("durations")
         for name, value in dict(durations or {}).items():
@@ -243,8 +243,8 @@ def load_model(path: str) -> tuple[SEModel, dict]:
         )
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"model file {path} is malformed: {err}") from err
-    except ValidationError as err:
-        raise ValidationError(f"model file {path}: {err}") from err
+    except (ValidationError, DimensionError) as err:
+        raise type(err)(f"model file {path}: {err}") from err
     return model, spec
 
 

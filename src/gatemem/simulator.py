@@ -69,7 +69,8 @@ class SpamSpec:
     Each distinct preparation or measurement label gets one fixed
     random small-angle unitary kick, drawn once from ``seed`` and scaled
     by the corresponding strength; zero strength skips the kick path
-    entirely, so it is bit-identical to a noiseless run.
+    entirely, so it is bit-identical to a noiseless run.  ``seed`` is a
+    non-negative integer.
     """
 
     prep_strength: float = 0.0
@@ -79,6 +80,10 @@ class SpamSpec:
     def __post_init__(self):
         if self.prep_strength < 0 or self.meas_strength < 0:
             raise ValidationError("SPAM strengths must be nonnegative")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ValidationError(
+                f"'spam.seed' must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ class SEModel:
     policy.
 
     ``gate_unitaries`` maps :class:`GateLabel` to a unitary on
-    system (x) environment (system factors first).  ``reset_policy`` is
+    system (x) environment (system factors first), and ``env_initial``
+    is an ``env_dim`` x ``env_dim`` density matrix.  ``reset_policy`` is
     ``"persistent"`` or ``"reset_each_gate"``.
     """
 
@@ -102,6 +108,9 @@ class SEModel:
         if self.reset_policy not in ("persistent", "reset_each_gate"):
             raise ValidationError(f"unknown reset policy {self.reset_policy!r}")
         env = np.array(self.env_initial, dtype=complex)
+        if env.shape != (self.env_dim, self.env_dim):
+            raise DimensionError(f"'env_initial' must be {self.env_dim} x {self.env_dim},"
+                                 f" got shape {env.shape}")
         DensityMatrix(env)  # validates the environment state
         env.setflags(write=False)
         object.__setattr__(self, "env_initial", env)
@@ -168,7 +177,8 @@ def build_default_model(
     memory moving between gates.  At ``coupling=0`` every joint unitary
     is a product, so the model reproduces ideal gates under either reset
     policy.  ``sys_qubits`` is the widest gate's width when None, and
-    otherwise must be a positive integer.
+    otherwise must be a positive integer.  ``durations`` maps gate names
+    of ``labels`` to durations.
     """
     labels = [l if isinstance(l, GateLabel) else GateLabel.parse(l) for l in labels]
     if sys_qubits is None:
@@ -178,6 +188,11 @@ def build_default_model(
         raise ValidationError(f"'sys_qubits' must be a positive integer, got {sys_qubits!r}")
     n = int(sys_qubits)
     durations = dict(durations or {})
+    names = {label.name for label in labels}
+    unknown = sorted(set(durations) - names, key=str)
+    if unknown:
+        raise ValidationError(f"'durations.{unknown[0]}' names no gate of the model;"
+                              f" its gates are {sorted(names)}")
     unitaries = {}
     for label in labels:
         t = durations.get(label.name, 2.0 if label.name == "CX" else 1.0)

@@ -517,6 +517,13 @@ MALFORMED_VALUES = [
     ("model", "spam", "x", "simulate"),
     ("model", "durations", [1], "simulate"),
     ("model", "env_initial", [[1]], "simulate"),
+    ("model", "env_initial", [[[1, 0]]], "simulate"),  # a 1 x 1 state on the 2-level environment
+    ("model", "env_initial", [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3],
+     "errors-spam"),
+    ("model", "spam/seed", -5, "simulate"),
+    ("model", "spam/seed", 1.7, "simulate"),
+    ("model", "spam/seed", True, "errors-spam"),
+    ("model", "durations", {"Q": 1.0}, "simulate"),  # a gate the model does not have
     ("model", "gates", "XZ", "simulate"),
     ("records", "", [1, 2], "tomo"),
     ("records", "records/0/counts", [1, 2], "tomo"),
@@ -590,6 +597,21 @@ def test_unusable_model_scalar_is_named(runner, model_file, tmp_path, field):
     assert result.exit_code == 2, result.output
     assert str(source) in result.output
     assert f"'{field.replace('/', '.')}'" in result.output
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("spam/seed", -5, "'spam.seed'"),
+    ("durations", {"Q": 1.0}, "'durations.Q'"),
+    ("env_initial", [[[1, 0]]], "'env_initial'"),
+])
+def test_unusable_model_field_is_named(runner, tmp_path, field, value, named):
+    source = tmp_path / "model_bad.json"
+    source.write_text(json.dumps(_set({"gates": ["X"], "spam": {"prep": 0.01}}, field, value)))
+    result = runner.invoke(main, ["simulate", "--model", str(source), "--gates", "X",
+                                  "--exact", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert str(source) in result.output
+    assert named in result.output
 
 
 @pytest.mark.parametrize("kind, command", [("records", "tomo"), ("channel", "analyze")])

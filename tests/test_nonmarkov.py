@@ -253,6 +253,19 @@ class TestGateDependence:
         off_diagonal = matrix.values[~np.eye(len(labels), dtype=bool)]
         assert off_diagonal.max() > 0.01
 
+    def test_cells_draw_upper_triangle_from_the_shared_generator(self, rng):
+        conditionals = {g: random_channel(2, rng) for g in "ABCD"}
+        matrix = gate_dependence_matrix(conditionals, m_samples=300,
+                                        rng=np.random.default_rng(6))
+        shared = np.random.default_rng(6)
+        chans = list(conditionals.values())
+        expected = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                expected[i, j] = expected[j, i] = avg_trace_distance(
+                    chans[i], chans[j], 300, shared).mean
+        np.testing.assert_array_equal(matrix.values, expected)
+
     def test_needs_two_gates(self, rng):
         with pytest.raises(ValidationError):
             gate_dependence_matrix({"A": random_channel(2, rng)}, m_samples=10, rng=rng)
@@ -278,17 +291,30 @@ class TestConditionalVsMarginal:
         spread = matrix.values.max(axis=0) - matrix.values.min(axis=0)
         assert spread.max() > 0.005
 
-    def test_scaling_flags_change_entries_by_stated_factors(self, memory_channels, rng):
+    def test_scaling_flags_change_entries_by_stated_factors(self, memory_channels):
         labels, singles, joints = memory_channels
         sub_joints = {(labels[0], labels[1]): joints[(labels[0], labels[1])]}
-        plain = conditional_vs_marginal_matrix(
-            singles, sub_joints, metric="diamond", rng=rng
+        plain, scaled = (
+            analyze_grid(singles, sub_joints, metrics=("diamond",), m_samples=100,
+                         scale_figure=flag).cond_vs_marginal["diamond"]
+            for flag in (False, True)
         )
-        scaled = conditional_vs_marginal_matrix(
-            singles, sub_joints, metric="diamond", rng=rng, scale_figure=True
-        )
+        assert plain.scaling == ()
         assert scaled.values[0, 0] == pytest.approx(plain.values[0, 0] / 2, rel=1e-6)
         assert "diamond/2" in scaled.scaling
+
+    def test_cells_draw_row_major_from_the_shared_generator(self, rng):
+        firsts, seconds = ["A", "B", "C"], ["D", "E"]
+        marginals = {g: random_channel(2, rng) for g in firsts + seconds}
+        joints = {(u, v): compose(random_channel(2, rng), marginals[u])
+                  for u in firsts for v in seconds}
+        matrix = conditional_vs_marginal_matrix(marginals, joints, m_samples=300,
+                                                rng=np.random.default_rng(5))
+        shared = np.random.default_rng(5)
+        expected = [[avg_trace_distance(conditional_map(joints[(u, v)], marginals[u]).channel,
+                                        marginals[v], 300, shared).mean for v in seconds]
+                    for u in firsts]
+        np.testing.assert_array_equal(matrix.values, expected)
 
     def test_missing_channel_raises(self, rng):
         from gatemem.exceptions import IncompleteDataError
@@ -322,6 +348,24 @@ class TestConditionalVsMarginal:
         analysis = analyze_grid(marginals, joints, metrics=("avg",), m_samples=200, seed=3)
         assert len(calls) == 4  # one per cell of the 2 x 2 grid
         np.testing.assert_array_equal(analysis.cond_vs_marginal["avg"].values, expected.values)
+
+    def test_distance_functions_see_every_cell_at_their_module_names(self, rng, monkeypatch):
+        # wrapping the module attributes, as the benchmark's tracer does,
+        # must see each matrix cell and the histogram
+        firsts, seconds = ["A", "B", "C"], ["D", "E"]
+        marginals = {g: random_channel(2, rng) for g in firsts + seconds}
+        joints = {(u, v): compose(random_channel(2, rng), marginals[u])
+                  for u in firsts for v in seconds}
+        calls = {"avg_trace_distance": 0, "diamond_distance": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(nonmarkov, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(nonmarkov, name, counted)
+        analyze_grid(marginals, joints, metrics=("avg", "diamond"), m_samples=100)
+        cells = 3 * 2 + 2 * 3  # conditioned vs marginal, plus 3 pairs per target
+        assert calls == {"avg_trace_distance": cells + 1, "diamond_distance": cells}
 
 
 class TestConditionalGrid:
@@ -393,6 +437,18 @@ class TestMemoryScan:
         with pytest.raises(ValidationError):
             memory_scan([random_channel(2, rng)], metrics=("avg",), rng=rng)
 
+    def test_diamond_cells_leave_the_averaged_stream_alone(self, rng):
+        base = random_channel(2, rng)
+        chans = [base, compose(random_channel(2, rng), base)]
+        for _ in range(3):
+            chans.append(compose(base, chans[-1]))
+        avg = memory_scan(chans, metrics=("avg",), m_samples=200,
+                          rng=np.random.default_rng(8))
+        both = memory_scan(chans, metrics=("avg", "diamond"), m_samples=200,
+                           rng=np.random.default_rng(8))
+        assert all(both.entries[cut]["avg"] == avg.entries[cut]["avg"] for cut in avg.entries)
+        assert max(entry["diamond"] for entry in both.entries.values()) > 1e-3
+
 
 @pytest.fixture(scope="module")
 def two_qubit_channels():
@@ -426,17 +482,40 @@ class TestFullGateSet:
         assert matrix.values.shape == (3, 3)
         assert np.all(matrix.values >= 0)
 
-    def test_two_qubit_target_scaling(self, two_qubit_channels, rng):
+    def test_two_qubit_target_scaling(self, two_qubit_channels):
         subset, singles, joints = two_qubit_channels
         cx = subset[2]
         one = {(subset[0], cx): joints[(subset[0], cx)]}
-        plain = conditional_vs_marginal_matrix(singles, one, metric="diamond", rng=rng)
-        scaled = conditional_vs_marginal_matrix(
-            singles, one, metric="diamond", rng=rng, scale_figure=True
+        plain, scaled = (
+            analyze_grid(singles, one, metrics=("diamond",), m_samples=100,
+                         scale_figure=flag).cond_vs_marginal["diamond"]
+            for flag in (False, True)
         )
         # two-qubit target doubles the display value, dimension 4 divides it
         assert scaled.values[0, 0] == pytest.approx(plain.values[0, 0] / 2, rel=1e-6)
         assert set(scaled.scaling) == {"diamond/4", "x2-two-qubit-target"}
+
+    def test_scaling_follows_each_column_target(self, two_qubit_channels):
+        subset, singles, joints = two_qubit_channels
+        h, cx = str(subset[0]), str(subset[2])
+        plain, scaled = (
+            analyze_grid(singles, joints, metrics=("diamond",), m_samples=100,
+                         scale_figure=flag)
+            for flag in (False, True)
+        )
+        # gate dependence: every column has the matrix's target gate
+        for target, factor, tags in ((cx, 2 / 4, ("diamond/4", "x2-two-qubit-target")),
+                                     (h, 1 / 4, ("diamond/4",))):
+            before, after = (a.gate_dependence[(target, "diamond")] for a in (plain, scaled))
+            assert before.scaling == ()
+            assert after.scaling == tags
+            np.testing.assert_array_equal(after.values, before.values * factor)
+            assert before.values.max() > 0
+        # conditioned vs marginal: each column has its own target gate
+        before, after = (a.cond_vs_marginal["diamond"] for a in (plain, scaled))
+        factors = [2 / 4 if label == cx else 1 / 4 for label in before.col_labels]
+        assert after.scaling == ("diamond/4", "x2-two-qubit-target")
+        np.testing.assert_array_equal(after.values, before.values * factors)
 
 
 class TestJointDetectionConsistency:

@@ -65,6 +65,26 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="'sys_qubits' must be a positive integer"):
             build_default_model([X], sys_qubits=width)
 
+    @pytest.mark.parametrize("seed", [-1, 1.7, True, "3"])
+    def test_spam_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="'spam.seed' must be a non-negative integer"):
+            SpamSpec(prep_strength=0.01, seed=seed)
+        assert SpamSpec(seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 3)])
+    def test_environment_state_must_match_the_environment(self, shape):
+        env = np.zeros(shape)
+        env[0, 0] = 1.0
+        with pytest.raises(DimensionError, match="'env_initial' must be 2 x 2"):
+            SEModel(1, 2, env, {}, "persistent")
+        with pytest.raises(DimensionError, match="'env_initial'"):
+            build_default_model([X], env_initial=env)
+
+    def test_durations_name_gates_of_the_model(self):
+        with pytest.raises(ValidationError, match="'durations.Q' names no gate of the model"):
+            build_default_model([X], durations={"X": 1.0, "Q": 1.0})
+        assert build_default_model([X], durations={"X": 1.5}).sys_qubits == 1
+
     def test_width_defaults_to_the_widest_gate(self):
         assert build_default_model([X]).sys_qubits == 1
         assert build_default_model([GateLabel("CX", (1, 0))]).sys_qubits == 2
