@@ -49,14 +49,23 @@ from .qcore import (
     _as_matrix,
     _complex_normals,
     _half_trace_norm,
+    _half_trace_norm_4x4_entries,
     _haar_vectors,
+    _hermitian_from_entries,
     _relative_entropy_core,
+    _upper_indices,
 )
 from .sdp import DiamondResult, diamond_sdp
 
 #: Weight of the maximally mixed state that :func:`process_tensor_proxy`
 #: blends into its memoryless reference.
 PTENSOR_REGULARIZATION = 1e-12
+
+#: Samples per slice of the d >= 3 averaged distance.  At d = 4 every
+#: temporary of a slice stays below glibc's 128 KiB mmap threshold (the
+#: largest, 16 coordinates per sample, take 125 KiB), so the slices reuse
+#: heap memory instead of mapping and unmapping each array.
+_SLICE = 1_000
 
 
 @dataclass(frozen=True)
@@ -189,14 +198,14 @@ def avg_trace_distance(
     distance.  The raw per-sample distances are returned for
     distribution plots, along with the Monte-Carlo standard error.
 
-    Inputs are drawn in batches of 20,000 and handled in slices of
-    4,000.  On a qubit, each sample is computed in real Bloch
-    coordinates straight from its Gaussian draw, with no normalization
-    (see :func:`_qubit_half_norms`).  Larger inputs are normalized and
-    go once through the difference map ``a - b``, and their outputs
-    take the trace norms of :mod:`.qcore`.  Both paths draw the same
-    normals as :func:`.qcore._haar_vectors`, so a generator gives the
-    same inputs and ends in the same state either way.
+    Inputs are drawn in batches of 20,000.  Each sample is computed in
+    real coordinates straight from its Gaussian draw, with no
+    normalization: on a qubit in Bloch coordinates, in slices of 4,000
+    (see :func:`_qubit_half_norms`), and on larger inputs in the
+    coordinates of :func:`_half_norms`, in slices of ``_SLICE``.  Both
+    paths draw the same normals as :func:`.qcore._haar_vectors`, so a
+    generator gives the same inputs and ends in the same state either
+    way.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -218,17 +227,12 @@ def avg_trace_distance(
                 hi = min(lo + 4_000, len(re))
                 samples[start + lo : start + hi] = _qubit_half_norms(transfer, re[lo:hi], im[lo:hi])
     else:
-        d, delta_t = a.dim, delta.T
+        transfer = _hermitian_transfer(delta)
         for start in range(0, m_samples, 20_000):
-            z = _haar_vectors(d, min(20_000, m_samples - start), rng)
-            for lo in range(0, len(z), 4_000):
-                zs = z[lo : lo + 4_000]
-                # column-stacked |z><z|: entry j*d + i is z_i conj(z_j)
-                vecs = (np.conj(zs)[:, :, None] * zs[:, None, :]).reshape(len(zs), d * d)
-                # reshaping a column-stacked output gives its transpose,
-                # which has the same trace norm
-                out = (vecs @ delta_t).reshape(len(zs), d, d)
-                samples[start + lo : start + lo + len(zs)] = _half_trace_norm(out)
+            re, im = _complex_normals(a.dim, min(20_000, m_samples - start), rng)
+            for lo in range(0, len(re), _SLICE):
+                hi = min(lo + _SLICE, len(re))
+                samples[start + lo : start + hi] = _half_norms(transfer, re[lo:hi], im[lo:hi])
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
@@ -273,6 +277,59 @@ def _qubit_half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> n
     c = (0.5 * transfer * [1.0, 2.0, 2.0, 1.0]) @ u
     r = np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
     return np.maximum(np.abs(c[0]), r) / u[0]
+
+
+def _hermitian_transfer(delta: np.ndarray) -> np.ndarray:
+    """Real d^2 x d^2 transfer matrix of a column-stacked superoperator
+    ``delta`` (``D``) on the coordinates of :func:`_half_norms`: it maps
+    those of a Hermitian ``rho`` to those of the Hermitian part of
+    ``D(rho)``, so ``D`` need not preserve trace or Hermiticity.
+
+    Coordinate ``m`` is the weight of the basis matrix ``B_m``: ``E_ii``,
+    then ``E_ij + E_ji`` and ``i E_ij - i E_ji`` for i < j.  The
+    Hermitian part of ``M`` has coordinates ``w_m Re tr(B_m^dag M)``,
+    with ``w_m`` 1 on the diagonal and 1/2 above it, so the matrix is
+    ``Re(w_m tr(B_m^dag D(B_l)))``."""
+    d = math.isqrt(len(delta))
+    rows, cols = _upper_indices(d)
+    n = len(rows)
+    # column m is vec(B_m): entry (i, j) of a matrix sits at j * d + i
+    vecs = np.zeros((d * d, d * d), dtype=complex)
+    vecs[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    k = d + np.arange(n)  # the real parts; the imaginary parts follow at k + n
+    vecs[cols * d + rows, k] = vecs[rows * d + cols, k] = 1.0
+    vecs[cols * d + rows, k + n], vecs[rows * d + cols, k + n] = 1j, -1j
+    weights = np.where(np.arange(d * d) < d, 1.0, 0.5)
+    return weights[:, None] * (vecs.conj().T @ delta @ vecs).real
+
+
+def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Half the trace norm of the Hermitian part of ``D(|z><z|)`` for the
+    Haar-random states ``|z>`` of the rows of a Gaussian draw
+    ``re + i im``, ``D`` given by its :func:`_hermitian_transfer` matrix.
+
+    From the normals ``z = a + i b`` of one row, the d^2 real
+    coordinates of ``|z><z|`` are its diagonal ``a_i^2 + b_i^2``, and
+    ``Re z_i conj(z_j) = a_i a_j + b_i b_j`` and ``Im z_i conj(z_j) =
+    b_i a_j - a_i b_j`` over the upper triangle.  The transfer matrix
+    maps them to the output's coordinates; 4 x 4 outputs take the
+    closed form of :func:`.qcore._half_trace_norm_4x4_entries` and larger
+    ones ``eigvalsh``.  Half the trace norm is homogeneous of degree 1,
+    so dividing by ``|z|^2`` takes the place of normalizing ``z``."""
+    d = re.shape[1]
+    a, b = re.T, im.T
+    rows, cols = _upper_indices(d)
+    n = len(rows)
+    coords = np.concatenate([a * a + b * b, a[rows] * a[cols] + b[rows] * b[cols],
+                             b[rows] * a[cols] - a[rows] * b[cols]])
+    out = transfer @ coords
+    upper = np.empty((n, len(re)), dtype=complex)
+    upper.real, upper.imag = out[d : d + n], out[d + n :]
+    if d == 4:
+        half = _half_trace_norm_4x4_entries(out[:d], upper)
+    else:
+        half = _half_trace_norm(_hermitian_from_entries(out[:d], upper))
+    return half / coords[:d].sum(axis=0)
 
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:

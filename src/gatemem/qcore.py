@@ -6,9 +6,10 @@ Conventions shared by the whole package:
 * subsystem index 0 is the leftmost tensor factor,
 * Hermitian eigendecomposition is the numerical kernel, with two
   closed-form exceptions for the trace norm: a 2 x 2 block (a qubit
-  state or output), and each block of a stack of 4 x 4 blocks (the
-  outputs of a two-qubit averaged distance), which falls back to
-  ``eigvalsh`` on nearly degenerate spectra,
+  state or output), and each block of a stack of 4 x 4 blocks, given
+  as matrices or by their entries (the outputs of a two-qubit averaged
+  distance), which falls back to ``eigvalsh`` on nearly degenerate
+  spectra,
 * any eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
 The linear algebra every other module builds on lives here, once:
@@ -17,7 +18,7 @@ brute-force diamond bound, CP violation; closed form for 2 x 2 and for
 stacked 4 x 4, ``eigvalsh`` otherwise), ``_hermitian_function`` (PSD
 parts, square roots, unitaries from generators), ``_complex_normals``
 (the one Gaussian draw behind Haar states and unitaries, and behind the
-averaged distance's qubit path, which uses the normals unnormalized),
+averaged distance, which uses the normals unnormalized),
 ``_haar_vectors`` (every Haar pure-state draw), and
 ``_relative_entropy_core`` (the spectral part of both relative
 entropies).
@@ -28,6 +29,7 @@ functions, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +103,13 @@ _RESOLVENT_GAP = 1e-2
 _PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
+@functools.cache
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a dim x dim
+    matrix, row by row (``_PAIRS`` order for dim = 4)."""
+    return np.triu_indices(dim, 1)
+
+
 def _half_trace_norm(mat: np.ndarray):
     """Half the trace norm of the Hermitian part of a matrix, or of each
     matrix in a stack of shape (..., d, d).  No validation: batched
@@ -129,11 +138,22 @@ def _half_trace_norm_eigvalsh(mat: np.ndarray):
 
 def _half_trace_norm_4x4(mat: np.ndarray) -> np.ndarray:
     """Half the trace norm of each block's Hermitian part, for a stack of
-    shape (n, 4, 4), from the resolvent cubic of its characteristic
-    polynomial.
+    shape (n, 4, 4), by :func:`_half_trace_norm_4x4_entries` on the
+    entries of those Hermitian parts."""
+    diag = [mat[:, i, i].real for i in range(4)]
+    upper = [0.5 * (mat[:, i, j] + np.conj(mat[:, j, i])) for i, j in _PAIRS]
+    return _half_trace_norm_4x4_entries(diag, upper)
 
-    The Hermitian part is shifted by ``t = tr / 4`` to a traceless ``B``
-    with eigenvalues ``mu``; ``s2, s3, s4 = tr B^2, tr B^3, tr B^4`` come
+
+def _half_trace_norm_4x4_entries(diag, upper) -> np.ndarray:
+    """Half the trace norm of n Hermitian 4 x 4 matrices given by their
+    entries: ``diag`` the four real diagonals, ``upper`` the six complex
+    entries above it in ``_PAIRS`` order, each an array of length n.  The
+    resolvent cubic of the characteristic polynomial gives it in closed
+    form.
+
+    The matrix is shifted by ``t = tr / 4`` to a traceless ``B`` with
+    eigenvalues ``mu``; ``s2, s3, s4 = tr B^2, tr B^3, tr B^4`` come
     entry by entry from the upper triangles of ``B`` and ``B^2``, one
     array per entry.  The pair sums ``(mu_1 + mu_k)^2``, k = 2, 3, 4, are
     the roots ``y1 >= y2 >= y3 >= 0`` of
@@ -148,15 +168,15 @@ def _half_trace_norm_4x4(mat: np.ndarray) -> np.ndarray:
     ``sum |mu + t| / 2``.
 
     Close roots mean close eigenvalues, where the cubic loses about half
-    its digits; blocks whose roots are closer than ``_RESOLVENT_GAP``
-    (zero and rank-1 blocks among them) go through ``eigvalsh``."""
-    diag = [mat[:, i, i].real for i in range(4)]
+    its digits; matrices whose roots are closer than ``_RESOLVENT_GAP``
+    (zero and rank-1 matrices among them) are assembled and go through
+    ``eigvalsh``."""
     t = 0.25 * (diag[0] + diag[1] + diag[2] + diag[3])
     d = [x - t for x in diag]
     b = {}  # B off the diagonal, one array per entry
-    for i, j in _PAIRS:
-        b[i, j] = 0.5 * (mat[:, i, j] + np.conj(mat[:, j, i]))
-        b[j, i] = np.conj(b[i, j])
+    for (i, j), entry in zip(_PAIRS, upper):
+        b[i, j] = entry
+        b[j, i] = np.conj(entry)
     norm2 = {}
     for i, j in _PAIRS:
         norm2[i, j] = norm2[j, i] = (b[i, j] * b[j, i]).real
@@ -193,8 +213,24 @@ def _half_trace_norm_4x4(mat: np.ndarray) -> np.ndarray:
     hc = h * c
     out = 0.5 * (np.abs(t + u + hc) + np.abs(t + v - hc) + np.abs(t - v - hc) + np.abs(t - u + hc))
     if not trusted.all():
-        out[~trusted] = _half_trace_norm_eigvalsh(mat[~trusted])
+        rest = ~trusted
+        herm = _hermitian_from_entries([x[rest] for x in diag], [x[rest] for x in upper])
+        out[rest] = _half_trace_norm_eigvalsh(herm)
     return out
+
+
+def _hermitian_from_entries(diag, upper) -> np.ndarray:
+    """The stack of shape (n, d, d) of Hermitian matrices with real
+    diagonals ``diag`` (d arrays of length n) and upper triangles
+    ``upper`` (d(d - 1)/2 complex arrays, in :func:`_upper_indices`
+    order)."""
+    dim = len(diag)
+    rows, cols = _upper_indices(dim)
+    herm = np.empty((len(diag[0]), dim, dim), dtype=complex)
+    herm[:, range(dim), range(dim)] = np.transpose(diag)
+    herm[:, rows, cols] = np.transpose(upper)
+    herm[:, cols, rows] = np.conj(herm[:, rows, cols])
+    return herm
 
 
 def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:

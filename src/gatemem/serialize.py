@@ -180,16 +180,19 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
         if missing or not payload["records"]:
             raise ValidationError(f"records file {path} is missing {missing or 'every record'}")
         _check_gates(payload, "records", path, payload["n_qubits"])
-        return [
-            CountRecord(
-                prep_label=entry["prep"],
-                meas_label=entry["meas"],
-                counts=dict(entry["counts"]),
-                shots=entry["shots"],
-                seed=entry.get("seed"),
-            )
-            for entry in payload["records"]
-        ]
+        records = []
+        for i, entry in enumerate(payload["records"]):
+            try:
+                records.append(CountRecord(
+                    prep_label=entry["prep"],
+                    meas_label=entry["meas"],
+                    counts=dict(entry["counts"]),
+                    shots=entry["shots"],
+                    seed=entry.get("seed"),
+                ))
+            except ValidationError as err:
+                raise ValidationError(f"records file {path}, record {i}: {err}") from err
+        return records
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"records file {path} is malformed: {err}") from err
 
@@ -273,6 +276,8 @@ def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChann
         if missing:
             raise ValidationError(f"channel file {path} is missing {missing}")
         superop = decode_matrix(payload["superop"])
+        if not np.isfinite(superop).all():
+            raise ValidationError(f"channel file {path}: superop has non-finite entries")
         if superop.shape[0] != payload["dim"] ** 2:
             raise ValidationError(f"channel file {path}: superop size disagrees with dim")
         _check_gates(payload, "channel", path, int(payload["dim"]).bit_length() - 1)

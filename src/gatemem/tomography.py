@@ -192,12 +192,12 @@ class CountRecord:
                 raise ValidationError(f"bad outcome key {key!r} for {n} qubit(s)")
         total = sum(self.counts.values())
         if self.shots is None:
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
                 raise ValidationError(f"exact-mode probabilities sum to {total}, not 1")
         else:
             if self.shots <= 0:
                 raise ValidationError("shots must be positive")
-            if any(v < 0 or int(v) != v for v in self.counts.values()):
+            if any(not math.isfinite(v) or v < 0 or int(v) != v for v in self.counts.values()):
                 raise ValidationError("counts must be nonnegative integers")
             if total != self.shots:
                 raise ValidationError(f"counts sum to {total}, shots say {self.shots}")

@@ -247,6 +247,29 @@ class TestAnalyzeScanErrors:
         assert f"baseline {base}" in result.output
         assert f"missing: [{missing!r}]" in result.output
 
+    @pytest.mark.parametrize("reader", ["analyze", "scan", "baseline"])
+    def test_non_finite_channel_entry_exits_2(self, runner, channel_dir, tmp_path, reader):
+        # every channel reader rejects the file before any numerics see it
+        target = channel_dir
+        if reader == "baseline":
+            target = tmp_path / "base"
+            target.mkdir()
+            for name in ("channel_X0.json", "channel_Z0.json", "channel_X0-Z0.json"):
+                (target / name).write_bytes((channel_dir / name).read_bytes())
+        bad = target / ("channel_X0-Z0.json" if reader == "baseline" else "channel_Z0-Z0.json")
+        payload = json.loads(bad.read_text())
+        payload["superop"][1][2][0] = math.nan
+        bad.write_text(json.dumps(payload))
+        args = {
+            "analyze": ["analyze", "--channels", str(channel_dir)],
+            "scan": ["scan", "--channels", str(channel_dir), "--nmax", "2"],
+            "baseline": ["analyze", "--channels", str(channel_dir), "--baseline", str(target),
+                         "--pair", "X,Z"],
+        }[reader]
+        result = runner.invoke(main, args + ["--samples", "100", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert str(bad) in result.output
+
     @pytest.mark.parametrize("pair", ["X", "X,Z,Z", "Z,X"])
     def test_pair_not_a_grid_cell_exits_2(self, runner, channel_dir, tmp_path, pair):
         # the grid's first gates are X and Z, its only second gate is Z
@@ -528,6 +551,8 @@ MALFORMED_VALUES = [
     ("records", "", [1, 2], "tomo"),
     ("records", "records/0/counts", [1, 2], "tomo"),
     ("records", "records/0/shots", "many", "tomo"),
+    ("records", "records/0/counts/0", float("inf"), "tomo"),
+    ("records", "records/0/counts/0", float("nan"), "tomo"),  # exact mode: a NaN sum
     ("records", "gates", [], "tomo"),
     ("records", "gates", "X@0", "tomo"),
     ("records", "gates", ["Q@0"], "tomo"),
@@ -538,6 +563,8 @@ MALFORMED_VALUES = [
     ("channel", "dim", "2", "analyze"),
     ("channel", "superop", 3, "analyze"),
     ("channel", "superop", [[[1, 0]], [[1, 0], [0, 0]]], "analyze"),
+    ("channel", "superop/0/0/0", float("nan"), "analyze"),
+    ("channel", "superop/3/3/1", float("inf"), "analyze"),
     ("channel", "gates", "XZ", "analyze"),
     ("channel", "gates", ["CX@0.1"], "analyze"),
     ("channel", "schema", "gatemem.records/1", "analyze"),
@@ -582,6 +609,21 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
         assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
     if path == "grammar_version":  # and the found and the expected grammar
         assert f"version {value}, expected {LABEL_GRAMMAR_VERSION}" in result.output
+
+
+@pytest.mark.parametrize("count", [float("inf"), float("nan")])
+def test_non_finite_count_of_sampled_records_exits_2(runner, model_file, tmp_path, count):
+    # the rows above read exact-mode records; sampled counts must be integers
+    payload = _valid_payload("records", model_file)
+    for entry in payload["records"]:
+        entry["shots"], entry["counts"] = 10, {"0": 10, "1": 0}
+    payload["records"][0]["counts"]["0"] = count
+    source = tmp_path / "records_X0.json"
+    source.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["tomo", "--records", str(source), "--out",
+                                  str(tmp_path / "channel_X0.json")])
+    assert result.exit_code == 2, result.output
+    assert str(source) in result.output
 
 
 @pytest.mark.parametrize("field", ["coupling", "env_omega", "durations/X", "spam/prep",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,25 @@ class TestAvgTraceDistance:
     def test_batch_edges_and_raw_maps_match_eigvalsh_reference(self, d, m_samples, maps):
         # 20,000 samples fill one batch exactly, 20,001 start a second one
         self._check_against_eigvalsh_reference(d, m_samples, maps)
+
+    def test_three_qubit_outputs_match_eigvalsh_reference(self):
+        # d = 8 outputs are assembled from their entries for eigvalsh; the
+        # last of the three slices holds one sample
+        self._check_against_eigvalsh_reference(8, 2_001, "raw")
+
+    def test_two_qubit_paper_scale_call_stays_small(self):
+        # 100,000 samples: the draw of one batch (1.3 MB) and the samples
+        # (0.8 MB) dominate; one slice's temporaries add a few hundred KB
+        rng = np.random.default_rng(2024)
+        a = random_channel(4, rng)
+        b = conditional_map(random_channel(4, rng), random_channel(4, rng)).channel
+        tracemalloc.start()
+        try:
+            avg_trace_distance(a, b, 100_000, np.random.default_rng(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
     @staticmethod
     def _check_against_eigvalsh_reference(d, m_samples, maps):

@@ -6,6 +6,7 @@ from gatemem.exceptions import (
     DimensionError,
     IncompleteDataError,
     LabelError,
+    ValidationError,
 )
 from gatemem.qcore import DensityMatrix, trace_distance
 from gatemem.tomography import (
@@ -110,6 +111,11 @@ class TestMleState:
         with pytest.raises(IncompleteDataError) as excinfo:
             mle_state(records, frame)
         assert "X" in excinfo.value.missing and "Y" in excinfo.value.missing
+
+    @pytest.mark.parametrize("count", [float("inf"), float("nan"), -1, 0.5])
+    def test_count_must_be_a_nonnegative_integer(self, count):
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            CountRecord("Z+", "Z", {"0": count, "1": 10}, 10)
 
     def test_hundred_thousand_shots_close_to_truth(self, rng):
         frame = build_frame(1)
