@@ -61,13 +61,6 @@ from .sdp import DiamondResult, diamond_sdp
 #: blends into its memoryless reference.
 PTENSOR_REGULARIZATION = 1e-12
 
-#: Samples per slice of the d >= 3 averaged distance.  At d = 4 every
-#: temporary of a slice stays below glibc's 128 KiB mmap threshold (the
-#: largest, 16 coordinates per sample, take 125 KiB), so the slices reuse
-#: heap memory instead of mapping and unmapping each array.
-_SLICE = 1_000
-
-
 @dataclass(frozen=True)
 class ConditionalMap:
     """Effective map of a gate given the gate that preceded it.
@@ -198,14 +191,11 @@ def avg_trace_distance(
     distance.  The raw per-sample distances are returned for
     distribution plots, along with the Monte-Carlo standard error.
 
-    Inputs are drawn in batches of 20,000.  Each sample is computed in
-    real coordinates straight from its Gaussian draw, with no
-    normalization: on a qubit in Bloch coordinates, in slices of 4,000
-    (see :func:`_qubit_half_norms`), and on larger inputs in the
-    coordinates of :func:`_half_norms`, in slices of ``_SLICE``.  Both
-    paths draw the same normals as :func:`.qcore._haar_vectors`, so a
-    generator gives the same inputs and ends in the same state either
-    way.
+    Inputs are drawn in batches of 20,000, with the same normals as
+    :func:`.qcore._haar_vectors`, so a generator gives the same inputs
+    and ends in the same state.  Each sample is computed in the real
+    coordinates of :func:`_half_norms`, straight from its Gaussian draw
+    and with no normalization, in slices of ``16_000 // d**2`` samples.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -215,68 +205,20 @@ def avg_trace_distance(
 
     delta = a.superop - b.superop
     samples = np.empty(m_samples)
-    # the draw size fixes the random stream; each path goes over slices
-    # of the draw to keep the temporaries small: on a qubit, unsliced
-    # rows of 20,000 doubles are large enough for the allocator to map
-    # and unmap each one, which made the path about 1.5x slower
-    if a.dim == 2:
-        transfer = _bloch_transfer(delta)
-        for start in range(0, m_samples, 20_000):
-            re, im = _complex_normals(2, min(20_000, m_samples - start), rng)
-            for lo in range(0, len(re), 4_000):
-                hi = min(lo + 4_000, len(re))
-                samples[start + lo : start + hi] = _qubit_half_norms(transfer, re[lo:hi], im[lo:hi])
-    else:
-        transfer = _hermitian_transfer(delta)
-        for start in range(0, m_samples, 20_000):
-            re, im = _complex_normals(a.dim, min(20_000, m_samples - start), rng)
-            for lo in range(0, len(re), _SLICE):
-                hi = min(lo + _SLICE, len(re))
-                samples[start + lo : start + hi] = _half_norms(transfer, re[lo:hi], im[lo:hi])
+    transfer = _hermitian_transfer(delta)
+    # the draw size fixes the random stream; slices of the draw keep each
+    # d^2-row temporary below glibc's 128 KiB mmap threshold, so they reuse
+    # heap memory: unsliced rows of 20,000 doubles are mapped and unmapped
+    # one by one, which made the kernel about 1.5x slower
+    step = 16_000 // a.dim**2
+    for start in range(0, m_samples, 20_000):
+        re, im = _complex_normals(a.dim, min(20_000, m_samples - start), rng)
+        for lo in range(0, len(re), step):
+            hi = min(lo + step, len(re))
+            samples[start + lo : start + hi] = _half_norms(transfer, re[lo:hi], im[lo:hi])
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
-
-
-#: The Pauli basis I, X, Y, Z of a qubit.
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-def _bloch_transfer(delta: np.ndarray) -> np.ndarray:
-    """Real 4 x 4 transfer matrix ``R[k, l] = Re tr(P_k D(P_l)) / 2`` of
-    a column-stacked qubit superoperator ``delta`` (``D``), P = I, X, Y, Z.
-
-    For ``rho = sum_l u_l P_l / 2`` the Hermitian part of ``D(rho)`` is
-    ``sum_k c_k P_k / 2`` with ``c = R u``; taking the real part keeps
-    exactly that Hermitian part, so ``D`` need not preserve trace or
-    Hermiticity."""
-    # tr(P_k M) = P_k.ravel() . vec(M), and vec(P_l) = P_l.T.ravel()
-    rows = _PAULIS.reshape(4, 4)
-    cols = _PAULIS.transpose(0, 2, 1).reshape(4, 4).T
-    return 0.5 * (rows @ delta @ cols).real
-
-
-def _qubit_half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Half the trace norm of the Hermitian part of ``D(|z><z|)`` for
-    the Haar-random qubit states ``|z>`` of the rows of a Gaussian draw
-    ``re + i im`` (see :func:`.qcore._complex_normals`), ``D`` given by
-    its :func:`_bloch_transfer` matrix.
-
-    From the normals ``z = (a0 + i b0, a1 + i b1)`` of one row, the
-    unnormalized Bloch coordinates of ``|z><z|`` are ``u = (|z|^2,
-    2(a0 a1 + b0 b1), 2(a0 b1 - b0 a1), a0^2 + b0^2 - a1^2 - b1^2)``.
-    With ``c = R u`` and ``r = |(c_1, c_2, c_3)|``, the output's
-    Hermitian part has eigenvalues ``(c_0 +- r) / 2``, so half its trace
-    norm is ``max(|c_0|, r) / 2``.  That is homogeneous of degree 1 in
-    ``u``, so dividing by ``|z|^2`` takes the place of normalizing ``z``."""
-    (a0, a1), (b0, b1) = re.T, im.T
-    p = a0 * a0 + b0 * b0
-    q = a1 * a1 + b1 * b1
-    u = np.stack([p + q, a0 * a1 + b0 * b1, a0 * b1 - b0 * a1, p - q])
-    # the factor 2 of u_1, u_2 and the final 1/2 are folded into R
-    c = (0.5 * transfer * [1.0, 2.0, 2.0, 1.0]) @ u
-    r = np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
-    return np.maximum(np.abs(c[0]), r) / u[0]
 
 
 def _hermitian_transfer(delta: np.ndarray) -> np.ndarray:
@@ -312,23 +254,43 @@ def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndar
     coordinates of ``|z><z|`` are its diagonal ``a_i^2 + b_i^2``, and
     ``Re z_i conj(z_j) = a_i a_j + b_i b_j`` and ``Im z_i conj(z_j) =
     b_i a_j - a_i b_j`` over the upper triangle.  The transfer matrix
-    maps them to the output's coordinates; 4 x 4 outputs take the
+    maps them to the output's coordinates.  A 2 x 2 output with diagonal
+    ``o_0, o_1`` and upper entry ``x + i y`` has eigenvalues ``mid +-
+    sqrt(h^2 + x^2 + y^2)``, ``mid, h = (o_0 +- o_1) / 2``, so half its
+    trace norm is the larger magnitude of the two; 4 x 4 outputs take the
     closed form of :func:`.qcore._half_trace_norm_4x4_entries` and larger
     ones ``eigvalsh``.  Half the trace norm is homogeneous of degree 1,
     so dividing by ``|z|^2`` takes the place of normalizing ``z``."""
     d = re.shape[1]
     a, b = re.T, im.T
-    rows, cols = _upper_indices(d)
-    n = len(rows)
-    coords = np.concatenate([a * a + b * b, a[rows] * a[cols] + b[rows] * b[cols],
-                             b[rows] * a[cols] - a[rows] * b[cols]])
+    n = d * (d - 1) // 2
+    coords = np.empty((d * d, len(re)))
+    spare = np.empty((d, len(re)))
+    np.multiply(a, a, out=coords[:d])
+    coords[:d] += np.multiply(b, b, out=spare)
+    # products go into coords and one spare buffer (a new temporary per
+    # product made a d = 4 slice ~12% slower); the m pairs (i, i + 1..d - 1)
+    # of row i of the upper triangle are one block of rows in each half,
+    # so one call takes each product of a row
+    top = d
+    for i, m in enumerate(range(d - 1, 0, -1)):
+        x, y, tmp = coords[top : top + m], coords[top + n : top + n + m], spare[:m]
+        np.multiply(a[i], a[i + 1 :], out=x)
+        x += np.multiply(b[i], b[i + 1 :], out=tmp)
+        np.multiply(b[i], a[i + 1 :], out=y)
+        y -= np.multiply(a[i], b[i + 1 :], out=tmp)
+        top += m
     out = transfer @ coords
-    upper = np.empty((n, len(re)), dtype=complex)
-    upper.real, upper.imag = out[d : d + n], out[d + n :]
-    if d == 4:
-        half = _half_trace_norm_4x4_entries(out[:d], upper)
+    if d == 2:
+        mid, h = 0.5 * (out[0] + out[1]), 0.5 * (out[0] - out[1])
+        half = np.maximum(np.abs(mid), np.sqrt(h * h + out[2] * out[2] + out[3] * out[3]))
     else:
-        half = _half_trace_norm(_hermitian_from_entries(out[:d], upper))
+        upper = np.empty((n, len(re)), dtype=complex)
+        upper.real, upper.imag = out[d : d + n], out[d + n :]
+        if d == 4:
+            half = _half_trace_norm_4x4_entries(out[:d], upper)
+        else:
+            half = _half_trace_norm(_hermitian_from_entries(out[:d], upper))
     return half / coords[:d].sum(axis=0)
 
 

@@ -6,10 +6,11 @@ Conventions shared by the whole package:
 * subsystem index 0 is the leftmost tensor factor,
 * Hermitian eigendecomposition is the numerical kernel, with two
   closed-form exceptions for the trace norm: a 2 x 2 block (a qubit
-  state or output), and each block of a stack of 4 x 4 blocks, given
-  as matrices or by their entries (the outputs of a two-qubit averaged
-  distance), which falls back to ``eigvalsh`` on nearly degenerate
-  spectra,
+  state difference; :mod:`.nonmarkov` takes the same closed form on the
+  entries of the qubit outputs of an averaged distance), and each block
+  of a stack of 4 x 4 blocks, given as matrices or by their entries (the
+  outputs of a two-qubit averaged distance), which falls back to
+  ``eigvalsh`` on nearly degenerate spectra,
 * any eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
 The linear algebra every other module builds on lives here, once:

@@ -172,7 +172,8 @@ class CountRecord:
 
     ``shots`` is the repetition count; ``shots=None`` marks exact mode,
     where ``counts`` holds outcome probabilities summing to one instead
-    of integers.  ``seed`` records the sampling seed when one was used.
+    of integers, none below -1e-9 (the rounding tolerance of the sum).
+    ``seed`` records the sampling seed when one was used.
     """
 
     prep_label: str
@@ -194,6 +195,9 @@ class CountRecord:
         if self.shots is None:
             if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
                 raise ValidationError(f"exact-mode probabilities sum to {total}, not 1")
+            lowest = min(self.counts.values())
+            if lowest < -1e-9:
+                raise ValidationError(f"exact-mode probability {lowest} is negative")
         else:
             if self.shots <= 0:
                 raise ValidationError("shots must be positive")

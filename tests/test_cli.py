@@ -553,6 +553,7 @@ MALFORMED_VALUES = [
     ("records", "records/0/shots", "many", "tomo"),
     ("records", "records/0/counts/0", float("inf"), "tomo"),
     ("records", "records/0/counts/0", float("nan"), "tomo"),  # exact mode: a NaN sum
+    ("records", "records/0/counts", {"0": 1.5, "1": -0.5}, "tomo"),  # sums to 1, negative
     ("records", "gates", [], "tomo"),
     ("records", "gates", "X@0", "tomo"),
     ("records", "gates", ["Q@0"], "tomo"),

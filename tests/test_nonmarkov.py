@@ -181,33 +181,39 @@ class TestAvgTraceDistance:
         # 45,000 samples: two full batches of 20,000 and a partial one
         self._check_against_eigvalsh_reference(d, 45_000, "channels")
 
-    @pytest.mark.parametrize("m_samples, maps", [
-        (1, "channels"), (20_000, "channels"), (20_001, "channels"),
-        (1, "raw"), (20_000, "raw"), (20_001, "raw"), (45_000, "raw"),
+    @pytest.mark.parametrize("d, m_samples, maps", [
+        *((d, m, maps) for d in (2, 4) for m, maps in [
+            (1, "channels"), (20_000, "channels"), (20_001, "channels"),
+            (1, "raw"), (20_000, "raw"), (20_001, "raw"), (45_000, "raw"),
+        ]),
+        *((3, m, maps) for maps in ("channels", "raw") for m in (1, 1_777, 1_778, 20_001, 45_000)),
     ])
-    @pytest.mark.parametrize("d", [2, 4])
     def test_batch_edges_and_raw_maps_match_eigvalsh_reference(self, d, m_samples, maps):
-        # 20,000 samples fill one batch exactly, 20,001 start a second one
+        # 20,000 samples fill one batch exactly, 20,001 start a second one;
+        # at d = 3 a slice holds 1,777 samples, which do not divide a batch,
+        # and 1,778 leave a one-sample slice
         self._check_against_eigvalsh_reference(d, m_samples, maps)
 
     def test_three_qubit_outputs_match_eigvalsh_reference(self):
         # d = 8 outputs are assembled from their entries for eigvalsh; the
-        # last of the three slices holds one sample
+        # last of the nine slices (250 samples each) holds one sample
         self._check_against_eigvalsh_reference(8, 2_001, "raw")
 
-    def test_two_qubit_paper_scale_call_stays_small(self):
-        # 100,000 samples: the draw of one batch (1.3 MB) and the samples
-        # (0.8 MB) dominate; one slice's temporaries add a few hundred KB
+    @pytest.mark.parametrize("d, limit", [(2, 3_000_000), (4, 4_000_000)])
+    def test_paper_scale_call_stays_small(self, d, limit):
+        # 100,000 samples: the draw of one batch (0.6 MB at d = 2, 1.3 MB
+        # at d = 4) and the samples (0.8 MB) dominate; one slice's
+        # temporaries add a few hundred KB
         rng = np.random.default_rng(2024)
-        a = random_channel(4, rng)
-        b = conditional_map(random_channel(4, rng), random_channel(4, rng)).channel
+        a = random_channel(d, rng)
+        b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel
         tracemalloc.start()
         try:
             avg_trace_distance(a, b, 100_000, np.random.default_rng(11))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4_000_000
+        assert peak <= limit
 
     @staticmethod
     def _check_against_eigvalsh_reference(d, m_samples, maps):

@@ -1,6 +1,6 @@
 """Property tests of the closed-form trace-norm kernels (qubit blocks,
-stacks of 4 x 4 blocks, and the averaged distance's real Bloch
-coordinates on qubits), of the trace distance, of the certified diamond
+stacks of 4 x 4 blocks, and the averaged distance's real coordinates
+on qubits), of the trace distance, of the certified diamond
 distance against the averaged one, and of the algebra under every
 channel: column stacking, the Choi representation, composition, gate
 labels, and the CP test on maps known to be CP or not.

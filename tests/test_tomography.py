@@ -117,6 +117,11 @@ class TestMleState:
         with pytest.raises(ValidationError, match="nonnegative integers"):
             CountRecord("Z+", "Z", {"0": count, "1": 10}, 10)
 
+    def test_exact_probability_below_rounding_is_rejected(self):
+        with pytest.raises(ValidationError, match="negative"):
+            CountRecord("Z+", "Z", {"0": 1.5, "1": -0.5}, None)
+        CountRecord("Z+", "Z", {"0": 1.0 + 1e-10, "1": -1e-10}, None)  # rounding passes
+
     def test_hundred_thousand_shots_close_to_truth(self, rng):
         frame = build_frame(1)
         truth = random_density(2, rng)
