@@ -83,14 +83,9 @@ class GateLabel:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A linear map on density matrices, held as a d^2 x d^2 superoperator.
-
-    ``provenance`` is a free-form label (typically the gate sequence the
-    map represents) carried through compositions and serialization.
-    """
+    """A linear map on density matrices, held as a d^2 x d^2 superoperator."""
 
     superop: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         superop = np.array(self.superop, dtype=complex)
@@ -137,7 +132,7 @@ class ChoiMatrix:
             raise ValidationError(f"Choi size {data.shape[0]} is not a square")
         if self.normalization not in ("trace-d", "trace-1"):
             raise ValidationError(f"unknown normalization {self.normalization!r}")
-        if np.max(np.abs(data - data.conj().T)) > 1e-8:
+        if not np.max(np.abs(data - data.conj().T)) <= 1e-8:  # a NaN fails too
             raise ValidationError("Choi matrix is not Hermitian")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -215,19 +210,18 @@ def gate_unitary(gate: GateLabel, n_qubits: int | None = None) -> np.ndarray:
 def ideal_channel(gate: GateLabel, n_qubits: int | None = None) -> QuantumChannel:
     """Noiseless channel ``rho -> U rho U+`` for a standard gate."""
     u = gate_unitary(gate, n_qubits)
-    return QuantumChannel(np.kron(u.conj(), u), provenance=str(gate))
+    return QuantumChannel(np.kron(u.conj(), u))
 
 
 def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel(np.eye(dim * dim, dtype=complex), provenance="I")
+    return QuantumChannel(np.eye(dim * dim, dtype=complex))
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     """The map "first, then second": superoperator product second @ first."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch: {second.dim} vs {first.dim}")
-    provenance = f"({second.provenance}*{first.provenance})"
-    return QuantumChannel(second.superop @ first.superop, provenance=provenance)
+    return QuantumChannel(second.superop @ first.superop)
 
 
 #: Smallest ``sigma_min / sigma_max`` that :func:`invert` treats as invertible.
@@ -242,7 +236,6 @@ def invert(chan: QuantumChannel) -> QuantumChannel:
     """
     s = chan.singular_values
     sigma_max, sigma_min = float(s[0]), float(s[-1])
-    provenance = f"inv({chan.provenance})"
     if sigma_max == 0.0 or sigma_min / sigma_max < INVERT_COND_THRESHOLD:
         raise SingularChannelError(
             f"superoperator is singular (sigma_min={sigma_min:.3e}, "
@@ -250,7 +243,7 @@ def invert(chan: QuantumChannel) -> QuantumChannel:
             sigma_min,
             sigma_max,
         )
-    return QuantumChannel(np.linalg.inv(chan.superop), provenance=provenance)
+    return QuantumChannel(np.linalg.inv(chan.superop))
 
 
 def condition_number(chan: QuantumChannel) -> float:
@@ -284,4 +277,4 @@ def random_channel(
     q, _ = np.linalg.qr(m)
     kraus = q.reshape(k, dim, dim)
     superop = sum(np.kron(op.conj(), op) for op in kraus)
-    return QuantumChannel(superop, provenance=f"random(k={k})")
+    return QuantumChannel(superop)

@@ -70,13 +70,18 @@ def _exit_codes(fn):
 
 def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
     """Sequences are ';'-separated; gates within one are ','-separated.
-    Wire indices use '.' (e.g. 'CX@1.0,H@1;X')."""
+    Wire indices use '.' (e.g. 'CX@1.0,H@1;X').  Each sequence names one
+    records file, so a sequence given twice is an error."""
     sequences = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        sequences.append(tuple(GateLabel.parse(tok) for tok in chunk.split(",")))
+        sequence = tuple(GateLabel.parse(tok) for tok in chunk.split(","))
+        if sequence in sequences:
+            raise ValidationError(
+                f"--gates gives the sequence {','.join(map(str, sequence))} twice")
+        sequences.append(sequence)
     if not sequences:
         raise ValidationError("no gate sequences given")
     return sequences
@@ -131,7 +136,7 @@ def tomo(records_path, out_path):
     gates = payload.get("gates")
     if not gates:
         raise ValidationError(f"records file {records_path} has no 'gates' sequence")
-    result = pipeline.reconstruct_channel(records, frame, provenance="+".join(gates))
+    result = pipeline.reconstruct_channel(records, frame)
     cfg = {"command": "tomo", "records": payload}
     serialize.dump_json(out_path, serialize.tomography_payload(
         result, gates, records[0].shots, serialize.config_hash(cfg), payload.get("seed")
@@ -141,8 +146,6 @@ def tomo(records_path, out_path):
 
 @main.command()
 @click.option("--channels", "channels_dir", required=True, type=click.Path(exists=True))
-@click.option("--baseline", "baseline_dir", type=click.Path(exists=True), default=None,
-              help="channel files of a memoryless run at the same shot count")
 @_metric_option
 @_samples_option
 @click.option("--scale-figure", is_flag=True, help="apply display scalings to matrix output")
@@ -150,17 +153,14 @@ def tomo(records_path, out_path):
 @_seed_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @_exit_codes
-def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, seed, out_dir):
+def analyze(channels_dir, metric, samples, scale_figure, pair, seed, out_dir):
     """Conditional-map analyses over a set of reconstructed channels."""
     from . import nonmarkov
 
     marginals, joints = serialize.load_grid(channels_dir)
-    baseline = None if baseline_dir is None else serialize.load_grid(baseline_dir)
     cfg = {
         "command": "analyze",
         "channels": serialize.channel_digests({**marginals, **joints}),
-        "baseline": None if baseline is None else serialize.channel_digests(
-            {**baseline[0], **baseline[1]}),
         "metric": metric,
         "samples": samples,
         "scale_figure": scale_figure,
@@ -170,7 +170,6 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
     analysis = nonmarkov.analyze_grid(
         marginals, joints, metrics=_metrics(metric), m_samples=samples, seed=seed,
         scale_figure=scale_figure, pair=None if pair is None else pair.split(","),
-        baseline=baseline, baseline_name=f"baseline {baseline_dir}",
     )
     serialize.write_analysis(out_dir, analysis, serialize.config_hash(cfg), seed)
     click.echo(f"wrote analysis to {out_dir}")
@@ -178,7 +177,8 @@ def analyze(channels_dir, baseline_dir, metric, samples, scale_figure, pair, see
 
 @main.command()
 @click.option("--channels", "channels_dir", required=True, type=click.Path(exists=True))
-@click.option("--nmax", default=DEFAULT_SCAN_NMAX, show_default=True, type=int)
+@click.option("--nmax", default=DEFAULT_SCAN_NMAX, show_default=True,
+              type=click.IntRange(min=2))
 @_metric_option
 @_samples_option
 @_seed_option
@@ -233,7 +233,7 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
 
 @main.command()
 @click.option("--records", "records_path", type=click.Path(exists=True), default=None)
-@click.option("--trials", default=200, show_default=True, type=int)
+@click.option("--trials", default=200, show_default=True, type=click.IntRange(min=2))
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--gate", default=None, help="gate token for the SPAM scaling study")
 @click.option("--eps-grid", default="0,1e-4,3e-4,1e-3,3e-3,1e-2", show_default=True)

@@ -126,15 +126,13 @@ class AvgDistanceResult:
 class GridAnalysis:
     """Every memory witness of one channel grid.  ``cond_vs_marginal``
     is keyed by metric, ``gate_dependence`` by (second gate, metric), and
-    the histograms hold the ``pair`` cell's per-sample distances, in the
-    grid and in a memoryless baseline grid when one was given."""
+    the histogram holds the ``pair`` cell's per-sample distances."""
 
     cp_violation: DistanceMatrix
     cond_vs_marginal: dict
     gate_dependence: dict
     pair: tuple[str, str]
     histogram: AvgDistanceResult
-    baseline_histogram: AvgDistanceResult | None = None
 
 
 def conditional_map(
@@ -426,23 +424,19 @@ def gate_dependence_matrix(
     return DistanceMatrix(tuple(labels), tuple(labels), values, metric)
 
 
-def conditional_grid(marginals, joints, pair=None) -> tuple[list, list, dict]:
+def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
     """Every history-conditioned map of a complete grid.
 
     ``marginals`` maps gate labels to single-gate channels and
     ``joints`` maps (first, second) label pairs to two-gate channels.
-    The grid spans every first and second gate in ``joints``, or only
-    the (first, second) cell ``pair`` when given.  Returns the sorted
-    first-gate labels, the sorted second-gate labels, and the
+    The grid spans every first and second gate in ``joints``.  Returns
+    the sorted first-gate labels, the sorted second-gate labels, and the
     :class:`ConditionalMap` of each (first, second) cell.  Raises
     :class:`IncompleteDataError` listing every absent joint map and
     single-gate marginal, or when ``joints`` is empty.
     """
-    if pair is None:
-        u_labels = sorted({u for (u, _) in joints}, key=str)
-        v_labels = sorted({v for (_, v) in joints}, key=str)
-    else:
-        u_labels, v_labels = [pair[0]], [pair[1]]
+    u_labels = sorted({u for (u, _) in joints}, key=str)
+    v_labels = sorted({v for (_, v) in joints}, key=str)
     missing = [f"{u},{v}" for u in u_labels for v in v_labels if (u, v) not in joints]
     missing += [str(g) for g in sorted({*u_labels, *v_labels}, key=str) if g not in marginals]
     if missing or not joints:
@@ -489,17 +483,13 @@ def analyze_grid(
     seed: int = 0,
     scale_figure: bool = False,
     pair=None,
-    baseline=None,
-    baseline_name: str = "baseline",
 ) -> GridAnalysis:
     """Every memory witness of a complete grid (see :func:`conditional_grid`).
 
     Each conditioned-vs-marginal matrix draws from ``default_rng(seed)``,
-    each gate-dependence matrix from ``default_rng(seed + 1)`` and each
+    each gate-dependence matrix from ``default_rng(seed + 1)`` and the
     histogram from ``default_rng(seed + 2)``.  ``pair`` holds the gate
     tokens of the histogram's cell (default: the first cell).
-    ``baseline`` is a memoryless run's (marginals, joints), which needs
-    only the pair's maps; ``baseline_name`` prefixes its errors.
     ``scale_figure`` applies the display conventions to the finished
     distance matrices, and records them in each matrix's ``scaling``.
     """
@@ -514,15 +504,6 @@ def analyze_grid(
         pair_u, pair_v = tokens
         if (pair_u, pair_v) not in conditionals:
             raise ValidationError(f"--pair {pair_u},{pair_v} is not in the channel grid")
-    # the histogram's conditioned map and marginal, per channel set
-    histogram_sets = [(conditionals[(pair_u, pair_v)], marginals[pair_v])]
-    if baseline is not None:
-        base_marginals, base_joints = baseline
-        try:
-            base = conditional_grid(base_marginals, base_joints, (pair_u, pair_v))[2]
-        except IncompleteDataError as err:
-            raise IncompleteDataError(f"{baseline_name}: {err}", err.missing) from err
-        histogram_sets.append((base[(pair_u, pair_v)], base_marginals[pair_v]))
 
     cpv = [[cp_violation(conditionals[(u, v)]) for v in v_labels] for u in u_labels]
     cp_matrix = DistanceMatrix(
@@ -545,9 +526,9 @@ def analyze_grid(
         cvm = {m: _display_scaled(matrix, dim, v_labels) for m, matrix in cvm.items()}
         gdm = {key: _display_scaled(matrix, dim, [key[0]] * len(u_labels))
                for key, matrix in gdm.items()}
-    hists = [avg_trace_distance(cm.channel, marginal, m_samples, np.random.default_rng(seed + 2))
-             for cm, marginal in histogram_sets]
-    return GridAnalysis(cp_matrix, cvm, gdm, (str(pair_u), str(pair_v)), *hists)
+    histogram = avg_trace_distance(conditionals[(pair_u, pair_v)].channel, marginals[pair_v],
+                                   m_samples, np.random.default_rng(seed + 2))
+    return GridAnalysis(cp_matrix, cvm, gdm, (str(pair_u), str(pair_v)), histogram)
 
 
 def repetitions(channels, nmax: int) -> list[QuantumChannel]:

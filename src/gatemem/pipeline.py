@@ -108,11 +108,7 @@ def records_from_channel(
     return _sampled_records(frame, outputs, rotations, shots, seed)
 
 
-def reconstruct_channel(
-    records,
-    frame: TomographyFrame | None = None,
-    provenance: str = "",
-) -> TomographyResult:
+def reconstruct_channel(records, frame: TomographyFrame | None = None) -> TomographyResult:
     """Full reconstruction chain over a record set: group records by
     preparation, run the likelihood estimator on all preparations at
     once, then invert the frame to a channel."""
@@ -122,7 +118,7 @@ def reconstruct_channel(
     states = {prep: est.state for prep, est in estimates.items()}
     logliks = {prep: est.loglik for prep, est in estimates.items()}
     iterations = {prep: est.iterations for prep, est in estimates.items()}
-    channel = process_tomography(states, frame, provenance=provenance)
+    channel = process_tomography(states, frame)
     return TomographyResult(
         states=states, channel=channel, loglik=logliks, iterations=iterations
     )
@@ -138,8 +134,7 @@ def reconstruct_from_model(
     """Simulate one sequence and reconstruct its channel."""
     frame = frame or build_frame(model.sys_qubits)
     records = simulate_records(model, gates, shots, seed, frame)
-    provenance = "+".join(str(g) for g in gates) or "I"
-    return reconstruct_channel(records, frame, provenance=provenance)
+    return reconstruct_channel(records, frame)
 
 
 @dataclass(frozen=True)

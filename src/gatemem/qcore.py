@@ -73,11 +73,12 @@ class DensityMatrix:
         data = np.array(self.data, dtype=complex)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValidationError(f"state matrix must be square, got shape {data.shape}")
-        if np.max(np.abs(data - data.conj().T)) > ZERO_TOL:
+        # each check in the "not x <= tol" form, so that a NaN fails it too
+        if not np.max(np.abs(data - data.conj().T)) <= ZERO_TOL:
             raise ValidationError("state matrix is not Hermitian")
-        if abs(np.trace(data) - 1.0) > ZERO_TOL:
+        if not abs(np.trace(data) - 1.0) <= ZERO_TOL:
             raise ValidationError(f"state matrix has trace {np.trace(data):.12g}, expected 1")
-        if np.linalg.eigvalsh(data)[0] < -ZERO_TOL:
+        if not np.linalg.eigvalsh(data)[0] >= -ZERO_TOL:
             raise ValidationError("state matrix has a negative eigenvalue")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -254,12 +254,14 @@ def load_model(path: str) -> tuple[SEModel, dict]:
 def channel_payload(
     channel: QuantumChannel, gates, shots, cfg_hash: str, seed
 ) -> dict:
+    """A channel file of ``channel``, the map of the gate tokens ``gates``;
+    its ``provenance`` label is the tokens joined by ``+``."""
     return _meta(
         "channel", cfg_hash, seed,
         dim=channel.dim,
         normalization="column-stacking",
         superop=encode_matrix(channel.superop),
-        provenance=channel.provenance,
+        provenance="+".join(gates),
         gates=list(gates),
         shots=shots,
     )
@@ -281,7 +283,7 @@ def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChann
         if superop.shape[0] != payload["dim"] ** 2:
             raise ValidationError(f"channel file {path}: superop size disagrees with dim")
         _check_gates(payload, "channel", path, int(payload["dim"]).bit_length() - 1)
-        return QuantumChannel(superop, provenance=payload.get("provenance", ""))
+        return QuantumChannel(superop)
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"channel file {path} is malformed: {err}") from err
 
@@ -365,8 +367,7 @@ def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) ->
     """The files of a grid analysis in ``out_dir``: the ``cp_violation``
     and ``cond_vs_marginal_<metric>`` matrices (CSV and JSON), one
     ``gate_dependence_<target>_<metric>.csv`` per target gate, and the
-    pair's ``histogram_<U>_<V>.json`` (baseline fields prefixed
-    ``baseline_``)."""
+    pair's ``histogram_<U>_<V>.json``."""
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "cp_violation"), analysis.cp_violation, cfg_hash, seed)
     for metric, matrix in analysis.cond_vs_marginal.items():
@@ -379,11 +380,9 @@ def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) ->
     u, v = analysis.pair
     payload = _meta("histogram", cfg_hash, seed)
     payload["pair"] = [u, v]
-    for prefix, dist in (("", analysis.histogram), ("baseline_", analysis.baseline_histogram)):
-        if dist is not None:
-            payload[prefix + "mean"] = dist.mean
-            payload[prefix + "stderr"] = dist.stderr
-            payload[prefix + "samples"] = [float(x) for x in dist.samples]
+    payload["mean"] = analysis.histogram.mean
+    payload["stderr"] = analysis.histogram.stderr
+    payload["samples"] = [float(x) for x in analysis.histogram.samples]
     dump_json(os.path.join(out_dir, f"histogram_{_slug(f'{u}_{v}')}.json"), payload)
 
 

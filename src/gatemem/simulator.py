@@ -120,7 +120,7 @@ class SEModel:
             u = np.array(u, dtype=complex)
             if u.shape != (d_joint, d_joint):
                 raise DimensionError(f"joint unitary for {label} has shape {u.shape}")
-            if np.max(np.abs(u @ u.conj().T - np.eye(d_joint))) > 1e-12:
+            if not np.max(np.abs(u @ u.conj().T - np.eye(d_joint))) <= 1e-12:  # a NaN fails too
                 raise ValidationError(f"joint operator for {label} is not unitary")
             u.setflags(write=False)
             unitaries[label] = u
@@ -251,8 +251,7 @@ def extract_channel(model: SEModel, gates) -> QuantumChannel:
             basis = np.zeros((d, d), dtype=complex)
             basis[i, j] = 1.0
             superop[:, j * d + i] = vec(_run_sequence_raw(model, gates, basis))
-    provenance = "+".join(str(g) for g in gates) or "I"
-    return QuantumChannel(superop, provenance=provenance)
+    return QuantumChannel(superop)
 
 
 def _spam_kick(spec: SpamSpec, kind: str, label: str, dim: int, strength: float) -> np.ndarray:

@@ -555,9 +555,7 @@ def mle_state(records, frame: TomographyFrame) -> DensityMatrix:
     return mle_estimate(records, frame).state
 
 
-def process_tomography(
-    results, frame: TomographyFrame, provenance: str = ""
-) -> QuantumChannel:
+def process_tomography(results, frame: TomographyFrame) -> QuantumChannel:
     """Linear-inversion channel from per-preparation output states.
 
     The superoperator is the dual-frame expansion
@@ -572,7 +570,7 @@ def process_tomography(
     for label, dual in zip(frame.prep_labels, frame.duals):
         out = _as_matrix(results[label])
         superop += np.outer(vec(out), vec(dual).conj())
-    return QuantumChannel(superop, provenance=provenance)
+    return QuantumChannel(superop)
 
 
 @dataclass(frozen=True)

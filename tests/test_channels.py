@@ -31,7 +31,7 @@ from conftest import is_cp, is_tp, random_density
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
     superop = np.outer(vec(np.eye(dim) / dim), vec(np.eye(dim)).conj())
-    return QuantumChannel(superop, provenance="depolarizing")
+    return QuantumChannel(superop)
 
 
 class TestGateLabel:
@@ -190,6 +190,10 @@ class TestChoiConversions:
         bad[0, 1] = 1.0
         with pytest.raises(ValidationError):
             ChoiMatrix(bad)
+
+    def test_rejects_nan_choi(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            ChoiMatrix(np.full((4, 4), np.nan))
 
 
 class TestApply:

@@ -144,6 +144,18 @@ class TestSimulateAndTomo:
             )
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("gates", ["X;Z;X", "X@0;X"])
+    def test_repeated_sequence_exits_2(self, runner, model_file, tmp_path, gates):
+        # each sequence names one records file, which a repeat would overwrite
+        out = tmp_path / "records"
+        result = runner.invoke(main, [
+            "simulate", "--model", model_file, "--gates", gates,
+            "--shots", "64", "--seed", "7", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "X@0" in result.output
+        assert not out.exists()
+
 
 @pytest.fixture
 def channel_dir(runner, model_file, tmp_path):
@@ -193,14 +205,15 @@ class TestAnalyzeScanErrors:
         )
 
     def test_analyze_with_markovian_baseline(self, runner, model_file, tmp_path):
-        # the histogram pairs the measured distribution with a
-        # memoryless-simulator run that isolates statistical error
+        # the memoryless comparison is a second analyze run, on a
+        # memoryless-simulator twin whose directory holds only the
+        # pair's three files: statistical error alone
         spec = json.loads(open(model_file).read())
         spec["reset_policy"] = "reset_each_gate"
         twin_model = tmp_path / "twin.json"
         twin_model.write_text(json.dumps(spec))
 
-        dirs = {}
+        hists = {}
         for name, model in (("main", model_file), ("base", str(twin_model))):
             rec = tmp_path / f"rec_{name}"
             _invoke(runner, [
@@ -214,57 +227,26 @@ class TestAnalyzeScanErrors:
                     "tomo", "--records", str(rec / f"records_{slug}.json"),
                     "--out", str(chans / f"channel_{slug}.json"),
                 ])
-            dirs[name] = chans
-        out = tmp_path / "hist"
-        _invoke(runner, [
-            "analyze", "--channels", str(dirs["main"]), "--baseline", str(dirs["base"]),
-            "--metric", "avg", "--samples", "3000", "--pair", "X,Z",
-            "--seed", "4", "--out", str(out),
-        ])
-        hist = load_json(str(out / "histogram_X0_Z0.json"))
-        assert len(hist["samples"]) == 3000
-        assert len(hist["baseline_samples"]) == 3000
+            out = tmp_path / f"hist_{name}"
+            _invoke(runner, [
+                "analyze", "--channels", str(chans), "--metric", "avg", "--samples", "3000",
+                "--pair", "X,Z", "--seed", "4", "--out", str(out),
+            ])
+            hists[name] = load_json(str(out / "histogram_X0_Z0.json"))
+        assert len(hists["main"]["samples"]) == len(hists["base"]["samples"]) == 3000
         # memory signal sits above the statistics-only baseline
-        assert hist["mean"] > hist["baseline_mean"]
+        assert hists["main"]["mean"] > hists["base"]["mean"]
 
-    @pytest.mark.parametrize("absent", ["channel_X0-Z0.json", "channel_X0.json",
-                                        "channel_Z0.json"])
-    def test_baseline_without_pair_channels_exits_2(self, runner, channel_dir, tmp_path,
-                                                    absent):
-        # the baseline needs the pair's two-gate file and both one-gate files
-        base = tmp_path / "base"
-        base.mkdir()
-        for name in ("channel_X0.json", "channel_Z0.json", "channel_X0-Z0.json"):
-            if name != absent:
-                (base / name).write_bytes((channel_dir / name).read_bytes())
-        result = runner.invoke(main, [
-            "analyze", "--channels", str(channel_dir), "--baseline", str(base),
-            "--pair", "X,Z", "--samples", "100", "--out", str(tmp_path / "out"),
-        ])
-        assert result.exit_code == 2, result.output
-        gates = absent[len("channel_"):-len(".json")].split("-")
-        missing = ",".join(f"{g[0]}@{g[1:]}" for g in gates)
-        assert f"baseline {base}" in result.output
-        assert f"missing: [{missing!r}]" in result.output
-
-    @pytest.mark.parametrize("reader", ["analyze", "scan", "baseline"])
+    @pytest.mark.parametrize("reader", ["analyze", "scan"])
     def test_non_finite_channel_entry_exits_2(self, runner, channel_dir, tmp_path, reader):
         # every channel reader rejects the file before any numerics see it
-        target = channel_dir
-        if reader == "baseline":
-            target = tmp_path / "base"
-            target.mkdir()
-            for name in ("channel_X0.json", "channel_Z0.json", "channel_X0-Z0.json"):
-                (target / name).write_bytes((channel_dir / name).read_bytes())
-        bad = target / ("channel_X0-Z0.json" if reader == "baseline" else "channel_Z0-Z0.json")
+        bad = channel_dir / "channel_Z0-Z0.json"
         payload = json.loads(bad.read_text())
         payload["superop"][1][2][0] = math.nan
         bad.write_text(json.dumps(payload))
         args = {
             "analyze": ["analyze", "--channels", str(channel_dir)],
             "scan": ["scan", "--channels", str(channel_dir), "--nmax", "2"],
-            "baseline": ["analyze", "--channels", str(channel_dir), "--baseline", str(target),
-                         "--pair", "X,Z"],
         }[reader]
         result = runner.invoke(main, args + ["--samples", "100", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
@@ -703,6 +685,9 @@ NEGATIVE_OPTIONS = [
     ("ptensor", "--shots", "0"),
     ("errors-records", "--seed", "-1"),
     ("errors-spam", "--seed", "-1"),
+    ("scan", "--nmax", "1"),
+    ("scan", "--nmax", "0"),
+    ("errors-records", "--trials", "1"),
 ]
 
 
@@ -756,7 +741,6 @@ class TestLibraryEntryPoints:
         assert hist["pair"] == list(analysis.pair) == ["X@0", "Z@0"]
         assert hist["samples"] == analysis.histogram.samples.tolist()
         assert hist["mean"] == analysis.histogram.mean
-        assert analysis.baseline_histogram is None
         gdm = analysis.gate_dependence[("Z@0", "avg")]
         csv = matrix_csv(gdm, cvm["config_hash"], 4)
         assert (out / "gate_dependence_Z0_avg.csv").read_text() == csv
@@ -841,15 +825,6 @@ class TestProvenance:
             hashes.append(self._hash(out, "cp_violation.json"))
             assert self._hash(out, "cond_vs_marginal_avg.json") == hashes[-1]
         assert hashes[0] == hashes[1] != hashes[2]
-        # a baseline directory is data too
-        based = []
-        for name in ("a", "b"):
-            out = tmp_path / f"based_{name}"
-            _invoke(runner, ["analyze", "--channels", str(tmp_path / "a"), "--samples", "100",
-                             "--pair", "X,Z", "--baseline", str(tmp_path / name),
-                             "--out", str(out)])
-            based.append(self._hash(out, "cp_violation.json"))
-        assert len({hashes[0], *based}) == 3
 
     def test_scan_hash_covers_channel_contents(self, runner, tmp_path, rng):
         x = ideal_channel(GateLabel("X", (0,)))

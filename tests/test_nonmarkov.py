@@ -407,20 +407,6 @@ class TestConditionalGrid:
             expected = conditional_map(joints[(u, v)], singles[u]).channel.superop
             np.testing.assert_array_equal(cm.channel.superop, expected)
 
-    def test_pair_builds_and_checks_only_that_cell(self, memory_channels):
-        from gatemem.exceptions import IncompleteDataError
-
-        labels, singles, joints = memory_channels
-        u, v = labels[3], labels[5]
-        partial = {g: singles[g] for g in (u, v)}
-        assert set(conditional_grid(partial, joints, (u, v))[2]) == {(u, v)}
-        with pytest.raises(IncompleteDataError) as err:
-            conditional_grid(partial, {}, (u, v))
-        assert err.value.missing == [f"{u},{v}"]
-        with pytest.raises(IncompleteDataError) as err:
-            conditional_grid({v: singles[v]}, joints, (u, v))
-        assert err.value.missing == [str(u)]
-
     def test_lists_every_absent_channel(self, rng):
         from gatemem.exceptions import IncompleteDataError
 

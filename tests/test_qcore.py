@@ -32,6 +32,10 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
+
     def test_data_is_frozen(self):
         with pytest.raises(ValueError):
             KET0.data[0, 0] = 0.0

@@ -52,6 +52,10 @@ class TestModelValidation:
                 reset_policy="persistent",
             )
 
+    def test_rejects_nan_unitary(self):
+        with pytest.raises(ValidationError, match="not unitary"):
+            SEModel(1, 2, np.eye(2) / 2, {X: np.full((4, 4), np.nan)}, "persistent")
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValidationError):
             SEModel(1, 2, np.eye(2) / 2, {}, "sometimes")
