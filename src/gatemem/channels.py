@@ -83,7 +83,8 @@ class GateLabel:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A linear map on density matrices, held as a d^2 x d^2 superoperator."""
+    """A linear map on density matrices, held as a d^2 x d^2 superoperator
+    of finite entries."""
 
     superop: np.ndarray
 
@@ -94,6 +95,8 @@ class QuantumChannel:
         d = math.isqrt(superop.shape[0])
         if d * d != superop.shape[0]:
             raise ValidationError(f"superoperator size {superop.shape[0]} is not a square")
+        if not np.isfinite(superop).all():
+            raise ValidationError("superoperator has non-finite entries")
         superop.setflags(write=False)
         object.__setattr__(self, "superop", superop)
 

@@ -71,20 +71,22 @@ def _exit_codes(fn):
 def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
     """Sequences are ';'-separated; gates within one are ','-separated.
     Wire indices use '.' (e.g. 'CX@1.0,H@1;X').  Each sequence names one
-    records file, so a sequence given twice is an error."""
-    sequences = []
+    records file, so two sequences naming the same file (a sequence given
+    twice, or 'CX@11.0;CX@1.10') are an error."""
+    by_file = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         sequence = tuple(GateLabel.parse(tok) for tok in chunk.split(","))
-        if sequence in sequences:
-            raise ValidationError(
-                f"--gates gives the sequence {','.join(map(str, sequence))} twice")
-        sequences.append(sequence)
-    if not sequences:
+        name = serialize.records_filename(sequence)
+        if name in by_file:
+            first, second = (",".join(map(str, s)) for s in (by_file[name], sequence))
+            raise ValidationError(f"--gates sequences {first} and {second} both write {name}")
+        by_file[name] = sequence
+    if not by_file:
         raise ValidationError("no gate sequences given")
-    return sequences
+    return list(by_file.values())
 
 
 def _metrics(metric: str) -> tuple[str, ...]:

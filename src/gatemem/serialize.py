@@ -132,11 +132,17 @@ def records_payload(records, n_qubits: int, cfg_hash: str, seed, gates=None) -> 
     return payload
 
 
+def records_filename(gates) -> str:
+    """File name of one gate sequence's records, ``records_<sequence>.json``
+    (e.g. ``records_X0-Z0.json``); distinct sequences may share one
+    (``CX@11.0`` and ``CX@1.10``)."""
+    return f"records_{'-'.join(_slug(str(g)) for g in gates)}.json"
+
+
 def write_records(out_dir: str, gates, records, n_qubits: int, cfg_hash: str, seed) -> str:
-    """Write the records of one gate sequence as ``records_<sequence>.json``
-    (e.g. ``records_X0-Z0.json``) in ``out_dir``; returns the path."""
-    slug = "-".join(_slug(str(g)) for g in gates)
-    path = os.path.join(out_dir, f"records_{slug}.json")
+    """Write the records of one gate sequence as :func:`records_filename`
+    in ``out_dir``; returns the path."""
+    path = os.path.join(out_dir, records_filename(gates))
     dump_json(path, records_payload(records, n_qubits, cfg_hash, seed, gates))
     return path
 

@@ -12,7 +12,8 @@ are bitstrings with qubit 0 leftmost.
 Likelihood estimation runs on all preparations of a record set at once
 (:func:`mle_estimates`).  The preparations share the frame's effect
 stack, so the outcome probabilities of a whole stack of states are one
-product with a real design matrix.  Each preparation is one row of
+real product, and so is each update, on real half-embeddings of the
+states and of R (:func:`_embedded`).  Each preparation is one row of
 weighted frequencies over the full outcome list; an outcome with zero
 counts has weight 0.  A candidate's probabilities serve both its
 log-likelihood and the next R operator.  Each preparation keeps its own
@@ -318,29 +319,40 @@ def _measurement_effects(meas_label: str) -> np.ndarray:
     return effects
 
 
+def _embedded(m: np.ndarray) -> np.ndarray:
+    """Half the real embedding ``[[X, -Y], [Y, X]] / 2`` of each ``X + iY``
+    of a stack; a product of two is half the embedding of the product."""
+    x, y = 0.5 * m.real, 0.5 * m.imag
+    return np.block([[x, -y], [y, x]])
+
+
+def _unembedded(h: np.ndarray) -> np.ndarray:
+    """The complex matrices whose half-embeddings lie nearest ``h``."""
+    d = h.shape[-1] // 2
+    return (h[..., :d, :d] + h[..., d:, d:]) + 1j * (h[..., d:, :d] - h[..., :d, d:])
+
+
 @functools.lru_cache(maxsize=None)
 def _likelihood_design(meas_labels: tuple[str, ...]):
     """Maps between states and the probabilities of every outcome of the
     settings, whose effects ``E_k`` are stacked in setting order.
 
     Returns the complex design ``A`` with ``A @ rho.ravel() = tr(E_k
-    rho)``; its real form ``B`` of shape ``(2*d*d, S*d)``, so that a
-    stack of states viewed as interleaved real/imaginary parts, times
-    ``B``, gives ``Re tr(E_k rho)`` for the whole stack in one product;
-    and the effects as rows in that interleaved view, so that a stack of
-    coefficient rows times them gives the operators ``sum_k c_k E_k``.
+    rho)`` for the exact-mode least-squares state, and two maps on
+    flattened half-embeddings: the effects as rows ``(K, 4*d*d)``, so a
+    coefficient row times them embeds ``sum_k c_k E_k``, and the
+    probability map ``(4*d*d, K)``, so a state times it is ``Re tr(E_k rho)``.
     """
     effects = np.concatenate([_measurement_effects(m) for m in meas_labels])
     k, d = effects.shape[0], effects.shape[1]
     design = effects.transpose(0, 2, 1).reshape(k, d * d)
-    real_design = np.empty((d * d, 2, k))
-    real_design[:, 0] = design.real.T
-    real_design[:, 1] = -design.imag.T
-    real_design = real_design.reshape(2 * d * d, k)
-    effect_rows = effects.reshape(k, d * d).view(float)
-    for array in (design, real_design, effect_rows):
+    embedded = _embedded(effects)
+    effect_rows = embedded.reshape(k, 4 * d * d)
+    # tr(E rho) = 2 tr(half(E) half(rho)) for the half-embeddings
+    probability_map = np.ascontiguousarray(2.0 * embedded.transpose(0, 2, 1).reshape(k, -1).T)
+    for array in (design, effect_rows, probability_map):
         array.setflags(write=False)
-    return design, real_design, effect_rows
+    return design, effect_rows, probability_map
 
 
 @dataclass(frozen=True)
@@ -361,8 +373,8 @@ def _group_by_setting(records) -> dict[str, CountRecord]:
 
 def _likelihood_row(records, frame: TomographyFrame):
     """One preparation's data over the frame's outcome list: frequencies,
-    weighted frequencies, total weight, step tolerance, and whether
-    every setting is exact."""
+    weighted frequencies over the total weight, step tolerance, and
+    whether every setting is exact."""
     grouped = _group_by_setting(records)
     settings = frame.meas_labels
     missing = [m for m in settings if m not in grouped]
@@ -376,7 +388,7 @@ def _likelihood_row(records, frame: TomographyFrame):
     # Beyond the shot-noise radius extra iterations buy nothing.
     if not exact:
         step_tol = max(step_tol, 1e-3 / math.sqrt(total_weight))
-    return freqs, weights * freqs, total_weight, step_tol, exact
+    return freqs, weights * freqs / total_weight, step_tol, exact
 
 
 #: Iteration cap of the likelihood estimator.
@@ -386,28 +398,28 @@ MLE_MAX_ITERATIONS = 10_000
 def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]:
     """Diluted fixed-point estimates of several preparations at once;
     ``record_sets[i]`` holds the records of preparation ``labels[i]``.
-    See :func:`mle_estimate` for the iteration."""
-    design, real_design, effect_rows = _likelihood_design(frame.meas_labels)
+    See :func:`mle_estimate` for the iteration.  Iterates, R and the
+    dilution gates are half-embeddings (:func:`_embedded`) until their
+    rows finish or hit the cap."""
+    design, effect_rows, probability_map = _likelihood_design(frame.meas_labels)
     d, n_preps = frame.dim, len(labels)
     rows = [_likelihood_row(records, frame) for records in record_sets]
-    freqs, wf, total, step_tol, exact = (np.array(column) for column in zip(*rows))
+    freqs, wft, step_tol, exact = (np.array(column) for column in zip(*rows))
 
     def normalized(rho):
-        trace = np.einsum("pii->p", rho.real)
-        return rho / trace[:, None, None]
+        return rho / np.einsum("pii->p", rho.real)[:, None, None]
 
-    def real_probabilities(rho):
-        return rho.reshape(len(rho), d * d).view(float) @ real_design
+    def real_probabilities(rho):  # of a stack of half-embedded states
+        return rho.reshape(len(rho), 4 * d * d) @ probability_map
 
     def probabilities(rho):
         return np.maximum(real_probabilities(rho), 1e-300)
 
-    def loglik(probs, wf, total):
-        return np.einsum("pk,pk->p", wf, np.log(probs)) / total
+    def loglik(probs, wft):
+        return np.einsum("pk,pk->p", wft, np.log(probs))
 
-    def r_operators(probs, wf, total):
-        coeff = wf / probs / total[:, None]
-        return (coeff @ effect_rows).view(complex).reshape(len(probs), d, d)
+    def r_operators(probs, wft):
+        return ((wft / probs) @ effect_rows).reshape(len(probs), 2 * d, 2 * d)
 
     states = np.empty((n_preps, d, d), dtype=complex)
     logliks = np.empty(n_preps)
@@ -423,7 +435,7 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
         solution, *_ = np.linalg.lstsq(design, freqs[ex].T.astype(complex), rcond=None)
         rho_lin = np.ascontiguousarray(solution.T).reshape(len(ex), d, d)
         rho_lin = normalized(0.5 * (rho_lin + rho_lin.conj().transpose(0, 2, 1)))
-        residual = np.max(np.abs(real_probabilities(rho_lin) - freqs[ex]), axis=1)
+        residual = np.max(np.abs(real_probabilities(_embedded(rho_lin)) - freqs[ex]), axis=1)
         w, v = np.linalg.eigh(rho_lin)
         physical = (residual < 1e-10) & (w[:, 0] >= -1e-11)
         w = np.clip(w[physical], 0.0, None)
@@ -431,7 +443,7 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
         rho_lin = (v * (w / w.sum(axis=1, keepdims=True))[:, None, :]) @ v.conj().transpose(0, 2, 1)
         solved = ex[physical]
         states[solved] = rho_lin
-        logliks[solved] = loglik(probabilities(rho_lin), wf[solved], total[solved])
+        logliks[solved] = loglik(probabilities(_embedded(rho_lin)), wft[solved])
         live[solved] = False
         # inconsistent or unphysical exact-mode data heads for a boundary
         # optimum, where the fixed point contracts sublinearly; such
@@ -439,25 +451,25 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
         step_tol[ex[~physical]] = np.maximum(step_tol[ex[~physical]], 1e-9)
 
     idx = np.flatnonzero(live)
-    wf, total, step_tol = wf[idx], total[idx], step_tol[idx]
-    ident = np.eye(d, dtype=complex)
+    wft, half_tol_sq = wft[idx], 0.5 * step_tol[idx] ** 2  # embedding halves |.|^2
+    ident = 0.5 * np.eye(2 * d)  # the half-embedded identity
     rho = np.repeat(ident[None] / d, len(idx), axis=0)
     probs = probabilities(rho)
-    ll = loglik(probs, wf, total)
+    ll = loglik(probs, wft)
     # Likelihood gating resolves improvements only down to sqrt(machine
     # epsilon) in state error; once it stalls, the plain fixed-point
     # update keeps contracting for interior optima, so a bounded
     # terminal phase runs ungated on the step criterion alone.
-    stalled = np.zeros(len(idx), dtype=bool)
+    stalled, any_stalled = np.zeros(len(idx), dtype=bool), False
     polish_left = np.full(len(idx), 1_000)
     iteration = 0
     while idx.size and iteration < MLE_MAX_ITERATIONS:
         iteration += 1
-        r = r_operators(probs, wf, total)
+        r = r_operators(probs, wft)
         cand = normalized(r @ rho @ r)
         probs_cand = probabilities(cand)  # for the likelihood and the next R
-        ll_cand = loglik(probs_cand, wf, total)
-        if any_stalled := stalled.any():
+        ll_cand = loglik(probs_cand, wft)
+        if any_stalled:
             ll_cand[stalled] = ll[stalled]
             polish_left -= stalled
         dropped = (ll_cand < ll).nonzero()[0]
@@ -466,7 +478,7 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
             g = ident + eps * (r[dropped] - ident)
             diluted = normalized(g @ rho[dropped] @ g)
             probs_diluted = probabilities(diluted)
-            ll_diluted = loglik(probs_diluted, wf[dropped], total[dropped])
+            ll_diluted = loglik(probs_diluted, wft[dropped])
             kept = ll_diluted >= ll[dropped]
             taken = dropped[kept]
             cand[taken], probs_cand[taken], ll_cand[taken] = (
@@ -477,27 +489,28 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
             ll_cand[dropped] = ll[dropped]
             stalled[dropped] = True
             any_stalled = True
-        diff = (cand - rho).reshape(len(idx), d * d).view(float)
-        step = np.sqrt(np.einsum("pk,pk->p", diff, diff))
+        diff = (cand - rho).reshape(len(idx), 4 * d * d)
+        step_sq = np.einsum("pk,pk->p", diff, diff)
         rho, probs, ll = cand, probs_cand, ll_cand
-        finished = step < step_tol
+        finished = step_sq < half_tol_sq
         if any_stalled:
             finished |= stalled & (polish_left <= 0)
         if finished.any():
             out = idx[finished]
-            done = rho[finished]
+            done = _unembedded(rho[finished])
             states[out] = normalized(0.5 * (done + done.conj().transpose(0, 2, 1)))
             logliks[out] = ll[finished]
             iterations[out] = iteration
             going = ~finished
             idx, rho, probs, ll = idx[going], rho[going], probs[going], ll[going]
-            wf, total, step_tol = wf[going], total[going], step_tol[going]
+            wft, half_tol_sq = wft[going], half_tol_sq[going]
             stalled, polish_left = stalled[going], polish_left[going]
+            any_stalled = bool(stalled.any())
     if idx.size:
         raise ConvergenceError(
             f"MLE did not converge in {MLE_MAX_ITERATIONS} iterations"
             f" (preparation {labels[idx[0]]!r})",
-            rho[0].copy(),
+            _unembedded(rho[0]),
             MLE_MAX_ITERATIONS,
         )
     return [
@@ -534,16 +547,20 @@ def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     decrease, so the likelihood is non-decreasing and the iterate stays
     positive semidefinite throughout.  Convergence is declared when the
     Frobenius step falls below 1e-12 (loosened to the statistical
-    resolution of the data when counts are finite).  Exact-mode data
-    that is consistent with a physical state short-circuits to that
-    state, which is the exact optimum.
+    resolution of the data when counts are finite, and to 1e-9 for
+    exact data no physical state reproduces), or 1,000 ungated
+    iterations after no dilution raises the likelihood; 10,000
+    iterations raise :class:`ConvergenceError`.  Exact-mode data that
+    is consistent with a physical state short-circuits to that state,
+    the least-squares solution, which is the exact optimum.
 
     This is the batched kernel of :func:`mle_estimates` on one
     preparation.  The data is one row of weighted frequencies over the
     frame's full outcome list; an outcome with zero counts has weight 0
     and drops out of the likelihood and of R.  Each candidate's outcome
     probabilities are computed once, for its log-likelihood, and reused
-    for the next R.
+    for the next R.  The iteration runs in real arithmetic, on half the
+    real embeddings ``[[X, -Y], [Y, X]] / 2`` of the states and of R.
     """
     records = list(records)
     label = records[0].prep_label if records else ""

@@ -55,6 +55,15 @@ class TestGateLabel:
         assert GateLabel.parse("X") == GateLabel("X", (0,))
 
 
+class TestQuantumChannel:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_superop(self, entry):
+        superop = identity_channel(2).superop.copy()
+        superop[1, 2] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            QuantumChannel(superop)
+
+
 class TestIdealChannels:
     def test_x_flips_ground_state(self):
         out = apply(ideal_channel(GateLabel("X", (0,))), DensityMatrix.computational(2, 0))

@@ -156,6 +156,19 @@ class TestSimulateAndTomo:
         assert "X@0" in result.output
         assert not out.exists()
 
+    def test_sequences_sharing_a_records_file_exit_2(self, runner, model_file, tmp_path):
+        # both sequences would write records_CX110.json; the check runs
+        # before anything is simulated
+        out = tmp_path / "records"
+        result = runner.invoke(main, [
+            "simulate", "--model", model_file, "--gates", "CX@11.0;CX@1.10",
+            "--shots", "64", "--seed", "7", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "CX@11.0" in result.output and "CX@1.10" in result.output
+        assert "records_CX110.json" in result.output
+        assert not out.exists()
+
 
 @pytest.fixture
 def channel_dir(runner, model_file, tmp_path):

@@ -26,12 +26,17 @@ from gatemem.qcore import DensityMatrix
 from gatemem.simulator import SpamSpec, build_default_model, extract_channel
 from gatemem.tomography import (
     MleEstimate,
+    _embedded,
     _group_by_setting,
+    _likelihood_design,
     _measurement_effects,
+    _unembedded,
     build_frame,
     mle_estimate,
     mle_estimates,
 )
+
+from conftest import random_density
 
 CX = GateLabel.parse("CX@1.0")
 
@@ -152,6 +157,31 @@ def assert_same_iterates(estimates, reference):
         np.testing.assert_allclose(est.state.data, ref.state.data, rtol=0, atol=1e-13,
                                    err_msg=prep)
         assert abs(est.loglik - ref.loglik) <= 1e-14, prep
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_embedded_maps(n_qubits, rng):
+    # the kernel's real maps against the complex design and effects
+    frame = build_frame(n_qubits)
+    d = frame.dim
+    design, effect_rows, probability_map = _likelihood_design(frame.meas_labels)
+    effects = np.concatenate([_measurement_effects(m) for m in frame.meas_labels])
+    states = np.array([random_density(d, rng) for _ in range(5)])
+    np.testing.assert_allclose(
+        _embedded(states).reshape(5, 4 * d * d) @ probability_map,
+        (design @ states.reshape(5, d * d).T).T.real, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        np.trace(_embedded(states), axis1=1, axis2=2), np.ones(5), rtol=0, atol=1e-15)
+
+    coeff = rng.random((5, len(effects)))
+    np.testing.assert_allclose(
+        _unembedded((coeff @ effect_rows).reshape(5, 2 * d, 2 * d)),
+        np.einsum("pk,kij->pij", coeff, effects), rtol=0, atol=1e-14)
+
+    a, b = (rng.standard_normal((2, 5, d, d)) + 1j * rng.standard_normal((2, 5, d, d)))
+    np.testing.assert_allclose(_embedded(a) @ _embedded(b), 0.5 * _embedded(a @ b),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(_unembedded(_embedded(a)), a)
 
 
 @pytest.fixture(scope="module")
