@@ -48,10 +48,12 @@ from .qcore import (
     DEFAULT_SCAN_NMAX,  # noqa: F401  (re-exported with the scan it bounds)
     _as_matrix,
     _complex_normals,
+    _from_spectrum,
     _half_trace_norm,
     _half_trace_norm_4x4_entries,
     _haar_vectors,
     _hermitian_from_entries,
+    _hermitian_part,
     _relative_entropy_core,
     _upper_indices,
 )
@@ -349,17 +351,13 @@ def diamond_lower_bound(
         psi = psis[idx].copy()
         current = values[idx]
         for _ in range(300):
-            out = output(psi)
-            out = 0.5 * (out + out.conj().T)
-            w, v = np.linalg.eigh(out)
-            pos = v[:, w > 0]
-            proj = pos @ pos.conj().T
+            w, v = np.linalg.eigh(_hermitian_part(output(psi)))
+            proj = _from_spectrum((w > 0).astype(float), v)
             # pull the discriminating projector back through the map
             h = np.einsum(
                 "stuv,tavb->saub", choi4.conj(), proj.reshape(d, d, d, d)
             ).reshape(d * d, d * d)
-            h = 0.5 * (h + h.conj().T)
-            psi_new = np.linalg.eigh(h)[1][:, -1].reshape(d, d)
+            psi_new = np.linalg.eigh(_hermitian_part(h))[1][:, -1].reshape(d, d)
             new_value = float(_half_trace_norm(output(psi_new)))
             if new_value <= current + 1e-13:
                 break
@@ -593,8 +591,7 @@ def markovian_choi_reference(chan_u: QuantumChannel, chan_v: QuantumChannel) -> 
     """
     cu = choi_from_superop(chan_u).rescaled("trace-1").data
     cv = choi_from_superop(chan_v).rescaled("trace-1").data
-    ref = np.kron(cu, cv)
-    return 0.5 * (ref + ref.conj().T)
+    return _hermitian_part(np.kron(cu, cv))
 
 
 def process_tensor_proxy(measured, markovian_reference) -> float:
@@ -613,9 +610,9 @@ def process_tensor_proxy(measured, markovian_reference) -> float:
         raise DimensionError(f"incompatible shapes {m.shape} vs {r.shape}")
     reg = PTENSOR_REGULARIZATION
     d = m.shape[0]
-    r = (1.0 - reg) * 0.5 * (r + r.conj().T) + reg * np.eye(d) / d
+    r = (1.0 - reg) * _hermitian_part(r) + reg * np.eye(d) / d
 
-    lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    lam, u = np.linalg.eigh(_hermitian_part(m))
     mu, v = np.linalg.eigh(r)
     mu = np.maximum(mu, 0.5 * reg / d)  # guards roundoff only
     return _relative_entropy_core(lam, u, mu, v, 1e-12)

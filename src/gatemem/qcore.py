@@ -4,23 +4,22 @@ Conventions shared by the whole package:
 
 * matrices are dense ``complex128`` numpy arrays,
 * subsystem index 0 is the leftmost tensor factor,
-* Hermitian eigendecomposition is the numerical kernel, with two
-  closed-form exceptions for the trace norm: a 2 x 2 block (a qubit
-  state difference; :mod:`.nonmarkov` takes the same closed form on the
-  entries of the qubit outputs of an averaged distance), and each block
-  of a stack of 4 x 4 blocks, given as matrices or by their entries (the
-  outputs of a two-qubit averaged distance), which falls back to
-  ``eigvalsh`` on nearly degenerate spectra,
+* Hermitian eigendecomposition is the numerical kernel: every trace
+  norm of a matrix comes from ``eigvalsh``, and closed forms act only on
+  the entries of an averaged distance's outputs (qubits in
+  :mod:`.nonmarkov`, two qubits in ``_half_trace_norm_4x4_entries``),
 * any eigenvalue within ``ZERO_TOL`` of zero is treated as zero.
 
-The linear algebra every other module builds on lives here, once:
-``_half_trace_norm`` (one matrix or a stack; trace distances, the
-brute-force diamond bound, CP violation; closed form for 2 x 2 and for
-stacked 4 x 4, ``eigvalsh`` otherwise), ``_hermitian_function`` (PSD
-parts, square roots, unitaries from generators), ``_complex_normals``
-(the one Gaussian draw behind Haar states and unitaries, and behind the
-averaged distance, which uses the normals unnormalized),
-``_haar_vectors`` (every Haar pure-state draw), and
+The linear algebra every other module builds on lives here, once.  Its
+Hermitian helpers take one matrix or a stack: ``_hermitian_part``,
+``_from_spectrum`` (``v diag(w) v^dagger``, every rebuild from an
+eigendecomposition), ``_hermitian_function`` (``eigh``, then
+``_from_spectrum``: PSD parts, square roots, unitaries from generators),
+``_trace_out_last`` (the one partial trace: the simulator's environment,
+the output factor of a Choi matrix) and ``_half_trace_norm``.  Beside
+them sit ``_complex_normals`` (the one Gaussian draw behind Haar states
+and unitaries, and behind the averaged distance, which uses the normals
+unnormalized), ``_haar_vectors`` (every Haar pure-state draw), and
 ``_relative_entropy_core`` (the spectral part of both relative
 entropies).
 
@@ -112,39 +111,27 @@ def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(dim, 1)
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """``(mat + mat^dagger) / 2``, of one matrix or a stack (..., d, d)."""
+    return 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
+
+
+def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v diag(w) v^dagger``, of one eigendecomposition or a stack."""
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _trace_out_last(mat: np.ndarray, d_last: int) -> np.ndarray:
+    """The partial trace over the last tensor factor, of dimension ``d_last``."""
+    d = mat.shape[-1] // d_last
+    return np.einsum("...ikjk->...ij", mat.reshape(*mat.shape[:-2], d, d_last, d, d_last))
+
+
 def _half_trace_norm(mat: np.ndarray):
     """Half the trace norm of the Hermitian part of a matrix, or of each
-    matrix in a stack of shape (..., d, d).  No validation: batched
-    callers sit on hot paths.
-
-    For 2 x 2 blocks the Hermitian part has eigenvalues ``mid +- rad``
-    (``mid`` half its trace, ``rad`` the spectral norm of its traceless
-    part), so half the trace norm is ``max(|mid|, rad)`` in closed form.
-    A stack of more than one 4 x 4 block goes through
-    :func:`_half_trace_norm_4x4`; a lone 4 x 4 matrix and larger blocks
-    go through ``eigvalsh``, which costs less there than the ~100 array
-    operations of the closed form."""
-    if mat.shape[-2:] == (2, 2):
-        p, r = mat[..., 0, 0].real, mat[..., 1, 1].real
-        q = 0.5 * (mat[..., 0, 1] + np.conj(mat[..., 1, 0]))
-        return np.maximum(np.abs(0.5 * (p + r)), np.hypot(0.5 * (p - r), np.abs(q)))
-    if mat.ndim == 3 and mat.shape[1:] == (4, 4) and len(mat) > 1:
-        return _half_trace_norm_4x4(mat)
-    return _half_trace_norm_eigvalsh(mat)
-
-
-def _half_trace_norm_eigvalsh(mat: np.ndarray):
-    herm = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
-
-
-def _half_trace_norm_4x4(mat: np.ndarray) -> np.ndarray:
-    """Half the trace norm of each block's Hermitian part, for a stack of
-    shape (n, 4, 4), by :func:`_half_trace_norm_4x4_entries` on the
-    entries of those Hermitian parts."""
-    diag = [mat[:, i, i].real for i in range(4)]
-    upper = [0.5 * (mat[:, i, j] + np.conj(mat[:, j, i])) for i, j in _PAIRS]
-    return _half_trace_norm_4x4_entries(diag, upper)
+    matrix in a stack of shape (..., d, d), by ``eigvalsh``.  No
+    validation: batched callers sit on hot paths."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(mat))), axis=-1)
 
 
 def _half_trace_norm_4x4_entries(diag, upper) -> np.ndarray:
@@ -217,7 +204,7 @@ def _half_trace_norm_4x4_entries(diag, upper) -> np.ndarray:
     if not trusted.all():
         rest = ~trusted
         herm = _hermitian_from_entries([x[rest] for x in diag], [x[rest] for x in upper])
-        out[rest] = _half_trace_norm_eigvalsh(herm)
+        out[rest] = _half_trace_norm(herm)
     return out
 
 
@@ -239,7 +226,7 @@ def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
     """``f(mat)`` for a Hermitian matrix, with ``fn`` mapping its
     eigenvalue array to the new eigenvalues."""
     w, v = np.linalg.eigh(mat)
-    return (v * fn(w)) @ v.conj().T
+    return _from_spectrum(fn(w), v)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -266,8 +253,8 @@ def relative_entropy(rho, sigma) -> float:
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    lam, u = np.linalg.eigh(0.5 * (a + a.conj().T))
-    mu, v = np.linalg.eigh(0.5 * (b + b.conj().T))
+    lam, u = np.linalg.eigh(_hermitian_part(a))
+    mu, v = np.linalg.eigh(_hermitian_part(b))
 
     kernel = mu <= ZERO_TOL
     if kernel.any():
@@ -322,23 +309,3 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     phases = np.diag(r)
     return q * (phases / np.abs(phases))
-
-
-def _partial_trace_raw(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace of an arbitrary square matrix (no state validation)."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
-    total = math.prod(dims)
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (total, total):
-        raise DimensionError(f"matrix shape {mat.shape} inconsistent with dims {dims}")
-    tensor = mat.reshape(dims + dims)
-    row = list(range(n))
-    col = [i + n if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(tensor, row + col, out)
-    d_keep = math.prod(dims[i] for i in keep) if keep else 1
-    return reduced.reshape(d_keep, d_keep)

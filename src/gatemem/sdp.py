@@ -38,20 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SolverError
-from .qcore import _hermitian_function
+from .qcore import _from_spectrum, _hermitian_function, _hermitian_part, _trace_out_last
 
 #: Certified primal-dual gap at which the ascent stops.
 GAP_TOL = 1e-6
 #: Newton steps after which :class:`SolverError` is raised.
 MAX_NEWTON_STEPS = 200
-
-
-def _hermitian(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
-def _trace_out(mat: np.ndarray, d: int) -> np.ndarray:
-    return np.einsum(mat.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -105,26 +97,26 @@ class _Point:
         root = np.repeat(np.sqrt(w), len(w))
         self.vecs, self.w, self.rot = vecs, w, np.kron(vecs, np.eye(len(w)))
         self.scale = np.outer(root, root)
-        x = _hermitian(self.rot.conj().T @ choi @ self.rot) * self.scale
+        x = _hermitian_part(self.rot.conj().T @ choi @ self.rot) * self.scale
         self.lam, self.u = np.linalg.eigh(x)
         self.value = 0.5 * float(np.sum(np.abs(self.lam)))
-        self.x_plus = (self.u * np.clip(self.lam, 0.0, None)) @ self.u.conj().T
+        self.x_plus = _from_spectrum(np.clip(self.lam, 0.0, None), self.u)
 
     def upper_bound(self, choi: np.ndarray, half_r: np.ndarray) -> float:
         """lambda_max(tr_out Z - R/2), read rigorously (module docstring)."""
         d = len(self.w)
-        z = _hermitian(self.rot @ (self.x_plus / self.scale) @ self.rot.conj().T)
+        z = _hermitian_part(self.rot @ (self.x_plus / self.scale) @ self.rot.conj().T)
         w, v = np.linalg.eigh(z - choi)
         shift = max(0.0, -w[0], -np.linalg.eigvalsh(z)[0])
-        repaired = _hermitian_function(choi + (v * np.clip(w, 0.0, None)) @ v.conj().T,
+        repaired = _hermitian_function(choi + _from_spectrum(np.clip(w, 0.0, None), v),
                                        lambda e: np.clip(e, 0.0, None))
-        return min(float(np.linalg.eigvalsh(_trace_out(z, d) - half_r)[-1]) + d * shift,
-                   float(np.linalg.eigvalsh(_trace_out(repaired, d) - half_r)[-1]))
+        return min(float(np.linalg.eigvalsh(_trace_out_last(z, d) - half_r)[-1]) + d * shift,
+                   float(np.linalg.eigvalsh(_trace_out_last(repaired, d) - half_r)[-1]))
 
     def newton_step(self, mu: float, basis: np.ndarray, half_r: np.ndarray):
         """Newton direction H = sum x_k E_k, its slope and squared decrement."""
         d, root = len(self.w), np.sqrt(self.w)
-        grad = _trace_out(self.x_plus, d) + mu * np.eye(d)
+        grad = _trace_out_last(self.x_plus, d) + mu * np.eye(d)
         grad -= root[:, None] * (self.vecs.conj().T @ half_r @ self.vecs) * root[None, :]
         grad = np.einsum("ab,kba->k", grad, basis).real
         pos = self.lam > 0
@@ -160,12 +152,12 @@ def diamond_sdp(choi: np.ndarray) -> DiamondResult:
     cannot be brought to ``GAP_TOL`` within ``MAX_NEWTON_STEPS``.
     """
     d = math.isqrt(choi.shape[0])
-    choi = _hermitian(choi)
+    choi = _hermitian_part(choi)
     if np.max(np.abs(choi)) < 1e-14:
         rho = np.eye(d, dtype=complex) / d
         return DiamondResult(0.0, 0.0, 0, rho, _certificate_input(rho), 0.0)
 
-    half_r, basis = 0.5 * _trace_out(choi, d), _hermitian_basis(d)
+    half_r, basis = 0.5 * _trace_out_last(choi, d), _hermitian_basis(d)
     pt = best = _Point(np.eye(d, dtype=complex), np.full(d, 1.0 / d), choi)
     mu, upper, steps = pt.value / d, math.inf, 0
     while pt is not None:
@@ -181,5 +173,5 @@ def diamond_sdp(choi: np.ndarray) -> DiamondResult:
     gap = upper - best.value
     if gap > GAP_TOL:
         raise SolverError(f"distance SDP stalled at gap {gap:.3e} after {steps} Newton steps", gap)
-    rho = (best.vecs * best.w) @ best.vecs.conj().T
+    rho = _from_spectrum(best.w, best.vecs)
     return DiamondResult(upper, gap, steps, rho, _certificate_input(rho), best.value)

@@ -171,8 +171,11 @@ def _check_gates(payload: dict, kind: str, path: str, n_qubits: int) -> None:
                 f"{kind} file {path}: gate {tok!r} does not fit on {n_qubits} qubit(s)")
 
 
-def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRecord]:
-    """Count records of a records file; error messages name ``path``."""
+def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, TomographyFrame]:
+    """The count records of a records file and the tomography frame of its
+    ``n_qubits``; error messages name ``path``.  Every record takes its
+    labels from that frame, and all have one mode: every ``shots`` null
+    (exact) or none."""
     try:
         _check_schema(payload, "records", path)
         version = payload.get("grammar_version", LABEL_GRAMMAR_VERSION)
@@ -185,20 +188,33 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
         if missing or not payload["records"]:
             raise ValidationError(f"records file {path} is missing {missing or 'every record'}")
-        _check_gates(payload, "records", path, payload["n_qubits"])
+        try:
+            frame = build_frame(payload["n_qubits"])
+        except DimensionError as err:
+            raise DimensionError(f"records file {path}: {err}") from None
+        _check_gates(payload, "records", path, frame.n_qubits)
         records = []
         for i, entry in enumerate(payload["records"]):
             try:
-                records.append(CountRecord(
+                record = CountRecord(
                     prep_label=entry["prep"],
                     meas_label=entry["meas"],
                     counts=dict(entry["counts"]),
                     shots=entry["shots"],
                     seed=entry.get("seed"),
-                ))
+                )
             except ValidationError as err:
                 raise ValidationError(f"records file {path}, record {i}: {err}") from err
-        return records
+            if record.prep_label not in frame.prep_labels \
+                    or record.meas_label not in frame.meas_labels:
+                raise ValidationError(
+                    f"records file {path}, record {i}: prep {record.prep_label!r} or meas"
+                    f" {record.meas_label!r} is not in the {frame.n_qubits}-qubit frame")
+            records.append(record)
+        if len({r.shots is None for r in records}) > 1:
+            raise ValidationError(
+                f"records file {path} mixes exact-mode records (shots null) with sampled ones")
+        return records, frame
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"records file {path} is malformed: {err}") from err
 
@@ -206,8 +222,7 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
 def load_records(path: str) -> tuple[dict, list[CountRecord], TomographyFrame]:
     """A records file as (payload, records, tomography frame)."""
     payload = load_json(path)
-    records = records_from_payload(payload, path)
-    return payload, records, build_frame(payload["n_qubits"])
+    return (payload, *records_from_payload(payload, path))
 
 
 def _finite(value, field: str) -> float:

@@ -39,7 +39,7 @@ from .channels import (
     vec,
 )
 from .exceptions import DimensionError, LabelError, ValidationError
-from .qcore import DensityMatrix, _as_matrix, _hermitian_function, _partial_trace_raw
+from .qcore import DensityMatrix, _as_matrix, _hermitian_function, _hermitian_part, _trace_out_last
 from .tomography import (
     CircuitDescriptor,
     CountRecord,
@@ -211,23 +211,21 @@ def build_default_model(
     )
 
 
-def _noisy_step(model: SEModel, u: np.ndarray, state: np.ndarray, dims) -> np.ndarray:
+def _noisy_step(model: SEModel, u: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Conjugate ``state`` by the full-space unitary ``u``; under the
     ``reset_each_gate`` policy, then re-prepare the environment, which is
-    the last factor of ``dims``."""
+    the last tensor factor."""
     state = u @ state @ u.conj().T
     if model.reset_policy == "reset_each_gate":
-        reduced = _partial_trace_raw(state, dims, keep=range(len(dims) - 1))
-        state = np.kron(reduced, model.env_initial)
+        state = np.kron(_trace_out_last(state, model.env_dim), model.env_initial)
     return state
 
 
 def _run_sequence_raw(model: SEModel, gates, system_mat: np.ndarray) -> np.ndarray:
-    dims = (model.sys_dim, model.env_dim)
     joint = np.kron(system_mat, model.env_initial)
     for gate in gates:
-        joint = _noisy_step(model, model.joint_unitary(gate), joint, dims)
-    return _partial_trace_raw(joint, dims, keep=(0,))
+        joint = _noisy_step(model, model.joint_unitary(gate), joint)
+    return _trace_out_last(joint, model.env_dim)
 
 
 def run_sequence(model: SEModel, gates, input_state) -> DensityMatrix:
@@ -259,7 +257,7 @@ def _spam_kick(spec: SpamSpec, kind: str, label: str, dim: int, strength: float)
     entropy = [int(spec.seed), 0 if kind == "prep" else 1] + [ord(c) for c in label]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    herm = 0.5 * (a + a.conj().T)
+    herm = _hermitian_part(a)
     herm = herm / np.linalg.norm(herm, 2)
     return _hermitian_function(herm, lambda w: np.exp(-1j * strength * w))
 
@@ -344,7 +342,7 @@ def cji_circuit(model: SEModel, u_gate: GateLabel, v_gate: GateLabel) -> Density
     def noisy(gate):
         nonlocal state
         joint = model.joint_unitary(gate)  # acts on (system wire, env)
-        state = _noisy_step(model, embed_unitary(joint, (1, 4), dims), state, dims)
+        state = _noisy_step(model, embed_unitary(joint, (1, 4), dims), state)
 
     clean(_H, (0,))
     clean(_CX, (0, 1))
@@ -357,7 +355,7 @@ def cji_circuit(model: SEModel, u_gate: GateLabel, v_gate: GateLabel) -> Density
     clean(_CX, (1, 3))
     noisy(v_gate)
 
-    reduced = _partial_trace_raw(state, dims, keep=(0, 1, 2, 3))
+    reduced = _trace_out_last(state, model.env_dim)
     # reorder wires (0, 1, 2, 3) -> (0, 3, 2, 1)
     tensor = reduced.reshape((2,) * 8)
     perm = (0, 3, 2, 1)

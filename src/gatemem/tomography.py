@@ -37,7 +37,7 @@ from .exceptions import (
     LabelError,
     ValidationError,
 )
-from .qcore import DensityMatrix, _as_matrix
+from .qcore import DensityMatrix, _as_matrix, _from_spectrum, _hermitian_part
 
 LABEL_GRAMMAR_VERSION = 1
 
@@ -129,8 +129,8 @@ class TomographyFrame:
 
 def build_frame(n_qubits: int) -> TomographyFrame:
     """Frame of 4^N preparations and 3^N Pauli measurement settings."""
-    if n_qubits not in (1, 2):
-        raise DimensionError(f"supported qubit counts are 1 and 2, got {n_qubits}")
+    if isinstance(n_qubits, bool) or n_qubits not in (1, 2):
+        raise DimensionError(f"supported qubit counts are 1 and 2, got {n_qubits!r}")
     ket0 = np.zeros(2**n_qubits, dtype=complex)
     ket0[0] = 1.0
 
@@ -434,13 +434,13 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
         ex = np.flatnonzero(exact)
         solution, *_ = np.linalg.lstsq(design, freqs[ex].T.astype(complex), rcond=None)
         rho_lin = np.ascontiguousarray(solution.T).reshape(len(ex), d, d)
-        rho_lin = normalized(0.5 * (rho_lin + rho_lin.conj().transpose(0, 2, 1)))
+        rho_lin = normalized(_hermitian_part(rho_lin))
         residual = np.max(np.abs(real_probabilities(_embedded(rho_lin)) - freqs[ex]), axis=1)
         w, v = np.linalg.eigh(rho_lin)
         physical = (residual < 1e-10) & (w[:, 0] >= -1e-11)
         w = np.clip(w[physical], 0.0, None)
         v = v[physical]
-        rho_lin = (v * (w / w.sum(axis=1, keepdims=True))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        rho_lin = _from_spectrum(w / w.sum(axis=1, keepdims=True), v)
         solved = ex[physical]
         states[solved] = rho_lin
         logliks[solved] = loglik(probabilities(_embedded(rho_lin)), wft[solved])
@@ -497,8 +497,7 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
             finished |= stalled & (polish_left <= 0)
         if finished.any():
             out = idx[finished]
-            done = _unembedded(rho[finished])
-            states[out] = normalized(0.5 * (done + done.conj().transpose(0, 2, 1)))
+            states[out] = normalized(_hermitian_part(_unembedded(rho[finished])))
             logliks[out] = ll[finished]
             iterations[out] = iteration
             going = ~finished

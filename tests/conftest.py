@@ -33,3 +33,14 @@ def is_tp(choi, tol: float) -> bool:
     scale = 1.0 if choi.normalization == "trace-d" else float(d)
     marginal = scale * np.einsum(choi.data.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
     return bool(np.max(np.abs(marginal - np.eye(d))) <= tol)
+
+
+def hermitian_entries(stack):
+    """The entries of the Hermitian part of each matrix in a stack of
+    shape (n, 4, 4), as ``qcore._half_trace_norm_4x4_entries`` takes
+    them: the four real diagonals, then the six entries above the
+    diagonal, row by row."""
+    rows, cols = np.triu_indices(4, 1)
+    diag = [stack[:, i, i].real for i in range(4)]
+    upper = [0.5 * (stack[:, i, j] + np.conj(stack[:, j, i])) for i, j in zip(rows, cols)]
+    return diag, upper

@@ -72,7 +72,8 @@ class TestSimulateAndTomo:
         ])
         payload = load_json(str(out / "records_X0.json"))
         assert len(payload["records"]) == 12
-        records = records_from_payload(payload)
+        records, frame = records_from_payload(payload)
+        assert frame.n_qubits == 1
         assert all(r.shots == 256 for r in records)
 
     def test_two_qubit_record_count(self, runner, tmp_path):
@@ -556,6 +557,13 @@ MALFORMED_VALUES = [
     ("records", "schema", "gatemem.channel/1", "tomo"),
     ("records", "schema", "gatemem.records/2", "tomo"),
     ("records", "grammar_version", 2, "tomo"),
+    # one sampled record in a file of exact ones
+    ("records", "records/0", {"prep": "Z+", "meas": "X", "counts": {"0": 3, "1": 2}, "shots": 5},
+     "tomo"),
+    ("records", "records/0/prep", "Q+", "tomo"),  # labels outside the n_qubits frame
+    ("records", "records/0/meas", "W", "tomo"),
+    ("records", "n_qubits", 3, "tomo"),
+    ("records", "n_qubits", True, "tomo"),
     ("channel", "dim", "2", "analyze"),
     ("channel", "superop", 3, "analyze"),
     ("channel", "superop", [[[1, 0]], [[1, 0], [0, 0]]], "analyze"),
@@ -620,6 +628,33 @@ def test_non_finite_count_of_sampled_records_exits_2(runner, model_file, tmp_pat
                                   str(tmp_path / "channel_X0.json")])
     assert result.exit_code == 2, result.output
     assert str(source) in result.output
+
+
+@pytest.mark.parametrize("command", ["tomo", "errors"])
+@pytest.mark.parametrize("edit", ["appended-prep", "one-exact-record"])
+def test_sampled_records_outside_the_frame_or_mode_exit_2(runner, model_file, tmp_path,
+                                                          command, edit):
+    # records of an unknown preparation appended to a sampled file, or one
+    # exact record among sampled ones: neither may be dropped or take the
+    # mode of the first record
+    payload = _valid_payload("records", model_file)
+    for entry in payload["records"]:
+        entry["shots"], entry["counts"] = 10, {"0": 5, "1": 5}
+    if edit == "appended-prep":
+        payload["records"] += [dict(entry, prep="Q+") for entry in payload["records"]
+                               if entry["prep"] == "Z+"]
+    else:
+        payload["records"][0].update(shots=None, counts={"0": 0.5, "1": 0.5})
+    source = tmp_path / "records_X0.json"
+    source.write_text(json.dumps(payload))
+    out = str(tmp_path / "out.json")
+    args = {"tomo": ["tomo", "--records", str(source), "--out", out],
+            "errors": ["errors", "--records", str(source), "--trials", "2", "--out", out]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "validation error" in result.output
+    assert str(source) in result.output
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("field", ["coupling", "env_omega", "durations/X", "spam/prep",

@@ -1,6 +1,6 @@
-"""Property tests of the closed-form trace-norm kernels (qubit blocks,
-stacks of 4 x 4 blocks, and the averaged distance's real coordinates
-on qubits), of the trace distance, of the certified diamond
+"""Property tests of the closed-form trace norms (the 4 x 4 form on the
+entries of stacked blocks, and the qubit form on the averaged distance's
+real coordinates), of the trace distance, of the certified diamond
 distance against the averaged one, and of the algebra under every
 channel: column stacking, the Choi representation, composition, gate
 labels, and the CP test on maps known to be CP or not.
@@ -25,7 +25,15 @@ from gatemem.channels import (
     vec,
 )
 from gatemem.nonmarkov import avg_trace_distance, cp_violation, diamond_distance
-from gatemem.qcore import _haar_vectors, _half_trace_norm, haar_random_unitary, trace_distance
+from gatemem.qcore import (
+    _haar_vectors,
+    _half_trace_norm,
+    _half_trace_norm_4x4_entries,
+    haar_random_unitary,
+    trace_distance,
+)
+
+from conftest import hermitian_entries
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -35,16 +43,8 @@ PAULIS = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
-
-
-@st.composite
-def matrices(draw):
-    """Any complex 2 x 2 matrix, Hermitian or not."""
-    parts = np.array(draw(st.lists(entries, min_size=8, max_size=8)))
-    return (parts[:4] + 1j * parts[4:]).reshape(2, 2)
 
 
 @st.composite
@@ -65,14 +65,6 @@ def unitaries(draw):
 
     ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
     return np.exp(1j * phase) * rz(a) @ ry @ rz(c)
-
-
-@PROPERTY
-@given(matrices())
-def test_closed_form_matches_eigvalsh(mat):
-    herm = 0.5 * (mat + mat.conj().T)
-    expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)))
-    assert _half_trace_norm(mat) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 @st.composite
@@ -112,8 +104,8 @@ def hermitian_4x4(draw):
 @PROPERTY
 @given(st.lists(hermitian_4x4(), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
 def test_stacked_4x4_closed_form_matches_eigvalsh(blocks, seed):
-    # one non-Hermitian complex block in every stack: the kernel takes
-    # the Hermitian part of each block
+    # one non-Hermitian complex block in every stack: the closed form
+    # takes the entries of the Hermitian part of each block
     rng = np.random.default_rng(seed)
     blocks.append(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     stack = np.array(blocks)
@@ -121,7 +113,8 @@ def test_stacked_4x4_closed_form_matches_eigvalsh(blocks, seed):
     eigs = np.linalg.eigvalsh(herm)
     expected = 0.5 * np.sum(np.abs(eigs), axis=-1)
     bound = 1e-12 * np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
-    assert np.all(np.abs(_half_trace_norm(stack) - expected) <= bound)
+    got = _half_trace_norm_4x4_entries(*hermitian_entries(stack))
+    assert np.all(np.abs(got - expected) <= bound)
 
 
 @PROPERTY

@@ -4,15 +4,18 @@ import pytest
 from gatemem.exceptions import DimensionError, SupportError, ValidationError
 from gatemem.qcore import (
     DensityMatrix,
+    _from_spectrum,
     _half_trace_norm,
+    _half_trace_norm_4x4_entries,
     _haar_vectors,
-    _partial_trace_raw,
+    _hermitian_part,
+    _trace_out_last,
     haar_random_unitary,
     relative_entropy,
     trace_distance,
 )
 
-from conftest import random_density
+from conftest import hermitian_entries, random_density
 
 KET0 = DensityMatrix.computational(2, 0)
 KET1 = DensityMatrix.computational(2, 1)
@@ -60,16 +63,18 @@ class TestTraceDistance:
             trace_distance(KET0, DensityMatrix(np.eye(4) / 4))
 
     def test_batched_kernel_matches_per_matrix_distances(self, rng):
-        # the one trace-norm kernel, on a stack mixing Hermitian and
-        # non-Hermitian matrices (it takes the Hermitian part of each)
+        # the 4 x 4 closed form, on the entries of a stack mixing Hermitian
+        # and non-Hermitian matrices (they are the entries of the Hermitian
+        # part of each), against the trace distance of each matrix
         stack = rng.standard_normal((12, 4, 4)) + 1j * rng.standard_normal((12, 4, 4))
         stack[::2] = 0.5 * (stack[::2] + np.conj(np.swapaxes(stack[::2], -1, -2)))
         zero = np.zeros((4, 4), dtype=complex)
         expected = [trace_distance(m, zero) for m in stack]
-        np.testing.assert_allclose(_half_trace_norm(stack), expected, rtol=0, atol=1e-12)
+        got = _half_trace_norm_4x4_entries(*hermitian_entries(stack))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (7, 2, 2), (3, 5, 2, 2)])
-    def test_qubit_closed_form_matches_eigvalsh(self, rng, shape):
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 2, 2), (3, 5, 2, 2), (3, 3), (2, 4, 4)])
+    def test_kernel_matches_eigvalsh_on_any_stack_shape(self, rng, shape):
         # independent reference: eigenvalues of the explicit Hermitian part
         mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         herm = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
@@ -78,18 +83,17 @@ class TestTraceDistance:
         assert np.shape(got) == shape[:-2]
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
-    def test_qubit_closed_form_of_zero_is_exactly_zero(self):
-        assert _half_trace_norm(np.zeros((2, 2), dtype=complex)) == 0.0
-
     def test_stacked_4x4_of_zeros_is_exactly_zero(self):
-        got = _half_trace_norm(np.zeros((3, 4, 4), dtype=complex))
+        zeros = np.zeros((3, 4, 4), dtype=complex)
+        got = _half_trace_norm_4x4_entries(*hermitian_entries(zeros))
         assert got.shape == (3,)
         assert np.all(got == 0.0)
+        assert _half_trace_norm(zeros[0]) == 0.0
 
     def test_one_block_stack_agrees_with_the_lone_matrix(self, rng):
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert _half_trace_norm(mat[None]) == pytest.approx([_half_trace_norm(mat)], abs=1e-15)
-        pair = _half_trace_norm(np.array([mat, mat]))  # the closed form
+        pair = _half_trace_norm_4x4_entries(*hermitian_entries(np.array([mat, mat])))
         np.testing.assert_allclose(pair, _half_trace_norm(mat), rtol=1e-13, atol=0)
 
     def test_degenerate_4x4_blocks_take_the_eigvalsh_fallback(self, rng, monkeypatch):
@@ -111,7 +115,7 @@ class TestTraceDistance:
             return eigvalsh(mat)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        got = _half_trace_norm(stack)
+        got = _half_trace_norm_4x4_entries(*hermitian_entries(stack))
         assert seen == [(3, 4, 4)]  # the three degenerate blocks, in one call
         np.testing.assert_allclose(got, [3.25, 0.35, 0.4, 0.6], rtol=1e-13, atol=0)
 
@@ -188,34 +192,50 @@ class TestHaarSampling:
         assert np.max(np.abs(mean - np.eye(2) / 2)) < 5e-3
 
 
+class TestHermitianHelpers:
+    def test_hermitian_part_of_a_stack(self, rng):
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        herm = _hermitian_part(stack)
+        for mat, part in zip(stack, herm):
+            np.testing.assert_array_equal(part, 0.5 * (mat + mat.conj().T))
+        np.testing.assert_array_equal(_hermitian_part(stack[0]), herm[0])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 4, 4)])
+    def test_from_spectrum_rebuilds_the_matrix(self, rng, shape):
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = _hermitian_part(mat)
+        np.testing.assert_allclose(_from_spectrum(*np.linalg.eigh(h)), h, rtol=0, atol=1e-13)
+
+
 class TestPartialTrace:
+    @pytest.mark.parametrize("d, d_last", [(3, 2), (2, 4)])
+    def test_matches_an_explicit_sum_over_the_last_index(self, rng, d, d_last):
+        # non-Hermitian input; entry (i, j) of the result sums (i k, j k) over k
+        n = d * d_last
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = sum(mat[k::d_last, k::d_last] for k in range(d_last))
+        np.testing.assert_allclose(_trace_out_last(mat, d_last), expected, rtol=0, atol=1e-14)
+        stack = np.array([mat, 2.0 * mat])
+        np.testing.assert_allclose(_trace_out_last(stack, d_last), [expected, 2.0 * expected],
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d_last", [2, 4])
+    def test_product_of_any_matrices(self, rng, d_last):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        b = rng.standard_normal((d_last, d_last)) + 1j * rng.standard_normal((d_last, d_last))
+        np.testing.assert_allclose(_trace_out_last(np.kron(a, b), d_last), np.trace(b) * a,
+                                   rtol=0, atol=1e-13)
+
     def test_product_state(self, rng):
         a, b = random_density(2, rng), random_density(3, rng)
-        reduced = _partial_trace_raw(np.kron(a, b), (2, 3), keep=(0,))
-        np.testing.assert_allclose(reduced, a, atol=1e-12)
+        np.testing.assert_allclose(_trace_out_last(np.kron(a, b), 3), a, atol=1e-12)
 
     def test_bell_state_marginal(self):
         bell = DensityMatrix(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2)
-        reduced = _partial_trace_raw(bell.data, (2, 2), keep=(1,))
-        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
-
-    def test_trace_composition(self, rng):
-        rho = random_density(4, rng)
-        first = _partial_trace_raw(rho, (2, 2), keep=(1,))
-        assert np.trace(first).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_keep_everything_is_identity(self, rng):
-        rho = random_density(4, rng)
-        kept = _partial_trace_raw(rho, (2, 2), keep=(0, 1))
-        np.testing.assert_allclose(kept, rho, atol=1e-14)
-
-    def test_inconsistent_dims(self):
-        with pytest.raises(DimensionError):
-            _partial_trace_raw(np.eye(4) / 4, (2, 3), keep=(0,))
+        np.testing.assert_allclose(_trace_out_last(bell.data, 2), np.eye(2) / 2, atol=1e-12)
 
     def test_preserves_positivity(self, rng):
         for _ in range(10):
-            rho = random_density(4, rng)
-            reduced = _partial_trace_raw(rho, (2, 2), keep=(0,))
+            reduced = _trace_out_last(random_density(4, rng), 2)
             DensityMatrix(reduced)  # Hermitian with unit trace
             assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
