@@ -21,7 +21,7 @@ _EXPORTS = {
     ).split(),
     "exceptions": (
         "ConvergenceError DimensionError GatememError IncompleteDataError "
-        "LabelError SingularChannelError SolverError SupportError ValidationError"
+        "LabelError SingularChannelError SolverError ValidationError"
     ).split(),
     "nonmarkov": (
         "AvgDistanceResult ConditionalMap DistanceMatrix MemoryScan "
@@ -30,9 +30,7 @@ _EXPORTS = {
         "markovian_choi_reference memory_scan process_tensor_proxy "
         "statistical_floor"
     ).split(),
-    "qcore": (
-        "DensityMatrix haar_random_unitary relative_entropy trace_distance"
-    ).split(),
+    "qcore": "DensityMatrix haar_random_unitary trace_distance".split(),
     "simulator": (
         "SEModel SpamSpec build_default_model cji_circuit extract_channel "
         "run_sequence sample_counts"

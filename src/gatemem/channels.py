@@ -3,9 +3,9 @@
 Vectorization is column-stacking throughout the package: ``vec`` stacks
 matrix columns, so the superoperator of a unitary conjugation
 ``rho -> U rho U+`` is ``kron(conj(U), U)``.  Choi matrices put the
-input factor first and are stored with total trace d ("trace-d"); a
-trace-1 rescaling exists for measures defined on normalized operator
-representations.
+input factor first and have total trace d for trace-preserving maps;
+measures defined on the trace-1 operator representation divide by d
+themselves.
 
 Channels are never forced to be CP or TP: maps reconstructed from data
 or obtained by inversion are first-class values, and structure checks
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, LabelError, SingularChannelError, ValidationError
-from .qcore import _as_matrix
+from .qcore import _as_matrix, _complex_normals
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -116,15 +116,12 @@ class QuantumChannel:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Operator representation of a channel, input factor first.
-
-    ``normalization`` is ``"trace-d"`` (the stored convention for TP
-    maps) or ``"trace-1"``.  The matrix must be Hermitian to 1e-8; CP
-    and TP are not checked.
+    """Operator representation of a channel, input factor first, with
+    total trace d for trace-preserving maps.  The matrix must be
+    Hermitian to 1e-8; CP and TP are not checked.
     """
 
     data: np.ndarray
-    normalization: str = "trace-d"
 
     def __post_init__(self):
         data = np.array(self.data, dtype=complex)
@@ -133,8 +130,6 @@ class ChoiMatrix:
         d = math.isqrt(data.shape[0])
         if d * d != data.shape[0]:
             raise ValidationError(f"Choi size {data.shape[0]} is not a square")
-        if self.normalization not in ("trace-d", "trace-1"):
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
         if not np.max(np.abs(data - data.conj().T)) <= 1e-8:  # a NaN fails too
             raise ValidationError("Choi matrix is not Hermitian")
         data.setflags(write=False)
@@ -143,15 +138,6 @@ class ChoiMatrix:
     @property
     def dim(self) -> int:
         return math.isqrt(self.data.shape[0])
-
-    def rescaled(self, normalization: str) -> "ChoiMatrix":
-        if normalization == self.normalization:
-            return self
-        if normalization == "trace-1":
-            return ChoiMatrix(self.data / self.dim, "trace-1")
-        if normalization == "trace-d":
-            return ChoiMatrix(self.data * self.dim, "trace-d")
-        raise ValidationError(f"unknown normalization {normalization!r}")
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -255,8 +241,8 @@ def condition_number(chan: QuantumChannel) -> float:
 
 
 def choi_from_superop(chan: QuantumChannel) -> ChoiMatrix:
-    """Choi matrix (input factor first, trace-d normalization)."""
-    return ChoiMatrix(_reshuffle(chan.superop), "trace-d")
+    """Choi matrix (input factor first, total trace d for TP maps)."""
+    return ChoiMatrix(_reshuffle(chan.superop))
 
 
 def apply(chan: QuantumChannel, rho) -> np.ndarray:
@@ -276,8 +262,8 @@ def random_channel(
 ) -> QuantumChannel:
     """Random CPTP channel from a Haar-random Stinespring isometry."""
     k = dim * dim if kraus_rank is None else int(kraus_rank)
-    m = rng.standard_normal((dim * k, dim)) + 1j * rng.standard_normal((dim * k, dim))
-    q, _ = np.linalg.qr(m)
+    re, im = _complex_normals(dim, dim * k, rng)
+    q, _ = np.linalg.qr(re + 1j * im)
     kraus = q.reshape(k, dim, dim)
     superop = sum(np.kron(op.conj(), op) for op in kraus)
     return QuantumChannel(superop)

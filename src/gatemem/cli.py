@@ -32,14 +32,13 @@ from .exceptions import (
     LabelError,
     SingularChannelError,
     SolverError,
-    SupportError,
     ValidationError,
 )
 from .qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX
 from .tomography import build_frame
 
 _VALIDATION_ERRORS = (ValidationError, DimensionError, LabelError, IncompleteDataError)
-_NUMERICAL_ERRORS = (SolverError, ConvergenceError, SingularChannelError, SupportError)
+_NUMERICAL_ERRORS = (SolverError, ConvergenceError, SingularChannelError)
 
 _seed_option = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 _metric_option = click.option("--metric", type=click.Choice(["avg", "diamond", "both"]),
@@ -111,20 +110,17 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
     """Sample tomography count records for each gate sequence."""
     model, model_spec = serialize.load_model(model_path)
     sequences = _parse_sequences(gates)
-    cfg = {
-        "command": "simulate",
-        "model": model_spec,
-        "gates": gates,
-        "shots": None if exact else shots,
-        "seed": seed,
-    }
+    shots_val = None if exact else shots
+    cfg = {"command": "simulate", "model": model_spec, "gates": gates, "shots": shots_val}
+    if shots_val is not None:  # exact probabilities draw nothing: the seed takes no part
+        cfg["seed"] = seed
     cfg_hash = serialize.config_hash(cfg)
     frame = build_frame(model.sys_qubits)
     for index, sequence in enumerate(sequences):
         records = pipeline.simulate_records(
-            model, sequence, None if exact else shots, seed=seed + index, frame=frame
+            model, sequence, shots_val, seed=seed + index, frame=frame
         )
-        path = serialize.write_records(out_dir, sequence, records, model.sys_qubits, cfg_hash, seed)
+        path = serialize.write_records(out_dir, sequence, records, cfg_hash, cfg.get("seed"))
         click.echo(f"wrote {path} ({len(records)} records)")
 
 
@@ -193,12 +189,14 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     runs = nonmarkov.repetitions(serialize.load_channel_dir(channels_dir), nmax)
     cfg = {
         "command": "scan", "channels": serialize.channel_digests(dict(enumerate(runs, 1))),
-        "nmax": nmax, "metric": metric, "samples": samples, "seed": seed,
+        "nmax": nmax, "metric": metric,
     }
+    if metric != "diamond":  # only the averaged distance draws
+        cfg.update(samples=samples, seed=seed)
     result = nonmarkov.memory_scan(
         runs, metrics=_metrics(metric), m_samples=samples, rng=np.random.default_rng(seed)
     )
-    serialize.write_scan(out_dir, result, serialize.config_hash(cfg), seed)
+    serialize.write_scan(out_dir, result, serialize.config_hash(cfg), cfg.get("seed"))
     click.echo(f"wrote scan to {out_dir}")
 
 
@@ -220,13 +218,12 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
     if len(tokens) != 2:
         raise ValidationError("ptensor needs exactly two gates, e.g. --gates S,T")
     shots_val = None if (exact or shots is None) else int(shots)
-    cfg = {
-        "command": "ptensor", "model": model_spec, "gates": gates,
-        "shots": shots_val, "seed": seed,
-    }
+    cfg = {"command": "ptensor", "model": model_spec, "gates": gates, "shots": shots_val}
+    if shots_val is not None:  # exact reference maps draw nothing: the seed takes no part
+        cfg["seed"] = seed
     result = pipeline.process_tensor_pair(model, *tokens, shots_val, seed)
     serialize.dump_json(out_path, serialize.report_payload(
-        "ptensor", cfg, seed, gates=[str(g) for g in tokens], shots=shots_val,
+        "ptensor", cfg, cfg.get("seed"), gates=[str(g) for g in tokens], shots=shots_val,
         regularization=nonmarkov.PTENSOR_REGULARIZATION, **dataclasses.asdict(result),
     ))
     click.echo(f"relative entropy to memoryless reference: {result.relative_entropy:.6f}")
@@ -246,6 +243,8 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     """Uncertainty reports: statistical propagation or SPAM scaling."""
     from . import errprop
 
+    if records_path is not None and (model_path is not None or gate is not None):
+        raise ValidationError("errors --records takes neither '--model' nor '--gate'")
     if records_path is not None:
         payload, records, frame = serialize.load_records(records_path)
         rng = np.random.default_rng(seed)

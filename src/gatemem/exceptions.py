@@ -17,16 +17,6 @@ class LabelError(GatememError):
     """Unknown gate, preparation, or measurement label."""
 
 
-class SupportError(GatememError):
-    """Relative entropy is undefined because the first state has weight
-    outside the support of the second.  ``weight`` is the offending
-    overlap with the reference kernel."""
-
-    def __init__(self, message: str, weight: float):
-        super().__init__(message)
-        self.weight = weight
-
-
 class SingularChannelError(GatememError):
     """A channel superoperator is numerically singular.  Carries both
     extreme singular values."""

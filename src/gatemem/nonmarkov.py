@@ -54,7 +54,6 @@ from .qcore import (
     _haar_vectors,
     _hermitian_from_entries,
     _hermitian_part,
-    _relative_entropy_core,
     _upper_indices,
 )
 from .sdp import DiamondResult, diamond_sdp
@@ -170,11 +169,12 @@ def _channel_of(obj) -> QuantumChannel:
 def cp_violation(cm) -> float:
     """Trace-norm excess of the normalized operator representation.
 
-    Computes ``sum_i |lambda_i| - 1`` over the eigenvalues of the
-    trace-1-rescaled Choi matrix: exactly zero for CP maps, positive as
-    soon as any eigenvalue dips below zero.
+    Computes ``sum_i |lambda_i| - 1`` over the eigenvalues of the Choi
+    matrix divided by d: exactly zero for CP maps, positive as soon as
+    any eigenvalue dips below zero.
     """
-    choi = choi_from_superop(_channel_of(cm)).rescaled("trace-1").data
+    chan = _channel_of(cm)
+    choi = choi_from_superop(chan).data / chan.dim
     return max(float(2.0 * _half_trace_norm(choi) - 1.0), 0.0)
 
 
@@ -589,8 +589,8 @@ def markovian_choi_reference(chan_u: QuantumChannel, chan_v: QuantumChannel) -> 
     compare it against a measured one with
     :func:`process_tensor_proxy`.
     """
-    cu = choi_from_superop(chan_u).rescaled("trace-1").data
-    cv = choi_from_superop(chan_v).rescaled("trace-1").data
+    cu = choi_from_superop(chan_u).data / chan_u.dim
+    cv = choi_from_superop(chan_v).data / chan_v.dim
     return _hermitian_part(np.kron(cu, cv))
 
 
@@ -600,9 +600,10 @@ def process_tensor_proxy(measured, markovian_reference) -> float:
 
     The reference is blended with :data:`PTENSOR_REGULARIZATION` times
     the maximally mixed state, which makes it full rank by construction,
-    so the entropy is evaluated against the exact regularized spectrum
-    (every eigenvalue is at least ``PTENSOR_REGULARIZATION / d``)
-    instead of the generic support-checked path.
+    so the base-2 entropy ``tr[m (log2 m - log2 r)]`` is evaluated on the
+    exact regularized spectrum (every eigenvalue is at least
+    ``PTENSOR_REGULARIZATION / d``); eigenvalues of the measured state at
+    or below 1e-12 contribute nothing.
     """
     m = _as_matrix(measured)
     r = _as_matrix(markovian_reference)
@@ -615,4 +616,9 @@ def process_tensor_proxy(measured, markovian_reference) -> float:
     lam, u = np.linalg.eigh(_hermitian_part(m))
     mu, v = np.linalg.eigh(r)
     mu = np.maximum(mu, 0.5 * reg / d)  # guards roundoff only
-    return _relative_entropy_core(lam, u, mu, v, 1e-12)
+    lam = np.clip(lam, 0.0, None)
+    pos = lam > 1e-12
+    entropy_term = float(np.sum(lam[pos] * np.log2(lam[pos])))
+    overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
+    cross_term = float(lam @ overlap @ np.log2(mu))
+    return max(entropy_term - cross_term, 0.0)

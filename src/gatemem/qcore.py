@@ -17,11 +17,10 @@ eigendecomposition), ``_hermitian_function`` (``eigh``, then
 ``_from_spectrum``: PSD parts, square roots, unitaries from generators),
 ``_trace_out_last`` (the one partial trace: the simulator's environment,
 the output factor of a Choi matrix) and ``_half_trace_norm``.  Beside
-them sit ``_complex_normals`` (the one Gaussian draw behind Haar states
-and unitaries, and behind the averaged distance, which uses the normals
-unnormalized), ``_haar_vectors`` (every Haar pure-state draw), and
-``_relative_entropy_core`` (the spectral part of both relative
-entropies).
+them sit ``_complex_normals`` (the one Gaussian draw: behind Haar states
+and unitaries, random channels and SPAM kicks, and behind the averaged
+distance, which uses the normals unnormalized) and ``_haar_vectors``
+(every Haar pure-state draw).
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, SupportError, ValidationError
+from .exceptions import DimensionError, ValidationError
 
 #: Magnitude below which an eigenvalue counts as zero.  Dimensions stay
 #: small (d <= 64), so double precision leaves ample headroom.
@@ -243,51 +242,12 @@ def trace_distance(rho, sigma) -> float:
     return float(_half_trace_norm(a - b))
 
 
-def relative_entropy(rho, sigma) -> float:
-    """Base-2 relative entropy ``tr[rho (log2 rho - log2 sigma)]``.
-
-    Requires the support of ``rho`` to lie inside the support of
-    ``sigma`` (rank tolerance ``ZERO_TOL``); otherwise raises
-    :class:`SupportError` carrying the offending kernel weight.
-    """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    lam, u = np.linalg.eigh(_hermitian_part(a))
-    mu, v = np.linalg.eigh(_hermitian_part(b))
-
-    kernel = mu <= ZERO_TOL
-    if kernel.any():
-        weights = np.real(np.einsum("ij,ik,kj->j", v[:, kernel].conj(), a, v[:, kernel]))
-        worst = float(weights.max()) if weights.size else 0.0
-        if worst > ZERO_TOL:
-            raise SupportError(
-                f"first state has weight {worst:.3e} outside the reference support", worst
-            )
-
-    good = mu > ZERO_TOL
-    return _relative_entropy_core(lam, u, mu[good], v[:, good], ZERO_TOL)
-
-
-def _relative_entropy_core(lam, u, mu, v, tol: float) -> float:
-    """Base-2 relative entropy from the eigendecomposition ``(lam, u)``
-    of rho and the eigenpairs ``(mu, v)`` spanning the support of sigma.
-    Eigenvalues of rho at or below ``tol`` contribute nothing."""
-    lam = np.clip(lam, 0.0, None)
-    pos = lam > tol
-    entropy_term = float(np.sum(lam[pos] * np.log2(lam[pos])))
-
-    overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-    cross_term = float(lam @ overlap @ np.log2(mu))
-    return max(entropy_term - cross_term, 0.0)
-
-
 def _complex_normals(dim: int, count: int, rng: np.random.Generator):
     """Real and imaginary parts, each of shape (count, dim), of ``count``
     standard complex Gaussian vectors: the real parts are drawn first,
-    then the imaginary parts.  Every Haar draw goes through here, so one
-    generator state gives one set of inputs whether a caller normalizes
-    them or not."""
+    then the imaginary parts.  Every Gaussian draw of the package goes
+    through here, so one generator state gives one set of inputs whether
+    a caller normalizes them or not."""
     return rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
 
 

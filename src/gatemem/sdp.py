@@ -146,8 +146,8 @@ class _Point:
 def diamond_sdp(choi: np.ndarray) -> DiamondResult:
     """Solve the distance SDP for a Hermitian difference Choi matrix.
 
-    ``choi`` uses the package ordering (input factor first) and trace-d
-    scaling for each of the two channels being compared.  Raises
+    ``choi`` uses the package ordering (input factor first) and total
+    trace d for each of the two channels being compared.  Raises
     :class:`SolverError`, carrying the best certified gap, when the gap
     cannot be brought to ``GAP_TOL`` within ``MAX_NEWTON_STEPS``.
     """

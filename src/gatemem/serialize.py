@@ -112,10 +112,11 @@ def _slug(text: str) -> str:
     return text.replace("@", "").replace(".", "").replace(",", "_")
 
 
-def records_payload(records, n_qubits: int, cfg_hash: str, seed, gates=None) -> dict:
-    """A records file; ``gates``, when given, is the simulated sequence."""
+def records_payload(records, cfg_hash: str, seed, gates=None) -> dict:
+    """A records file, on the qubits of its records' labels; ``gates``,
+    when given, is the simulated sequence."""
     payload = _meta("records", cfg_hash, seed)
-    payload["n_qubits"] = n_qubits
+    payload["n_qubits"] = records[0].n_qubits
     payload["grammar_version"] = LABEL_GRAMMAR_VERSION
     if gates is not None:
         payload["gates"] = [str(g) for g in gates]
@@ -139,11 +140,11 @@ def records_filename(gates) -> str:
     return f"records_{'-'.join(_slug(str(g)) for g in gates)}.json"
 
 
-def write_records(out_dir: str, gates, records, n_qubits: int, cfg_hash: str, seed) -> str:
+def write_records(out_dir: str, gates, records, cfg_hash: str, seed) -> str:
     """Write the records of one gate sequence as :func:`records_filename`
     in ``out_dir``; returns the path."""
     path = os.path.join(out_dir, records_filename(gates))
-    dump_json(path, records_payload(records, n_qubits, cfg_hash, seed, gates))
+    dump_json(path, records_payload(records, cfg_hash, seed, gates))
     return path
 
 
@@ -234,14 +235,21 @@ def _finite(value, field: str) -> float:
 
 
 def load_model(path: str) -> tuple[SEModel, dict]:
-    """A model file as (simulator model, the file's specification)."""
+    """A model file as (simulator model, the file's specification).  A key
+    the model does not read, at the top level or in ``spam``, is an error."""
     from .simulator import DEFAULT_COUPLING, SpamSpec, build_default_model
 
     spec = load_json(path)
     if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list):
         raise ValidationError(f"model file {path} has no 'gates' list")
+    spam_cfg = spec.get("spam", {})
+    unknown = sorted(set(spec) - {"gates", "coupling", "reset_policy", "sys_qubits",
+                                  "env_omega", "durations", "env_initial", "spam"})
+    if isinstance(spam_cfg, dict):
+        unknown += [f"spam.{key}" for key in sorted(set(spam_cfg) - {"prep", "meas", "seed"})]
+    if unknown:
+        raise ValidationError(f"model file {path} has unknown keys {unknown}")
     try:
-        spam_cfg = spec.get("spam", {})
         spam = SpamSpec(
             prep_strength=_finite(spam_cfg.get("prep", 0.0), "spam.prep"),
             meas_strength=_finite(spam_cfg.get("meas", 0.0), "spam.meas"),
@@ -410,7 +418,7 @@ def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) ->
 def scan_csv(scan: MemoryScan, metric: str, cfg_hash: str, seed) -> str:
     lines = [
         f"# schema=gatemem.scan/{SCHEMA_VERSION} metric={metric}"
-        f" config_hash={cfg_hash} seed={seed}"
+        f" config_hash={cfg_hash} seed={'none' if seed is None else seed}"
     ]
     lines.append("n\\m," + ",".join(str(m) for m in range(1, scan.n_max)))
     for n in range(2, scan.n_max + 1):

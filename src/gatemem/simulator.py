@@ -39,7 +39,14 @@ from .channels import (
     vec,
 )
 from .exceptions import DimensionError, LabelError, ValidationError
-from .qcore import DensityMatrix, _as_matrix, _hermitian_function, _hermitian_part, _trace_out_last
+from .qcore import (
+    DensityMatrix,
+    _as_matrix,
+    _complex_normals,
+    _hermitian_function,
+    _hermitian_part,
+    _trace_out_last,
+)
 from .tomography import (
     CircuitDescriptor,
     CountRecord,
@@ -256,8 +263,8 @@ def _spam_kick(spec: SpamSpec, kind: str, label: str, dim: int, strength: float)
     """Fixed small-angle unitary for one preparation/measurement label."""
     entropy = [int(spec.seed), 0 if kind == "prep" else 1] + [ord(c) for c in label]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    herm = _hermitian_part(a)
+    re, im = _complex_normals(dim, dim, rng)
+    herm = _hermitian_part(re + 1j * im)
     herm = herm / np.linalg.norm(herm, 2)
     return _hermitian_function(herm, lambda w: np.exp(-1j * strength * w))
 

@@ -211,9 +211,9 @@ class CountRecord:
     def n_qubits(self) -> int:
         return len(split_label(self.prep_label))
 
-    def frequencies(self, n_qubits: int | None = None) -> np.ndarray:
+    def frequencies(self) -> np.ndarray:
         """Outcome frequencies (or exact probabilities) as a dense vector."""
-        n = self.n_qubits if n_qubits is None else n_qubits
+        n = self.n_qubits
         freq = np.zeros(2**n)
         for i, key in enumerate(outcome_bitstrings(n)):
             freq[i] = self.counts.get(key, 0)
@@ -235,7 +235,6 @@ class CircuitDescriptor:
     prep_label: str
     meas_label: str
     gates: tuple[GateLabel, ...]
-    n_qubits: int
 
 
 def _fitted_gates(gate_sequence, n_qubits: int) -> tuple[GateLabel, ...]:
@@ -251,7 +250,7 @@ def enumerate_circuits(gate_sequence, frame: TomographyFrame) -> list[CircuitDes
     """All 4^N x 3^N configurations for one gate sequence."""
     gates = _fitted_gates(gate_sequence, frame.n_qubits)
     return [
-        CircuitDescriptor(p, m, gates, frame.n_qubits)
+        CircuitDescriptor(p, m, gates)
         for p in frame.prep_labels
         for m in frame.meas_labels
     ]
@@ -380,7 +379,7 @@ def _likelihood_row(records, frame: TomographyFrame):
     missing = [m for m in settings if m not in grouped]
     if missing:
         raise IncompleteDataError(f"missing measurement settings: {missing}", missing)
-    freqs = np.concatenate([grouped[m].frequencies(frame.n_qubits) for m in settings])
+    freqs = np.concatenate([grouped[m].frequencies() for m in settings])
     weights = np.repeat([grouped[m].weight for m in settings], frame.dim)
     total_weight = float(sum(grouped[m].weight for m in settings))
     step_tol = 1e-12

@@ -28,10 +28,9 @@ def is_cp(choi, tol: float) -> bool:
 
 def is_tp(choi, tol: float) -> bool:
     """Trace preservation of a Choi matrix: its output-traced marginal is
-    the identity (trace-d) or the identity over d (trace-1), to tol."""
+    the identity, to tol."""
     d = choi.dim
-    scale = 1.0 if choi.normalization == "trace-d" else float(d)
-    marginal = scale * np.einsum(choi.data.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
+    marginal = np.einsum(choi.data.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
     return bool(np.max(np.abs(marginal - np.eye(d))) <= tol)
 
 

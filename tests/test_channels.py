@@ -188,12 +188,6 @@ class TestChoiConversions:
         choi = choi_from_superop(depolarizing_channel(2))
         np.testing.assert_allclose(choi.data, np.eye(4) / 2, atol=1e-12)
 
-    def test_trace_normalization_round_trip(self):
-        choi = choi_from_superop(identity_channel(2))
-        trace_one = choi.rescaled("trace-1")
-        assert np.trace(trace_one.data).real == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(trace_one.rescaled("trace-d").data, choi.data, atol=1e-14)
-
     def test_rejects_non_hermitian_choi(self):
         bad = np.eye(4, dtype=complex)
         bad[0, 1] = 1.0

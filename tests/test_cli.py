@@ -378,16 +378,36 @@ class TestAnalyzeScanErrors:
         assert payload["slope"] == pytest.approx(1.0, abs=0.15)
         assert payload["r_squared"] >= 0.99
 
-    def test_errors_spam_ignores_the_seed(self, runner, model_file, tmp_path):
-        # exact-mode tomography draws nothing: the seed is not provenance
-        outs = [tmp_path / f"spam_{seed}.json" for seed in (1, 2)]
-        for seed, out in zip((1, 2), outs):
-            _invoke(runner, [
-                "errors", "--model", model_file, "--gate", "X",
-                "--eps-grid", "0,1e-4,1e-3", "--seed", str(seed), "--out", str(out),
-            ])
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert load_json(str(outs[0]))["seed"] is None
+    @pytest.mark.parametrize("command", ["errors-spam", "ptensor", "simulate", "scan"])
+    def test_run_that_draws_nothing_ignores_the_seed(self, runner, model_file, tmp_path,
+                                                     command):
+        # exact-mode tomography, exact reference maps, exact probabilities and
+        # diamond distances draw nothing: the seed (and the scan's --samples)
+        # is not provenance
+        rng = np.random.default_rng(0)
+        scan_chan = tmp_path / "scan_chan"
+        _write_channels(scan_chan, {("X@0",): random_channel(2, rng),
+                                    ("X@0", "X@0"): random_channel(2, rng)})
+        trees = []
+        for seed in (1, 2):
+            out = tmp_path / f"out_{seed}"
+            args = {
+                "errors-spam": ["errors", "--model", model_file, "--gate", "X",
+                                "--eps-grid", "0,1e-4,1e-3"],
+                "ptensor": ["ptensor", "--model", model_file, "--gates", "X,Z"],
+                "simulate": ["simulate", "--model", model_file, "--gates", "X", "--exact"],
+                "scan": ["scan", "--channels", str(scan_chan), "--nmax", "2",
+                         "--metric", "diamond", "--samples", str(100 * seed)],
+            }[command]
+            _invoke(runner, args + ["--seed", str(seed), "--out", str(out / "o")])
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+        for name, blob in trees[0].items():
+            if name.suffix == ".csv":
+                assert blob.decode().splitlines()[0].endswith(" seed=none")
+            else:
+                assert json.loads(blob)["seed"] is None
 
     def test_errors_without_inputs_exits_2(self, runner, tmp_path):
         result = CliRunner().invoke(main, ["errors", "--out", str(tmp_path / "x.json")])
@@ -448,7 +468,7 @@ def _valid_payload(kind, model_file):
         return load_json(model_file)
     if kind == "records":
         model = build_default_model([x])
-        payload = records_payload(simulate_records(model, [x], None), 1, "0", 0)
+        payload = records_payload(simulate_records(model, [x], None), "0", 0)
         payload["gates"] = ["X@0"]  # as simulate writes it
         return payload
     return channel_payload(ideal_channel(x), ["X@0"], None, "0", 0)
@@ -544,6 +564,8 @@ MALFORMED_VALUES = [
     ("model", "spam/seed", True, "errors-spam"),
     ("model", "durations", {"Q": 1.0}, "simulate"),  # a gate the model does not have
     ("model", "gates", "XZ", "simulate"),
+    ("model", "couplng", 0.0, "simulate"),  # a misspelt key is not the default coupling
+    ("model", "spam/sead", 3, "errors-spam"),
     ("records", "", [1, 2], "tomo"),
     ("records", "records/0/counts", [1, 2], "tomo"),
     ("records", "records/0/shots", "many", "tomo"),
@@ -676,6 +698,8 @@ def test_unusable_model_scalar_is_named(runner, model_file, tmp_path, field):
     ("spam/seed", -5, "'spam.seed'"),
     ("durations", {"Q": 1.0}, "'durations.Q'"),
     ("env_initial", [[[1, 0]]], "'env_initial'"),
+    ("couplng", 0.0, "'couplng'"),
+    ("spam/sead", 3, "'spam.sead'"),
 ])
 def test_unusable_model_field_is_named(runner, tmp_path, field, value, named):
     source = tmp_path / "model_bad.json"
@@ -718,8 +742,8 @@ def test_records_without_grammar_version_are_accepted(runner, model_file, tmp_pa
     assert result.exit_code == 0, result.output
 
 
-#: (command, option, value): a negative seed or shot count is refused
-#: when the flags are parsed, before any input is read
+#: (command, option, value): a negative seed or shot count, or an option
+#: of the other ``errors`` mode, is refused before any input is read
 NEGATIVE_OPTIONS = [
     ("simulate", "--seed", "-1"),
     ("simulate", "--shots", "-5"),
@@ -736,6 +760,7 @@ NEGATIVE_OPTIONS = [
     ("scan", "--nmax", "1"),
     ("scan", "--nmax", "0"),
     ("errors-records", "--trials", "1"),
+    ("errors-records", "--gate", "X"),
 ]
 
 

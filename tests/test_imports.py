@@ -28,13 +28,13 @@ PUBLIC = {
                  "compose", "ideal_channel", "identity_channel", "invert", "random_channel"],
     "exceptions": ["ConvergenceError", "DimensionError", "GatememError",
                    "IncompleteDataError", "LabelError", "SingularChannelError", "SolverError",
-                   "SupportError", "ValidationError"],
+                   "ValidationError"],
     "nonmarkov": ["AvgDistanceResult", "ConditionalMap", "DistanceMatrix", "MemoryScan",
                   "avg_trace_distance", "conditional_map", "conditional_vs_marginal_matrix",
                   "cp_violation", "diamond_distance", "diamond_lower_bound",
                   "gate_dependence_matrix", "markovian_choi_reference", "memory_scan",
                   "process_tensor_proxy", "statistical_floor"],
-    "qcore": ["DensityMatrix", "haar_random_unitary", "relative_entropy", "trace_distance"],
+    "qcore": ["DensityMatrix", "haar_random_unitary", "trace_distance"],
     "simulator": ["SEModel", "SpamSpec", "build_default_model", "cji_circuit",
                   "extract_channel", "run_sequence", "sample_counts"],
     "tomography": ["CountRecord", "TomographyFrame", "TomographyResult", "build_frame",
@@ -82,7 +82,7 @@ def inputs(tmp_path_factory):
     x = GateLabel("X", (0,))
     (root / "model.json").write_text(json.dumps({"gates": ["X"]}))
     model = build_default_model([x])
-    write_records(str(root), [x], simulate_records(model, [x], 200, seed=7), 1, "0", 7)
+    write_records(str(root), [x], simulate_records(model, [x], 200, seed=7), "0", 7)
     ideal = ideal_channel(x)
     dump_json(str(root / "channels" / "channel_X0.json"),
               channel_payload(ideal, ["X@0"], None, "0", 0))

@@ -55,7 +55,7 @@ def reference_mle_estimate(records, frame, diagnostics=None):
     d = frame.dim
     settings = list(frame.meas_labels)
     effects = np.concatenate([_measurement_effects(m) for m in settings])
-    freqs = np.concatenate([grouped[m].frequencies(frame.n_qubits) for m in settings])
+    freqs = np.concatenate([grouped[m].frequencies() for m in settings])
     weights = np.repeat([grouped[m].weight for m in settings], d)
     total_weight = float(sum(grouped[m].weight for m in settings))
     wf = weights * freqs

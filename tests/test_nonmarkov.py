@@ -28,8 +28,10 @@ from gatemem.nonmarkov import (
     process_tensor_proxy,
     statistical_floor,
 )
-from gatemem.qcore import _haar_vectors
+from gatemem.qcore import DensityMatrix, _haar_vectors, trace_distance
 from gatemem.simulator import build_default_model, extract_channel
+
+from conftest import random_density
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +108,7 @@ class TestCpViolation:
         from gatemem.channels import choi_from_superop
 
         transpose = QuantumChannel(swap)
-        eigs = np.sort(np.linalg.eigvalsh(choi_from_superop(transpose).rescaled("trace-1").data))
+        eigs = np.sort(np.linalg.eigvalsh(choi_from_superop(transpose).data / 2))
         np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
         assert cp_violation(transpose) == pytest.approx(1.0, abs=1e-12)
 
@@ -579,6 +581,35 @@ class TestProcessTensorProxy:
         chan_u, chan_v = random_channel(2, rng), random_channel(2, rng)
         ref = markovian_choi_reference(chan_u, chan_v)
         assert process_tensor_proxy(ref, ref) <= 1e-9
+
+    def test_identical_arguments(self):
+        rho = random_density(2, np.random.default_rng(0))
+        assert process_tensor_proxy(rho, rho) == pytest.approx(0.0, abs=1e-10)
+
+    def test_pure_vs_maximally_mixed_is_one(self):
+        assert process_tensor_proxy(
+            DensityMatrix.computational(2, 0), np.eye(2) / 2
+        ) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_spectral_oracle_on_random_pairs(self, rng):
+        # independent oracle: build the matrix logarithms explicitly; the
+        # 1e-12 regularization of a full-rank reference stays below 1e-10
+        def log2m(mat):
+            w, v = np.linalg.eigh(mat)
+            return (v * np.log2(w)) @ v.conj().T
+
+        for _ in range(20):
+            rho, sigma = random_density(2, rng), random_density(2, rng)
+            oracle = np.trace(rho @ (log2m(rho) - log2m(sigma))).real
+            assert process_tensor_proxy(rho, sigma) == pytest.approx(oracle, abs=1e-10)
+
+    def test_nonnegative_zero_iff_equal(self, rng):
+        for _ in range(20):
+            rho, sigma = random_density(3, rng), random_density(3, rng)
+            value = process_tensor_proxy(rho, sigma)
+            assert value >= 0.0
+            if value < 1e-9:
+                assert trace_distance(rho, sigma) < 1e-4
 
     def test_statistical_floor_needs_samples(self):
         with pytest.raises(ValidationError):

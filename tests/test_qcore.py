@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gatemem.exceptions import DimensionError, SupportError, ValidationError
+from gatemem.exceptions import DimensionError, ValidationError
 from gatemem.qcore import (
     DensityMatrix,
     _from_spectrum,
@@ -11,7 +11,6 @@ from gatemem.qcore import (
     _hermitian_part,
     _trace_out_last,
     haar_random_unitary,
-    relative_entropy,
     trace_distance,
 )
 
@@ -135,41 +134,6 @@ class TestTraceDistance:
             assert trace_distance(u @ a @ u.conj().T, u @ b @ u.conj().T) == pytest.approx(
                 trace_distance(a, b), abs=1e-10
             )
-
-
-class TestRelativeEntropy:
-    def test_identical_arguments(self):
-        rho = random_density(2, np.random.default_rng(0))
-        assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
-
-    def test_pure_vs_maximally_mixed_is_one(self):
-        assert relative_entropy(KET0, DensityMatrix(np.eye(2) / 2)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_matches_spectral_oracle_on_random_pairs(self, rng):
-        # independent oracle: build the matrix logarithms explicitly
-        def log2m(mat):
-            w, v = np.linalg.eigh(mat)
-            return (v * np.log2(w)) @ v.conj().T
-
-        for _ in range(20):
-            rho, sigma = random_density(2, rng), random_density(2, rng)
-            oracle = np.trace(rho @ (log2m(rho) - log2m(sigma))).real
-            assert relative_entropy(rho, sigma) == pytest.approx(oracle, abs=1e-10)
-
-    def test_nonnegative_zero_iff_equal(self, rng):
-        for _ in range(20):
-            rho, sigma = random_density(3, rng), random_density(3, rng)
-            value = relative_entropy(rho, sigma)
-            assert value >= 0.0
-            if value < 1e-9:
-                assert trace_distance(rho, sigma) < 1e-4
-
-    def test_support_violation(self):
-        with pytest.raises(SupportError) as excinfo:
-            relative_entropy(KET0, KET1)
-        assert excinfo.value.weight == pytest.approx(1.0, abs=1e-9)
 
 
 class TestHaarSampling:
