@@ -22,6 +22,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import pipeline, serialize
 from .channels import GateLabel
@@ -88,6 +89,17 @@ def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
     return list(by_file.values())
 
 
+def _reject_unread(mode: str, *names: str) -> None:
+    """Refuse the options ``names`` (parameter names) that the command
+    line gives though ``mode`` reads none of them: an ignored flag would
+    pass for one that took effect."""
+    ctx = click.get_current_context()
+    given = [f"'{param.opts[0]}'" for param in ctx.command.params if param.name in names
+             and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+    if given:
+        raise ValidationError(f"{mode} does not read {', '.join(given)}")
+
+
 def _metrics(metric: str) -> tuple[str, ...]:
     return ("avg", "diamond") if metric == "both" else (metric,)
 
@@ -108,6 +120,8 @@ def main():
 @_exit_codes
 def simulate(model_path, gates, shots, exact, seed, out_dir):
     """Sample tomography count records for each gate sequence."""
+    if exact:
+        _reject_unread("simulate --exact", "shots")
     model, model_spec = serialize.load_model(model_path)
     sequences = _parse_sequences(gates)
     shots_val = None if exact else shots
@@ -213,11 +227,13 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
     """Two-step process state against its memoryless reference."""
     from . import nonmarkov
 
+    if exact:
+        _reject_unread("ptensor --exact", "shots")
     model, model_spec = serialize.load_model(model_path)
     tokens = [GateLabel.parse(t) for t in gates.split(",")]
     if len(tokens) != 2:
         raise ValidationError("ptensor needs exactly two gates, e.g. --gates S,T")
-    shots_val = None if (exact or shots is None) else int(shots)
+    shots_val = None if exact else shots
     cfg = {"command": "ptensor", "model": model_spec, "gates": gates, "shots": shots_val}
     if shots_val is not None:  # exact reference maps draw nothing: the seed takes no part
         cfg["seed"] = seed
@@ -243,9 +259,8 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     """Uncertainty reports: statistical propagation or SPAM scaling."""
     from . import errprop
 
-    if records_path is not None and (model_path is not None or gate is not None):
-        raise ValidationError("errors --records takes neither '--model' nor '--gate'")
     if records_path is not None:
+        _reject_unread("errors --records", "model_path", "gate", "eps_grid")
         payload, records, frame = serialize.load_records(records_path)
         rng = np.random.default_rng(seed)
         report = errprop.reconstruction_uncertainty(records, frame, trials, rng)
@@ -259,6 +274,7 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
 
     if model_path is None or gate is None:
         raise ValidationError("need either --records or both --model and --gate")
+    _reject_unread("errors --model", "trials")
     model, model_spec = serialize.load_model(model_path)
     try:
         strengths = [float(tok) for tok in eps_grid.split(",")]

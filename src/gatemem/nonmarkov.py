@@ -195,7 +195,8 @@ def avg_trace_distance(
     :func:`.qcore._haar_vectors`, so a generator gives the same inputs
     and ends in the same state.  Each sample is computed in the real
     coordinates of :func:`_half_norms`, straight from its Gaussian draw
-    and with no normalization, in slices of ``16_000 // d**2`` samples.
+    and with no normalization, in slices of ``8_000 // d`` samples that
+    all work in one workspace, allocated once per call.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -203,19 +204,26 @@ def avg_trace_distance(
         raise ValidationError(f"need at least one sample, got {m_samples}")
     rng = np.random.default_rng() if rng is None else rng
 
-    delta = a.superop - b.superop
+    d = a.dim
     samples = np.empty(m_samples)
-    transfer = _hermitian_transfer(delta)
-    # the draw size fixes the random stream; slices of the draw keep each
-    # d^2-row temporary below glibc's 128 KiB mmap threshold, so they reuse
-    # heap memory: unsliced rows of 20,000 doubles are mapped and unmapped
-    # one by one, which made the kernel about 1.5x slower
-    step = 16_000 // a.dim**2
+    transfer = _hermitian_transfer(a.superop - b.superop)
+    # the draw size fixes the random stream.  Every slice of a draw writes
+    # its input and output coordinates into one workspace of the call, so
+    # no slice allocates a d^2-row array: its temporaries are single rows
+    # (16 or 32 KB at d = 4), which the heap reuses.  The slice is sized for
+    # the norm: at d = 4 the closed form's hundred or so array operations
+    # are spread over 2,000 samples (1,000 took a fifth longer per sample),
+    # and 4,000 would lift a paper-scale call's peak from 3.3 to 4.5 MB
+    step = 8_000 // d
+    work = np.empty((2 * d * d + d, min(step, m_samples)))
     for start in range(0, m_samples, 20_000):
-        re, im = _complex_normals(a.dim, min(20_000, m_samples - start), rng)
+        re, im = _complex_normals(d, min(20_000, m_samples - start), rng)
         for lo in range(0, len(re), step):
             hi = min(lo + step, len(re))
-            samples[start + lo : start + hi] = _half_norms(transfer, re[lo:hi], im[lo:hi])
+            samples[start + lo : start + hi] = _half_norms(
+                transfer, re[lo:hi], im[lo:hi], work[:, : hi - lo]
+            )
+        del re, im  # so that the next draw does not sit beside this one
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
@@ -245,10 +253,13 @@ def _hermitian_transfer(delta: np.ndarray) -> np.ndarray:
     return weights[:, None] * (vecs.conj().T @ delta @ vecs).real
 
 
-def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray,
+                work: np.ndarray) -> np.ndarray:
     """Half the trace norm of the Hermitian part of ``D(|z><z|)`` for the
     Haar-random states ``|z>`` of the rows of a Gaussian draw
     ``re + i im``, ``D`` given by its :func:`_hermitian_transfer` matrix.
+    ``work`` is a workspace of 2 d^2 + d rows, one column per row of the
+    draw: the input coordinates, the output coordinates and d spare rows.
 
     From the normals ``z = a + i b`` of one row, the d^2 real
     coordinates of ``|z><z|`` are its diagonal ``a_i^2 + b_i^2``, and
@@ -264,11 +275,10 @@ def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndar
     d = re.shape[1]
     a, b = re.T, im.T
     n = d * (d - 1) // 2
-    coords = np.empty((d * d, len(re)))
-    spare = np.empty((d, len(re)))
+    coords, out, spare = work[: d * d], work[d * d : 2 * d * d], work[2 * d * d :]
     np.multiply(a, a, out=coords[:d])
     coords[:d] += np.multiply(b, b, out=spare)
-    # products go into coords and one spare buffer (a new temporary per
+    # products go into coords and the spare rows (a new temporary per
     # product made a d = 4 slice ~12% slower); the m pairs (i, i + 1..d - 1)
     # of row i of the upper triangle are one block of rows in each half,
     # so one call takes each product of a row
@@ -280,17 +290,14 @@ def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndar
         np.multiply(b[i], a[i + 1 :], out=y)
         y -= np.multiply(a[i], b[i + 1 :], out=tmp)
         top += m
-    out = transfer @ coords
+    np.matmul(transfer, coords, out=out)
     if d == 2:
         mid, h = 0.5 * (out[0] + out[1]), 0.5 * (out[0] - out[1])
         half = np.maximum(np.abs(mid), np.sqrt(h * h + out[2] * out[2] + out[3] * out[3]))
+    elif d == 4:
+        half = _half_trace_norm_4x4_entries(out[:d], out[d : d + n], out[d + n :])
     else:
-        upper = np.empty((n, len(re)), dtype=complex)
-        upper.real, upper.imag = out[d : d + n], out[d + n :]
-        if d == 4:
-            half = _half_trace_norm_4x4_entries(out[:d], upper)
-        else:
-            half = _half_trace_norm(_hermitian_from_entries(out[:d], upper))
+        half = _half_trace_norm(_hermitian_from_entries(out[:d], out[d : d + n], out[d + n :]))
     return half / coords[:d].sum(axis=0)
 
 

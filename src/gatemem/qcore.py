@@ -133,18 +133,22 @@ def _half_trace_norm(mat: np.ndarray):
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(mat))), axis=-1)
 
 
-def _half_trace_norm_4x4_entries(diag, upper) -> np.ndarray:
+def _half_trace_norm_4x4_entries(diag, re, im) -> np.ndarray:
     """Half the trace norm of n Hermitian 4 x 4 matrices given by their
-    entries: ``diag`` the four real diagonals, ``upper`` the six complex
-    entries above it in ``_PAIRS`` order, each an array of length n.  The
-    resolvent cubic of the characteristic polynomial gives it in closed
-    form.
+    entries: ``diag`` the four real diagonals, ``re`` and ``im`` the real
+    and imaginary parts of the six entries above it in ``_PAIRS`` order,
+    each an array of length n.  The resolvent cubic of the characteristic
+    polynomial gives it in closed form.
 
     The matrix is shifted by ``t = tr / 4`` to a traceless ``B`` with
     eigenvalues ``mu``; ``s2, s3, s4 = tr B^2, tr B^3, tr B^4`` come
-    entry by entry from the upper triangles of ``B`` and ``B^2``, one
-    array per entry.  The pair sums ``(mu_1 + mu_k)^2``, k = 2, 3, 4, are
-    the roots ``y1 >= y2 >= y3 >= 0`` of
+    entry by entry from the upper triangles of ``B`` and ``B^2``.  Each
+    ``|B_ij|^2`` comes from the two parts of the entry, and each
+    conjugate entry of ``B`` is formed where a product uses it; the upper
+    entries of ``B^2`` are formed one pair at a time, added into ``s3``
+    and ``s4`` and dropped, so few arrays of length n are alive at once.
+    The pair sums ``(mu_1 + mu_k)^2``, k = 2, 3, 4, are the roots
+    ``y1 >= y2 >= y3 >= 0`` of
 
         y^3 - s2 y^2 + (s4 - s2^2 / 4) y - (s3 / 3)^2 = 0.
 
@@ -160,25 +164,7 @@ def _half_trace_norm_4x4_entries(diag, upper) -> np.ndarray:
     (zero and rank-1 matrices among them) are assembled and go through
     ``eigvalsh``."""
     t = 0.25 * (diag[0] + diag[1] + diag[2] + diag[3])
-    d = [x - t for x in diag]
-    b = {}  # B off the diagonal, one array per entry
-    for (i, j), entry in zip(_PAIRS, upper):
-        b[i, j] = entry
-        b[j, i] = np.conj(entry)
-    norm2 = {}
-    for i, j in _PAIRS:
-        norm2[i, j] = norm2[j, i] = (b[i, j] * b[j, i]).real
-
-    # B^2: a real diagonal, and the upper triangle
-    sq_diag = [d[i] * d[i] + sum(norm2[i, k] for k in range(4) if k != i) for i in range(4)]
-    sq = {}
-    for i, j in _PAIRS:
-        k, l = (k for k in range(4) if k not in (i, j))
-        sq[i, j] = (d[i] + d[j]) * b[i, j] + (b[i, k] * b[k, j] + b[i, l] * b[l, j])
-    s2 = sum(sq_diag)
-    s3 = sum(d[i] * sq_diag[i] for i in range(4))
-    s3 += 2.0 * sum(b[j, i] * sq[i, j] for i, j in _PAIRS).real
-    s4 = sum(x * x for x in sq_diag) + 2.0 * sum((x * np.conj(x)).real for x in sq.values())
+    s2, s3, s4 = _power_sums_4x4([x - t for x in diag], re, im)
 
     # in x = y - m the cubic reads x^3 - 3 r^2 x + q = 0, with roots
     # 2 r cos(phi - 2 pi k / 3) for cos(3 phi) = -q / (2 r^3), k = 0, 1
@@ -202,21 +188,55 @@ def _half_trace_norm_4x4_entries(diag, upper) -> np.ndarray:
     out = 0.5 * (np.abs(t + u + hc) + np.abs(t + v - hc) + np.abs(t - v - hc) + np.abs(t - u + hc))
     if not trusted.all():
         rest = ~trusted
-        herm = _hermitian_from_entries([x[rest] for x in diag], [x[rest] for x in upper])
+        herm = _hermitian_from_entries(*([x[rest] for x in part] for part in (diag, re, im)))
         out[rest] = _half_trace_norm(herm)
     return out
 
 
-def _hermitian_from_entries(diag, upper) -> np.ndarray:
+def _power_sums_4x4(d, re, im):
+    """``tr B^2, tr B^3, tr B^4`` of n Hermitian 4 x 4 matrices ``B``
+    with real diagonals ``d`` and entries ``re + i im`` above them, as
+    :func:`_half_trace_norm_4x4_entries` takes them.  Only the sums
+    outlive the call."""
+    b = np.empty((6, len(d[0])), dtype=complex)
+    b.real, b.imag = re, im
+    upper = dict(zip(_PAIRS, b))
+
+    def entry(i, j):  # B_ij off the diagonal
+        return upper[i, j] if i < j else np.conj(upper[j, i])
+
+    norm2 = {}
+    for (i, j), x, y in zip(_PAIRS, re, im):
+        norm2[i, j] = norm2[j, i] = x * x + y * y
+
+    # B^2: a real diagonal, then the upper triangle, whose entries
+    # (B^2)_ij add 2 Re(conj(B_ij) (B^2)_ij) to s3 and 2 |(B^2)_ij|^2 to s4
+    sq_diag = [d[i] * d[i] + sum(norm2[i, k] for k in range(4) if k != i) for i in range(4)]
+    s2 = sum(sq_diag)
+    s3 = sum(d[i] * sq_diag[i] for i in range(4))
+    s4 = sum(x * x for x in sq_diag)
+    acc3, acc4 = np.zeros(len(s2), dtype=complex), np.zeros(len(s2), dtype=complex)
+    for (i, j), b_ij in upper.items():
+        k, l = (k for k in range(4) if k not in (i, j))
+        sq = entry(i, k) * entry(k, j)
+        sq += entry(i, l) * entry(l, j)
+        sq += (d[i] + d[j]) * b_ij
+        acc3 += np.conj(b_ij) * sq
+        acc4 += np.conj(sq) * sq
+    return s2, s3 + 2.0 * acc3.real, s4 + 2.0 * acc4.real
+
+
+def _hermitian_from_entries(diag, re, im) -> np.ndarray:
     """The stack of shape (n, d, d) of Hermitian matrices with real
-    diagonals ``diag`` (d arrays of length n) and upper triangles
-    ``upper`` (d(d - 1)/2 complex arrays, in :func:`_upper_indices`
-    order)."""
+    diagonals ``diag`` (d arrays of length n) and upper triangles with
+    real parts ``re`` and imaginary parts ``im`` (d(d - 1)/2 arrays each,
+    in :func:`_upper_indices` order)."""
     dim = len(diag)
     rows, cols = _upper_indices(dim)
     herm = np.empty((len(diag[0]), dim, dim), dtype=complex)
     herm[:, range(dim), range(dim)] = np.transpose(diag)
-    herm[:, rows, cols] = np.transpose(upper)
+    herm.real[:, rows, cols] = np.transpose(re)
+    herm.imag[:, rows, cols] = np.transpose(im)
     herm[:, cols, rows] = np.conj(herm[:, rows, cols])
     return herm
 

@@ -37,9 +37,9 @@ def is_tp(choi, tol: float) -> bool:
 def hermitian_entries(stack):
     """The entries of the Hermitian part of each matrix in a stack of
     shape (n, 4, 4), as ``qcore._half_trace_norm_4x4_entries`` takes
-    them: the four real diagonals, then the six entries above the
-    diagonal, row by row."""
+    them: the four real diagonals, then the real and the imaginary parts
+    of the six entries above the diagonal, row by row."""
     rows, cols = np.triu_indices(4, 1)
     diag = [stack[:, i, i].real for i in range(4)]
     upper = [0.5 * (stack[:, i, j] + np.conj(stack[:, j, i])) for i, j in zip(rows, cols)]
-    return diag, upper
+    return diag, [x.real for x in upper], [x.imag for x in upper]

@@ -743,7 +743,8 @@ def test_records_without_grammar_version_are_accepted(runner, model_file, tmp_pa
 
 
 #: (command, option, value): a negative seed or shot count, or an option
-#: of the other ``errors`` mode, is refused before any input is read
+#: that the chosen mode does not read (one of the other ``errors`` mode, a
+#: shot count of an exact run), is refused before any input is read
 NEGATIVE_OPTIONS = [
     ("simulate", "--seed", "-1"),
     ("simulate", "--shots", "-5"),
@@ -761,6 +762,11 @@ NEGATIVE_OPTIONS = [
     ("scan", "--nmax", "0"),
     ("errors-records", "--trials", "1"),
     ("errors-records", "--gate", "X"),
+    ("errors-records", "--eps-grid", "nonsense"),
+    ("errors-spam", "--trials", "7"),
+    ("errors-spam", "--trials", "200"),  # given, though it is the default
+    ("ptensor-exact", "--shots", "5"),
+    ("simulate-exact", "--shots", "5"),
 ]
 
 
@@ -784,6 +790,9 @@ def test_negative_option_exits_2(runner, model_file, tmp_path, command, option, 
         "scan": ["scan", "--channels", str(inputs), "--nmax", "2", "--samples", "100",
                  "--out", out],
         "ptensor": ["ptensor", "--model", model_file, "--shots", "100", "--out", out],
+        "simulate-exact": ["simulate", "--model", model_file, "--gates", "X", "--exact",
+                           "--out", out],
+        "ptensor-exact": ["ptensor", "--model", model_file, "--exact", "--out", out],
         "errors-records": ["errors", "--records", str(records), "--trials", "2", "--out", out],
         "errors-spam": ["errors", "--model", model_file, "--gate", "X", "--out", out],
     }[command]

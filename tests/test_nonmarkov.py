@@ -189,23 +189,28 @@ class TestAvgTraceDistance:
             (1, "raw"), (20_000, "raw"), (20_001, "raw"), (45_000, "raw"),
         ]),
         *((3, m, maps) for maps in ("channels", "raw") for m in (1, 1_777, 1_778, 20_001, 45_000)),
+        *((d, m, "channels") for d, width in [(2, 4_000), (3, 2_666), (4, 2_000), (8, 1_000)]
+          for m in (2 * width, 2 * width + 1)),
     ])
     def test_batch_edges_and_raw_maps_match_eigvalsh_reference(self, d, m_samples, maps):
-        # 20,000 samples fill one batch exactly, 20,001 start a second one;
-        # at d = 3 a slice holds 1,777 samples, which do not divide a batch,
-        # and 1,778 leave a one-sample slice
+        # 20,000 samples fill one batch exactly, 20,001 start a second one.
+        # A slice holds 8_000 // d samples: 4,000 at d = 2, 2,666 at d = 3
+        # (which do not divide a batch), 2,000 at d = 4 and 1,000 at d = 8;
+        # twice the width fills the last slice exactly, and one sample more
+        # leaves a one-sample slice
         self._check_against_eigvalsh_reference(d, m_samples, maps)
 
     def test_three_qubit_outputs_match_eigvalsh_reference(self):
         # d = 8 outputs are assembled from their entries for eigvalsh; the
-        # last of the nine slices (250 samples each) holds one sample
+        # last of the three slices (1,000 samples each) holds one sample
         self._check_against_eigvalsh_reference(8, 2_001, "raw")
 
     @pytest.mark.parametrize("d, limit", [(2, 3_000_000), (4, 4_000_000)])
     def test_paper_scale_call_stays_small(self, d, limit):
         # 100,000 samples: the draw of one batch (0.6 MB at d = 2, 1.3 MB
-        # at d = 4) and the samples (0.8 MB) dominate; one slice's
-        # temporaries add a few hundred KB
+        # at d = 4) and the samples (0.8 MB) dominate; the workspace (0.3
+        # MB at d = 2, 0.6 MB at d = 4) and one slice's temporaries add
+        # the rest, and no batch's draw outlives its slices
         rng = np.random.default_rng(2024)
         a = random_channel(d, rng)
         b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel
