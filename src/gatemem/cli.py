@@ -9,8 +9,11 @@ configuration; exit codes are 0 (success), 2 (validation, including
 out-of-range options), 3 (numerical), 4 (I/O).
 
 A command parses its flags, loads its inputs with a :mod:`.serialize`
-loader, makes one library call, and hands the result to a ``serialize``
-writer; the README's "Library" section shows each call in process.
+loader, declares what the run reads in one :func:`_declare` call, makes
+one library call, and hands the result to a ``serialize`` writer; the
+README's "Library" section shows each call in process.  A flag the run
+does not read exits 2, except ``--seed``: a run that draws nothing
+ignores it and writes ``"seed": null``.
 """
 
 from __future__ import annotations
@@ -89,15 +92,23 @@ def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
     return list(by_file.values())
 
 
-def _reject_unread(mode: str, *names: str) -> None:
-    """Refuse the options ``names`` (parameter names) that the command
-    line gives though ``mode`` reads none of them: an ignored flag would
-    pass for one that took effect."""
+def _declare(draws: bool, **config) -> tuple[str, int | None]:
+    """A run's one statement of what it reads: ``config`` names the command
+    and holds each option it reads, keyed by option name, at what it
+    resolves to (the model spec, the channel digests, the records payload);
+    a None entry is hashed but not read, and a run that ``draws`` reads
+    ``--seed``.  Refuses every other flag the command line gives, then
+    returns the stamp each written file carries: config hash and seed."""
     ctx = click.get_current_context()
-    given = [f"'{param.opts[0]}'" for param in ctx.command.params if param.name in names
-             and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
-    if given:
-        raise ValidationError(f"{mode} does not read {', '.join(given)}")
+    if draws:
+        config["seed"] = ctx.params["seed"]
+    read = {"out", "exact", "seed"} | {name for name, value in config.items() if value is not None}
+    unread = [f"'{param.opts[0]}'" for param in ctx.command.params
+              if param.opts[0][2:].replace("-", "_") not in read
+              and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+    if unread:
+        raise ValidationError(f"this {ctx.info_name} run does not read {', '.join(unread)}")
+    return serialize.config_hash(config), config.get("seed")
 
 
 def _metrics(metric: str) -> tuple[str, ...]:
@@ -120,21 +131,17 @@ def main():
 @_exit_codes
 def simulate(model_path, gates, shots, exact, seed, out_dir):
     """Sample tomography count records for each gate sequence."""
-    if exact:
-        _reject_unread("simulate --exact", "shots")
     model, model_spec = serialize.load_model(model_path)
     sequences = _parse_sequences(gates)
-    shots_val = None if exact else shots
-    cfg = {"command": "simulate", "model": model_spec, "gates": gates, "shots": shots_val}
-    if shots_val is not None:  # exact probabilities draw nothing: the seed takes no part
-        cfg["seed"] = seed
-    cfg_hash = serialize.config_hash(cfg)
+    shots_val = None if exact else shots  # exact probabilities draw nothing
+    stamp = _declare(shots_val is not None, command="simulate", model=model_spec, gates=gates,
+                     shots=shots_val)
     frame = build_frame(model.sys_qubits)
     for index, sequence in enumerate(sequences):
         records = pipeline.simulate_records(
             model, sequence, shots_val, seed=seed + index, frame=frame
         )
-        path = serialize.write_records(out_dir, sequence, records, cfg_hash, cfg.get("seed"))
+        path = serialize.write_records(out_dir, sequence, records, *stamp)
         click.echo(f"wrote {path} ({len(records)} records)")
 
 
@@ -148,10 +155,11 @@ def tomo(records_path, out_path):
     gates = payload.get("gates")
     if not gates:
         raise ValidationError(f"records file {records_path} has no 'gates' sequence")
+    cfg_hash, _ = _declare(False, command="tomo", records=payload)
     result = pipeline.reconstruct_channel(records, frame)
-    cfg = {"command": "tomo", "records": payload}
+    # a channel carries the seed its records were drawn with
     serialize.dump_json(out_path, serialize.tomography_payload(
-        result, gates, records[0].shots, serialize.config_hash(cfg), payload.get("seed")
+        result, gates, records[0].shots, cfg_hash, payload.get("seed")
     ))
     click.echo(f"wrote {out_path}")
 
@@ -170,20 +178,15 @@ def analyze(channels_dir, metric, samples, scale_figure, pair, seed, out_dir):
     from . import nonmarkov
 
     marginals, joints = serialize.load_grid(channels_dir)
-    cfg = {
-        "command": "analyze",
-        "channels": serialize.channel_digests({**marginals, **joints}),
-        "metric": metric,
-        "samples": samples,
-        "scale_figure": scale_figure,
-        "pair": pair,
-        "seed": seed,
-    }
+    stamp = _declare(  # the histogram draws whatever the metric
+        True, command="analyze", channels=serialize.channel_digests({**marginals, **joints}),
+        metric=metric, samples=samples, scale_figure=scale_figure, pair=pair,
+    )
     analysis = nonmarkov.analyze_grid(
         marginals, joints, metrics=_metrics(metric), m_samples=samples, seed=seed,
         scale_figure=scale_figure, pair=None if pair is None else pair.split(","),
     )
-    serialize.write_analysis(out_dir, analysis, serialize.config_hash(cfg), seed)
+    serialize.write_analysis(out_dir, analysis, *stamp)
     click.echo(f"wrote analysis to {out_dir}")
 
 
@@ -201,16 +204,15 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     from . import nonmarkov
 
     runs = nonmarkov.repetitions(serialize.load_channel_dir(channels_dir), nmax)
-    cfg = {
-        "command": "scan", "channels": serialize.channel_digests(dict(enumerate(runs, 1))),
-        "nmax": nmax, "metric": metric,
-    }
-    if metric != "diamond":  # only the averaged distance draws
-        cfg.update(samples=samples, seed=seed)
+    draws = metric != "diamond"  # only the averaged distance draws
+    stamp = _declare(
+        draws, command="scan", channels=serialize.channel_digests(dict(enumerate(runs, 1))),
+        nmax=nmax, metric=metric, **({"samples": samples} if draws else {}),
+    )
     result = nonmarkov.memory_scan(
         runs, metrics=_metrics(metric), m_samples=samples, rng=np.random.default_rng(seed)
     )
-    serialize.write_scan(out_dir, result, serialize.config_hash(cfg), cfg.get("seed"))
+    serialize.write_scan(out_dir, result, *stamp)
     click.echo(f"wrote scan to {out_dir}")
 
 
@@ -227,19 +229,16 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
     """Two-step process state against its memoryless reference."""
     from . import nonmarkov
 
-    if exact:
-        _reject_unread("ptensor --exact", "shots")
     model, model_spec = serialize.load_model(model_path)
     tokens = [GateLabel.parse(t) for t in gates.split(",")]
     if len(tokens) != 2:
         raise ValidationError("ptensor needs exactly two gates, e.g. --gates S,T")
-    shots_val = None if exact else shots
-    cfg = {"command": "ptensor", "model": model_spec, "gates": gates, "shots": shots_val}
-    if shots_val is not None:  # exact reference maps draw nothing: the seed takes no part
-        cfg["seed"] = seed
+    shots_val = None if exact else shots  # exact reference maps draw nothing
+    stamp = _declare(shots_val is not None, command="ptensor", model=model_spec, gates=gates,
+                     shots=shots_val)
     result = pipeline.process_tensor_pair(model, *tokens, shots_val, seed)
     serialize.dump_json(out_path, serialize.report_payload(
-        "ptensor", cfg, cfg.get("seed"), gates=[str(g) for g in tokens], shots=shots_val,
+        "ptensor", *stamp, gates=[str(g) for g in tokens], shots=shots_val,
         regularization=nonmarkov.PTENSOR_REGULARIZATION, **dataclasses.asdict(result),
     ))
     click.echo(f"relative entropy to memoryless reference: {result.relative_entropy:.6f}")
@@ -260,13 +259,14 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     from . import errprop
 
     if records_path is not None:
-        _reject_unread("errors --records", "model_path", "gate", "eps_grid")
         payload, records, frame = serialize.load_records(records_path)
+        # a records file has one mode, and only sampled records are redrawn
+        stamp = _declare(records[0].shots is not None, command="errors", records=payload,
+                         trials=trials)
         rng = np.random.default_rng(seed)
         report = errprop.reconstruction_uncertainty(records, frame, trials, rng)
-        cfg = {"command": "errors", "records": payload, "trials": trials, "seed": seed}
         serialize.dump_json(out_path, serialize.report_payload(
-            "uncertainty", cfg, seed, **dataclasses.asdict(report)
+            "uncertainty", *stamp, **dataclasses.asdict(report)
         ))
         click.echo(f"{report.metric}: std={report.std:.6g} over {report.trials} trials")
         click.echo(f"wrote {out_path}")
@@ -274,17 +274,16 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
 
     if model_path is None or gate is None:
         raise ValidationError("need either --records or both --model and --gate")
-    _reject_unread("errors --model", "trials")
     model, model_spec = serialize.load_model(model_path)
+    # exact-mode tomography draws nothing
+    stamp = _declare(False, command="errors-spam", model=model_spec, gate=gate, eps_grid=eps_grid)
     try:
         strengths = [float(tok) for tok in eps_grid.split(",")]
     except ValueError:
         raise ValidationError(f"--eps-grid takes comma-separated numbers: {eps_grid!r}") from None
     decomposition = errprop.spam_scaling(model, GateLabel.parse(gate), strengths)
-    # exact-mode tomography draws nothing, so --seed takes no part here
-    cfg = {"command": "errors-spam", "model": model_spec, "gate": gate, "eps_grid": eps_grid}
     serialize.dump_json(out_path, serialize.report_payload(
-        "spamscaling", cfg, None, gate=gate, **dataclasses.asdict(decomposition)
+        "spamscaling", *stamp, gate=gate, **dataclasses.asdict(decomposition)
     ))
     click.echo(
         f"error vs strength: slope={decomposition.slope:.3f} "

@@ -99,10 +99,10 @@ def _meta(kind: str, cfg_hash: str, seed, **fields) -> dict:
     return {"schema": _schema_tag(kind), "config_hash": cfg_hash, "seed": seed, **fields}
 
 
-def report_payload(kind: str, cfg: dict, seed, **fields) -> dict:
-    """A one-file report of schema ``kind``: the hash of ``cfg``, the
+def report_payload(kind: str, cfg_hash: str, seed, **fields) -> dict:
+    """A one-file report of schema ``kind``: the configuration hash, the
     seed, and ``fields``, with array fields written as complex matrices."""
-    return _meta(kind, config_hash(cfg), seed, **{
+    return _meta(kind, cfg_hash, seed, **{
         k: encode_matrix(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()
     })
 

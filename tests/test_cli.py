@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -378,16 +379,19 @@ class TestAnalyzeScanErrors:
         assert payload["slope"] == pytest.approx(1.0, abs=0.15)
         assert payload["r_squared"] >= 0.99
 
-    @pytest.mark.parametrize("command", ["errors-spam", "ptensor", "simulate", "scan"])
+    @pytest.mark.parametrize("command", ["errors-spam", "ptensor", "simulate", "scan",
+                                         "errors-records-exact"])
     def test_run_that_draws_nothing_ignores_the_seed(self, runner, model_file, tmp_path,
                                                      command):
-        # exact-mode tomography, exact reference maps, exact probabilities and
-        # diamond distances draw nothing: the seed (and the scan's --samples)
-        # is not provenance
+        # exact-mode tomography, exact reference maps, exact probabilities,
+        # diamond distances and exact records, which no trial redraws, draw
+        # nothing: the seed is not provenance
         rng = np.random.default_rng(0)
         scan_chan = tmp_path / "scan_chan"
         _write_channels(scan_chan, {("X@0",): random_channel(2, rng),
                                     ("X@0", "X@0"): random_channel(2, rng)})
+        _invoke(runner, ["simulate", "--model", model_file, "--gates", "X", "--exact",
+                         "--out", str(tmp_path / "rec")])
         trees = []
         for seed in (1, 2):
             out = tmp_path / f"out_{seed}"
@@ -397,7 +401,10 @@ class TestAnalyzeScanErrors:
                 "ptensor": ["ptensor", "--model", model_file, "--gates", "X,Z"],
                 "simulate": ["simulate", "--model", model_file, "--gates", "X", "--exact"],
                 "scan": ["scan", "--channels", str(scan_chan), "--nmax", "2",
-                         "--metric", "diamond", "--samples", str(100 * seed)],
+                         "--metric", "diamond"],
+                "errors-records-exact": ["errors", "--records",
+                                         str(tmp_path / "rec" / "records_X0.json"),
+                                         "--trials", "3"],
             }[command]
             _invoke(runner, args + ["--seed", str(seed), "--out", str(out / "o")])
             trees.append({p.relative_to(out): p.read_bytes()
@@ -742,9 +749,11 @@ def test_records_without_grammar_version_are_accepted(runner, model_file, tmp_pa
     assert result.exit_code == 0, result.output
 
 
-#: (command, option, value): a negative seed or shot count, or an option
-#: that the chosen mode does not read (one of the other ``errors`` mode, a
-#: shot count of an exact run), is refused before any input is read
+#: (command, option, value): a negative seed or shot count is refused
+#: before any input is read; an option that the chosen mode does not read
+#: (one of the other ``errors`` mode, a shot count of an exact run, a
+#: diamond scan's sample count) is refused after the inputs are read, and
+#: before any work or write
 NEGATIVE_OPTIONS = [
     ("simulate", "--seed", "-1"),
     ("simulate", "--shots", "-5"),
@@ -767,6 +776,7 @@ NEGATIVE_OPTIONS = [
     ("errors-spam", "--trials", "200"),  # given, though it is the default
     ("ptensor-exact", "--shots", "5"),
     ("simulate-exact", "--shots", "5"),
+    ("scan-diamond", "--samples", "7"),
 ]
 
 
@@ -789,6 +799,8 @@ def test_negative_option_exits_2(runner, model_file, tmp_path, command, option, 
         "analyze": ["analyze", "--channels", str(inputs), "--samples", "100", "--out", out],
         "scan": ["scan", "--channels", str(inputs), "--nmax", "2", "--samples", "100",
                  "--out", out],
+        "scan-diamond": ["scan", "--channels", str(inputs), "--nmax", "2", "--metric", "diamond",
+                         "--out", out],
         "ptensor": ["ptensor", "--model", model_file, "--shots", "100", "--out", out],
         "simulate-exact": ["simulate", "--model", model_file, "--gates", "X", "--exact",
                            "--out", out],
@@ -800,6 +812,102 @@ def test_negative_option_exits_2(runner, model_file, tmp_path, command, option, 
     assert result.exit_code == 2, result.output
     assert f"'{option}'" in result.output
     assert not os.path.exists(out)
+
+
+#: Each command mode with every option it takes given on the command line,
+#: ``--out`` aside; ``{model}``, ``{records}`` and ``{channels}`` name inputs
+READ_MODES = {
+    "simulate": ["simulate", "--model", "{model}", "--gates", "X", "--shots", "100",
+                 "--seed", "1"],
+    "simulate-exact": ["simulate", "--model", "{model}", "--gates", "X", "--exact",
+                       "--seed", "1"],
+    "tomo": ["tomo", "--records", "{records}"],
+    "analyze": ["analyze", "--channels", "{channels}", "--samples", "100", "--seed", "1"],
+    "scan": ["scan", "--channels", "{channels}", "--nmax", "2", "--samples", "100",
+             "--seed", "1"],
+    "scan-diamond": ["scan", "--channels", "{channels}", "--nmax", "2", "--metric", "diamond",
+                     "--seed", "1"],
+    "ptensor": ["ptensor", "--model", "{model}", "--gates", "X,Z", "--shots", "100",
+                "--seed", "1"],
+    "ptensor-exact": ["ptensor", "--model", "{model}", "--gates", "X,Z", "--exact",
+                      "--seed", "1"],
+    "errors-records": ["errors", "--records", "{records}", "--trials", "2", "--seed", "1"],
+    "errors-model": ["errors", "--model", "{model}", "--gate", "X", "--eps-grid", "0,1e-3,1e-2",
+                     "--seed", "1"],
+}
+
+#: A second valid value of every option; a flag is toggled instead
+SECOND_VALUES = {
+    "--model": "{model2}", "--gates": "Z,X", "--shots": "200", "--seed": "2",
+    "--records": "{records2}", "--channels": "{channels2}", "--metric": "both",
+    "--samples": "200", "--pair": "X,X", "--nmax": "3", "--trials": "3", "--gate": "Z",
+    "--eps-grid": "0,1e-3,3e-2",
+}
+
+#: Runs that draw nothing, whose --seed must leave every byte unchanged
+DRAW_NOTHING = {"simulate-exact", "scan-diamond", "ptensor-exact", "errors-model"}
+
+
+def _changed(args, param):
+    """``args`` with the option ``param`` moved to its second value."""
+    flag = param.opts[0]
+    if param.is_flag:
+        return [a for a in args if a != flag] if flag in args else args + [flag]
+    if flag in args:
+        at = args.index(flag) + 1
+        return args[:at] + [SECOND_VALUES[flag]] + args[at + 1:]
+    return args + [flag, SECOND_VALUES[flag]]
+
+
+@pytest.mark.parametrize("mode", sorted(READ_MODES))
+def test_no_option_is_silently_ignored(runner, model_file, tmp_path, mode):
+    # every option but --out, moved to a second value, is refused by name
+    # or moves the config hash; an option added without a declaration in
+    # its command fails here
+    spec = json.loads(open(model_file).read())
+    (tmp_path / "model2.json").write_text(json.dumps({**spec, "coupling": 0.3}))
+    _invoke(runner, ["simulate", "--model", model_file, "--gates", "X;Z", "--shots", "100",
+                     "--out", str(tmp_path / "rec")])
+    x = ideal_channel(GateLabel("X", (0,)))
+    rng = np.random.default_rng(0)
+    _write_channels(tmp_path / "chan", {("X@0",) * n: x for n in (1, 2, 3)})
+    _write_channels(tmp_path / "chan2", {("X@0",) * n: random_channel(2, rng)
+                                         for n in (1, 2, 3)})
+    paths = {"model": model_file, "model2": str(tmp_path / "model2.json"),
+             "records": str(tmp_path / "rec" / "records_X0.json"),
+             "records2": str(tmp_path / "rec" / "records_Z0.json"),
+             "channels": str(tmp_path / "chan"), "channels2": str(tmp_path / "chan2")}
+
+    def run(args, name):
+        out = tmp_path / name
+        args = [a.format(**paths) for a in args] + ["--out", str(out / "o.json")]
+        result = runner.invoke(main, args)
+        tree = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return result, tree
+
+    base_args = READ_MODES[mode]
+    result, base = run(base_args, "base")
+    assert result.exit_code == 0, result.output
+    base_hash = {json.loads(b)["config_hash"] for p, b in base.items() if p.suffix == ".json"}
+    for param in main.commands[base_args[0]].params:
+        flag = param.opts[0]
+        if flag == "--out":
+            continue
+        result, tree = run(_changed(base_args, param), flag.strip("-"))
+        if flag == "--seed" and mode in DRAW_NOTHING:
+            assert result.exit_code == 0, result.output
+            assert tree == base, flag
+        elif flag == "--exact" and mode == "ptensor-exact":
+            # without --shots, ptensor takes exact reference maps anyway
+            assert tree == base, flag
+        elif result.exit_code == 2:
+            named = re.findall(r"'(--[a-z-]+)'", result.output.split("does not read")[-1])
+            assert named and set(named) <= set(_changed(base_args, param)), result.output
+            assert not tree, flag
+        else:
+            assert result.exit_code == 0, (flag, result.output)
+            hashes = {json.loads(b)["config_hash"] for p, b in tree.items() if p.suffix == ".json"}
+            assert hashes and hashes.isdisjoint(base_hash), flag
 
 
 class TestLibraryEntryPoints:
