@@ -6,7 +6,9 @@ Commands compose through files: ``simulate`` writes count records,
 ``ptensor`` consume channel files and the model, and ``errors`` runs the
 uncertainty analyses.  Outputs are deterministic for a fixed seed and
 configuration; exit codes are 0 (success), 2 (validation, including
-out-of-range options), 3 (numerical), 4 (I/O).
+out-of-range options), 3 (numerical), 4 (I/O).  The command group maps
+the package's errors to these codes in one place, so a command raises
+and never exits.
 
 A command parses its flags, loads its inputs with a :mod:`.serialize`
 loader, declares what the run reads in one :func:`_declare` call, makes
@@ -19,7 +21,6 @@ ignores it and writes ``"seed": null``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import sys
 
@@ -51,11 +52,13 @@ _samples_option = click.option("--samples", default=DEFAULT_AVG_SAMPLES, show_de
                                type=click.IntRange(min=1))
 
 
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ExitCodes(click.Group):
+    """The command group, and the one boundary where a command's errors
+    become exit codes: 2 validation, 3 numerical, 4 I/O."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except _VALIDATION_ERRORS as err:
             click.echo(f"validation error: {err}", err=True)
             if isinstance(err, IncompleteDataError):
@@ -67,8 +70,6 @@ def _exit_codes(fn):
         except (OSError, json.JSONDecodeError) as err:
             click.echo(f"i/o error: {err}", err=True)
             sys.exit(4)
-
-    return wrapper
 
 
 def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
@@ -115,7 +116,7 @@ def _metrics(metric: str) -> tuple[str, ...]:
     return ("avg", "diamond") if metric == "both" else (metric,)
 
 
-@click.group()
+@click.group(cls=_ExitCodes)
 def main():
     """Memory analysis for gate sequences: tomography, conditional-map
     tests, channel distances, and error propagation."""
@@ -128,7 +129,6 @@ def main():
 @click.option("--exact", is_flag=True, help="emit exact probabilities instead of counts")
 @_seed_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@_exit_codes
 def simulate(model_path, gates, shots, exact, seed, out_dir):
     """Sample tomography count records for each gate sequence."""
     model, model_spec = serialize.load_model(model_path)
@@ -148,7 +148,6 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
 @main.command()
 @click.option("--records", "records_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_codes
 def tomo(records_path, out_path):
     """Reconstruct a channel from a records file."""
     payload, records, frame = serialize.load_records(records_path)
@@ -172,7 +171,6 @@ def tomo(records_path, out_path):
 @click.option("--pair", default=None, help="U,V pair for the distance histogram")
 @_seed_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@_exit_codes
 def analyze(channels_dir, metric, samples, scale_figure, pair, seed, out_dir):
     """Conditional-map analyses over a set of reconstructed channels."""
     from . import nonmarkov
@@ -198,7 +196,6 @@ def analyze(channels_dir, metric, samples, scale_figure, pair, seed, out_dir):
 @_samples_option
 @_seed_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@_exit_codes
 def scan(channels_dir, nmax, metric, samples, seed, out_dir):
     """Memory-length scan over channels for repeated gate applications."""
     from . import nonmarkov
@@ -224,7 +221,6 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
 @click.option("--exact", is_flag=True, help="exact-statistics reference maps")
 @_seed_option
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_codes
 def ptensor(model_path, gates, shots, exact, seed, out_path):
     """Two-step process state against its memoryless reference."""
     from . import nonmarkov
@@ -253,7 +249,6 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
 @click.option("--eps-grid", default="0,1e-4,3e-4,1e-3,3e-3,1e-2", show_default=True)
 @_seed_option
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_codes
 def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     """Uncertainty reports: statistical propagation or SPAM scaling."""
     from . import errprop

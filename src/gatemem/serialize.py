@@ -5,7 +5,9 @@ Complex matrices serialize as nested arrays of [re, im] pairs.  Every
 written file embeds a schema tag, the configuration hash, and the seed,
 and all writes are atomic (temp file + rename) with deterministic
 content, so a rerun with the same configuration is byte-identical.
-Loaders reject a malformed file with :class:`ValidationError` naming it.
+:func:`report_payload` builds every JSON payload and ``_table_csv``
+every CSV table.  Loaders reject a malformed file with
+:class:`ValidationError` naming it.
 """
 
 from __future__ import annotations
@@ -87,24 +89,26 @@ def dump_json(path: str, payload: dict) -> None:
 
 
 def load_json(path: str) -> dict:
+    """The JSON document in ``path``; a file that is not JSON raises
+    :class:`json.JSONDecodeError` naming the file."""
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as err:
+            raise json.JSONDecodeError(f"{path} is not JSON: {err.msg}", err.doc, err.pos) from None
 
 
 def _schema_tag(kind: str) -> str:
     return f"gatemem.{kind}/{SCHEMA_VERSION}"
 
 
-def _meta(kind: str, cfg_hash: str, seed, **fields) -> dict:
-    return {"schema": _schema_tag(kind), "config_hash": cfg_hash, "seed": seed, **fields}
-
-
 def report_payload(kind: str, cfg_hash: str, seed, **fields) -> dict:
-    """A one-file report of schema ``kind``: the configuration hash, the
-    seed, and ``fields``, with array fields written as complex matrices."""
-    return _meta(kind, cfg_hash, seed, **{
+    """A JSON file of schema ``kind``: the configuration hash, the seed,
+    and ``fields``, with array fields written as complex matrices.  Every
+    JSON writer builds its payload here."""
+    return {"schema": _schema_tag(kind), "config_hash": cfg_hash, "seed": seed, **{
         k: encode_matrix(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()
-    })
+    }}
 
 
 def _slug(text: str) -> str:
@@ -115,22 +119,22 @@ def _slug(text: str) -> str:
 def records_payload(records, cfg_hash: str, seed, gates=None) -> dict:
     """A records file, on the qubits of its records' labels; ``gates``,
     when given, is the simulated sequence."""
-    payload = _meta("records", cfg_hash, seed)
-    payload["n_qubits"] = records[0].n_qubits
-    payload["grammar_version"] = LABEL_GRAMMAR_VERSION
-    if gates is not None:
-        payload["gates"] = [str(g) for g in gates]
-    payload["records"] = [
-        {
-            "prep": r.prep_label,
-            "meas": r.meas_label,
-            "counts": dict(sorted(r.counts.items())),
-            "shots": r.shots,
-            "seed": r.seed,
-        }
-        for r in records
-    ]
-    return payload
+    return report_payload(
+        "records", cfg_hash, seed,
+        n_qubits=records[0].n_qubits,
+        grammar_version=LABEL_GRAMMAR_VERSION,
+        **({} if gates is None else {"gates": [str(g) for g in gates]}),
+        records=[
+            {
+                "prep": r.prep_label,
+                "meas": r.meas_label,
+                "counts": dict(sorted(r.counts.items())),
+                "shots": r.shots,
+                "seed": r.seed,
+            }
+            for r in records
+        ],
+    )
 
 
 def records_filename(gates) -> str:
@@ -285,11 +289,11 @@ def channel_payload(
 ) -> dict:
     """A channel file of ``channel``, the map of the gate tokens ``gates``;
     its ``provenance`` label is the tokens joined by ``+``."""
-    return _meta(
+    return report_payload(
         "channel", cfg_hash, seed,
         dim=channel.dim,
         normalization="column-stacking",
-        superop=encode_matrix(channel.superop),
+        superop=channel.superop,
         provenance="+".join(gates),
         gates=list(gates),
         shots=shots,
@@ -359,37 +363,38 @@ def load_grid(channels_dir: str) -> tuple[dict, dict]:
     return marginals, joints
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
-
-
-def matrix_csv(matrix: DistanceMatrix, cfg_hash: str, seed) -> str:
-    lines = [
-        f"# schema=gatemem.matrix/{SCHEMA_VERSION} metric={matrix.metric}"
-        f" scaling={'|'.join(matrix.scaling) or 'none'}"
-        f" config_hash={cfg_hash} seed={seed}"
-    ]
-    lines.append("," + ",".join(matrix.col_labels))
-    for label, row in zip(matrix.row_labels, matrix.values):
-        lines.append(label + "," + ",".join(_float_cell(v) for v in row))
+def _table_csv(kind: str, cfg_hash: str, seed, fields: dict, corner: str, col_labels,
+               rows) -> str:
+    """A CSV table of schema ``kind``: a ``#`` line of the schema tag,
+    ``fields``, the config hash and the seed (``none`` if the run draws
+    nothing), ``corner`` and the column labels, then each labelled row of
+    ``rows`` with its values written as ``repr`` floats."""
+    meta = [f"schema={_schema_tag(kind)}", *(f"{k}={v}" for k, v in fields.items()),
+            f"config_hash={cfg_hash}", f"seed={'none' if seed is None else seed}"]
+    lines = ["# " + " ".join(meta), ",".join([corner, *col_labels])]
+    lines += [",".join([label, *(repr(float(v)) for v in values)]) for label, values in rows]
     return "\n".join(lines) + "\n"
 
 
-def matrix_payload(matrix: DistanceMatrix, cfg_hash: str, seed) -> dict:
-    return _meta(
+def matrix_csv(matrix: DistanceMatrix, cfg_hash: str, seed) -> str:
+    return _table_csv(
         "matrix", cfg_hash, seed,
-        metric=matrix.metric,
-        scaling=list(matrix.scaling),
-        row_labels=list(matrix.row_labels),
-        col_labels=list(matrix.col_labels),
-        values=[[float(v) for v in row] for row in matrix.values],
+        {"metric": matrix.metric, "scaling": "|".join(matrix.scaling) or "none"},
+        "", matrix.col_labels, zip(matrix.row_labels, matrix.values),
     )
 
 
 def write_matrix(stem: str, matrix: DistanceMatrix, cfg_hash: str, seed) -> None:
     """A distance matrix as ``stem.csv`` plus its ``stem.json`` twin."""
     atomic_write_text(stem + ".csv", matrix_csv(matrix, cfg_hash, seed))
-    dump_json(stem + ".json", matrix_payload(matrix, cfg_hash, seed))
+    dump_json(stem + ".json", report_payload(
+        "matrix", cfg_hash, seed,
+        metric=matrix.metric,
+        scaling=list(matrix.scaling),
+        row_labels=list(matrix.row_labels),
+        col_labels=list(matrix.col_labels),
+        values=[[float(v) for v in row] for row in matrix.values],
+    ))
 
 
 def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) -> None:
@@ -407,34 +412,22 @@ def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) ->
             matrix_csv(matrix, cfg_hash, seed),
         )
     u, v = analysis.pair
-    payload = _meta("histogram", cfg_hash, seed)
-    payload["pair"] = [u, v]
-    payload["mean"] = analysis.histogram.mean
-    payload["stderr"] = analysis.histogram.stderr
-    payload["samples"] = [float(x) for x in analysis.histogram.samples]
-    dump_json(os.path.join(out_dir, f"histogram_{_slug(f'{u}_{v}')}.json"), payload)
+    dump_json(os.path.join(out_dir, f"histogram_{_slug(f'{u}_{v}')}.json"), report_payload(
+        "histogram", cfg_hash, seed,
+        pair=[u, v],
+        mean=analysis.histogram.mean,
+        stderr=analysis.histogram.stderr,
+        samples=[float(x) for x in analysis.histogram.samples],
+    ))
 
 
 def scan_csv(scan: MemoryScan, metric: str, cfg_hash: str, seed) -> str:
-    lines = [
-        f"# schema=gatemem.scan/{SCHEMA_VERSION} metric={metric}"
-        f" config_hash={cfg_hash} seed={'none' if seed is None else seed}"
-    ]
-    lines.append("n\\m," + ",".join(str(m) for m in range(1, scan.n_max)))
-    for n in range(2, scan.n_max + 1):
-        cells = [_float_cell(scan.entries[(n, m)][metric]) for m in range(1, n)]
-        lines.append(str(n) + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def scan_payload(scan: MemoryScan, cfg_hash: str, seed) -> dict:
-    payload = _meta("scan", cfg_hash, seed)
-    payload["n_max"] = scan.n_max
-    payload["entries"] = [
-        {"n": n, "m": m, **{k: float(v) for k, v in metrics.items()}}
-        for (n, m), metrics in sorted(scan.entries.items())
-    ]
-    return payload
+    return _table_csv(
+        "scan", cfg_hash, seed, {"metric": metric}, "n\\m",
+        [str(m) for m in range(1, scan.n_max)],
+        [(str(n), [scan.entries[(n, m)][metric] for m in range(1, n)])
+         for n in range(2, scan.n_max + 1)],
+    )
 
 
 def write_scan(out_dir: str, scan: MemoryScan, cfg_hash: str, seed) -> None:
@@ -445,4 +438,11 @@ def write_scan(out_dir: str, scan: MemoryScan, cfg_hash: str, seed) -> None:
         atomic_write_text(
             os.path.join(out_dir, f"scan_{metric}.csv"), scan_csv(scan, metric, cfg_hash, seed)
         )
-    dump_json(os.path.join(out_dir, "scan.json"), scan_payload(scan, cfg_hash, seed))
+    dump_json(os.path.join(out_dir, "scan.json"), report_payload(
+        "scan", cfg_hash, seed,
+        n_max=scan.n_max,
+        entries=[
+            {"n": n, "m": m, **{k: float(v) for k, v in metrics.items()}}
+            for (n, m), metrics in sorted(scan.entries.items())
+        ],
+    ))

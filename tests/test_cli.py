@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gatemem.channels import GateLabel, compose, ideal_channel, random_channel
+from gatemem.channels import GateLabel, QuantumChannel, compose, ideal_channel, random_channel
 from gatemem.cli import main
 from gatemem.errprop import reconstruction_uncertainty
 from gatemem.exceptions import IncompleteDataError, ValidationError
@@ -1061,3 +1061,51 @@ class TestLoaders:
         with pytest.raises(IncompleteDataError) as excinfo:
             load_channel_dir(str(tmp_path))
         assert excinfo.value.missing == [str(tmp_path)]
+
+
+class TestExitCodes:
+    """The command group maps numerical failures to exit code 3 and I/O
+    failures to 4; a file that is not JSON is named."""
+
+    def test_singular_first_gate_map_exits_3(self, runner, tmp_path):
+        x = ideal_channel(GateLabel("X", (0,)))
+        _write_channels(tmp_path / "chan", {("X@0",): QuantumChannel(np.zeros((4, 4))),
+                                            ("X@0", "X@0"): compose(x, x)})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--channels", str(tmp_path / "chan"),
+                                      "--samples", "50", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("numerical error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["records", "channel", "model"])
+    def test_file_that_is_not_json_exits_4_and_is_named(self, runner, tmp_path, kind):
+        bad = tmp_path / "in" / f"{kind}_X0.json"
+        bad.parent.mkdir()
+        bad.write_text('{"gates": ["X@0"], "sup')
+        out = tmp_path / "out"
+        args = {
+            "records": ["tomo", "--records", str(bad), "--out", str(out / "channel.json")],
+            "channel": ["analyze", "--channels", str(bad.parent), "--out", str(out)],
+            "model": ["simulate", "--model", str(bad), "--gates", "X", "--out", str(out)],
+        }[kind]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("i/o error")
+        assert str(bad) in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "tomo"])
+    def test_out_beneath_a_regular_file_exits_4(self, runner, model_file, tmp_path, command):
+        _invoke(runner, ["simulate", "--model", model_file, "--gates", "X", "--exact",
+                         "--out", str(tmp_path / "rec")])
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        args = {
+            "simulate": ["simulate", "--model", model_file, "--gates", "X", "--exact"],
+            "tomo": ["tomo", "--records", str(tmp_path / "rec" / "records_X0.json")],
+        }[command]
+        result = runner.invoke(main, [*args, "--out", str(regular / "out")])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("i/o error")
+        assert str(regular) in result.output
