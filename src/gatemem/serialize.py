@@ -89,13 +89,17 @@ def dump_json(path: str, payload: dict) -> None:
 
 
 def load_json(path: str) -> dict:
-    """The JSON document in ``path``; a file that is not JSON raises
-    :class:`json.JSONDecodeError` naming the file."""
+    """The JSON document in ``path``; a file that is not JSON, or not
+    text, raises :class:`json.JSONDecodeError` naming the file."""
     with open(path) as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as err:
             raise json.JSONDecodeError(f"{path} is not JSON: {err.msg}", err.doc, err.pos) from None
+        except UnicodeDecodeError as err:  # positioned at the first undecodable byte
+            text = err.object[:err.start].decode(err.encoding, "replace")
+            raise json.JSONDecodeError(f"{path} is not JSON: not {err.encoding} text", text,
+                                       len(text)) from None
 
 
 def _schema_tag(kind: str) -> str:
@@ -153,8 +157,10 @@ def write_records(out_dir: str, gates, records, cfg_hash: str, seed) -> str:
 
 
 def _check_schema(payload: dict, kind: str, path: str) -> None:
-    """A schema tag, when present, must name this kind at this version;
-    hand-written files carry none."""
+    """The file holds a JSON object, and its schema tag, when present,
+    names this kind at this version; hand-written files carry none."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{kind} file {path} must hold a JSON object")
     expected = _schema_tag(kind)
     tag = payload.get("schema", expected)
     if tag != expected:

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gatemem
 from gatemem.channels import GateLabel
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gatemem.__file__)))
 
 
 @pytest.fixture
@@ -43,3 +50,13 @@ def hermitian_entries(stack):
     diag = [stack[:, i, i].real for i in range(4)]
     upper = [0.5 * (stack[:, i, j] + np.conj(stack[:, j, i])) for i, j in zip(rows, cols)]
     return diag, [x.real for x in upper], [x.imag for x in upper]
+
+
+def fresh_python(args, cwd, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that runs in ``cwd``,
+    imports this checkout's gatemem and sees ``env`` added to the
+    environment; its output is captured as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]), **env)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)

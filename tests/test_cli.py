@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from gatemem.serialize import (
 )
 from gatemem.simulator import build_default_model
 from gatemem.tomography import LABEL_GRAMMAR_VERSION
+
+from conftest import fresh_python
 
 
 @pytest.fixture
@@ -219,7 +222,7 @@ class TestAnalyzeScanErrors:
             np.array(b["values"]), np.array(a["values"]) / 2, rtol=1e-9
         )
 
-    def test_analyze_with_markovian_baseline(self, runner, model_file, tmp_path):
+    def test_memoryless_comparison_is_a_second_analyze_run(self, runner, model_file, tmp_path):
         # the memoryless comparison is a second analyze run, on a
         # memoryless-simulator twin whose directory holds only the
         # pair's three files: statistical error alone
@@ -573,7 +576,7 @@ MALFORMED_VALUES = [
     ("model", "gates", "XZ", "simulate"),
     ("model", "couplng", 0.0, "simulate"),  # a misspelt key is not the default coupling
     ("model", "spam/sead", 3, "errors-spam"),
-    ("records", "", [1, 2], "tomo"),
+    ("records", "", [1, 2], "tomo"),  # a list, not an object
     ("records", "records/0/counts", [1, 2], "tomo"),
     ("records", "records/0/shots", "many", "tomo"),
     ("records", "records/0/counts/0", float("inf"), "tomo"),
@@ -602,6 +605,7 @@ MALFORMED_VALUES = [
     ("channel", "gates", ["CX@0.1"], "analyze"),
     ("channel", "schema", "gatemem.records/1", "analyze"),
     ("channel", "schema", "gatemem.channel/2", "analyze"),
+    ("channel", "", [1], "analyze"),
 ]
 
 
@@ -635,8 +639,11 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "validation error" in result.output
+    assert not os.path.exists(out)
     if kind != "option":
         assert str(source) in result.output
+    if not path:  # the message says what the file must hold
+        assert "must hold a JSON object" in result.output
     if path == "schema":  # the message names the found and the expected tag
         assert value in result.output
         assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
@@ -1078,11 +1085,13 @@ class TestExitCodes:
         assert result.output.startswith("numerical error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b'{"gates": ["X@0"], "sup', b'\xff\xfe{"gates": []}'],
+                             ids=["truncated", "not-utf-8"])
     @pytest.mark.parametrize("kind", ["records", "channel", "model"])
-    def test_file_that_is_not_json_exits_4_and_is_named(self, runner, tmp_path, kind):
+    def test_file_that_is_not_json_exits_4_and_is_named(self, runner, tmp_path, kind, content):
         bad = tmp_path / "in" / f"{kind}_X0.json"
         bad.parent.mkdir()
-        bad.write_text('{"gates": ["X@0"], "sup')
+        bad.write_bytes(content)
         out = tmp_path / "out"
         args = {
             "records": ["tomo", "--records", str(bad), "--out", str(out / "channel.json")],
@@ -1109,3 +1118,76 @@ class TestExitCodes:
         assert result.exit_code == 4, result.output
         assert result.output.startswith("i/o error")
         assert str(regular) in result.output
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in sorted(main.commands))],
+                         ids=lambda command: command[0] if command else "group")
+def test_help_exits_0(runner, command):
+    # option defaults bind at import, and analyze/scan take theirs from qcore
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("Usage: ")
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(tmp_path_factory):
+    """The rerun rows' inputs, built once in process: a reset_each_gate
+    X/Z model, a SPAM-kicked X/H model, and the 1,000-shot records and
+    channels of the X@1/CX@1.0 grid."""
+    root = tmp_path_factory.mktemp("rerun_inputs")
+    models = {
+        "reset_xz": {"gates": ["X", "Z"], "reset_policy": "reset_each_gate"},
+        "spam": {"sys_qubits": 1, "gates": ["X", "H"], "spam": {"prep": 0.01, "meas": 0.02}},
+        "cx": {"sys_qubits": 2, "gates": ["X@1", "CX@1.0"]},
+    }
+    paths = {}
+    for name, spec in models.items():
+        paths[name] = str(root / f"model_{name}.json")
+        Path(paths[name]).write_text(json.dumps(spec))
+    runner = CliRunner()
+    _invoke(runner, ["simulate", "--model", paths["cx"], "--gates",
+                     "X@1;CX@1.0;X@1,X@1;X@1,CX@1.0;CX@1.0,X@1;CX@1.0,CX@1.0",
+                     "--shots", "1000", "--seed", "7", "--out", str(root / "rec")])
+    for records in sorted((root / "rec").iterdir()):
+        _invoke(runner, ["tomo", "--records", str(records), "--out",
+                         str(root / "chan" / records.name.replace("records_", "channel_"))])
+    return {**paths, "records_cx": str(root / "rec" / "records_CX10.json"),
+            "channels_cx": str(root / "chan")}
+
+
+#: Runs that write the same bytes under every hash seed; ``{name}`` names
+#: an input of ``rerun_inputs``, and every output lands under ``out``
+RERUNS = {
+    "ptensor-reset-each-gate": ["ptensor", "--model", "{reset_xz}", "--gates", "X,Z",
+                                "--exact", "--out", "out/ptensor.json"],
+    "tomo-cx": ["tomo", "--records", "{records_cx}", "--out", "out/channel_CX10.json"],
+    "errors-records-cx": ["errors", "--records", "{records_cx}", "--trials", "5",
+                          "--seed", "7", "--out", "out/unc.json"],
+    "simulate-spam": ["simulate", "--model", "{spam}", "--gates", "X;H;X,H",
+                      "--shots", "1000", "--seed", "7", "--out", "out"],
+    "simulate-spam-exact": ["simulate", "--model", "{spam}", "--gates", "X;H;X,H",
+                            "--exact", "--seed", "7", "--out", "out"],
+    "analyze-cx-scaled": ["analyze", "--channels", "{channels_cx}", "--metric", "both",
+                          "--scale-figure", "--samples", "500", "--seed", "7", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("row", sorted(RERUNS))
+def test_rerun_under_another_hash_seed_is_byte_identical(rerun_inputs, tmp_path, row):
+    # criterion 10's processes each draw a random hash seed, so a result
+    # that follows the order of a set of strings fails there only by
+    # chance; hash seeds 1 and 2 order such sets differently
+    args = [a.format(**rerun_inputs) for a in RERUNS[row]]
+    runs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hash_seed_{hash_seed}"
+        cwd.mkdir()
+        proc = fresh_python(["-m", "gatemem.cli", *args], cwd, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        tree = {p.relative_to(cwd): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((proc.stdout, proc.stderr, tree))
+    assert runs[0][2], "the run wrote nothing"
+    assert runs[0] == runs[1]
+    if row == "analyze-cx-scaled":  # a CX target's matrix names both of its scalings
+        header = runs[0][2][Path("out/gate_dependence_CX10_diamond.csv")].split(b"\n")[0]
+        assert b" scaling=diamond/4|x2-two-qubit-target " in header

@@ -8,9 +8,6 @@ them, and report ``sys.modules`` at exit.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -20,7 +17,7 @@ from gatemem.pipeline import simulate_records
 from gatemem.serialize import channel_payload, dump_json, write_records
 from gatemem.simulator import build_default_model, sample_counts
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(gatemem.__file__)))
+from conftest import fresh_python
 
 #: What every command loads: the shell, its file formats, and the
 #: reconstruction chain.
@@ -45,13 +42,6 @@ def _loaded():
 atexit.register(_loaded)
 runpy.run_module("gatemem.cli", run_name="__main__", alter_sys=True)
 """
-
-
-def _python(args, cwd) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +84,7 @@ def _command_args(case, inputs, out):
 def test_command_loads_only_the_modules_it_runs(case, inputs, tmp_path):
     loaded_file = tmp_path / "loaded.txt"
     program = CLI_PROGRAM.format(out=str(loaded_file))
-    proc = _python(["-c", program, *_command_args(case, inputs, tmp_path / "out")], tmp_path)
+    proc = fresh_python(["-c", program, *_command_args(case, inputs, tmp_path / "out")], tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = {name.removeprefix("gatemem.") for name in loaded_file.read_text().split()}
     loaded.discard("cli")  # runpy runs it as __main__
@@ -107,7 +97,7 @@ import sys
 import gatemem
 print(sorted(m for m in sys.modules if m.startswith("gatemem.")))
 """
-    proc = _python(["-c", program], tmp_path)
+    proc = fresh_python(["-c", program], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
