@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, LabelError, SingularChannelError, ValidationError
-from .qcore import _as_matrix, _complex_normals
+from .qcore import _as_matrix
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -196,16 +196,6 @@ def gate_unitary(gate: GateLabel, n_qubits: int | None = None) -> np.ndarray:
     return embed_unitary(_GATE_MATRICES[gate.name], gate.qubits, (2,) * n)
 
 
-def ideal_channel(gate: GateLabel, n_qubits: int | None = None) -> QuantumChannel:
-    """Noiseless channel ``rho -> U rho U+`` for a standard gate."""
-    u = gate_unitary(gate, n_qubits)
-    return QuantumChannel(np.kron(u.conj(), u))
-
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel(np.eye(dim * dim, dtype=complex))
-
-
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     """The map "first, then second": superoperator product second @ first."""
     if second.dim != first.dim:
@@ -256,14 +246,3 @@ def apply(chan: QuantumChannel, rho) -> np.ndarray:
         raise DimensionError(f"state shape {mat.shape} does not match dim {chan.dim}")
     return unvec(chan.superop @ vec(mat))
 
-
-def random_channel(
-    dim: int, rng: np.random.Generator, kraus_rank: int | None = None
-) -> QuantumChannel:
-    """Random CPTP channel from a Haar-random Stinespring isometry."""
-    k = dim * dim if kraus_rank is None else int(kraus_rank)
-    re, im = _complex_normals(dim, dim * k, rng)
-    q, _ = np.linalg.qr(re + 1j * im)
-    kraus = q.reshape(k, dim, dim)
-    superop = sum(np.kron(op.conj(), op) for op in kraus)
-    return QuantumChannel(superop)

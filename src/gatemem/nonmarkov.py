@@ -48,10 +48,8 @@ from .qcore import (
     DEFAULT_SCAN_NMAX,  # noqa: F401  (re-exported with the scan it bounds)
     _as_matrix,
     _complex_normals,
-    _from_spectrum,
     _half_trace_norm,
     _half_trace_norm_4x4_entries,
-    _haar_vectors,
     _hermitian_from_entries,
     _hermitian_part,
     _upper_indices,
@@ -72,8 +70,6 @@ class ConditionalMap:
     """
 
     channel: QuantumChannel
-    conditioned_on: GateLabel | None = None
-    target: GateLabel | None = None
     cond_number: float = float("nan")
 
 
@@ -136,12 +132,7 @@ class GridAnalysis:
     histogram: AvgDistanceResult
 
 
-def conditional_map(
-    phi_vu: QuantumChannel,
-    phi_u: QuantumChannel,
-    conditioned_on: GateLabel | None = None,
-    target: GateLabel | None = None,
-) -> ConditionalMap:
+def conditional_map(phi_vu: QuantumChannel, phi_u: QuantumChannel) -> ConditionalMap:
     """Divide the joint two-gate map by the first-gate map.
 
     Returns ``compose(phi_vu, invert(phi_u))``; for memoryless data this
@@ -154,12 +145,7 @@ def conditional_map(
     if phi_vu.dim != phi_u.dim:
         raise DimensionError(f"dimension mismatch: {phi_vu.dim} vs {phi_u.dim}")
     chan = compose(phi_vu, invert(phi_u))
-    return ConditionalMap(
-        channel=chan,
-        conditioned_on=conditioned_on,
-        target=target,
-        cond_number=condition_number(phi_u),
-    )
+    return ConditionalMap(channel=chan, cond_number=condition_number(phi_u))
 
 
 def _channel_of(obj) -> QuantumChannel:
@@ -191,12 +177,12 @@ def avg_trace_distance(
     distance.  The raw per-sample distances are returned for
     distribution plots, along with the Monte-Carlo standard error.
 
-    Inputs are drawn in batches of 20,000, with the same normals as
-    :func:`.qcore._haar_vectors`, so a generator gives the same inputs
-    and ends in the same state.  Each sample is computed in the real
-    coordinates of :func:`_half_norms`, straight from its Gaussian draw
-    and with no normalization, in slices of ``8_000 // d`` samples that
-    all work in one workspace, allocated once per call.
+    Inputs are drawn in batches of 20,000, each batch the normals of
+    one :func:`.qcore._complex_normals` call, so the batch size fixes
+    the random stream.  Each sample is computed in the real coordinates
+    of :func:`_half_norms`, straight from its Gaussian draw and with no
+    normalization, in slices of ``8_000 // d`` samples that all work in
+    one workspace, allocated once per call.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -307,7 +293,7 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     The difference map must be Hermiticity-preserving (Hermitian
     difference Choi).  The result carries the certified primal-dual gap
     (at most ``sdp.GAP_TOL``), the Newton steps taken as ``iterations``,
-    and the optimizing input.
+    and the optimizing input state.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -315,62 +301,6 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     if np.max(np.abs(delta - delta.conj().T)) > 1e-8:
         raise ValidationError("difference map is not Hermiticity-preserving")
     return diamond_sdp(delta)
-
-
-def diamond_lower_bound(
-    a: QuantumChannel,
-    b: QuantumChannel,
-    n_samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Brute-force lower bound on the diamond distance.
-
-    Maximizes the output trace distance over Haar-random pure inputs on
-    system (x) ancilla, then locally refines the best five candidates,
-    up to 300 steps each, by alternating between the optimal
-    discriminating projector and the top eigenvector of its pullback.
-    Every reported value is an achieved distance, hence a true lower
-    bound.
-    """
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    rng = np.random.default_rng() if rng is None else rng
-    d = a.dim
-    delta = choi_from_superop(a).data - choi_from_superop(b).data
-    choi4 = delta.reshape(d, d, d, d)  # [in, out, in', out']
-
-    def output(psi_mat: np.ndarray) -> np.ndarray:
-        # psi_mat[s, anc]; joint density |psi><psi|
-        return np.einsum("stuv,sa,ub->tavb", choi4, psi_mat, psi_mat.conj()).reshape(
-            d * d, d * d
-        )
-
-    # batched random search
-    psis = _haar_vectors(d * d, n_samples, rng).reshape(n_samples, d, d)
-    outs = np.einsum("stuv,nsa,nub->ntavb", choi4, psis, psis.conj()).reshape(
-        n_samples, d * d, d * d
-    )
-    values = _half_trace_norm(outs)
-
-    best = float(values.max())
-    order = np.argsort(values)[::-1][:5]
-    for idx in order:
-        psi = psis[idx].copy()
-        current = values[idx]
-        for _ in range(300):
-            w, v = np.linalg.eigh(_hermitian_part(output(psi)))
-            proj = _from_spectrum((w > 0).astype(float), v)
-            # pull the discriminating projector back through the map
-            h = np.einsum(
-                "stuv,tavb->saub", choi4.conj(), proj.reshape(d, d, d, d)
-            ).reshape(d * d, d * d)
-            psi_new = np.linalg.eigh(_hermitian_part(h))[1][:, -1].reshape(d, d)
-            new_value = float(_half_trace_norm(output(psi_new)))
-            if new_value <= current + 1e-13:
-                break
-            psi, current = psi_new, new_value
-        best = max(best, current)
-    return best
 
 
 def _distances(pairs, metric: str, m_samples: int, rng) -> np.ndarray:

@@ -76,9 +76,9 @@ def simulate_records(
     (``simulator.output_state``), each setting's rotation is built once
     (``simulator.setting_rotation``), and every record reads its
     probabilities off its preparation's output state.  The records are
-    those of ``sample_counts`` on each configuration of
-    ``enumerate_circuits``, bit for bit.  Sampling seeds are spawned per
-    configuration from ``seed`` so runs are reproducible and records
+    those of ``sample_counts`` on each (preparation, setting)
+    configuration of the frame, bit for bit.  Sampling seeds are spawned
+    per configuration from ``seed`` so runs are reproducible and records
     carry their own seeds.
     """
     from .simulator import output_state, setting_rotation
@@ -119,9 +119,7 @@ def reconstruct_channel(records, frame: TomographyFrame | None = None) -> Tomogr
     logliks = {prep: est.loglik for prep, est in estimates.items()}
     iterations = {prep: est.iterations for prep, est in estimates.items()}
     channel = process_tomography(states, frame)
-    return TomographyResult(
-        states=states, channel=channel, loglik=logliks, iterations=iterations
-    )
+    return TomographyResult(channel=channel, loglik=logliks, iterations=iterations)
 
 
 def reconstruct_from_model(

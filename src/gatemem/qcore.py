@@ -1,4 +1,4 @@
-"""States, Haar sampling, and state-level metrics.
+"""States, Gaussian draws, and trace norms.
 
 Conventions shared by the whole package:
 
@@ -14,13 +14,12 @@ The linear algebra every other module builds on lives here, once.  Its
 Hermitian helpers take one matrix or a stack: ``_hermitian_part``,
 ``_from_spectrum`` (``v diag(w) v^dagger``, every rebuild from an
 eigendecomposition), ``_hermitian_function`` (``eigh``, then
-``_from_spectrum``: PSD parts, square roots, unitaries from generators),
+``_from_spectrum``: PSD parts and unitaries from generators),
 ``_trace_out_last`` (the one partial trace: the simulator's environment,
 the output factor of a Choi matrix) and ``_half_trace_norm``.  Beside
-them sit ``_complex_normals`` (the one Gaussian draw: behind Haar states
-and unitaries, random channels and SPAM kicks, and behind the averaged
-distance, which uses the normals unnormalized) and ``_haar_vectors``
-(every Haar pure-state draw).
+them sits ``_complex_normals``, the one Gaussian draw: behind SPAM kicks,
+and behind the averaged distance's Haar inputs, which it uses
+unnormalized.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -29,12 +28,11 @@ functions, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, ValidationError
+from .exceptions import ValidationError
 
 #: Magnitude below which an eigenvalue counts as zero.  Dimensions stay
 #: small (d <= 64), so double precision leaves ample headroom.
@@ -84,12 +82,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    @classmethod
-    def computational(cls, dim: int, index: int = 0) -> "DensityMatrix":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return cls(np.outer(v, v.conj()))
 
 
 #: Smallest relative spacing ``(y1 - y2)(y2 - y3) / y1**2`` of the
@@ -248,20 +240,6 @@ def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
     return _from_spectrum(fn(w), v)
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of ``rho - sigma``.
-
-    Equals ``0.5 * sum(|eigenvalues|)`` of the (Hermitian) difference.
-    Symmetric, satisfies the triangle inequality, and lies in [0, 1]
-    for valid states; matrices that violate positivity (conditional-map
-    outputs) are accepted and may yield values above 1.
-    """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(_half_trace_norm(a - b))
-
-
 def _complex_normals(dim: int, count: int, rng: np.random.Generator):
     """Real and imaginary parts, each of shape (count, dim), of ``count``
     standard complex Gaussian vectors: the real parts are drawn first,
@@ -270,22 +248,3 @@ def _complex_normals(dim: int, count: int, rng: np.random.Generator):
     a caller normalizes them or not."""
     return rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
 
-
-def _haar_vectors(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-random unit vectors as rows: the complex Gaussians
-    of :func:`_complex_normals`, normalized."""
-    re, im = _complex_normals(dim, count, rng)
-    z = re + 1j * im
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
-
-
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    if dim < 2:
-        raise DimensionError(f"need dim >= 2, got {dim}")
-    re, im = _complex_normals(dim, dim, rng)
-    z = (re + 1j * im) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r)
-    return q * (phases / np.abs(phases))

@@ -63,30 +63,17 @@ class DiamondResult:
     true optimum by at most ``gap``; ``primal_bound`` is the distance
     achieved by the returned witness, so the truth is bracketed as
     ``primal_bound <= optimum <= value``.  ``input_state`` is the
-    optimizing input-factor density matrix and ``optimal_input`` the
-    corresponding joint system-ancilla input.  ``iterations`` counts
-    Newton steps.
+    optimizing input-factor density matrix ``rho``: ``primal_bound`` is
+    half the trace norm of ``(sqrt(rho) (x) I) J (sqrt(rho) (x) I)``, the
+    difference map's output on the canonical purification of ``rho^T``
+    up to an ancilla transpose.  ``iterations`` counts Newton steps.
     """
 
     value: float
     gap: float
     iterations: int
     input_state: np.ndarray
-    optimal_input: np.ndarray
     primal_bound: float = float("nan")
-
-
-def _certificate_input(rho: np.ndarray) -> np.ndarray:
-    """Joint system (x) ancilla input achieving the bound at ``rho``.
-
-    The witness is the canonical purification |psi> = (A (x) I)|Omega>
-    with A = sqrt(rho^T), whose reduced state on the system factor is
-    rho^T; applying the difference map to the system factor reproduces
-    (sqrt(rho) (x) I) J (sqrt(rho) (x) I) up to an ancilla transpose.
-    """
-    root = _hermitian_function(rho.T, lambda w: np.sqrt(np.clip(w, 0.0, None)))
-    psi = root.reshape(-1)  # sum_i (A e_i) (x) e_i
-    return np.outer(psi, psi.conj())
 
 
 class _Point:
@@ -155,7 +142,7 @@ def diamond_sdp(choi: np.ndarray) -> DiamondResult:
     choi = _hermitian_part(choi)
     if np.max(np.abs(choi)) < 1e-14:
         rho = np.eye(d, dtype=complex) / d
-        return DiamondResult(0.0, 0.0, 0, rho, _certificate_input(rho), 0.0)
+        return DiamondResult(0.0, 0.0, 0, rho, 0.0)
 
     half_r, basis = 0.5 * _trace_out_last(choi, d), _hermitian_basis(d)
     pt = best = _Point(np.eye(d, dtype=complex), np.full(d, 1.0 / d), choi)
@@ -174,4 +161,4 @@ def diamond_sdp(choi: np.ndarray) -> DiamondResult:
     if gap > GAP_TOL:
         raise SolverError(f"distance SDP stalled at gap {gap:.3e} after {steps} Newton steps", gap)
     rho = _from_spectrum(best.w, best.vecs)
-    return DiamondResult(upper, gap, steps, rho, _certificate_input(rho), best.value)
+    return DiamondResult(upper, gap, steps, rho, best.value)

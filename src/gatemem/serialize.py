@@ -18,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,12 +72,20 @@ def channel_digests(channels: dict) -> dict:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and a rename, so a reader sees the old file or the new one.
+    The file gets the mode ``open`` would give it, ``0o666`` less the
+    umask, not the owner-only mode of the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    # os.umask only reads the mask by setting it; the command line is single-threaded
+    umask = os.umask(0o077)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -185,8 +194,9 @@ def _check_gates(payload: dict, kind: str, path: str, n_qubits: int) -> None:
 def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, TomographyFrame]:
     """The count records of a records file and the tomography frame of its
     ``n_qubits``; error messages name ``path``.  Every record takes its
-    labels from that frame, and all have one mode: every ``shots`` null
-    (exact) or none."""
+    labels from that frame, all have one mode (every ``shots`` null, for
+    exact, or none), and each configuration of the frame has exactly one
+    record; a configuration is named ``prep/meas``."""
     try:
         _check_schema(payload, "records", path)
         version = payload.get("grammar_version", LABEL_GRAMMAR_VERSION)
@@ -225,6 +235,15 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, 
         if len({r.shots is None for r in records}) > 1:
             raise ValidationError(
                 f"records file {path} mixes exact-mode records (shots null) with sampled ones")
+        configs = Counter(f"{r.prep_label}/{r.meas_label}" for r in records)
+        repeated = sorted(config for config, n in configs.items() if n > 1)
+        if repeated:
+            raise ValidationError(f"records file {path} repeats configurations {repeated}")
+        missing = [f"{p}/{m}" for p in frame.prep_labels for m in frame.meas_labels
+                   if f"{p}/{m}" not in configs]
+        if missing:
+            raise IncompleteDataError(
+                f"records file {path} is missing configurations {missing}", missing)
         return records, frame
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"records file {path} is malformed: {err}") from err

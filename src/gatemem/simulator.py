@@ -57,10 +57,6 @@ from .tomography import (
     prep_unitary,
 )
 
-#: Coupling strengths used for detectability studies; detection strength
-#: grows monotonically across this grid.
-DEFAULT_COUPLING_GRID = (0.05, 0.1, 0.2, 0.4, 0.55)
-
 #: Default memory coupling for detection demonstrations: strong enough
 #: that every gate pair's conditioned map is visibly non-CP, while all
 #: single-gate maps stay well-conditioned for inversion.

@@ -120,12 +120,6 @@ class TomographyFrame:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def prep_state(self, label: str) -> np.ndarray:
-        try:
-            return self.prep_states[self.prep_labels.index(label)]
-        except ValueError:
-            raise LabelError(f"unknown preparation label {label!r}") from None
-
 
 def build_frame(n_qubits: int) -> TomographyFrame:
     """Frame of 4^N preparations and 3^N Pauli measurement settings."""
@@ -244,29 +238,6 @@ def _fitted_gates(gate_sequence, n_qubits: int) -> tuple[GateLabel, ...]:
         if max(gate.qubits) >= n_qubits:
             raise DimensionError(f"gate {gate} does not fit on {n_qubits} qubit(s)")
     return gates
-
-
-def enumerate_circuits(gate_sequence, frame: TomographyFrame) -> list[CircuitDescriptor]:
-    """All 4^N x 3^N configurations for one gate sequence."""
-    gates = _fitted_gates(gate_sequence, frame.n_qubits)
-    return [
-        CircuitDescriptor(p, m, gates)
-        for p in frame.prep_labels
-        for m in frame.meas_labels
-    ]
-
-
-def expected_distribution(state, meas_label: str) -> np.ndarray:
-    """Outcome probabilities for the labelled Pauli setting.
-
-    Applies the setting's basis-change rotation and reads the diagonal;
-    outcome ordering follows :func:`outcome_bitstrings`.
-    """
-    rho = _as_matrix(state)
-    rot = meas_rotation(meas_label)
-    if rho.shape != rot.shape:
-        raise DimensionError(f"state dim {rho.shape[0]} does not match {meas_label!r}")
-    return _rotated_probabilities(rho, rot)
 
 
 def _rotated_probabilities(rho: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -565,11 +536,6 @@ def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     return _mle_batch([records], (label,), frame)[0]
 
 
-def mle_state(records, frame: TomographyFrame) -> DensityMatrix:
-    """The physical state maximizing the likelihood of ``records``."""
-    return mle_estimate(records, frame).state
-
-
 def process_tomography(results, frame: TomographyFrame) -> QuantumChannel:
     """Linear-inversion channel from per-preparation output states.
 
@@ -592,7 +558,6 @@ def process_tomography(results, frame: TomographyFrame) -> QuantumChannel:
 class TomographyResult:
     """Reconstructed channel with its per-preparation MLE metadata."""
 
-    states: dict
     channel: QuantumChannel
     loglik: dict
     iterations: dict

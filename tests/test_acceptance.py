@@ -16,13 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from gatemem.channels import (
-    GateLabel,
-    compose,
-    ideal_channel,
-    identity_channel,
-    random_channel,
-)
+from gatemem.channels import GateLabel, QuantumChannel, compose
 from gatemem.errprop import propagate_statistics, spam_scaling
 from gatemem.nonmarkov import (
     DEFAULT_AVG_SAMPLES,
@@ -31,7 +25,6 @@ from gatemem.nonmarkov import (
     conditional_map,
     cp_violation,
     diamond_distance,
-    diamond_lower_bound,
     gate_dependence_matrix,
     markovian_choi_reference,
     memory_scan,
@@ -43,15 +36,22 @@ from gatemem.pipeline import (
     reconstruct_from_model,
     records_from_channel,
 )
-from gatemem.qcore import trace_distance
+from gatemem.qcore import _half_trace_norm
 from gatemem.simulator import (
     DEFAULT_COUPLING,
-    DEFAULT_COUPLING_GRID,
     build_default_model,
     cji_circuit,
     extract_channel,
 )
-from gatemem.tomography import build_frame, enumerate_circuits, mle_state
+from gatemem.tomography import build_frame, mle_estimate
+
+from conftest import (
+    DEFAULT_COUPLING_GRID,
+    diamond_lower_bound,
+    enumerate_circuits,
+    ideal_channel,
+    random_channel,
+)
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 PAIRS = list(itertools.product(LABELS, repeat=2))
@@ -82,7 +82,7 @@ def test_criterion_01_markovian_null():
     worst_cpv = worst_avg = 0.0
     for u, v in PAIRS:
         joint = extract_channel(model, [u, v])
-        cm = conditional_map(joint, singles[u], conditioned_on=u, target=v)
+        cm = conditional_map(joint, singles[u])
         conditionals[v][str(u)] = cm
         worst_cpv = max(worst_cpv, cp_violation(cm))
         worst_avg = max(
@@ -154,7 +154,7 @@ def test_criterion_02_memory_detection():
 
 def test_criterion_03_diamond_oracle(qubit_channel_pairs, sdp_results):
     start = time.time()
-    ident_x = diamond_distance(identity_channel(2), ideal_channel(GateLabel("X", (0,))))
+    ident_x = diamond_distance(QuantumChannel(np.eye(4)), ideal_channel(GateLabel("X", (0,))))
     assert ident_x.value == pytest.approx(1.0, abs=1e-6)
 
     rng = np.random.default_rng(5)
@@ -268,16 +268,14 @@ def test_criterion_07_memory_scan_ground_truth():
     lag, n_max, shots = 3, 8, 100_000
     frame = build_frame(1)
     base = random_channel(2, rng, kraus_rank=1)
-    from gatemem.qcore import haar_random_unitary
+    from conftest import haar_random_unitary
 
     kick_u = haar_random_unitary(2, rng)
-    from gatemem.channels import QuantumChannel
-
     kick = QuantumChannel(np.kron(kick_u.conj(), kick_u))
 
     def reconstruct_family(with_kick: bool, seed: int):
         chans = []
-        power = identity_channel(2)
+        power = QuantumChannel(np.eye(4))
         truths = []
         for n in range(1, n_max + 1):
             power = compose(base, power)
@@ -349,11 +347,11 @@ def test_criterion_09_error_propagation():
     chan = random_channel(2, np.random.default_rng(41))
     from gatemem.channels import apply
 
-    truth = apply(chan, frame.prep_state("Z+"))
+    truth = apply(chan, frame.prep_states[frame.prep_labels.index("Z+")])
 
     def pipeline(records):
         subset = [r for r in records if r.prep_label == "Z+"]
-        return trace_distance(mle_state(subset, frame), truth)
+        return float(_half_trace_norm(mle_estimate(subset, frame).state.data - truth))
 
     shots, trials = 1024, 200
     records = [

@@ -11,10 +11,7 @@ from gatemem.channels import (
     compose,
     embed_unitary,
     gate_unitary,
-    ideal_channel,
-    identity_channel,
     invert,
-    random_channel,
     unvec,
     vec,
 )
@@ -26,7 +23,10 @@ from gatemem.exceptions import (
 )
 from gatemem.qcore import DensityMatrix
 
-from conftest import is_cp, is_tp, random_density
+from conftest import ideal_channel, is_cp, is_tp, random_channel, random_density
+
+IDENTITY = QuantumChannel(np.eye(4))
+KET0 = DensityMatrix(np.diag([1.0, 0.0]))
 
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
@@ -58,7 +58,7 @@ class TestGateLabel:
 class TestQuantumChannel:
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_superop(self, entry):
-        superop = identity_channel(2).superop.copy()
+        superop = IDENTITY.superop.copy()
         superop[1, 2] = entry
         with pytest.raises(ValidationError, match="non-finite"):
             QuantumChannel(superop)
@@ -66,7 +66,7 @@ class TestQuantumChannel:
 
 class TestIdealChannels:
     def test_x_flips_ground_state(self):
-        out = apply(ideal_channel(GateLabel("X", (0,))), DensityMatrix.computational(2, 0))
+        out = apply(ideal_channel(GateLabel("X", (0,))), KET0)
         np.testing.assert_allclose(out, np.diag([0, 1]).astype(complex), atol=1e-14)
 
     def test_s_fourth_power_is_identity(self):
@@ -84,7 +84,7 @@ class TestIdealChannels:
 
     def test_hadamard_makes_plus(self):
         h = ideal_channel(GateLabel("H", (0,)))
-        out = apply(h, DensityMatrix.computational(2, 0))
+        out = apply(h, KET0)
         np.testing.assert_allclose(out, np.full((2, 2), 0.5, dtype=complex), atol=1e-14)
 
     def test_all_gates_cptp(self, single_qubit_labels):
@@ -116,12 +116,12 @@ class TestCompose:
     def test_identity_is_neutral(self, rng):
         chan = random_channel(2, rng)
         np.testing.assert_allclose(
-            compose(chan, identity_channel(2)).superop, chan.superop, atol=1e-15
+            compose(chan, IDENTITY).superop, chan.superop, atol=1e-15
         )
 
     def test_zx_on_ground_state(self):
         zx = compose(ideal_channel(GateLabel("Z", (0,))), ideal_channel(GateLabel("X", (0,))))
-        out = apply(zx, DensityMatrix.computational(2, 0))
+        out = apply(zx, KET0)
         np.testing.assert_allclose(out, np.diag([0, 1]).astype(complex), atol=1e-14)
 
     def test_composition_of_random_cptp_is_cptp(self, rng):
@@ -168,12 +168,12 @@ class TestInvert:
 
 class TestChoiConversions:
     def test_identity_choi_eigenvalues(self):
-        choi = choi_from_superop(identity_channel(2))
+        choi = choi_from_superop(IDENTITY)
         eigs = np.sort(np.linalg.eigvalsh(choi.data))
         np.testing.assert_allclose(eigs, [0, 0, 0, 2], atol=1e-12)
 
     def test_identity_choi_is_entangled_projector(self):
-        choi = choi_from_superop(identity_channel(2))
+        choi = choi_from_superop(IDENTITY)
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1 / np.sqrt(2)
         np.testing.assert_allclose(choi.data, 2 * np.outer(phi, phi.conj()), atol=1e-12)
@@ -202,7 +202,7 @@ class TestChoiConversions:
 class TestApply:
     def test_identity_returns_input(self, rng):
         rho = random_density(2, rng)
-        np.testing.assert_allclose(apply(identity_channel(2), rho), rho, atol=1e-15)
+        np.testing.assert_allclose(apply(IDENTITY, rho), rho, atol=1e-15)
 
     def test_trace_preserved_on_random_pairs(self, rng):
         for _ in range(20):
@@ -225,4 +225,4 @@ class TestApply:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            apply(identity_channel(2), random_density(4, rng))
+            apply(IDENTITY, random_density(4, rng))

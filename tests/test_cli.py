@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gatemem.channels import GateLabel, QuantumChannel, compose, ideal_channel, random_channel
+from gatemem.channels import GateLabel, QuantumChannel, compose
 from gatemem.cli import main
 from gatemem.errprop import reconstruction_uncertainty
 from gatemem.exceptions import IncompleteDataError, ValidationError
@@ -32,7 +32,7 @@ from gatemem.serialize import (
 from gatemem.simulator import build_default_model
 from gatemem.tomography import LABEL_GRAMMAR_VERSION
 
-from conftest import fresh_python
+from conftest import fresh_python, ideal_channel, random_channel
 
 
 @pytest.fixture
@@ -667,20 +667,27 @@ def test_non_finite_count_of_sampled_records_exits_2(runner, model_file, tmp_pat
 
 
 @pytest.mark.parametrize("command", ["tomo", "errors"])
-@pytest.mark.parametrize("edit", ["appended-prep", "one-exact-record"])
+@pytest.mark.parametrize("edit", ["appended-prep", "one-exact-record", "repeated-record",
+                                  "missing-record"])
 def test_sampled_records_outside_the_frame_or_mode_exit_2(runner, model_file, tmp_path,
                                                           command, edit):
-    # records of an unknown preparation appended to a sampled file, or one
-    # exact record among sampled ones: neither may be dropped or take the
-    # mode of the first record
+    # records of an unknown preparation appended to a sampled file, one
+    # exact record among sampled ones, or a configuration given twice or
+    # not at all: none may be dropped, take the mode of the first record
+    # or go unnamed
     payload = _valid_payload("records", model_file)
     for entry in payload["records"]:
         entry["shots"], entry["counts"] = 10, {"0": 5, "1": 5}
+    config = "{prep}/{meas}".format(**payload["records"][4])
     if edit == "appended-prep":
         payload["records"] += [dict(entry, prep="Q+") for entry in payload["records"]
                                if entry["prep"] == "Z+"]
-    else:
+    elif edit == "one-exact-record":
         payload["records"][0].update(shots=None, counts={"0": 0.5, "1": 0.5})
+    elif edit == "repeated-record":
+        payload["records"].append(dict(payload["records"][4]))
+    else:
+        del payload["records"][4]
     source = tmp_path / "records_X0.json"
     source.write_text(json.dumps(payload))
     out = str(tmp_path / "out.json")
@@ -691,6 +698,10 @@ def test_sampled_records_outside_the_frame_or_mode_exit_2(runner, model_file, tm
     assert "validation error" in result.output
     assert str(source) in result.output
     assert not os.path.exists(out)
+    if edit == "repeated-record":
+        assert f"repeats configurations ['{config}']" in result.output
+    if edit == "missing-record":
+        assert f"missing: ['{config}']" in result.output
 
 
 @pytest.mark.parametrize("field", ["coupling", "env_omega", "durations/X", "spam/prep",

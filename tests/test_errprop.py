@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from gatemem.channels import GateLabel, apply, random_channel
+from gatemem.channels import GateLabel, apply
 from gatemem.errprop import propagate_statistics, spam_scaling
 from gatemem.exceptions import ValidationError
 from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
-from gatemem.qcore import trace_distance
+from gatemem.qcore import _half_trace_norm
 from gatemem.simulator import build_default_model
-from gatemem.tomography import build_frame, mle_state
+from gatemem.tomography import build_frame, mle_estimate
+
+from conftest import random_channel
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 
@@ -18,7 +20,7 @@ def state_pipeline(frame, truth):
     def run(records):
         prep = records[0].prep_label
         subset = [r for r in records if r.prep_label == prep]
-        return trace_distance(mle_state(subset, frame), truth)
+        return float(_half_trace_norm(mle_estimate(subset, frame).state.data - truth))
 
     return run
 
@@ -30,7 +32,7 @@ class TestPropagateStatistics:
         records = [r for r in records_from_channel(chan, None, frame=frame) if r.prep_label == "Z+"]
         from gatemem.channels import apply
 
-        truth = apply(chan, frame.prep_state("Z+"))
+        truth = apply(chan, frame.prep_states[frame.prep_labels.index("Z+")])
         report = propagate_statistics(records, state_pipeline(frame, truth), 10, rng)
         assert report.std == 0.0
         assert report.shots is None
@@ -49,7 +51,7 @@ class TestPropagateStatistics:
         chan = random_channel(2, np.random.default_rng(21))
         from gatemem.channels import apply
 
-        truth = apply(chan, frame.prep_state("Z+"))
+        truth = apply(chan, frame.prep_states[frame.prep_labels.index("Z+")])
         shots, trials = 1024, 120
         records = [
             r
@@ -76,7 +78,7 @@ class TestPropagateStatistics:
         chan = random_channel(2, np.random.default_rng(4))
         from gatemem.channels import apply
 
-        truth = apply(chan, frame.prep_state("Z+"))
+        truth = apply(chan, frame.prep_states[frame.prep_labels.index("Z+")])
         pipeline = state_pipeline(frame, truth)
         stds = []
         shot_grid = [100, 1_000, 10_000]
@@ -116,7 +118,7 @@ class TestPropagateStatistics:
         # the setup of acceptance criterion 09, held to a tighter band
         frame = build_frame(1)
         chan = random_channel(2, np.random.default_rng(41))
-        truth = apply(chan, frame.prep_state("Z+"))
+        truth = apply(chan, frame.prep_states[frame.prep_labels.index("Z+")])
         pipeline = state_pipeline(frame, truth)
         shots, trials = 1024, 200
 

@@ -12,12 +12,12 @@ import json
 import pytest
 
 import gatemem
-from gatemem.channels import GateLabel, compose, ideal_channel
+from gatemem.channels import GateLabel, compose
 from gatemem.pipeline import simulate_records
 from gatemem.serialize import channel_payload, dump_json, write_records
 from gatemem.simulator import build_default_model, sample_counts
 
-from conftest import fresh_python
+from conftest import fresh_python, ideal_channel
 
 #: What every command loads: the shell, its file formats, and the
 #: reconstruction chain.

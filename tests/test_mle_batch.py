@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from gatemem import tomography
-from gatemem.channels import GateLabel, ideal_channel
+from gatemem.channels import GateLabel
 from gatemem.exceptions import ConvergenceError, IncompleteDataError
 from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
 from gatemem.qcore import DensityMatrix
@@ -36,7 +36,7 @@ from gatemem.tomography import (
     mle_estimates,
 )
 
-from conftest import random_density
+from conftest import ideal_channel, random_density
 
 CX = GateLabel.parse("CX@1.0")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatemem import simulator
-from gatemem.channels import GateLabel, random_channel
+from gatemem.channels import GateLabel
 from gatemem.exceptions import DimensionError
 from gatemem.pipeline import (
     reconstruct_channel,
@@ -11,7 +11,9 @@ from gatemem.pipeline import (
     simulate_records,
 )
 from gatemem.simulator import SpamSpec, build_default_model, extract_channel, sample_counts
-from gatemem.tomography import _spawn_seeds, build_frame, enumerate_circuits
+from gatemem.tomography import _spawn_seeds, build_frame
+
+from conftest import enumerate_circuits, random_channel
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 

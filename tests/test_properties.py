@@ -20,20 +20,19 @@ from gatemem.channels import (
     apply,
     choi_from_superop,
     compose,
-    random_channel,
     unvec,
     vec,
 )
 from gatemem.nonmarkov import avg_trace_distance, cp_violation, diamond_distance
-from gatemem.qcore import (
-    _haar_vectors,
-    _half_trace_norm,
-    _half_trace_norm_4x4_entries,
-    haar_random_unitary,
-    trace_distance,
-)
+from gatemem.qcore import _half_trace_norm, _half_trace_norm_4x4_entries
 
-from conftest import hermitian_entries
+from conftest import (
+    _haar_vectors,
+    haar_random_unitary,
+    hermitian_entries,
+    purification,
+    random_channel,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -139,14 +138,14 @@ def test_qubit_averaged_distance_matches_eigvalsh(parts, seed):
 @PROPERTY
 @given(qubit_states(), qubit_states(), unitaries())
 def test_unitary_invariance(rho, sigma, u):
-    rotated = trace_distance(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)
-    assert rotated == pytest.approx(trace_distance(rho, sigma), abs=1e-12)
+    rotated = _half_trace_norm(u @ rho @ u.conj().T - u @ sigma @ u.conj().T)
+    assert rotated == pytest.approx(_half_trace_norm(rho - sigma), abs=1e-12)
 
 
 @PROPERTY
 @given(qubit_states(), qubit_states(), qubit_states())
 def test_triangle_inequality(a, b, c):
-    assert trace_distance(a, b) <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
+    assert _half_trace_norm(a - b) <= _half_trace_norm(a - c) + _half_trace_norm(c - b) + 1e-12
 
 
 @st.composite
@@ -171,9 +170,9 @@ def test_diamond_distance_dominates_averaged_distance(pair, seed):
     assert result.gap <= 1e-6
     assert result.primal_bound <= result.value
     assert result.value >= avg.mean - 3.0 * avg.stderr - 1e-6
-    # the joint witness input reproduces the primal bound
+    # the purified input state reproduces the primal bound
     choi4 = (choi_from_superop(a).data - choi_from_superop(b).data).reshape(2, 2, 2, 2)
-    out = np.einsum("stuv,saub->tavb", choi4, result.optimal_input.reshape(2, 2, 2, 2))
+    out = np.einsum("stuv,saub->tavb", choi4, purification(result.input_state).reshape((2,) * 4))
     assert _half_trace_norm(out.reshape(4, 4)) == pytest.approx(result.primal_bound, abs=1e-9)
 
 

@@ -1,23 +1,20 @@
 import numpy as np
 import pytest
 
-from gatemem.exceptions import DimensionError, ValidationError
+from gatemem.exceptions import ValidationError
 from gatemem.qcore import (
     DensityMatrix,
     _from_spectrum,
     _half_trace_norm,
     _half_trace_norm_4x4_entries,
-    _haar_vectors,
     _hermitian_part,
     _trace_out_last,
-    haar_random_unitary,
-    trace_distance,
 )
 
-from conftest import hermitian_entries, random_density
+from conftest import _haar_vectors, haar_random_unitary, hermitian_entries, random_density
 
-KET0 = DensityMatrix.computational(2, 0)
-KET1 = DensityMatrix.computational(2, 1)
+KET0 = DensityMatrix(np.diag([1.0, 0.0]))
+KET1 = DensityMatrix(np.diag([0.0, 1.0]))
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
@@ -45,30 +42,25 @@ class TestDensityMatrix:
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
-        assert trace_distance(KET0, KET1) == pytest.approx(1.0, abs=1e-12)
+        assert _half_trace_norm(KET0.data - KET1.data) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_arguments(self):
-        assert trace_distance(PLUS, PLUS) == 0.0
+        assert _half_trace_norm(PLUS.data - PLUS.data) == 0.0
 
     def test_zero_vs_plus_matches_diagonalization_oracle(self):
         # independent oracle: eigenvalues of the explicit difference matrix
         diff = KET0.data - PLUS.data
         oracle = 0.5 * np.sum(np.abs(np.linalg.eigvals(diff)))
         assert oracle == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert trace_distance(KET0, PLUS) == pytest.approx(0.7071067811865476, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            trace_distance(KET0, DensityMatrix(np.eye(4) / 4))
+        assert _half_trace_norm(diff) == pytest.approx(0.7071067811865476, abs=1e-12)
 
     def test_batched_kernel_matches_per_matrix_distances(self, rng):
         # the 4 x 4 closed form, on the entries of a stack mixing Hermitian
         # and non-Hermitian matrices (they are the entries of the Hermitian
-        # part of each), against the trace distance of each matrix
+        # part of each), against the half trace norm of each matrix
         stack = rng.standard_normal((12, 4, 4)) + 1j * rng.standard_normal((12, 4, 4))
         stack[::2] = 0.5 * (stack[::2] + np.conj(np.swapaxes(stack[::2], -1, -2)))
-        zero = np.zeros((4, 4), dtype=complex)
-        expected = [trace_distance(m, zero) for m in stack]
+        expected = [_half_trace_norm(m) for m in stack]
         got = _half_trace_norm_4x4_entries(*hermitian_entries(stack))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -121,18 +113,18 @@ class TestTraceDistance:
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
             a, b, c = (random_density(3, rng) for _ in range(3))
-            dab = trace_distance(a, b)
+            dab = _half_trace_norm(a - b)
             assert dab >= 0.0
-            assert dab == pytest.approx(trace_distance(b, a), abs=1e-12)
-            assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-10
-        assert trace_distance(a, a.copy()) <= 1e-10
+            assert dab == pytest.approx(_half_trace_norm(b - a), abs=1e-12)
+            assert dab <= _half_trace_norm(a - c) + _half_trace_norm(c - b) + 1e-10
+        assert _half_trace_norm(a - a.copy()) <= 1e-10
 
     def test_unitary_invariance(self, rng):
         for _ in range(10):
             a, b = random_density(2, rng), random_density(2, rng)
             u = haar_random_unitary(2, rng)
-            assert trace_distance(u @ a @ u.conj().T, u @ b @ u.conj().T) == pytest.approx(
-                trace_distance(a, b), abs=1e-10
+            assert _half_trace_norm(u @ a @ u.conj().T - u @ b @ u.conj().T) == pytest.approx(
+                _half_trace_norm(a - b), abs=1e-10
             )
 
 

@@ -5,23 +5,14 @@ import numpy as np
 import pytest
 
 from gatemem import pipeline, sdp
-from gatemem.channels import (
-    GateLabel,
-    choi_from_superop,
-    ideal_channel,
-    identity_channel,
-    random_channel,
-)
+from gatemem.channels import GateLabel, QuantumChannel, choi_from_superop
 from gatemem.exceptions import SolverError
-from gatemem.nonmarkov import (
-    avg_trace_distance,
-    conditional_map,
-    diamond_distance,
-    diamond_lower_bound,
-)
+from gatemem.nonmarkov import avg_trace_distance, conditional_map, diamond_distance
 from gatemem.sdp import diamond_sdp
 from gatemem.simulator import build_default_model
 from gatemem.tomography import build_frame
+
+from conftest import diamond_lower_bound, ideal_channel, purification, random_channel
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
 GRID_GATES = ("H@0", "S@0", "T@0", "X@0", "Y@0", "Z@0")
@@ -38,14 +29,14 @@ class TestDiamondDistance:
 
     def test_identity_vs_bit_flip_is_one(self):
         result = diamond_distance(
-            identity_channel(2), ideal_channel(GateLabel("X", (0,)))
+            QuantumChannel(np.eye(4)), ideal_channel(GateLabel("X", (0,)))
         )
         assert result.value == pytest.approx(1.0, abs=1e-6)
         assert result.gap <= 1e-6
 
     def test_orthogonal_unitaries_without_entanglement(self):
         result = diamond_distance(
-            identity_channel(2), ideal_channel(GateLabel("Z", (0,)))
+            QuantumChannel(np.eye(4)), ideal_channel(GateLabel("Z", (0,)))
         )
         assert result.value == pytest.approx(1.0, abs=1e-6)
 
@@ -58,13 +49,13 @@ class TestDiamondDistance:
             assert result.value >= bound - 1e-12
             assert result.value - bound <= 1e-3
 
-    def test_certificate_input_achieves_primal_bound(self, rng):
+    def test_purified_input_state_achieves_primal_bound(self, rng):
         a, b = random_channel(2, rng), random_channel(2, rng)
         result = diamond_distance(a, b)
         delta = choi_from_superop(a).data - choi_from_superop(b).data
         choi4 = delta.reshape(2, 2, 2, 2)
         out = np.einsum(
-            "stuv,saub->tavb", choi4, result.optimal_input.reshape(2, 2, 2, 2)
+            "stuv,saub->tavb", choi4, purification(result.input_state).reshape(2, 2, 2, 2)
         ).reshape(4, 4)
         achieved = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (out + out.conj().T))))
         assert achieved == pytest.approx(result.primal_bound, abs=1e-9)
@@ -199,8 +190,9 @@ class TestReferenceCells:
         result = diamond_distance(a, b)
         assert result.gap <= 1e-6
         assert result.primal_bound <= result.value
-        # the rank-one witness input reproduces the primal bound
+        # the purified input state reproduces the primal bound
         choi = (choi_from_superop(a).data - choi_from_superop(b).data).reshape((4,) * 4)
-        out = np.einsum("stuv,saub->tavb", choi, result.optimal_input.reshape((4,) * 4))
+        joint = purification(result.input_state).reshape((4,) * 4)
+        out = np.einsum("stuv,saub->tavb", choi, joint)
         achieved = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(out.reshape(16, 16))))
         assert achieved == pytest.approx(result.primal_bound, rel=1e-9)

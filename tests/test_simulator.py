@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gatemem.channels import GateLabel, apply, compose, ideal_channel
+from gatemem.channels import GateLabel, apply, compose
 from gatemem.exceptions import DimensionError, LabelError, ValidationError
 from gatemem.nonmarkov import (
     avg_trace_distance,
@@ -10,10 +10,9 @@ from gatemem.nonmarkov import (
     markovian_choi_reference,
     process_tensor_proxy,
 )
-from gatemem.qcore import DensityMatrix, trace_distance
+from gatemem.qcore import DensityMatrix, _half_trace_norm
 from gatemem.simulator import (
     DEFAULT_COUPLING,
-    DEFAULT_COUPLING_GRID,
     SEModel,
     SpamSpec,
     build_default_model,
@@ -23,9 +22,16 @@ from gatemem.simulator import (
     run_sequence,
     sample_counts,
 )
-from gatemem.tomography import build_frame, enumerate_circuits
+from gatemem.tomography import build_frame
 
-from conftest import is_cp, is_tp, random_density
+from conftest import (
+    DEFAULT_COUPLING_GRID,
+    enumerate_circuits,
+    ideal_channel,
+    is_cp,
+    is_tp,
+    random_density,
+)
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 H, S, T, X, Y, Z = LABELS
@@ -121,7 +127,7 @@ class TestRunSequence:
         rho = random_density(2, rng)
         out = run_sequence(persistent_model, [X, Z], rho)
         expected = apply(compose(phi_v, phi_u), rho)
-        assert trace_distance(out.data, expected) > 1e-3
+        assert _half_trace_norm(out.data - expected) > 1e-3
 
     def test_input_dimension_checked(self, persistent_model):
         with pytest.raises(DimensionError):
@@ -159,7 +165,7 @@ class TestExtractChannel:
 
 
 class TestSampleCounts:
-    def test_exact_mode_matches_expected_distribution(self, persistent_model):
+    def test_exact_mode_matches_circuit_distribution(self, persistent_model):
         frame = build_frame(1)
         descriptors = enumerate_circuits([X], frame)
         for desc in descriptors[:4]:

@@ -1,33 +1,33 @@
 import numpy as np
 import pytest
 
-from gatemem.channels import GateLabel, apply, ideal_channel, random_channel
+from gatemem.channels import GateLabel, apply
 from gatemem.exceptions import (
     DimensionError,
     IncompleteDataError,
     LabelError,
     ValidationError,
 )
-from gatemem.qcore import DensityMatrix, trace_distance
+from gatemem.qcore import _half_trace_norm
 from gatemem.tomography import (
     CountRecord,
+    _rotated_probabilities,
     build_frame,
-    enumerate_circuits,
-    expected_distribution,
     meas_rotation,
     mle_estimate,
-    mle_state,
     prep_unitary,
     process_tomography,
 )
 
-from conftest import random_density
+from conftest import enumerate_circuits, ideal_channel, random_channel, random_density
 
 PAULIS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+ZERO = np.diag([1.0, 0.0]).astype(complex)
 
 
 class TestFrame:
@@ -60,23 +60,24 @@ class TestFrame:
         np.testing.assert_allclose(gram, np.eye(4**n_qubits), atol=1e-12)
 
 
-class TestExpectedDistribution:
+class TestRotatedProbabilities:
     def test_plus_state_in_x_basis(self):
-        plus = DensityMatrix(np.full((2, 2), 0.5))
-        np.testing.assert_allclose(expected_distribution(plus, "X"), [1, 0], atol=1e-12)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        np.testing.assert_allclose(_rotated_probabilities(plus, meas_rotation("X")), [1, 0],
+                                   atol=1e-12)
 
     def test_ground_state_in_x_basis(self):
-        zero = DensityMatrix.computational(2, 0)
-        np.testing.assert_allclose(expected_distribution(zero, "X"), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(_rotated_probabilities(ZERO, meas_rotation("X")), [0.5, 0.5],
+                                   atol=1e-12)
 
     def test_unknown_label(self):
         with pytest.raises(LabelError):
-            expected_distribution(DensityMatrix.computational(2, 0), "Q")
+            meas_rotation("Q")
 
     def test_probabilities_sum_to_one(self, rng):
         rho = random_density(4, rng)
         for label in build_frame(2).meas_labels:
-            probs = expected_distribution(rho, label)
+            probs = _rotated_probabilities(rho, meas_rotation(label))
             assert probs.min() >= 0.0
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -85,7 +86,7 @@ class TestExpectedDistribution:
         rho = random_density(4, rng)
         for la in "XYZ":
             for lb in "XYZ":
-                probs = expected_distribution(rho, f"{la}*{lb}")
+                probs = _rotated_probabilities(rho, meas_rotation(f"{la}*{lb}"))
                 # parity-weighted sums of outcome probabilities give the
                 # expectation of the Pauli product
                 signs = np.array([1, -1, -1, 1])
@@ -94,22 +95,22 @@ class TestExpectedDistribution:
                 assert expect == pytest.approx(oracle, abs=1e-12)
 
 
-class TestMleState:
+class TestMleEstimate:
     def test_noiseless_fixed_point(self):
         frame = build_frame(1)
-        zero = DensityMatrix.computational(2, 0)
         records = [
-            CountRecord("Z+", m, dict(zip(("0", "1"), expected_distribution(zero, m))), None)
+            CountRecord("Z+", m, dict(zip(("0", "1"),
+                                          _rotated_probabilities(ZERO, meas_rotation(m)))), None)
             for m in frame.meas_labels
         ]
-        est = mle_state(records, frame)
-        assert trace_distance(est, zero) <= 1e-8
+        est = mle_estimate(records, frame).state
+        assert _half_trace_norm(est.data - ZERO) <= 1e-8
 
     def test_missing_setting_raises(self):
         frame = build_frame(1)
         records = [CountRecord("Z+", "Z", {"0": 1.0, "1": 0.0}, None)]
         with pytest.raises(IncompleteDataError) as excinfo:
-            mle_state(records, frame)
+            mle_estimate(records, frame)
         assert "X" in excinfo.value.missing and "Y" in excinfo.value.missing
 
     @pytest.mark.parametrize("count", [float("inf"), float("nan"), -1, 0.5])
@@ -127,11 +128,11 @@ class TestMleState:
         truth = random_density(2, rng)
         records = []
         for m in frame.meas_labels:
-            probs = expected_distribution(truth, m)
+            probs = _rotated_probabilities(truth, meas_rotation(m))
             counts = rng.multinomial(100_000, probs)
             records.append(CountRecord("Z+", m, {"0": int(counts[0]), "1": int(counts[1])}, 100_000))
-        est = mle_state(records, frame)
-        assert trace_distance(est, truth) <= 1e-2
+        est = mle_estimate(records, frame).state
+        assert _half_trace_norm(est.data - truth) <= 1e-2
 
     def test_nonphysical_expectations_projected_to_physical(self):
         # counts implying <X> = <Y> = <Z> = 0.9: the least-squares state
@@ -150,7 +151,7 @@ class TestMleState:
             np.eye(2) + sum(b * PAULIS[p] for b, p in zip(bloch, "XYZ"))
         )
         assert np.linalg.eigvalsh(linear_inversion)[0] < -1e-3  # oracle: not physical
-        est = mle_state(records, frame)
+        est = mle_estimate(records, frame).state
         assert np.linalg.eigvalsh(est.data)[0] >= -1e-10
 
     def test_record_order_invariance(self, rng):
@@ -158,11 +159,11 @@ class TestMleState:
         truth = random_density(2, rng)
         records = []
         for m in frame.meas_labels:
-            counts = rng.multinomial(2048, expected_distribution(truth, m))
+            counts = rng.multinomial(2048, _rotated_probabilities(truth, meas_rotation(m)))
             records.append(CountRecord("Z+", m, {"0": int(counts[0]), "1": int(counts[1])}, 2048))
-        a = mle_state(records, frame)
-        b = mle_state(records[::-1], frame)
-        assert trace_distance(a, b) <= 1e-8
+        a = mle_estimate(records, frame).state
+        b = mle_estimate(records[::-1], frame).state
+        assert _half_trace_norm(a.data - b.data) <= 1e-8
 
     def test_loglik_and_iterations_reported(self):
         frame = build_frame(1)
@@ -177,14 +178,14 @@ class TestMleState:
 class TestProcessTomography:
     def test_identity_process(self):
         frame = build_frame(1)
-        results = {p: frame.prep_state(p) for p in frame.prep_labels}
+        results = dict(zip(frame.prep_labels, frame.prep_states))
         chan = process_tomography(results, frame)
         np.testing.assert_allclose(chan.superop, np.eye(4), atol=1e-12)
 
     def test_ideal_x_process(self):
         frame = build_frame(1)
         x = ideal_channel(GateLabel("X", (0,)))
-        results = {p: apply(x, frame.prep_state(p)) for p in frame.prep_labels}
+        results = {p: apply(x, s) for p, s in zip(frame.prep_labels, frame.prep_states)}
         chan = process_tomography(results, frame)
         np.testing.assert_allclose(chan.superop, x.superop, atol=1e-12)
 
@@ -192,13 +193,13 @@ class TestProcessTomography:
         frame = build_frame(1)
         for _ in range(10):
             truth = random_channel(2, rng)
-            results = {p: apply(truth, frame.prep_state(p)) for p in frame.prep_labels}
+            results = {p: apply(truth, s) for p, s in zip(frame.prep_labels, frame.prep_states)}
             chan = process_tomography(results, frame)
             assert np.linalg.norm(chan.superop - truth.superop) <= 1e-10
 
     def test_missing_preparation(self):
         frame = build_frame(1)
-        results = {p: frame.prep_state(p) for p in frame.prep_labels[:-1]}
+        results = dict(zip(frame.prep_labels[:-1], frame.prep_states))
         with pytest.raises(IncompleteDataError):
             process_tomography(results, frame)
 
@@ -254,11 +255,12 @@ class TestStatisticalScaling:
             for _ in range(30):
                 records = []
                 for m in frame.meas_labels:
-                    counts = rng.multinomial(shots, expected_distribution(truth, m))
+                    probs = _rotated_probabilities(truth, meas_rotation(m))
+                    counts = rng.multinomial(shots, probs)
                     records.append(
                         CountRecord("Z+", m, {"0": int(counts[0]), "1": int(counts[1])}, shots)
                     )
-                errors.append(trace_distance(mle_state(records, frame), truth))
+                errors.append(_half_trace_norm(mle_estimate(records, frame).state.data - truth))
             mean_errors.append(np.mean(errors))
         slope = np.polyfit(np.log10(shot_grid), np.log10(mean_errors), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)

@@ -2,11 +2,15 @@
 inputs.  Every float is one whose ``repr`` is the same on every platform,
 so the expected text is written out here in full."""
 
+import os
+
 import numpy as np
+import pytest
 
 from gatemem.channels import GateLabel, QuantumChannel
 from gatemem.nonmarkov import AvgDistanceResult, DistanceMatrix, GridAnalysis, MemoryScan
 from gatemem.serialize import (
+    atomic_write_text,
     canonical_json,
     matrix_csv,
     records_payload,
@@ -215,7 +219,7 @@ def test_each_writer_writes_this_text(tmp_path):
         "records_payload, exact, with gates": records_payload(EXACT, HASH, None, [X, Z]),
         "records_payload, sampled, no gates": records_payload(SAMPLED, HASH, 7),
         "tomography_payload": tomography_payload(
-            TomographyResult({}, QuantumChannel(np.eye(4)), {"Z+": -1.5}, {"Z+": 12}),
+            TomographyResult(QuantumChannel(np.eye(4)), {"Z+": -1.5}, {"Z+": 12}),
             ["X@0"], 8, HASH, 7),
         "report_payload, array field": report_payload(
             "ptensor", HASH, None, gates=["S@0"], rho=np.array([[0.5, 0.5j], [-0.5j, 0.5]])),
@@ -237,3 +241,18 @@ def test_each_writer_writes_this_text(tmp_path):
     written = {path.relative_to(tmp_path).as_posix(): path.read_text()
                for path in tmp_path.rglob("*") if path.is_file()}
     assert written == expected
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_file_takes_the_umask(tmp_path, umask, mode):
+    # the file replaces an older one, as a rerun's files do
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    saved = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "new\n")
+    finally:
+        os.umask(saved)
+    assert path.read_text() == "new\n"
+    assert path.stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
