@@ -100,11 +100,8 @@ def propagate_statistics(
     failed = 0
     for _ in range(trials):
         try:
-            resampled = [
-                r if r.shots is None
-                else _count_record(r.prep_label, r.meas_label, r.frequencies(), r.shots, rng)
-                for r in records
-            ]
+            resampled = [_count_record(r.prep_label, r.meas_label, r.frequencies(), r.shots, rng)
+                         for r in records]
             values.append(float(pipeline(resampled)))
         except GatememError:
             failed += 1
@@ -127,12 +124,13 @@ def reconstruction_uncertainty(
 ) -> UncertaintyReport:
     """Statistical spread of a reconstructed channel: the Frobenius
     distance of each trial's reconstruction to the point estimate's,
-    through :func:`propagate_statistics`."""
-    point = pipeline.reconstruct_channel(records, frame).channel.superop
+    through :func:`propagate_statistics`, whose first call of the metric,
+    on ``records`` themselves, reconstructs the point estimate."""
+    first: dict = {}
 
     def metric(trial_records) -> float:
         trial = pipeline.reconstruct_channel(trial_records, frame).channel.superop
-        return float(np.linalg.norm(trial - point))
+        return float(np.linalg.norm(trial - first.setdefault("point", trial)))
 
     return propagate_statistics(
         records, metric, trials, rng, metric_name="frobenius-to-point-estimate"

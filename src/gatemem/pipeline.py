@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel, apply
+from .exceptions import IncompleteDataError
 from .tomography import (
     CountRecord,
     TomographyFrame,
@@ -109,10 +110,12 @@ def records_from_channel(
 
 
 def reconstruct_channel(records, frame: TomographyFrame | None = None) -> TomographyResult:
-    """Full reconstruction chain over a record set: group records by
-    preparation, run the likelihood estimator on all preparations at
-    once, then invert the frame to a channel."""
+    """Full reconstruction chain over a record set: check and group the
+    records by configuration, run the likelihood estimator on all
+    preparations at once, then invert the frame to a channel."""
     records = list(records)
+    if not (frame or records):
+        raise IncompleteDataError("an empty record set names no frame", [])
     frame = frame or build_frame(records[0].n_qubits)
     estimates = mle_estimates(records, frame)
     states = {prep: est.state for prep, est in estimates.items()}

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import tempfile
-from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +29,7 @@ from .tomography import (
     CountRecord,
     TomographyFrame,
     TomographyResult,
+    _records_by_config,
     build_frame,
 )
 
@@ -193,10 +193,8 @@ def _check_gates(payload: dict, kind: str, path: str, n_qubits: int) -> None:
 
 def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, TomographyFrame]:
     """The count records of a records file and the tomography frame of its
-    ``n_qubits``; error messages name ``path``.  Every record takes its
-    labels from that frame, all have one mode (every ``shots`` null, for
-    exact, or none), and each configuration of the frame has exactly one
-    record; a configuration is named ``prep/meas``."""
+    ``n_qubits``, once the records meet the record-set rule of
+    ``tomography._records_by_config``; error messages name ``path``."""
     try:
         _check_schema(payload, "records", path)
         version = payload.get("grammar_version", LABEL_GRAMMAR_VERSION)
@@ -217,33 +215,16 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, 
         records = []
         for i, entry in enumerate(payload["records"]):
             try:
-                record = CountRecord(
+                records.append(CountRecord(
                     prep_label=entry["prep"],
                     meas_label=entry["meas"],
                     counts=dict(entry["counts"]),
                     shots=entry["shots"],
                     seed=entry.get("seed"),
-                )
+                ))
             except ValidationError as err:
                 raise ValidationError(f"records file {path}, record {i}: {err}") from err
-            if record.prep_label not in frame.prep_labels \
-                    or record.meas_label not in frame.meas_labels:
-                raise ValidationError(
-                    f"records file {path}, record {i}: prep {record.prep_label!r} or meas"
-                    f" {record.meas_label!r} is not in the {frame.n_qubits}-qubit frame")
-            records.append(record)
-        if len({r.shots is None for r in records}) > 1:
-            raise ValidationError(
-                f"records file {path} mixes exact-mode records (shots null) with sampled ones")
-        configs = Counter(f"{r.prep_label}/{r.meas_label}" for r in records)
-        repeated = sorted(config for config, n in configs.items() if n > 1)
-        if repeated:
-            raise ValidationError(f"records file {path} repeats configurations {repeated}")
-        missing = [f"{p}/{m}" for p in frame.prep_labels for m in frame.meas_labels
-                   if f"{p}/{m}" not in configs]
-        if missing:
-            raise IncompleteDataError(
-                f"records file {path} is missing configurations {missing}", missing)
+        _records_by_config(records, frame, frame.prep_labels, f"records file {path}")
         return records, frame
     except (TypeError, ValueError, AttributeError) as err:
         raise ValidationError(f"records file {path} is malformed: {err}") from err

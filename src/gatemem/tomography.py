@@ -332,29 +332,48 @@ class MleEstimate:
     iterations: int
 
 
-def _group_by_setting(records) -> dict[str, CountRecord]:
-    grouped: dict[str, CountRecord] = {}
-    for rec in records:
-        if rec.meas_label in grouped:
-            raise ValidationError(f"duplicate records for setting {rec.meas_label!r}")
-        grouped[rec.meas_label] = rec
-    return grouped
-
-
-def _likelihood_row(records, frame: TomographyFrame):
-    """One preparation's data over the frame's outcome list: frequencies,
-    weighted frequencies over the total weight, step tolerance, and
-    whether every setting is exact."""
-    grouped = _group_by_setting(records)
-    settings = frame.meas_labels
-    missing = [m for m in settings if m not in grouped]
+def _records_by_config(records, frame: TomographyFrame, preps, source="record set") -> dict:
+    """The records keyed by ``(prep, meas)``, once they meet the one
+    record-set rule: every record takes its labels from ``frame`` and its
+    preparation from ``preps``, all have one mode (every ``shots`` None,
+    for exact, or none), and each configuration of ``preps`` and the
+    frame's settings has exactly one record.  Errors begin with
+    ``source`` and name a configuration ``prep/meas`` or a record index."""
+    by_config, repeated, modes = {}, set(), set()
+    for i, rec in enumerate(records):
+        config = (rec.prep_label, rec.meas_label)
+        if rec.prep_label not in frame.prep_labels or rec.meas_label not in frame.meas_labels:
+            raise ValidationError(
+                f"{source}, record {i}: prep {rec.prep_label!r} or meas {rec.meas_label!r}"
+                f" is not in the {frame.n_qubits}-qubit frame")
+        if rec.prep_label not in preps:
+            raise ValidationError(f"{source}, record {i}: prep {rec.prep_label!r} not in {preps}")
+        if config in by_config:
+            repeated.add("/".join(config))
+        by_config[config] = rec
+        modes.add(rec.shots is None)
+    if len(modes) > 1:
+        raise ValidationError(
+            f"{source} mixes exact-mode records (shots null) with sampled ones")
+    if repeated:
+        raise ValidationError(f"{source} repeats configurations {sorted(repeated)}")
+    missing = [f"{p}/{m}" for p in preps for m in frame.meas_labels if (p, m) not in by_config]
     if missing:
-        raise IncompleteDataError(f"missing measurement settings: {missing}", missing)
-    freqs = np.concatenate([grouped[m].frequencies() for m in settings])
-    weights = np.repeat([grouped[m].weight for m in settings], frame.dim)
-    total_weight = float(sum(grouped[m].weight for m in settings))
+        raise IncompleteDataError(f"{source} is missing configurations {missing}", missing)
+    return by_config
+
+
+def _likelihood_row(by_config, prep: str, frame: TomographyFrame):
+    """One preparation's data over the frame's outcome list, from the
+    records of :func:`_records_by_config`: frequencies, weighted
+    frequencies over the total weight, step tolerance, and whether the
+    data is exact."""
+    recs = [by_config[prep, m] for m in frame.meas_labels]
+    freqs = np.concatenate([rec.frequencies() for rec in recs])
+    weights = np.repeat([rec.weight for rec in recs], frame.dim)
+    total_weight = float(sum(rec.weight for rec in recs))
     step_tol = 1e-12
-    exact = all(grouped[m].shots is None for m in settings)
+    exact = recs[0].shots is None
     # Beyond the shot-noise radius extra iterations buy nothing.
     if not exact:
         step_tol = max(step_tol, 1e-3 / math.sqrt(total_weight))
@@ -365,15 +384,15 @@ def _likelihood_row(records, frame: TomographyFrame):
 MLE_MAX_ITERATIONS = 10_000
 
 
-def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]:
-    """Diluted fixed-point estimates of several preparations at once;
-    ``record_sets[i]`` holds the records of preparation ``labels[i]``.
+def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
+    """Diluted fixed-point estimates of the preparations ``labels`` at
+    once, from the records of :func:`_records_by_config`.
     See :func:`mle_estimate` for the iteration.  Iterates, R and the
     dilution gates are half-embeddings (:func:`_embedded`) until their
     rows finish or hit the cap."""
     design, effect_rows, probability_map = _likelihood_design(frame.meas_labels)
     d, n_preps = frame.dim, len(labels)
-    rows = [_likelihood_row(records, frame) for records in record_sets]
+    rows = [_likelihood_row(by_config, label, frame) for label in labels]
     freqs, wft, step_tol, exact = (np.array(column) for column in zip(*rows))
 
     def normalized(rho):
@@ -491,30 +510,27 @@ def _mle_batch(record_sets, labels, frame: TomographyFrame) -> list[MleEstimate]
 
 def mle_estimates(records, frame: TomographyFrame) -> dict[str, MleEstimate]:
     """Likelihood estimates of every preparation of the frame from one
-    record set, keyed by preparation label; records of preparations the
-    frame does not name are ignored.  All preparations run the iteration
-    of :func:`mle_estimate` together, each with its own stopping rule.
+    record set that meets :func:`_records_by_config`, keyed by
+    preparation label.  All preparations run the iteration of
+    :func:`mle_estimate` together, each with its own stopping rule.
     The batch changes a preparation's iterates only by roundoff, which
     matters only where the likelihood gate compares two values equal to
     the last bits (exact-mode data iterating to the 1e-9 tolerance).
     If preparations hit the iteration cap, :class:`ConvergenceError`
     names the first of them in frame order."""
-    by_prep = {label: [] for label in frame.prep_labels}
-    for rec in records:
-        if rec.prep_label in by_prep:
-            by_prep[rec.prep_label].append(rec)
-    estimates = _mle_batch(list(by_prep.values()), frame.prep_labels, frame)
+    by_config = _records_by_config(records, frame, frame.prep_labels)
+    estimates = _mle_batch(by_config, frame.prep_labels, frame)
     return dict(zip(frame.prep_labels, estimates))
 
 
 def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     """Diluted fixed-point maximum-likelihood state estimate.
 
-    ``records`` must cover every measurement setting of the frame for a
-    single preparation.  The iteration is the multiplicative R-rho-R
-    update with the step diluted whenever the log-likelihood would
-    decrease, so the likelihood is non-decreasing and the iterate stays
-    positive semidefinite throughout.  Convergence is declared when the
+    ``records`` hold one record per setting of the frame, all of the
+    first record's preparation.  The iteration is the multiplicative
+    R-rho-R update with the step diluted whenever the log-likelihood
+    would decrease, so the likelihood is non-decreasing and the iterate
+    stays positive semidefinite throughout.  Convergence is declared when the
     Frobenius step falls below 1e-12 (loosened to the statistical
     resolution of the data when counts are finite, and to 1e-9 for
     exact data no physical state reproduces), or 1,000 ungated
@@ -532,8 +548,8 @@ def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     real embeddings ``[[X, -Y], [Y, X]] / 2`` of the states and of R.
     """
     records = list(records)
-    label = records[0].prep_label if records else ""
-    return _mle_batch([records], (label,), frame)[0]
+    preps = (records[0].prep_label if records else frame.prep_labels[0],)
+    return _mle_batch(_records_by_config(records, frame, preps), preps, frame)[0]
 
 
 def process_tomography(results, frame: TomographyFrame) -> QuantumChannel:

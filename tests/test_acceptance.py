@@ -35,6 +35,7 @@ from gatemem.pipeline import (
     reconstruct_channel,
     reconstruct_from_model,
     records_from_channel,
+    simulate_records,
 )
 from gatemem.qcore import _half_trace_norm
 from gatemem.simulator import (
@@ -48,7 +49,6 @@ from gatemem.tomography import build_frame, mle_estimate
 from conftest import (
     DEFAULT_COUPLING_GRID,
     diamond_lower_bound,
-    enumerate_circuits,
     ideal_channel,
     random_channel,
 )
@@ -237,8 +237,9 @@ def test_criterion_06_protocol_constants():
 
     from gatemem.cli import scan as scan_command
 
-    assert len(enumerate_circuits([LABELS[0]], build_frame(1))) == 12
-    assert len(enumerate_circuits([GateLabel("CX", (0, 1))], build_frame(2))) == 144
+    cx = GateLabel.parse("CX@1.0")
+    assert len(simulate_records(build_default_model([str(LABELS[0])]), [LABELS[0]], None)) == 12
+    assert len(simulate_records(build_default_model([str(cx)]), [cx], None)) == 144
     assert DEFAULT_AVG_SAMPLES == 100_000
     signature = inspect.signature(avg_trace_distance)
     assert signature.parameters["m_samples"].default == 100_000

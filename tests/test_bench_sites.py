@@ -1,11 +1,12 @@
-"""Guard for the benchmark's traced run.
+"""Guard for the benchmark's traced run and its pinned cells.
 
 ``perfbench/tracer.py`` replaces gatemem functions at the module
 attributes their callers look them up through, and its attribute readers
 bind call arguments by name.  A refactor that drops one of those import
 sites, or renames a parameter a reader binds, must fail here rather than
 in the benchmark.  The same holds for the arguments the benchmark's
-workloads pass to gatemem's functions.
+workloads pass to gatemem's functions, and for the reconstructions and
+CP violations that ``perfbench/reference.json`` pins.
 """
 
 import ast
@@ -19,23 +20,27 @@ import sys
 import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER_PATH)
+def _load(name: str, **imports):
+    """``perfbench/<name>.py`` as a module, loaded read-only; ``imports``
+    are the modules its own ``import`` statements find by those names."""
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve the defining module
+    added = {spec.name: module, **imports}
+    sys.modules.update(added)  # dataclasses resolve the defining module
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # read-only
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-        del sys.modules[spec.name]
+        for key in added:
+            del sys.modules[key]
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 def _bound_names(reader) -> set[str]:
@@ -103,3 +108,22 @@ def test_workload_scan_finds_the_keyword_calls():
     assert found[("nonmarkov", "conditional_vs_marginal_matrix")] == [
         "metric", "m_samples", "rng"]
     assert found[("errprop", "propagate_statistics")] == ["metric_name"]
+
+
+def test_pinned_reconstructions_pass_the_benchmark_checks(tmp_path):
+    # grid-avg's reconstruct+cp prelude and cx-target's reconstruction
+    # passes at the README seed, checked as a benchmark run checks them
+    checks = _load("checks")
+    workloads = _load("workloads", checks=checks)
+    run = _load("run")
+    reference = run.load_reference(run.README_SEED)
+    outcomes = []
+    for workload, passes in ((workloads.GridAvg, lambda wl: [wl._prelude()]),
+                             (workloads.CxTarget, lambda wl: wl.cycle()[:len(wl.sequences)])):
+        wl = workload(run.README_SEED, reference, str(tmp_path))
+        wl.setup()
+        outcomes += [run.Outcome(p, 0.0, p.run(), 0.0, 0.0) for p in passes(wl)]
+    kinds = [op.key.split(":")[0] for out in outcomes for op in out.ops]
+    assert (kinds.count("chan"), kinds.count("cp")) == (55 + 14, 36)
+    report = run.evaluate(outcomes)
+    assert (report["failed"], report["problems"]) == (0, [])

@@ -27,7 +27,6 @@ from gatemem.simulator import SpamSpec, build_default_model, extract_channel
 from gatemem.tomography import (
     MleEstimate,
     _embedded,
-    _group_by_setting,
     _likelihood_design,
     _measurement_effects,
     _unembedded,
@@ -47,7 +46,9 @@ def reference_mle_estimate(records, frame, diagnostics=None):
     A ``diagnostics`` dict receives the number of diluted steps and the
     smallest log-likelihood difference the gate compared.
     """
-    grouped = _group_by_setting(records)
+    grouped = {rec.meas_label: rec for rec in records}
+    if len(grouped) < len(records):
+        raise ValueError("the reference takes one record per setting")
     missing = [m for m in frame.meas_labels if m not in grouped]
     if missing:
         raise IncompleteDataError(f"missing measurement settings: {missing}", missing)

@@ -3,7 +3,7 @@ import pytest
 
 from gatemem import simulator
 from gatemem.channels import GateLabel
-from gatemem.exceptions import DimensionError
+from gatemem.exceptions import DimensionError, IncompleteDataError, ValidationError
 from gatemem.pipeline import (
     reconstruct_channel,
     reconstruct_from_model,
@@ -11,9 +11,9 @@ from gatemem.pipeline import (
     simulate_records,
 )
 from gatemem.simulator import SpamSpec, build_default_model, extract_channel, sample_counts
-from gatemem.tomography import _spawn_seeds, build_frame
+from gatemem.tomography import CountRecord, _spawn_seeds, build_frame
 
-from conftest import enumerate_circuits, random_channel
+from conftest import enumerate_circuits, ideal_channel, random_channel
 
 LABELS = [GateLabel(n, (0,)) for n in ("H", "S", "T", "X", "Y", "Z")]
 
@@ -127,3 +127,36 @@ class TestTwoStepSimulation:
             simulate_records(model, [LABELS[3]], None, frame=build_frame(2))
         with pytest.raises(DimensionError):
             simulate_records(build_default_model([CX]), [GateLabel("X", (2,))], None)
+
+
+def _x_records():
+    """1,000-shot records of the ideal X gate, in frame order: record 4
+    is configuration ``Z-/Y``."""
+    return records_from_channel(ideal_channel(LABELS[3]), 1000, seed=11)
+
+
+def _exact(record):
+    return CountRecord(record.prep_label, record.meas_label,
+                       dict(zip(("0", "1"), record.frequencies())), None)
+
+
+# (rows, error, message) of record sets the reconstruction must refuse,
+# whether they come from a file or not
+MALFORMED_RECORD_SETS = {
+    "out-of-frame": (lambda rs: rs + [CountRecord("X-", "Z", {"0": 500, "1": 500}, 1000)],
+                     ValidationError, "record 12: prep 'X-' or meas 'Z' is not in the 1-qubit"),
+    "mixed-mode": (lambda rs: [rs[0]] + [_exact(r) for r in rs[1:3]] + rs[3:],
+                   ValidationError, "mixes exact-mode records"),
+    "duplicate": (lambda rs: rs + [rs[4]], ValidationError, "repeats configurations ['Z-/Y']"),
+    "missing": (lambda rs: rs[:4] + rs[5:], IncompleteDataError,
+                "missing configurations ['Z-/Y']"),
+    "empty": (lambda rs: [], IncompleteDataError, "empty record set"),
+}
+
+
+@pytest.mark.parametrize("edit, error, message", MALFORMED_RECORD_SETS.values(),
+                         ids=list(MALFORMED_RECORD_SETS))
+def test_malformed_record_set_is_refused_in_process(edit, error, message):
+    with pytest.raises(error) as excinfo:
+        reconstruct_channel(edit(_x_records()))
+    assert message in str(excinfo.value)

@@ -111,7 +111,14 @@ class TestMleEstimate:
         records = [CountRecord("Z+", "Z", {"0": 1.0, "1": 0.0}, None)]
         with pytest.raises(IncompleteDataError) as excinfo:
             mle_estimate(records, frame)
-        assert "X" in excinfo.value.missing and "Y" in excinfo.value.missing
+        assert excinfo.value.missing == ["Z+/X", "Z+/Y"]
+
+    def test_records_of_a_second_preparation_are_refused(self):
+        frame = build_frame(1)
+        records = [CountRecord(p, m, {"0": 1.0, "1": 0.0}, None)
+                   for p in ("Z+", "Z-") for m in frame.meas_labels]
+        with pytest.raises(ValidationError, match="record 3: prep .Z-. not in"):
+            mle_estimate(records, frame)
 
     @pytest.mark.parametrize("count", [float("inf"), float("nan"), -1, 0.5])
     def test_count_must_be_a_nonnegative_integer(self, count):
