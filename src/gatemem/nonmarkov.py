@@ -14,12 +14,12 @@ scan compares an n-step map against concatenations of its shorter
 reconstructions, and a relative-entropy proxy scores the multi-step
 process against its memoryless reference.
 
-Every matrix and scan cell is computed by one routine, :func:`_distances`,
-which takes all the channel pairs of a call at once.  The matrix
-functions return unscaled distances: :func:`analyze_grid` alone applies
-the display conventions (1/d for diamond entries, a factor 2 for
-two-qubit target columns), once, to its finished matrices, and only when
-asked.
+Each analysis call computes its plan, a list of ``(kind, rng, a, b)``
+cells, in one :func:`_evaluate` call and returns views of the results.
+The matrix functions return unscaled distances: :func:`analyze_grid`
+alone applies the display conventions (1/d for diamond entries, a factor
+2 for two-qubit target columns), once, to its finished matrices, and only
+when asked.
 
 :func:`analyze_grid` runs every witness of a channel grid at once, as
 ``gatemem analyze`` does, and :func:`repetitions` picks the channels a
@@ -29,6 +29,7 @@ memory scan compares, as ``gatemem scan`` does.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +46,6 @@ from .channels import (
 from .exceptions import DimensionError, IncompleteDataError, ValidationError
 from .qcore import (
     DEFAULT_AVG_SAMPLES,
-    DEFAULT_SCAN_NMAX,  # noqa: F401  (re-exported with the scan it bounds)
     _as_matrix,
     _complex_normals,
     _half_trace_norm,
@@ -114,9 +114,6 @@ class AvgDistanceResult:
     mean: float
     stderr: float
     samples: np.ndarray
-
-    def __float__(self) -> float:
-        return self.mean
 
 
 @dataclass(frozen=True)
@@ -303,17 +300,42 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     return diamond_sdp(delta)
 
 
-def _distances(pairs, metric: str, m_samples: int, rng) -> np.ndarray:
-    """The ``metric`` distance of each (a, b) channel pair of ``pairs``,
-    in order.  Every matrix and scan cell goes through here: only
-    ``"avg"`` draws from ``rng``, in the order of ``pairs``.  Both
-    distance functions are looked up at call time, so wrapping the
-    module attributes sees every cell."""
-    if metric == "avg":
-        return np.array([avg_trace_distance(a, b, m_samples, rng).mean for a, b in pairs])
-    if metric == "diamond":
-        return np.array([diamond_distance(a, b).value for a, b in pairs])
-    raise ValidationError(f"unknown metric {metric!r}; use 'avg' or 'diamond'")
+def _evaluate(cells, m_samples: int):
+    """Yield each ``(kind, rng, a, b)`` cell's result in order: ``"cp"`` the
+    CP violation of ``a``; ``"avg"`` (drawing from ``rng``) and ``"diamond"``
+    the distance of ``a`` to ``b``; ``"histogram"`` the whole averaged result,
+    samples and all.  Functions are looked up at call time: wrappers see all."""
+    for kind, rng, a, b in cells:
+        if kind == "cp":
+            yield cp_violation(a)
+        elif kind == "diamond":
+            yield diamond_distance(a, b).value
+        elif kind == "avg":  # binds no result, so its samples go before the next cell draws
+            yield avg_trace_distance(a, b, m_samples, rng).mean
+        else:
+            yield avg_trace_distance(a, b, m_samples, rng)
+
+
+def _metric_cells(metric: str, rng, pairs) -> list:
+    """One ``metric`` cell per (a, b) pair of ``pairs``; the metric is avg or diamond."""
+    if metric not in ("avg", "diamond"):
+        raise ValidationError(f"unknown metric {metric!r}; use 'avg' or 'diamond'")
+    return [(metric, rng, a, b) for a, b in pairs]
+
+
+def _grid_view(results, u_labels, v_labels, metric: str) -> DistanceMatrix:
+    """The matrix of a grid's next cells, row-major, in ``results``."""
+    values = np.fromiter(results, float, len(u_labels) * len(v_labels))
+    return DistanceMatrix(tuple(map(str, u_labels)), tuple(map(str, v_labels)),
+                          values.reshape(len(u_labels), len(v_labels)), metric)
+
+
+def _dependence_view(results, labels, metric: str) -> DistanceMatrix:
+    """The symmetric matrix of the next upper-triangle cells in ``results``."""
+    values = np.zeros((len(labels), len(labels)))
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        values[i, j] = values[j, i] = next(results)
+    return DistanceMatrix(tuple(map(str, labels)), tuple(map(str, labels)), values, metric)
 
 
 def _display_scaled(matrix: DistanceMatrix, dim: int, targets) -> DistanceMatrix:
@@ -351,12 +373,8 @@ def gate_dependence_matrix(
     chans = [_channel_of(v) for v in conditionals.values()]
     if len({c.dim for c in chans}) != 1:
         raise DimensionError("conditioned maps must share one dimension")
-    upper = np.triu_indices(len(labels), 1)
-    values = np.zeros((len(labels), len(labels)))
-    values[upper] = _distances([(chans[i], chans[j]) for i, j in zip(*upper)],
-                               metric, m_samples, rng)
-    values[upper[::-1]] = values[upper]
-    return DistanceMatrix(tuple(labels), tuple(labels), values, metric)
+    cells = _metric_cells(metric, rng, itertools.combinations(chans, 2))
+    return _dependence_view(_evaluate(cells, m_samples), labels, metric)
 
 
 def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
@@ -397,17 +415,8 @@ def conditional_vs_marginal_matrix(
     non-constant columns are the signature of a past-dependent process.
     """
     u_labels, v_labels, maps = conditional_grid(marginals, joints)
-    return _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples, rng)
-
-
-def _cond_vs_marginal(u_labels, v_labels, maps, marginals, metric, m_samples,
-                      rng) -> DistanceMatrix:
-    """:func:`conditional_vs_marginal_matrix` over the conditioned maps
-    of :func:`conditional_grid`, built once by the caller; cells row-major."""
-    cells = [(maps[(u, v)].channel, marginals[v]) for u in u_labels for v in v_labels]
-    values = _distances(cells, metric, m_samples, rng).reshape(len(u_labels), len(v_labels))
-    return DistanceMatrix(tuple(str(u) for u in u_labels), tuple(str(v) for v in v_labels),
-                          values, metric)
+    cells = _metric_cells(metric, rng, [(cm.channel, marginals[v]) for (_, v), cm in maps.items()])
+    return _grid_view(_evaluate(cells, m_samples), u_labels, v_labels, metric)
 
 
 def analyze_grid(
@@ -421,10 +430,11 @@ def analyze_grid(
 ) -> GridAnalysis:
     """Every memory witness of a complete grid (see :func:`conditional_grid`).
 
-    Each conditioned-vs-marginal matrix draws from ``default_rng(seed)``,
-    each gate-dependence matrix from ``default_rng(seed + 1)`` and the
-    histogram from ``default_rng(seed + 2)``.  ``pair`` holds the gate
-    tokens of the histogram's cell (default: the first cell).
+    One :func:`_evaluate` call computes the CP cells, then per metric the
+    conditioned-vs-marginal cells (a fresh ``default_rng(seed)`` each) and
+    each target's gate-dependence cells (a fresh ``default_rng(seed + 1)``
+    each, so the targets share their Haar inputs), then the histogram of
+    the ``pair`` cell (default: the first) from ``default_rng(seed + 2)``.
     ``scale_figure`` applies the display conventions to the finished
     distance matrices, and records them in each matrix's ``scaling``.
     """
@@ -440,29 +450,29 @@ def analyze_grid(
         if (pair_u, pair_v) not in conditionals:
             raise ValidationError(f"--pair {pair_u},{pair_v} is not in the channel grid")
 
-    cpv = [[cp_violation(conditionals[(u, v)]) for v in v_labels] for u in u_labels]
-    cp_matrix = DistanceMatrix(
-        tuple(str(u) for u in u_labels), tuple(str(v) for v in v_labels), cpv,
-        metric="cp-violation",
-    )
     # a gate-dependence matrix compares at least two first gates
     targets = v_labels if len(u_labels) > 1 else []
+    grid = [(cm.channel, marginals[v]) for (_, v), cm in conditionals.items()]  # row-major
+    cells = [("cp", None, a, b) for a, b in grid]
+    for m in metrics:
+        cells += _metric_cells(m, np.random.default_rng(seed), grid)
+        for v in targets:
+            cells += _metric_cells(m, np.random.default_rng(seed + 1), itertools.combinations(
+                [conditionals[(u, v)].channel for u in u_labels], 2))
+    cells.append(("histogram", np.random.default_rng(seed + 2),
+                  conditionals[(pair_u, pair_v)].channel, marginals[pair_v]))
+    results = _evaluate(cells, m_samples)
+    cp_matrix = _grid_view(results, u_labels, v_labels, "cp-violation")
     cvm, gdm = {}, {}
     for m in metrics:
-        cvm[m] = _cond_vs_marginal(u_labels, v_labels, conditionals, marginals, m, m_samples,
-                                   np.random.default_rng(seed))
-        for v in targets:
-            gdm[(str(v), m)] = gate_dependence_matrix(
-                {u: conditionals[(u, v)] for u in u_labels}, metric=m, m_samples=m_samples,
-                rng=np.random.default_rng(seed + 1),
-            )
+        cvm[m] = _grid_view(results, u_labels, v_labels, m)
+        gdm.update({(str(v), m): _dependence_view(results, u_labels, m) for v in targets})
+    histogram = next(results)
     if scale_figure:
         dim = marginals[pair_v].dim
         cvm = {m: _display_scaled(matrix, dim, v_labels) for m, matrix in cvm.items()}
         gdm = {key: _display_scaled(matrix, dim, [key[0]] * len(u_labels))
                for key, matrix in gdm.items()}
-    histogram = avg_trace_distance(conditionals[(pair_u, pair_v)].channel, marginals[pair_v],
-                                   m_samples, np.random.default_rng(seed + 2))
     return GridAnalysis(cp_matrix, cvm, gdm, (str(pair_u), str(pair_v)), histogram)
 
 
@@ -503,11 +513,10 @@ def memory_scan(
         raise DimensionError("memory scan channels must share one dimension")
     cuts = [(n, m) for n in range(2, n_max + 1) for m in range(1, n)]
     pairs = [(chans[n - 1], compose(chans[m - 1], chans[n - m - 1])) for n, m in cuts]
-    # only "avg" draws, so one metric after another draws what a
-    # cell-by-cell loop over the metrics would
-    columns = {metric: _distances(pairs, metric, m_samples, rng) for metric in metrics}
-    entries = {cut: {metric: float(columns[metric][k]) for metric in metrics}
-               for k, cut in enumerate(cuts)}
+    # metric after metric in cut order; only "avg" cells draw from rng
+    cells = [c for metric in metrics for c in _metric_cells(metric, rng, pairs)]
+    rows = np.fromiter(_evaluate(cells, m_samples), float).reshape(len(metrics), len(cuts)).T
+    entries = {cut: dict(zip(metrics, map(float, row))) for cut, row in zip(cuts, rows)}
     return MemoryScan(n_max=n_max, entries=entries)
 
 

@@ -335,11 +335,11 @@ class MleEstimate:
 def _records_by_config(records, frame: TomographyFrame, preps, source="record set") -> dict:
     """The records keyed by ``(prep, meas)``, once they meet the one
     record-set rule: every record takes its labels from ``frame`` and its
-    preparation from ``preps``, all have one mode (every ``shots`` None,
-    for exact, or none), and each configuration of ``preps`` and the
-    frame's settings has exactly one record.  Errors begin with
+    preparation from ``preps``, all have one ``shots`` (None for every
+    exact record, or one shot count), and each configuration of ``preps``
+    and the frame's settings has exactly one record.  Errors begin with
     ``source`` and name a configuration ``prep/meas`` or a record index."""
-    by_config, repeated, modes = {}, set(), set()
+    by_config, repeated, shots = {}, set(), set()
     for i, rec in enumerate(records):
         config = (rec.prep_label, rec.meas_label)
         if rec.prep_label not in frame.prep_labels or rec.meas_label not in frame.meas_labels:
@@ -351,10 +351,12 @@ def _records_by_config(records, frame: TomographyFrame, preps, source="record se
         if config in by_config:
             repeated.add("/".join(config))
         by_config[config] = rec
-        modes.add(rec.shots is None)
-    if len(modes) > 1:
+        shots.add(rec.shots)
+    if None in shots and len(shots) > 1:
         raise ValidationError(
             f"{source} mixes exact-mode records (shots null) with sampled ones")
+    if len(shots) > 1:
+        raise ValidationError(f"{source} mixes shot counts {sorted(shots)}")
     if repeated:
         raise ValidationError(f"{source} repeats configurations {sorted(repeated)}")
     missing = [f"{p}/{m}" for p in preps for m in frame.meas_labels if (p, m) not in by_config]

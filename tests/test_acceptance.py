@@ -19,8 +19,6 @@ import pytest
 from gatemem.channels import GateLabel, QuantumChannel, compose
 from gatemem.errprop import propagate_statistics, spam_scaling
 from gatemem.nonmarkov import (
-    DEFAULT_AVG_SAMPLES,
-    DEFAULT_SCAN_NMAX,
     avg_trace_distance,
     conditional_map,
     cp_violation,
@@ -37,7 +35,7 @@ from gatemem.pipeline import (
     records_from_channel,
     simulate_records,
 )
-from gatemem.qcore import _half_trace_norm
+from gatemem.qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX, _half_trace_norm
 from gatemem.simulator import (
     DEFAULT_COUPLING,
     build_default_model,

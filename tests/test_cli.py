@@ -668,13 +668,13 @@ def test_non_finite_count_of_sampled_records_exits_2(runner, model_file, tmp_pat
 
 @pytest.mark.parametrize("command", ["tomo", "errors"])
 @pytest.mark.parametrize("edit", ["appended-prep", "one-exact-record", "repeated-record",
-                                  "missing-record"])
+                                  "missing-record", "mixed-shot-counts"])
 def test_sampled_records_outside_the_frame_or_mode_exit_2(runner, model_file, tmp_path,
                                                           command, edit):
     # records of an unknown preparation appended to a sampled file, one
-    # exact record among sampled ones, or a configuration given twice or
-    # not at all: none may be dropped, take the mode of the first record
-    # or go unnamed
+    # exact record among sampled ones, a configuration given twice or not
+    # at all, or one record at twice the others' shot count: none may be
+    # dropped, take the mode or shot count of the first record or go unnamed
     payload = _valid_payload("records", model_file)
     for entry in payload["records"]:
         entry["shots"], entry["counts"] = 10, {"0": 5, "1": 5}
@@ -686,6 +686,8 @@ def test_sampled_records_outside_the_frame_or_mode_exit_2(runner, model_file, tm
         payload["records"][0].update(shots=None, counts={"0": 0.5, "1": 0.5})
     elif edit == "repeated-record":
         payload["records"].append(dict(payload["records"][4]))
+    elif edit == "mixed-shot-counts":
+        payload["records"][0].update(shots=20, counts={"0": 10, "1": 10})
     else:
         del payload["records"][4]
     source = tmp_path / "records_X0.json"
@@ -700,6 +702,10 @@ def test_sampled_records_outside_the_frame_or_mode_exit_2(runner, model_file, tm
     assert not os.path.exists(out)
     if edit == "repeated-record":
         assert f"repeats configurations ['{config}']" in result.output
+    if edit == "one-exact-record":
+        assert "mixes exact-mode records (shots null) with sampled ones" in result.output
+    if edit == "mixed-shot-counts":
+        assert "mixes shot counts [10, 20]" in result.output
     if edit == "missing-record":
         assert f"missing: ['{config}']" in result.output
 

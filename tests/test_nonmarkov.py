@@ -7,8 +7,6 @@ from gatemem.channels import GateLabel, QuantumChannel, compose
 from gatemem import nonmarkov
 from gatemem.exceptions import DimensionError, SingularChannelError, ValidationError
 from gatemem.nonmarkov import (
-    DEFAULT_AVG_SAMPLES,
-    DEFAULT_SCAN_NMAX,
     analyze_grid,
     avg_trace_distance,
     conditional_grid,
@@ -21,7 +19,7 @@ from gatemem.nonmarkov import (
     process_tensor_proxy,
     statistical_floor,
 )
-from gatemem.qcore import DensityMatrix, _half_trace_norm
+from gatemem.qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX, DensityMatrix, _half_trace_norm
 from gatemem.simulator import build_default_model, extract_channel
 
 from conftest import _haar_vectors, ideal_channel, random_channel, random_density
@@ -215,6 +213,20 @@ class TestAvgTraceDistance:
             tracemalloc.stop()
         assert peak <= limit
 
+    def test_paper_scale_scan_stays_small(self):
+        # 15 cells at 100,000 samples (n = 6) peak as one call does (2.0
+        # MB): a scan whose cells kept their samples would need 12 MB more,
+        # and one that held a cell's samples while drawing the next 0.8 MB
+        rng = np.random.default_rng(2024)
+        chans = [random_channel(2, rng) for _ in range(6)]
+        tracemalloc.start()
+        try:
+            memory_scan(chans, metrics=("avg",), m_samples=100_000, rng=np.random.default_rng(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_500_000
+
     @staticmethod
     def _check_against_eigvalsh_reference(d, m_samples, maps):
         rng = np.random.default_rng(2024)
@@ -375,6 +387,46 @@ class TestConditionalVsMarginal:
         analysis = analyze_grid(marginals, joints, metrics=("avg",), m_samples=200, seed=3)
         assert len(calls) == 4  # one per cell of the 2 x 2 grid
         np.testing.assert_array_equal(analysis.cond_vs_marginal["avg"].values, expected.values)
+
+    def test_each_output_draws_from_its_named_stream(self, rng):
+        # each conditioned-vs-marginal matrix draws row-major from a fresh
+        # default_rng(seed), each target's gate-dependence matrix its upper
+        # triangle from a fresh default_rng(seed + 1), the histogram from
+        # default_rng(seed + 2), and a scan's cells, metric after metric in
+        # cut order, from the caller's generator
+        firsts, seconds = ["H@0", "X@0", "Z@0"], ["S@0", "T@0"]
+        marginals = {g: random_channel(2, rng) for g in firsts + seconds}
+        joints = {(u, v): compose(random_channel(2, rng), marginals[u])
+                  for u in firsts for v in seconds}
+        analysis = analyze_grid(marginals, joints, metrics=("avg", "diamond"), m_samples=300,
+                                seed=4, pair=("X", "T"))
+        for metric in ("avg", "diamond"):
+            expected = conditional_vs_marginal_matrix(marginals, joints, metric, 300,
+                                                      np.random.default_rng(4))
+            np.testing.assert_array_equal(analysis.cond_vs_marginal[metric].values,
+                                          expected.values)
+            for v in seconds:
+                conditionals = {u: conditional_map(joints[(u, v)], marginals[u])
+                                for u in firsts}
+                expected = gate_dependence_matrix(conditionals, metric, 300,
+                                                  np.random.default_rng(5))
+                np.testing.assert_array_equal(analysis.gate_dependence[(v, metric)].values,
+                                              expected.values)
+        expected = avg_trace_distance(conditional_map(joints[("X@0", "T@0")], marginals["X@0"])
+                                      .channel, marginals["T@0"], 300, np.random.default_rng(6))
+        np.testing.assert_array_equal(analysis.histogram.samples, expected.samples)
+        assert (analysis.histogram.mean, analysis.histogram.stderr) == (expected.mean,
+                                                                       expected.stderr)
+
+        chans = [random_channel(2, rng) for _ in range(4)]
+        scan = memory_scan(chans, metrics=("avg", "diamond"), m_samples=300,
+                           rng=np.random.default_rng(9))
+        shared = np.random.default_rng(9)
+        for n, m in sorted(scan.entries):
+            a, b = chans[n - 1], compose(chans[m - 1], chans[n - m - 1])
+            assert scan.entries[(n, m)] == {
+                "avg": avg_trace_distance(a, b, 300, shared).mean,
+                "diamond": nonmarkov.diamond_distance(a, b).value}
 
     def test_distance_functions_see_every_cell_at_their_module_names(self, rng, monkeypatch):
         # wrapping the module attributes, as the benchmark's tracer does,
