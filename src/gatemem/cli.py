@@ -30,20 +30,9 @@ from click.core import ParameterSource
 
 from . import pipeline, serialize
 from .channels import GateLabel
-from .exceptions import (
-    ConvergenceError,
-    DimensionError,
-    IncompleteDataError,
-    LabelError,
-    SingularChannelError,
-    SolverError,
-    ValidationError,
-)
+from .exceptions import GatememError, IncompleteDataError, ValidationError
 from .qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX
 from .tomography import build_frame
-
-_VALIDATION_ERRORS = (ValidationError, DimensionError, LabelError, IncompleteDataError)
-_NUMERICAL_ERRORS = (SolverError, ConvergenceError, SingularChannelError)
 
 _seed_option = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 _metric_option = click.option("--metric", type=click.Choice(["avg", "diamond", "both"]),
@@ -54,17 +43,18 @@ _samples_option = click.option("--samples", default=DEFAULT_AVG_SAMPLES, show_de
 
 class _ExitCodes(click.Group):
     """The command group, and the one boundary where a command's errors
-    become exit codes: 2 validation, 3 numerical, 4 I/O."""
+    become exit codes: 2 for a :class:`ValidationError` of any kind, 3
+    for every other error of the package (numerical), 4 I/O."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _VALIDATION_ERRORS as err:
+        except ValidationError as err:
             click.echo(f"validation error: {err}", err=True)
             if isinstance(err, IncompleteDataError):
                 click.echo(f"missing: {err.missing}", err=True)
             sys.exit(2)
-        except _NUMERICAL_ERRORS as err:
+        except GatememError as err:
             click.echo(f"numerical error: {err}", err=True)
             sys.exit(3)
         except (OSError, json.JSONDecodeError) as err:
@@ -152,8 +142,9 @@ def tomo(records_path, out_path):
     """Reconstruct a channel from a records file."""
     payload, records, frame = serialize.load_records(records_path)
     gates = payload.get("gates")
-    if not gates:
-        raise ValidationError(f"records file {records_path} has no 'gates' sequence")
+    with serialize.input_file("records", records_path):
+        if not gates:
+            raise ValidationError("no 'gates' sequence")
     cfg_hash, _ = _declare(False, command="tomo", records=payload)
     result = pipeline.reconstruct_channel(records, frame)
     # a channel carries the seed its records were drawn with

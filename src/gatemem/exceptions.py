@@ -9,11 +9,11 @@ class ValidationError(GatememError):
     """A domain object failed its construction invariants."""
 
 
-class DimensionError(GatememError):
+class DimensionError(ValidationError):
     """Operands have inconsistent or unsupported dimensions."""
 
 
-class LabelError(GatememError):
+class LabelError(ValidationError):
     """Unknown gate, preparation, or measurement label."""
 
 
@@ -27,7 +27,7 @@ class SingularChannelError(GatememError):
         self.sigma_max = sigma_max
 
 
-class IncompleteDataError(GatememError):
+class IncompleteDataError(ValidationError):
     """Tomography input does not cover every required configuration.
     ``missing`` lists the absent labels."""
 

@@ -79,10 +79,6 @@ class DensityMatrix:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
 
 #: Smallest relative spacing ``(y1 - y2)(y2 - y3) / y1**2`` of the
 #: resolvent roots at which the stacked 4 x 4 closed form is trusted.

@@ -6,12 +6,13 @@ written file embeds a schema tag, the configuration hash, and the seed,
 and all writes are atomic (temp file + rename) with deterministic
 content, so a rerun with the same configuration is byte-identical.
 :func:`report_payload` builds every JSON payload and ``_table_csv``
-every CSV table.  Loaders reject a malformed file with
-:class:`ValidationError` naming it.
+every CSV table.  Each loader checks a file inside :func:`input_file`,
+so every error it raises names the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
 import json
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel
-from .exceptions import DimensionError, IncompleteDataError, LabelError, ValidationError
+from .exceptions import DimensionError, IncompleteDataError, ValidationError
 from .tomography import (
     LABEL_GRAMMAR_VERSION,
     CountRecord,
@@ -165,56 +166,64 @@ def write_records(out_dir: str, gates, records, cfg_hash: str, seed) -> str:
     return path
 
 
-def _check_schema(payload: dict, kind: str, path: str) -> None:
+@contextlib.contextmanager
+def input_file(kind: str, path: str):
+    """Checks of the ``kind`` file at ``path``, each error naming the file:
+    a :class:`ValidationError` keeps its type and fields and gains the
+    prefix ``<kind> file <path>: ``, and a ``TypeError``, ``ValueError``,
+    ``AttributeError`` or ``ArithmeticError`` of a field of the wrong type,
+    shape or size becomes ``<kind> file <path>: malformed: ...``."""
+    try:
+        yield
+    except ValidationError as err:
+        err.args = (f"{kind} file {path}: {err}", *err.args[1:])
+        raise
+    except (TypeError, ValueError, AttributeError, ArithmeticError) as err:
+        raise ValidationError(f"{kind} file {path}: malformed: {err}") from err
+
+
+def _check_schema(payload: dict, kind: str) -> None:
     """The file holds a JSON object, and its schema tag, when present,
     names this kind at this version; hand-written files carry none."""
     if not isinstance(payload, dict):
-        raise ValidationError(f"{kind} file {path} must hold a JSON object")
+        raise ValidationError("must hold a JSON object")
     expected = _schema_tag(kind)
     tag = payload.get("schema", expected)
     if tag != expected:
-        raise ValidationError(f"{kind} file {path} has schema {tag!r}, expected {expected!r}")
+        raise ValidationError(f"schema {tag!r}, expected {expected!r}")
 
 
-def _check_gates(payload: dict, kind: str, path: str, n_qubits: int) -> None:
+def _check_gates(payload: dict, n_qubits: int) -> None:
     """``gates``, when present, lists gate tokens on wires below ``n_qubits``."""
     gates = payload.get("gates", [])
     if not isinstance(gates, list) or not all(isinstance(tok, str) for tok in gates):
-        raise ValidationError(f"{kind} file {path}: 'gates' must be a list of gate tokens")
+        raise ValidationError("'gates' must be a list of gate tokens")
     for tok in gates:
-        try:
-            gate = GateLabel.parse(tok)
-        except (LabelError, ValidationError) as err:
-            raise ValidationError(f"{kind} file {path}: {err}") from None
+        gate = GateLabel.parse(tok)
         if min(gate.qubits) < 0 or max(gate.qubits) >= n_qubits:
-            raise ValidationError(
-                f"{kind} file {path}: gate {tok!r} does not fit on {n_qubits} qubit(s)")
+            raise ValidationError(f"gate {tok!r} does not fit on {n_qubits} qubit(s)")
 
 
 def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, TomographyFrame]:
     """The count records of a records file and the tomography frame of its
     ``n_qubits``, once the records meet the record-set rule of
     ``tomography._records_by_config``; error messages name ``path``."""
-    try:
-        _check_schema(payload, "records", path)
+    with input_file("records", path):
+        _check_schema(payload, "records")
         version = payload.get("grammar_version", LABEL_GRAMMAR_VERSION)
         if version != LABEL_GRAMMAR_VERSION:
             raise ValidationError(
-                f"records file {path} uses label grammar version {version!r}, "
-                f"expected {LABEL_GRAMMAR_VERSION}")
+                f"label grammar version {version!r}, expected {LABEL_GRAMMAR_VERSION}")
         missing = [key for key in ("n_qubits", "records") if key not in payload]
         missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
         if missing or not payload["records"]:
-            raise ValidationError(f"records file {path} is missing {missing or 'every record'}")
-        try:
-            frame = build_frame(payload["n_qubits"])
-        except DimensionError as err:
-            raise DimensionError(f"records file {path}: {err}") from None
-        _check_gates(payload, "records", path, frame.n_qubits)
+            raise ValidationError(f"missing {missing or 'every record'}")
+        frame = build_frame(payload["n_qubits"])
+        _check_gates(payload, frame.n_qubits)
         records = []
         for i, entry in enumerate(payload["records"]):
-            try:
+            try:  # a record's own checks do not know its index
                 records.append(CountRecord(
                     prep_label=entry["prep"],
                     meas_label=entry["meas"],
@@ -223,11 +232,9 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, 
                     seed=entry.get("seed"),
                 ))
             except ValidationError as err:
-                raise ValidationError(f"records file {path}, record {i}: {err}") from err
-        _records_by_config(records, frame, frame.prep_labels, f"records file {path}")
+                raise ValidationError(f"record {i}: {err}") from err
+        _records_by_config(records, frame, frame.prep_labels)
         return records, frame
-    except (TypeError, ValueError, AttributeError) as err:
-        raise ValidationError(f"records file {path} is malformed: {err}") from err
 
 
 def load_records(path: str) -> tuple[dict, list[CountRecord], TomographyFrame]:
@@ -246,20 +253,31 @@ def _finite(value, field: str) -> float:
 
 def load_model(path: str) -> tuple[SEModel, dict]:
     """A model file as (simulator model, the file's specification).  A key
-    the model does not read, at the top level or in ``spam``, is an error."""
+    the model does not read, at the top level or in ``spam``, is an error,
+    and so are an empty ``gates`` list and a width other than 1 or 2, the
+    widths of the tomography frames, which are refused before any unitary
+    is built."""
     from .simulator import DEFAULT_COUPLING, SpamSpec, build_default_model
 
     spec = load_json(path)
-    if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list):
-        raise ValidationError(f"model file {path} has no 'gates' list")
-    spam_cfg = spec.get("spam", {})
-    unknown = sorted(set(spec) - {"gates", "coupling", "reset_policy", "sys_qubits",
-                                  "env_omega", "durations", "env_initial", "spam"})
-    if isinstance(spam_cfg, dict):
-        unknown += [f"spam.{key}" for key in sorted(set(spam_cfg) - {"prep", "meas", "seed"})]
-    if unknown:
-        raise ValidationError(f"model file {path} has unknown keys {unknown}")
-    try:
+    with input_file("model", path):
+        if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list) \
+                or not spec["gates"]:
+            raise ValidationError("needs a non-empty 'gates' list")
+        spam_cfg = spec.get("spam", {})
+        unknown = sorted(set(spec) - {"gates", "coupling", "reset_policy", "sys_qubits",
+                                      "env_omega", "durations", "env_initial", "spam"})
+        if isinstance(spam_cfg, dict):
+            unknown += [f"spam.{key}" for key in sorted(set(spam_cfg) - {"prep", "meas", "seed"})]
+        if unknown:
+            raise ValidationError(f"unknown keys {unknown}")
+        labels = [GateLabel.parse(tok) for tok in spec["gates"]]
+        width = spec.get("sys_qubits")
+        if width is None:
+            width = max(max(label.qubits) for label in labels) + 1
+        if isinstance(width, bool) or width not in (1, 2):
+            raise DimensionError(
+                f"'sys_qubits', or else the widest gate's width, must be 1 or 2, got {width!r}")
         spam = SpamSpec(
             prep_strength=_finite(spam_cfg.get("prep", 0.0), "spam.prep"),
             meas_strength=_finite(spam_cfg.get("meas", 0.0), "spam.meas"),
@@ -274,7 +292,7 @@ def load_model(path: str) -> tuple[SEModel, dict]:
             if not np.isfinite(env_initial).all():
                 raise ValidationError("'env_initial' must be finite")
         model = build_default_model(
-            labels=spec["gates"],
+            labels=labels,
             coupling=_finite(spec.get("coupling", DEFAULT_COUPLING), "coupling"),
             reset_policy=spec.get("reset_policy", "persistent"),
             sys_qubits=spec.get("sys_qubits"),
@@ -283,10 +301,6 @@ def load_model(path: str) -> tuple[SEModel, dict]:
             env_initial=env_initial,
             spam=spam,
         )
-    except (TypeError, ValueError, AttributeError) as err:
-        raise ValidationError(f"model file {path} is malformed: {err}") from err
-    except (ValidationError, DimensionError) as err:
-        raise type(err)(f"model file {path}: {err}") from err
     return model, spec
 
 
@@ -307,24 +321,23 @@ def channel_payload(
 
 
 def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChannel:
-    """The channel of a channel file; error messages name ``path``."""
-    try:
-        _check_schema(payload, "channel", path)
+    """The channel of a channel file, which names its gate sequence;
+    error messages name ``path``."""
+    with input_file("channel", path):
+        _check_schema(payload, "channel")
         normalization = payload.get("normalization")
         if normalization != "column-stacking":
-            raise ValidationError(f"channel file {path}: unknown vectorization {normalization!r}")
+            raise ValidationError(f"unknown vectorization {normalization!r}")
         missing = [key for key in ("superop", "dim") if key not in payload]
         if missing:
-            raise ValidationError(f"channel file {path} is missing {missing}")
-        superop = decode_matrix(payload["superop"])
-        if not np.isfinite(superop).all():
-            raise ValidationError(f"channel file {path}: superop has non-finite entries")
-        if superop.shape[0] != payload["dim"] ** 2:
-            raise ValidationError(f"channel file {path}: superop size disagrees with dim")
-        _check_gates(payload, "channel", path, int(payload["dim"]).bit_length() - 1)
-        return QuantumChannel(superop)
-    except (TypeError, ValueError, AttributeError) as err:
-        raise ValidationError(f"channel file {path} is malformed: {err}") from err
+            raise ValidationError(f"missing {missing}")
+        channel = QuantumChannel(decode_matrix(payload["superop"]))
+        if payload["dim"] != channel.dim:
+            raise ValidationError("superop size disagrees with dim")
+        if not payload.get("gates"):
+            raise ValidationError("no 'gates' sequence")
+        _check_gates(payload, channel.dim.bit_length() - 1)
+        return channel
 
 
 def tomography_payload(result: TomographyResult, gates, shots, cfg_hash: str, seed) -> dict:
@@ -348,8 +361,6 @@ def load_channel_dir(channels_dir: str) -> dict:
     for path in paths:
         payload = load_json(path)
         channel = channel_from_payload(payload, path)
-        if not payload.get("gates"):
-            raise ValidationError(f"channel file {path} has no 'gates' sequence")
         key = tuple(str(GateLabel.parse(tok)) for tok in payload["gates"])
         if key in sources:
             raise ValidationError(

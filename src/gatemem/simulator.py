@@ -307,15 +307,12 @@ def circuit_distribution(model: SEModel, descriptor: CircuitDescriptor) -> np.nd
     return _normalized(_rotated_probabilities(rho_out, rot))
 
 
-def sample_counts(
-    model: SEModel,
-    descriptor: CircuitDescriptor,
-    shots: int | None,
-    rng=None,
-) -> CountRecord:
-    """Multinomial counts (or exact probabilities when ``shots`` is
-    None) for one configuration.  Passing an integer ``rng`` seeds a
-    dedicated generator and records the seed on the record."""
+def sample_counts(model: SEModel, descriptor: CircuitDescriptor, shots: int | None,
+                  rng) -> CountRecord:
+    """Multinomial counts from the generator ``rng`` (or exact
+    probabilities when ``shots`` is None) for one configuration.  An
+    integer ``rng`` seeds a dedicated generator and is recorded on the
+    record."""
     probs = circuit_distribution(model, descriptor)
     return _count_record(descriptor.prep_label, descriptor.meas_label, probs, shots, rng)
 
@@ -323,12 +320,12 @@ def sample_counts(
 def cji_circuit(model: SEModel, u_gate: GateLabel, v_gate: GateLabel) -> DensityMatrix:
     """Four-qubit entangled state encoding a two-step process.
 
-    Two Bell pairs are prepared cleanly (Hadamard then controlled-NOT);
-    the noisy gates act in sequence on one physical wire, with an exact
-    swap (three controlled-NOTs) moving the first step's output aside in
-    between.  Wire order of the result is (kept half 1, step-1 output,
-    kept half 2, step-2 output), so for memoryless noise it equals the
-    product of the two steps' trace-1 operator representations.
+    Two Bell pairs are prepared cleanly (Hadamard then controlled-NOT),
+    the second after the first noisy gate; the noisy gates act on one
+    half of each pair, sharing the environment.  Wire order of the
+    result is (kept half 1, step-1 output, kept half 2, step-2 output),
+    so for memoryless noise it equals the product of the two steps'
+    trace-1 operator representations.
     """
     if model.sys_qubits != 1:
         raise DimensionError("the process-encoding circuit drives a single-qubit model")
@@ -342,25 +339,15 @@ def cji_circuit(model: SEModel, u_gate: GateLabel, v_gate: GateLabel) -> Density
         full = embed_unitary(u, wires, dims)
         state = full @ state @ full.conj().T
 
-    def noisy(gate):
+    def noisy(gate, wire):
         nonlocal state
         joint = model.joint_unitary(gate)  # acts on (system wire, env)
-        state = _noisy_step(model, embed_unitary(joint, (1, 4), dims), state)
+        state = _noisy_step(model, embed_unitary(joint, (wire, 4), dims), state)
 
     clean(_H, (0,))
     clean(_CX, (0, 1))
-    noisy(u_gate)
+    noisy(u_gate, 1)
     clean(_H, (2,))
     clean(_CX, (2, 3))
-    # swap wires 1 and 3 as three controlled-NOTs
-    clean(_CX, (1, 3))
-    clean(_CX, (3, 1))
-    clean(_CX, (1, 3))
-    noisy(v_gate)
-
-    reduced = _trace_out_last(state, model.env_dim)
-    # reorder wires (0, 1, 2, 3) -> (0, 3, 2, 1)
-    tensor = reduced.reshape((2,) * 8)
-    perm = (0, 3, 2, 1)
-    tensor = tensor.transpose(perm + tuple(p + 4 for p in perm))
-    return DensityMatrix(tensor.reshape(16, 16))
+    noisy(v_gate, 3)
+    return DensityMatrix(_trace_out_last(state, model.env_dim))

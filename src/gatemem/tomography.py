@@ -260,18 +260,17 @@ def _spawn_seeds(seed: int | None, count: int) -> list[int]:
     return [int(child) for child in state]
 
 
-def _count_record(prep: str, meas: str, probs, shots: int | None, rng=None) -> CountRecord:
+def _count_record(prep: str, meas: str, probs, shots: int | None, rng) -> CountRecord:
     """Record of one configuration from its normalized outcome
     probabilities: the probabilities themselves when ``shots`` is None,
-    otherwise a multinomial draw.  An integer ``rng`` seeds a dedicated
-    generator and is recorded as the record's seed."""
+    otherwise a multinomial draw from the generator ``rng``.  An integer
+    ``rng`` seeds a dedicated generator and is recorded as the record's
+    seed."""
     keys = outcome_bitstrings(len(split_label(prep)))
     if shots is None:
         return CountRecord(prep, meas, {k: float(p) for k, p in zip(keys, probs)}, None)
     seed = None
-    if rng is None:
-        rng = np.random.default_rng()
-    elif isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.default_rng(seed)
     draw = rng.multinomial(int(shots), probs)
@@ -332,36 +331,35 @@ class MleEstimate:
     iterations: int
 
 
-def _records_by_config(records, frame: TomographyFrame, preps, source="record set") -> dict:
+def _records_by_config(records, frame: TomographyFrame, preps) -> dict:
     """The records keyed by ``(prep, meas)``, once they meet the one
     record-set rule: every record takes its labels from ``frame`` and its
     preparation from ``preps``, all have one ``shots`` (None for every
     exact record, or one shot count), and each configuration of ``preps``
-    and the frame's settings has exactly one record.  Errors begin with
-    ``source`` and name a configuration ``prep/meas`` or a record index."""
+    and the frame's settings has exactly one record.  Errors name a
+    configuration ``prep/meas`` or a record index."""
     by_config, repeated, shots = {}, set(), set()
     for i, rec in enumerate(records):
         config = (rec.prep_label, rec.meas_label)
         if rec.prep_label not in frame.prep_labels or rec.meas_label not in frame.meas_labels:
             raise ValidationError(
-                f"{source}, record {i}: prep {rec.prep_label!r} or meas {rec.meas_label!r}"
+                f"record {i}: prep {rec.prep_label!r} or meas {rec.meas_label!r}"
                 f" is not in the {frame.n_qubits}-qubit frame")
         if rec.prep_label not in preps:
-            raise ValidationError(f"{source}, record {i}: prep {rec.prep_label!r} not in {preps}")
+            raise ValidationError(f"record {i}: prep {rec.prep_label!r} not in {preps}")
         if config in by_config:
             repeated.add("/".join(config))
         by_config[config] = rec
         shots.add(rec.shots)
     if None in shots and len(shots) > 1:
-        raise ValidationError(
-            f"{source} mixes exact-mode records (shots null) with sampled ones")
+        raise ValidationError("record set mixes exact-mode records (shots null) with sampled ones")
     if len(shots) > 1:
-        raise ValidationError(f"{source} mixes shot counts {sorted(shots)}")
+        raise ValidationError(f"record set mixes shot counts {sorted(shots)}")
     if repeated:
-        raise ValidationError(f"{source} repeats configurations {sorted(repeated)}")
+        raise ValidationError(f"record set repeats configurations {sorted(repeated)}")
     missing = [f"{p}/{m}" for p in preps for m in frame.meas_labels if (p, m) not in by_config]
     if missing:
-        raise IncompleteDataError(f"{source} is missing configurations {missing}", missing)
+        raise IncompleteDataError(f"record set is missing configurations {missing}", missing)
     return by_config
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from gatemem.channels import GateLabel, QuantumChannel, compose
 from gatemem.cli import main
 from gatemem.errprop import reconstruction_uncertainty
-from gatemem.exceptions import IncompleteDataError, ValidationError
+from gatemem.exceptions import GatememError, IncompleteDataError, ValidationError
 from gatemem.nonmarkov import analyze_grid, repetitions
 from gatemem.pipeline import process_tensor_pair, simulate_records
 from gatemem.serialize import (
@@ -469,7 +470,7 @@ def _remove(payload, path):
     if last == "*":
         payload.clear()
     else:
-        del payload[last]
+        del payload[int(last) if isinstance(payload, list) else last]
 
 
 def _valid_payload(kind, model_file):
@@ -543,6 +544,8 @@ def _set(payload, path, value):
 #: (input kind, path in a valid file or option name, bad value, command)
 MALFORMED_VALUES = [
     ("option", "--gates", "X@a", "simulate"),
+    ("option", "--gates", ";", "simulate"),  # no sequence at all
+    ("option", "--gates", "S", "ptensor"),  # one gate, not a pair
     ("option", "--pair", "X@a,X", "analyze"),
     ("option", "--gate", "X@a", "errors-spam"),
     ("option", "--eps-grid", "a,b", "errors-spam"),
@@ -553,6 +556,7 @@ MALFORMED_VALUES = [
     ("option", "--eps-grid", "0,1e-3,inf", "errors-spam"),
     ("option", "--eps-grid", "0,1e-3,-inf", "errors-spam"),
     ("option", "--eps-grid", "0,1e-20,1e-19", "errors-spam"),  # errors at the roundoff floor
+    ("option", "--eps-grid", "0,0.01,0.1", "errors-spam"),  # beyond the small-kick regime
     ("model", "coupling", "abc", "simulate"),
     ("model", "sys_qubits", 0, "simulate"),
     ("model", "sys_qubits", -1, "simulate"),
@@ -613,8 +617,8 @@ MALFORMED_VALUES = [
                          ids=[f"{k}-{p or 'top'}={json.dumps(v)}-{c}"
                               for k, p, v, c in MALFORMED_VALUES])
 def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value, command):
-    source_kind = {"simulate": "model", "errors-spam": "model", "tomo": "records",
-                   "analyze": "channel"}[command]
+    source_kind = {"simulate": "model", "errors-spam": "model", "ptensor": "model",
+                   "tomo": "records", "analyze": "channel"}[command]
     payload = _valid_payload(source_kind, model_file)
     if kind != "option":
         payload = _set(payload, path, value)
@@ -633,6 +637,7 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
         "tomo": ["tomo", "--records", str(source), "--out", out],
         "analyze": ["analyze", "--channels", str(inputs), "--samples", "100", "--out", out],
         "errors-spam": ["errors", "--model", str(source), "--gate", "X", "--out", out],
+        "ptensor": ["ptensor", "--model", str(source), "--out", out],
     }[command]
     if kind == "option":
         args += [path, value]  # the last occurrence of an option wins
@@ -649,6 +654,118 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
         assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
     if path == "grammar_version":  # and the found and the expected grammar
         assert f"version {value}, expected {LABEL_GRAMMAR_VERSION}" in result.output
+
+
+#: A valid model that sets every key a model file may hold
+MUTATION_MODEL = {
+    "gates": ["X"], "sys_qubits": 1, "coupling": 0.55, "env_omega": 0.7,
+    "reset_policy": "persistent", "durations": {"X": 1.0},
+    "env_initial": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
+    "spam": {"prep": 0.01, "meas": 0.01, "seed": 0},
+}
+
+#: Each JSON path of a valid input is set to each of these in turn, or deleted
+MUTANT_VALUES = [None, True, -1, 0, 3, 10**15, 1.5, 1e308, math.nan, "x", "", [], [1], {},
+                 {"x": 1}]
+
+#: Fields whose entries are matrix entries.  The loaders take an entry at
+#: any finite magnitude, so a huge one is left out of their mutations: it
+#: overflows later, in the analysis, not in the loader.
+MATRIX_FIELDS = ("superop/", "env_initial/")
+
+
+def _json_paths(node, prefix=""):
+    """Every path of a JSON document, the root ``""`` first; of a list,
+    only the paths through its first element."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:1])
+    else:
+        return
+    for key, child in children:
+        yield from _json_paths(child, f"{prefix}/{key}" if prefix else str(key))
+
+
+def _mutants(payload):
+    """(label, mutated copy) of ``payload`` for each path and value."""
+    for path in _json_paths(payload):
+        if path:
+            deleted = json.loads(json.dumps(payload))
+            _remove(deleted, path)
+            yield f"{path} deleted", deleted
+        for value in MUTANT_VALUES:
+            if value == 1e308 and path.startswith(MATRIX_FIELDS):
+                continue
+            yield f"{path}={value!r}", _set(json.loads(json.dumps(payload)), path, value)
+
+
+def test_every_mutated_input_is_refused_by_name_or_runs(runner, model_file, tmp_path):
+    # each field of a valid model, records and channel file set to a value of
+    # the wrong type, shape or range: the loader returns or raises a package
+    # error naming the file, and a command on it exits 0, 2, 3 or 4, writing
+    # nothing unless it succeeds
+    x = ideal_channel(GateLabel("X", (0,)))
+    valid = {"model": MUTATION_MODEL, "records": _valid_payload("records", model_file),
+             "channel": _valid_payload("channel", model_file)}
+    short_rows = json.loads(json.dumps(valid["channel"]))
+    short_rows["superop"] = [row[:-1] for row in short_rows["superop"]]
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "channel_X0-X0.json").write_text(
+        json.dumps(channel_payload(compose(x, x), ["X@0", "X@0"], None, "0", 0)))
+    source = inputs / "channel_X0.json"
+    out = tmp_path / "out"
+    loaders = {"model": load_model, "records": load_records,
+               "channel": lambda path: load_channel_dir(os.path.dirname(path))}
+    commands = {
+        "model": ["simulate", "--model", str(source), "--gates", "X", "--shots", "10"],
+        "records": ["tomo", "--records", str(source)],
+        "channel": ["scan", "--channels", str(inputs), "--nmax", "2", "--samples", "10"],
+    }
+    cases = [(kind, label, mutant) for kind in valid for label, mutant in _mutants(valid[kind])]
+    cases.append(("channel", "rows one entry short", short_rows))
+    failures = []
+    for kind, label, mutant in cases:
+        source.write_text(json.dumps(mutant))
+        try:
+            loaders[kind](str(source))
+        except GatememError as err:
+            if str(source) not in str(err):
+                failures.append((kind, label, f"unnamed: {err}"))
+        except Exception as err:  # any other type escaping the loader is the failure
+            failures.append((kind, label, f"{type(err).__name__}: {err}"))
+        result = runner.invoke(main, [*commands[kind], "--out", str(out / "o.json")])
+        if result.exit_code not in (0, 2, 3, 4):
+            failures.append((kind, label, f"exit {result.exit_code}: {result.exception!r}"))
+        elif result.exit_code and out.exists():
+            failures.append((kind, label, f"exit {result.exit_code} wrote {os.listdir(out)}"))
+        if out.exists():
+            shutil.rmtree(out)
+    assert len(cases) > 500
+    assert failures == []
+
+
+@pytest.mark.parametrize("run", ["ptensor-two-qubit-model", "scan-mixed-dimensions"])
+def test_valid_input_the_run_cannot_use_exits_2(runner, tmp_path, run):
+    # the process-encoding circuit drives one qubit, and a scan compares
+    # maps of one dimension
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"sys_qubits": 2, "gates": ["S", "T"]}))
+    x1, x2 = (ideal_channel(GateLabel("X", (0,)), n) for n in (1, 2))
+    _write_channels(tmp_path / "chan", {("X@0",): x1, ("X@0", "X@0"): compose(x2, x2)})
+    out = tmp_path / "out"
+    args, reason = {
+        "ptensor-two-qubit-model": (["ptensor", "--model", str(model), "--gates", "S,T"],
+                                    "single-qubit model"),
+        "scan-mixed-dimensions": (["scan", "--channels", str(tmp_path / "chan"), "--nmax", "2",
+                                   "--samples", "10"], "share one dimension"),
+    }[run]
+    result = runner.invoke(main, [*args, "--out", str(out / "o.json")])
+    assert result.exit_code == 2, result.output
+    assert reason in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", [float("inf"), float("nan")])

@@ -3,7 +3,7 @@ import pytest
 
 from gatemem.channels import GateLabel, apply
 from gatemem.errprop import propagate_statistics, spam_scaling
-from gatemem.exceptions import ValidationError
+from gatemem.exceptions import ConvergenceError, ValidationError
 from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
 from gatemem.qcore import _half_trace_norm
 from gatemem.simulator import build_default_model
@@ -113,6 +113,30 @@ class TestPropagateStatistics:
                 assert r.shots == 1024
                 assert all(isinstance(c, int) for c in r.counts.values())
                 assert sum(r.counts.values()) == 1024
+
+    def test_failed_trials_are_excluded_and_counted(self, rng):
+        # the closure raises a package error on the chosen trials (call 0
+        # is the point estimate); fewer than two survivors leave no spread
+        records = records_from_channel(random_channel(2, np.random.default_rng(21)), 1024,
+                                       seed=3, frame=build_frame(1))
+
+        def failing_on(trials):
+            calls = []
+
+            def run(trial_records):
+                calls.append(trial_records)
+                if len(calls) - 1 in trials:
+                    raise ConvergenceError("trial did not converge", None, 0)
+                return float(len(calls))
+
+            return run
+
+        report = propagate_statistics(records, failing_on({2, 4}), 5, rng)
+        assert report.failed_trials == 2
+        assert report.values == (2.0, 4.0, 6.0)
+        assert report.std == pytest.approx(2.0)
+        with pytest.raises(ValidationError, match="only 1 trials survived"):
+            propagate_statistics(records, failing_on({1, 2, 3, 4}), 5, rng)
 
     def test_spread_matches_direct_resampling_oracle_within_forty_percent(self):
         # the setup of acceptance criterion 09, held to a tighter band

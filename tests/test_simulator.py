@@ -169,7 +169,7 @@ class TestSampleCounts:
         frame = build_frame(1)
         descriptors = enumerate_circuits([X], frame)
         for desc in descriptors[:4]:
-            record = sample_counts(persistent_model, desc, None)
+            record = sample_counts(persistent_model, desc, None, rng=None)
             assert record.shots is None
             probs = circuit_distribution(persistent_model, desc)
             np.testing.assert_allclose(

@@ -256,3 +256,17 @@ def test_written_file_takes_the_umask(tmp_path, umask, mode):
     assert path.read_text() == "new\n"
     assert path.stat().st_mode & 0o777 == mode
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(str(path), "new\n")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
