@@ -59,6 +59,8 @@ class GateLabel:
                 raise ValidationError("CX takes exactly two distinct wire indices")
         elif len(qubits) != 1:
             raise ValidationError(f"{self.name} takes exactly one wire index")
+        if min(qubits) < 0:
+            raise ValidationError(f"wire indices are non-negative, got {self}")
 
     def __str__(self) -> str:
         return f"{self.name}@{'.'.join(str(q) for q in self.qubits)}"
@@ -103,6 +105,12 @@ class QuantumChannel:
     @property
     def dim(self) -> int:
         return math.isqrt(self.superop.shape[0])
+
+    @property
+    def n_qubits(self) -> int:
+        if self.dim & (self.dim - 1):  # not a power of two
+            raise DimensionError(f"'dim' must be a power of two, got {self.dim}")
+        return self.dim.bit_length() - 1
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -188,12 +196,18 @@ def embed_unitary(u: np.ndarray, wires, dims) -> np.ndarray:
     return tensor.reshape(total, total)
 
 
-def gate_unitary(gate: GateLabel, n_qubits: int | None = None) -> np.ndarray:
+def _fitted_gates(gate_sequence, n_qubits: int) -> tuple[GateLabel, ...]:
+    """The sequence as a tuple, once every gate fits on ``n_qubits``."""
+    gates = tuple(gate_sequence)
+    for gate in gates:
+        if max(gate.qubits) >= n_qubits:
+            raise DimensionError(f"gate {gate} does not fit on {n_qubits} qubit(s)")
+    return gates
+
+
+def gate_unitary(gate: GateLabel, n_qubits: int) -> np.ndarray:
     """Unitary matrix of a gate embedded on ``n_qubits`` wires."""
-    n = max(gate.qubits) + 1 if n_qubits is None else int(n_qubits)
-    if max(gate.qubits) >= n:
-        raise DimensionError(f"gate {gate} does not fit on {n} qubits")
-    return embed_unitary(_GATE_MATRICES[gate.name], gate.qubits, (2,) * n)
+    return embed_unitary(_GATE_MATRICES[gate.name], gate.qubits, (2,) * n_qubits)
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:

@@ -150,8 +150,6 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     from .simulator import SpamSpec, extract_channel
 
     strengths = sorted(float(s) for s in strengths)
-    if not np.all(np.isfinite(strengths)):
-        raise ValidationError(f"strengths must be finite, got {strengths}")
     if 0.0 not in strengths:
         raise ValidationError("strength grid must include 0")
     if len({s for s in strengths if s > 0}) < 2:

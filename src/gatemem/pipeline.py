@@ -5,20 +5,18 @@ and the two-step process state against its memoryless reference."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import GateLabel, QuantumChannel, apply
+from .channels import GateLabel, QuantumChannel, _fitted_gates, apply
 from .exceptions import IncompleteDataError
 from .tomography import (
     CountRecord,
     TomographyFrame,
     TomographyResult,
     _count_record,
-    _fitted_gates,
     _normalized,
     _rotated_probabilities,
     _spawn_seeds,
@@ -103,7 +101,7 @@ def records_from_channel(
     probabilities; otherwise each configuration is sampled
     multinomially with its own spawned seed.
     """
-    frame = frame or build_frame(int(math.log2(channel.dim)))
+    frame = frame or build_frame(channel.n_qubits)
     rotations = [meas_rotation(meas) for meas in frame.meas_labels]
     outputs = (apply(channel, state) for state in frame.prep_states)
     return _sampled_records(frame, outputs, rotations, shots, seed)

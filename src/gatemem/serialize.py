@@ -15,21 +15,22 @@ from __future__ import annotations
 import contextlib
 import glob
 import hashlib
+import inspect
 import json
-import math
 import os
 import tempfile
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import GateLabel, QuantumChannel
-from .exceptions import DimensionError, IncompleteDataError, ValidationError
+from .channels import GateLabel, QuantumChannel, _fitted_gates
+from .exceptions import IncompleteDataError, ValidationError
 from .tomography import (
     LABEL_GRAMMAR_VERSION,
     CountRecord,
     TomographyFrame,
     TomographyResult,
+    _frame_width,
     _records_by_config,
     build_frame,
 )
@@ -194,14 +195,11 @@ def _check_schema(payload: dict, kind: str) -> None:
 
 
 def _check_gates(payload: dict, n_qubits: int) -> None:
-    """``gates``, when present, lists gate tokens on wires below ``n_qubits``."""
+    """``gates``, when present, lists gate tokens that fit on ``n_qubits``."""
     gates = payload.get("gates", [])
     if not isinstance(gates, list) or not all(isinstance(tok, str) for tok in gates):
         raise ValidationError("'gates' must be a list of gate tokens")
-    for tok in gates:
-        gate = GateLabel.parse(tok)
-        if min(gate.qubits) < 0 or max(gate.qubits) >= n_qubits:
-            raise ValidationError(f"gate {tok!r} does not fit on {n_qubits} qubit(s)")
+    _fitted_gates([GateLabel.parse(tok) for tok in gates], n_qubits)
 
 
 def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, TomographyFrame]:
@@ -219,7 +217,7 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, 
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
         if missing or not payload["records"]:
             raise ValidationError(f"missing {missing or 'every record'}")
-        frame = build_frame(payload["n_qubits"])
+        frame = build_frame(_frame_width(payload["n_qubits"], "'n_qubits'"))
         _check_gates(payload, frame.n_qubits)
         records = []
         for i, entry in enumerate(payload["records"]):
@@ -243,64 +241,33 @@ def load_records(path: str) -> tuple[dict, list[CountRecord], TomographyFrame]:
     return (payload, *records_from_payload(payload, path))
 
 
-def _finite(value, field: str) -> float:
-    """``value`` as a finite float; ``nan`` and ``inf`` name ``field``."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValidationError(f"'{field}' must be finite, got {number}")
-    return number
-
-
 def load_model(path: str) -> tuple[SEModel, dict]:
-    """A model file as (simulator model, the file's specification).  A key
-    the model does not read, at the top level or in ``spam``, is an error,
-    and so are an empty ``gates`` list and a width other than 1 or 2, the
-    widths of the tomography frames, which are refused before any unitary
-    is built."""
-    from .simulator import DEFAULT_COUPLING, SpamSpec, build_default_model
+    """A model file as (simulator model, the file's specification).  Its
+    keys are the parameters of ``simulator.build_default_model``, with
+    ``gates`` for ``labels``, and ``spam`` is an object of ``prep``,
+    ``meas`` and ``seed``; any other key is an error.  The builder and
+    ``SpamSpec`` check every present key and default every absent one."""
+    from .simulator import SpamSpec, build_default_model
 
     spec = load_json(path)
     with input_file("model", path):
-        if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list) \
-                or not spec["gates"]:
+        if not isinstance(spec, dict) or not isinstance(spec.get("gates"), list):
             raise ValidationError("needs a non-empty 'gates' list")
-        spam_cfg = spec.get("spam", {})
-        unknown = sorted(set(spec) - {"gates", "coupling", "reset_policy", "sys_qubits",
-                                      "env_omega", "durations", "env_initial", "spam"})
-        if isinstance(spam_cfg, dict):
-            unknown += [f"spam.{key}" for key in sorted(set(spam_cfg) - {"prep", "meas", "seed"})]
+        if not isinstance(spec.get("spam", {}), dict):
+            raise ValidationError("'spam' must be an object")
+        params = {"gates" if name == "labels" else name: name
+                  for name in inspect.signature(build_default_model).parameters}
+        spam_fields = {"prep": "prep_strength", "meas": "meas_strength", "seed": "seed"}
+        unknown = sorted(set(spec) - set(params)) + [
+            f"spam.{key}" for key in sorted(set(spec.get("spam", {})) - set(spam_fields))]
         if unknown:
             raise ValidationError(f"unknown keys {unknown}")
-        labels = [GateLabel.parse(tok) for tok in spec["gates"]]
-        width = spec.get("sys_qubits")
-        if width is None:
-            width = max(max(label.qubits) for label in labels) + 1
-        if isinstance(width, bool) or width not in (1, 2):
-            raise DimensionError(
-                f"'sys_qubits', or else the widest gate's width, must be 1 or 2, got {width!r}")
-        spam = SpamSpec(
-            prep_strength=_finite(spam_cfg.get("prep", 0.0), "spam.prep"),
-            meas_strength=_finite(spam_cfg.get("meas", 0.0), "spam.meas"),
-            seed=spam_cfg.get("seed", 0),
-        )
-        durations = spec.get("durations")
-        for name, value in dict(durations or {}).items():
-            _finite(value, f"durations.{name}")
-        env_initial = None
+        kwargs = {params[key]: value for key, value in spec.items()}
         if "env_initial" in spec:
-            env_initial = decode_matrix(spec["env_initial"])
-            if not np.isfinite(env_initial).all():
-                raise ValidationError("'env_initial' must be finite")
-        model = build_default_model(
-            labels=labels,
-            coupling=_finite(spec.get("coupling", DEFAULT_COUPLING), "coupling"),
-            reset_policy=spec.get("reset_policy", "persistent"),
-            sys_qubits=spec.get("sys_qubits"),
-            env_omega=_finite(spec.get("env_omega", 0.7), "env_omega"),
-            durations=durations,
-            env_initial=env_initial,
-            spam=spam,
-        )
+            kwargs["env_initial"] = decode_matrix(spec["env_initial"])
+        if "spam" in spec:
+            kwargs["spam"] = SpamSpec(**{spam_fields[k]: value for k, value in spec["spam"].items()})
+        model = build_default_model(**kwargs)
     return model, spec
 
 
@@ -336,7 +303,7 @@ def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChann
             raise ValidationError("superop size disagrees with dim")
         if not payload.get("gates"):
             raise ValidationError("no 'gates' sequence")
-        _check_gates(payload, channel.dim.bit_length() - 1)
+        _check_gates(payload, _frame_width(channel.n_qubits, f"the width of 'dim' {channel.dim}"))
         return channel
 
 

@@ -25,8 +25,10 @@ supplied data; analysis code cannot distinguish provenance.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .channels import (
     _GATE_MATRICES,
     GateLabel,
     QuantumChannel,
+    _fitted_gates,
     embed_unitary,
     gate_unitary,
     vec,
@@ -51,6 +54,7 @@ from .tomography import (
     CircuitDescriptor,
     CountRecord,
     _count_record,
+    _frame_width,
     _normalized,
     _rotated_probabilities,
     meas_rotation,
@@ -65,6 +69,14 @@ DEFAULT_COUPLING = 0.55
 _X, _Z, _H, _CX = (_GATE_MATRICES[name] for name in ("X", "Z", "H", "CX"))
 
 
+def _finite_real(value, name: str) -> float:
+    """``value`` as a float, once it is a finite real and not a ``bool``; errors name ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:  # an int beyond float range fails too
+        raise ValidationError(f"'{name}' must be a finite real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SpamSpec:
     """Preparation/measurement imperfection strengths.
@@ -72,8 +84,9 @@ class SpamSpec:
     Each distinct preparation or measurement label gets one fixed
     random small-angle unitary kick, drawn once from ``seed`` and scaled
     by the corresponding strength; zero strength skips the kick path
-    entirely, so it is bit-identical to a noiseless run.  ``seed`` is a
-    non-negative integer.
+    entirely, so it is bit-identical to a noiseless run.  The strengths are
+    finite non-negative reals and ``seed`` is a non-negative integer;
+    errors name them ``spam.prep``, ``spam.meas`` and ``spam.seed``.
     """
 
     prep_strength: float = 0.0
@@ -81,8 +94,10 @@ class SpamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.prep_strength < 0 or self.meas_strength < 0:
-            raise ValidationError("SPAM strengths must be nonnegative")
+        for name, strength in (("spam.prep", self.prep_strength),
+                               ("spam.meas", self.meas_strength)):
+            if _finite_real(strength, name) < 0:
+                raise ValidationError(f"'{name}' must be non-negative, got {strength!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ValidationError(
@@ -114,6 +129,8 @@ class SEModel:
         if env.shape != (self.env_dim, self.env_dim):
             raise DimensionError(f"'env_initial' must be {self.env_dim} x {self.env_dim},"
                                  f" got shape {env.shape}")
+        if not np.isfinite(env).all():
+            raise ValidationError("'env_initial' must be finite")
         DensityMatrix(env)  # validates the environment state
         env.setflags(write=False)
         object.__setattr__(self, "env_initial", env)
@@ -179,39 +196,38 @@ def build_default_model(
     gates 2), and R_env a transverse environment rotation that keeps the
     memory moving between gates.  At ``coupling=0`` every joint unitary
     is a product, so the model reproduces ideal gates under either reset
-    policy.  ``sys_qubits`` is the widest gate's width when None, and
-    otherwise must be a positive integer.  ``durations`` maps gate names
-    of ``labels`` to durations.
+    policy.  Every parameter is checked before any unitary is built, each
+    error naming it as a model file does (``gates``, a non-empty list, for
+    ``labels``): the width, ``sys_qubits`` or else the widest gate's, is 1
+    or 2; ``coupling``, ``env_omega`` and the ``durations`` of gate names
+    are finite; :class:`SEModel` checks ``reset_policy`` and ``env_initial``.
     """
     labels = [l if isinstance(l, GateLabel) else GateLabel.parse(l) for l in labels]
-    if sys_qubits is None:
-        sys_qubits = max(max(l.qubits) for l in labels) + 1
-    if isinstance(sys_qubits, bool) or not isinstance(sys_qubits, (int, np.integer)) \
-            or sys_qubits < 1:
-        raise ValidationError(f"'sys_qubits' must be a positive integer, got {sys_qubits!r}")
-    n = int(sys_qubits)
-    durations = dict(durations or {})
+    if not labels:
+        raise ValidationError("needs a non-empty 'gates' list")
+    n = _frame_width(max(max(l.qubits) for l in labels) + 1 if sys_qubits is None
+                     else sys_qubits, "'sys_qubits', or else the widest gate's width,")
+    _fitted_gates(labels, n)
+    coupling = _finite_real(coupling, "coupling")
+    env_omega = _finite_real(env_omega, "env_omega")
+    durations = {name: _finite_real(t, f"durations.{name}")
+                 for name, t in dict(durations or {}).items()}
     names = {label.name for label in labels}
     unknown = sorted(set(durations) - names, key=str)
     if unknown:
         raise ValidationError(f"'durations.{unknown[0]}' names no gate of the model;"
                               f" its gates are {sorted(names)}")
+    # SEModel checks the policy and the environment state before any unitary is built
+    model = SEModel(sys_qubits=n, env_dim=2, gate_unitaries={}, reset_policy=reset_policy,
+                    env_initial=np.full((2, 2), 0.5) if env_initial is None else env_initial,
+                    spam=spam or SpamSpec())  # the default environment is |+><+|
     unitaries = {}
     for label in labels:
         t = durations.get(label.name, 2.0 if label.name == "CX" else 1.0)
         u_sys = gate_unitary(label, n)
         joint = np.kron(u_sys, _env_rotation(env_omega, t)) @ _coupling_unitary(n, coupling, t)
         unitaries[label] = joint
-    if env_initial is None:
-        env_initial = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
-    return SEModel(
-        sys_qubits=n,
-        env_dim=2,
-        env_initial=np.asarray(env_initial, dtype=complex),
-        gate_unitaries=unitaries,
-        reset_policy=reset_policy,
-        spam=spam or SpamSpec(),
-    )
+    return replace(model, gate_unitaries=unitaries)
 
 
 def _noisy_step(model: SEModel, u: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -121,10 +121,18 @@ class TomographyFrame:
         return 2**self.n_qubits
 
 
+def _frame_width(n_qubits, name: str = "the qubit count") -> int:
+    """``n_qubits`` as an int, once it is 1 or 2, the widths of the frames
+    and so of every model, record set and channel; errors name ``name``."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)) \
+            or n_qubits not in (1, 2):
+        raise DimensionError(f"{name} must be 1 or 2, got {n_qubits!r}")
+    return int(n_qubits)
+
+
 def build_frame(n_qubits: int) -> TomographyFrame:
     """Frame of 4^N preparations and 3^N Pauli measurement settings."""
-    if isinstance(n_qubits, bool) or n_qubits not in (1, 2):
-        raise DimensionError(f"supported qubit counts are 1 and 2, got {n_qubits!r}")
+    n_qubits = _frame_width(n_qubits)
     ket0 = np.zeros(2**n_qubits, dtype=complex)
     ket0[0] = 1.0
 
@@ -165,9 +173,9 @@ def build_frame(n_qubits: int) -> TomographyFrame:
 class CountRecord:
     """One measured configuration: preparation, setting, and outcomes.
 
-    ``shots`` is the repetition count; ``shots=None`` marks exact mode,
-    where ``counts`` holds outcome probabilities summing to one instead
-    of integers, none below -1e-9 (the rounding tolerance of the sum).
+    ``shots`` is the repetition count, an ``int``; ``shots=None`` marks
+    exact mode, where ``counts`` holds outcome probabilities summing to one
+    instead of integers, none below -1e-9 (the rounding tolerance of the sum).
     ``seed`` records the sampling seed when one was used.
     """
 
@@ -183,9 +191,11 @@ class CountRecord:
             raise ValidationError(
                 f"prep {self.prep_label!r} and meas {self.meas_label!r} disagree on qubits"
             )
-        for key in self.counts:
+        for key, value in self.counts.items():
             if len(key) != n or set(key) - {"0", "1"}:
                 raise ValidationError(f"bad outcome key {key!r} for {n} qubit(s)")
+            if isinstance(value, bool):
+                raise ValidationError(f"count of {key!r} is a boolean, not a number")
         total = sum(self.counts.values())
         if self.shots is None:
             if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
@@ -194,8 +204,9 @@ class CountRecord:
             if lowest < -1e-9:
                 raise ValidationError(f"exact-mode probability {lowest} is negative")
         else:
-            if self.shots <= 0:
-                raise ValidationError("shots must be positive")
+            if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)) \
+                    or self.shots <= 0:
+                raise ValidationError(f"shots must be a positive integer, got {self.shots!r}")
             if any(not math.isfinite(v) or v < 0 or int(v) != v for v in self.counts.values()):
                 raise ValidationError("counts must be nonnegative integers")
             if total != self.shots:
@@ -229,15 +240,6 @@ class CircuitDescriptor:
     prep_label: str
     meas_label: str
     gates: tuple[GateLabel, ...]
-
-
-def _fitted_gates(gate_sequence, n_qubits: int) -> tuple[GateLabel, ...]:
-    """The sequence as a tuple, once every gate fits on ``n_qubits``."""
-    gates = tuple(gate_sequence)
-    for gate in gates:
-        if max(gate.qubits) >= n_qubits:
-            raise DimensionError(f"gate {gate} does not fit on {n_qubits} qubit(s)")
-    return gates
 
 
 def _rotated_probabilities(rho: np.ndarray, rot: np.ndarray) -> np.ndarray:

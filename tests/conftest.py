@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 import gatemem
-from gatemem.channels import GateLabel, QuantumChannel, choi_from_superop, gate_unitary
+from gatemem.channels import (
+    GateLabel,
+    QuantumChannel,
+    _fitted_gates,
+    choi_from_superop,
+    gate_unitary,
+)
 from gatemem.exceptions import DimensionError
 from gatemem.qcore import _complex_normals, _from_spectrum, _half_trace_norm, _hermitian_part
-from gatemem.tomography import CircuitDescriptor, TomographyFrame, _fitted_gates
+from gatemem.tomography import CircuitDescriptor, TomographyFrame
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gatemem.__file__)))
 
@@ -107,8 +113,9 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def ideal_channel(gate: GateLabel, n_qubits: int | None = None) -> QuantumChannel:
-    """Noiseless channel ``rho -> U rho U+`` for a standard gate."""
-    u = gate_unitary(gate, n_qubits)
+    """Noiseless channel ``rho -> U rho U+`` for a standard gate, on the
+    gate's own wires unless ``n_qubits`` is given."""
+    u = gate_unitary(gate, max(gate.qubits) + 1 if n_qubits is None else n_qubits)
     return QuantumChannel(np.kron(u.conj(), u))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestGateLabel:
         with pytest.raises(ValidationError):
             GateLabel("H", (0, 1))
 
+    @pytest.mark.parametrize("token", ["X@-1", "CX@0.-1", "CX@-2.0"])
+    def test_wires_are_non_negative(self, token):
+        with pytest.raises(ValidationError, match=f"non-negative, got {re.escape(token)}"):
+            GateLabel.parse(token)
+
     def test_parse_round_trip(self):
         assert GateLabel.parse("H@1") == GateLabel("H", (1,))
         assert GateLabel.parse("CX@1,0") == GateLabel("CX", (1, 0))
@@ -62,6 +69,14 @@ class TestQuantumChannel:
         superop[1, 2] = entry
         with pytest.raises(ValidationError, match="non-finite"):
             QuantumChannel(superop)
+
+    @pytest.mark.parametrize("dim, n_qubits", [(1, 0), (2, 1), (4, 2), (8, 3)])
+    def test_n_qubits_is_the_log2_of_dim(self, dim, n_qubits):
+        assert QuantumChannel(np.eye(dim * dim)).n_qubits == n_qubits
+
+    def test_n_qubits_needs_a_power_of_two(self):
+        with pytest.raises(DimensionError, match="'dim' must be a power of two, got 3"):
+            QuantumChannel(np.eye(9)).n_qubits
 
 
 class TestIdealChannels:

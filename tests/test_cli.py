@@ -590,6 +590,7 @@ MALFORMED_VALUES = [
     ("records", "gates", "X@0", "tomo"),
     ("records", "gates", ["Q@0"], "tomo"),
     ("records", "gates", ["CX@0.1"], "tomo"),
+    ("records", "gates", ["X@-1"], "tomo"),
     ("records", "schema", "gatemem.channel/1", "tomo"),
     ("records", "schema", "gatemem.records/2", "tomo"),
     ("records", "grammar_version", 2, "tomo"),
@@ -783,6 +784,39 @@ def test_non_finite_count_of_sampled_records_exits_2(runner, model_file, tmp_pat
     assert str(source) in result.output
 
 
+@pytest.mark.parametrize("shots, counts", [(10, {"0": True, "1": 9}), (10.0, {"0": 10, "1": 0}),
+                                          (True, {"0": 1, "1": 0})])
+def test_sampled_counts_and_shots_are_integers_not_booleans(runner, model_file, tmp_path,
+                                                            shots, counts):
+    payload = _valid_payload("records", model_file)
+    for entry in payload["records"]:
+        entry["shots"], entry["counts"] = shots, dict(counts)
+    source = tmp_path / "records_X0.json"
+    source.write_text(json.dumps(payload))
+    out = tmp_path / "channel_X0.json"
+    result = runner.invoke(main, ["tomo", "--records", str(source), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert str(source) in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim, message", [
+    (3, "'dim' must be a power of two, got 3"),
+    (8, "the width of 'dim' 8 must be 1 or 2, got 3"),
+])
+def test_channel_grid_of_an_unsupported_dimension_exits_2(runner, tmp_path, dim, message):
+    # channel files are one- or two-qubit maps, dim 2 or 4, as the frames are
+    unit = QuantumChannel(np.eye(dim * dim))
+    _write_channels(tmp_path / "chan", {("X@0",): unit, ("Z@0",): unit, ("X@0", "Z@0"): unit})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["analyze", "--channels", str(tmp_path / "chan"),
+                                  "--samples", "10", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"channel file {tmp_path / 'chan'}" in result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["tomo", "errors"])
 @pytest.mark.parametrize("edit", ["appended-prep", "one-exact-record", "repeated-record",
                                   "missing-record", "mixed-shot-counts"])
@@ -848,6 +882,14 @@ def test_unusable_model_scalar_is_named(runner, model_file, tmp_path, field):
     ("env_initial", [[[1, 0]]], "'env_initial'"),
     ("couplng", 0.0, "'couplng'"),
     ("spam/sead", 3, "'spam.sead'"),
+    # model numbers are JSON numbers, not strings or booleans
+    ("coupling", "0.55", "'coupling'"),
+    ("coupling", True, "'coupling'"),
+    ("env_omega", "0.7", "'env_omega'"),
+    ("durations", {"X": True}, "'durations.X'"),
+    ("spam/prep", "0.01", "'spam.prep'"),
+    ("gates", ["X@-1"], "X@-1"),
+    ("spam", "meas", "'spam' must be an object"),
 ])
 def test_unusable_model_field_is_named(runner, tmp_path, field, value, named):
     source = tmp_path / "model_bad.json"

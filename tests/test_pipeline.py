@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatemem import simulator
-from gatemem.channels import GateLabel
+from gatemem.channels import GateLabel, QuantumChannel
 from gatemem.exceptions import DimensionError, IncompleteDataError, ValidationError
 from gatemem.pipeline import (
     reconstruct_channel,
@@ -33,6 +33,10 @@ class TestRoundTrips:
         records = records_from_channel(truth, 100_000, seed=8, frame=frame)
         result = reconstruct_channel(records, frame)
         assert np.linalg.norm(result.channel.superop - truth.superop) <= 3e-2
+
+    def test_channel_width_comes_from_its_dim(self):
+        with pytest.raises(DimensionError, match="'dim' must be a power of two, got 3"):
+            records_from_channel(QuantumChannel(np.eye(9)), None)
 
     def test_simulator_exact_reconstruction(self):
         model = build_default_model(LABELS, coupling=0.4, reset_policy="persistent")

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from gatemem import simulator
 from gatemem.channels import GateLabel, apply, compose
 from gatemem.exceptions import DimensionError, LabelError, ValidationError
 from gatemem.nonmarkov import (
@@ -70,9 +73,11 @@ class TestModelValidation:
         for label, u in persistent_model.gate_unitaries.items():
             np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
-    @pytest.mark.parametrize("width", [0, -1, True, 1.0, "1"])
+    @pytest.mark.parametrize("width", [0, -1, True, 1.0, "1", 3])
     def test_rejects_a_width_that_is_not_a_positive_integer(self, width):
-        with pytest.raises(ValidationError, match="'sys_qubits' must be a positive integer"):
+        # the widths of the tomography frames, 1 and 2, are the only ones
+        with pytest.raises(DimensionError, match="'sys_qubits', or else the widest gate's width,"
+                                                 " must be 1 or 2"):
             build_default_model([X], sys_qubits=width)
 
     @pytest.mark.parametrize("seed", [-1, 1.7, True, "3"])
@@ -94,6 +99,45 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="'durations.Q' names no gate of the model"):
             build_default_model([X], durations={"X": 1.0, "Q": 1.0})
         assert build_default_model([X], durations={"X": 1.5}).sys_qubits == 1
+
+    @pytest.mark.parametrize("make, error, named", [
+        (lambda: build_default_model([X], coupling=np.nan), ValidationError, "'coupling'"),
+        (lambda: build_default_model([X], coupling="0.55"), ValidationError, "'coupling'"),
+        (lambda: build_default_model([X], coupling=True), ValidationError, "'coupling'"),
+        (lambda: build_default_model([X], coupling=10**400), ValidationError, "'coupling'"),
+        (lambda: build_default_model([X], env_omega=np.inf), ValidationError, "'env_omega'"),
+        (lambda: build_default_model([X], env_omega="0.7"), ValidationError, "'env_omega'"),
+        (lambda: build_default_model([X], durations={"X": np.nan}), ValidationError,
+         "'durations.X'"),
+        (lambda: build_default_model([X], durations={"X": True}), ValidationError,
+         "'durations.X'"),
+        (lambda: build_default_model([X], sys_qubits=40), DimensionError, "'sys_qubits'"),
+        (lambda: build_default_model([X], sys_qubits=3), DimensionError, "'sys_qubits'"),
+        (lambda: build_default_model([GateLabel("X", (2,))]), DimensionError, "'sys_qubits'"),
+        (lambda: build_default_model([GateLabel("CX", (0, 1))], sys_qubits=1), DimensionError,
+         "CX@0.1 does not fit on 1 qubit"),
+        (lambda: build_default_model([]), ValidationError, "'gates'"),
+        (lambda: build_default_model(["X@-1"]), ValidationError, "X@-1"),
+        (lambda: build_default_model([X], env_initial=np.full((2, 2), np.inf)), ValidationError,
+         "'env_initial' must be finite"),
+        (lambda: SpamSpec(prep_strength=np.nan), ValidationError, "'spam.prep'"),
+        (lambda: SpamSpec(prep_strength="0.01"), ValidationError, "'spam.prep'"),
+        (lambda: SpamSpec(meas_strength=True), ValidationError, "'spam.meas'"),
+        (lambda: SpamSpec(meas_strength=np.inf), ValidationError, "'spam.meas'"),
+        (lambda: SpamSpec(meas_strength=-0.01), ValidationError, "'spam.meas'"),
+    ], ids=["coupling-nan", "coupling-str", "coupling-bool", "coupling-huge-int", "omega-inf",
+            "omega-str", "duration-nan", "duration-bool", "width-40", "width-3", "wide-gate",
+            "gate-wider-than-width", "no-gates", "negative-wire", "env-inf", "prep-nan",
+            "prep-str", "meas-bool", "meas-inf", "meas-negative"])
+    def test_unusable_parameter_is_named_before_any_unitary_is_built(self, monkeypatch, make,
+                                                                    error, named):
+        def unbuilt(*args):
+            raise AssertionError("a unitary was built")
+
+        monkeypatch.setattr(simulator, "gate_unitary", unbuilt)
+        monkeypatch.setattr(simulator, "_coupling_unitary", unbuilt)
+        with pytest.raises(error, match=re.escape(named)):
+            make()
 
     def test_width_defaults_to_the_widest_gate(self):
         assert build_default_model([X]).sys_qubits == 1
