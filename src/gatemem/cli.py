@@ -32,7 +32,6 @@ from . import pipeline, serialize
 from .channels import GateLabel
 from .exceptions import GatememError, IncompleteDataError, ValidationError
 from .qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX
-from .tomography import build_frame
 
 _seed_option = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 _metric_option = click.option("--metric", type=click.Choice(["avg", "diamond", "both"]),
@@ -83,6 +82,14 @@ def _parse_sequences(text: str) -> list[tuple[GateLabel, ...]]:
     return list(by_file.values())
 
 
+def _gate_pair(text: str, flag: str) -> tuple[GateLabel, GateLabel]:
+    """The two gates of a ``flag`` value ``U,V``."""
+    gates = tuple(GateLabel.parse(tok) for tok in text.split(","))
+    if len(gates) != 2:
+        raise ValidationError(f"{flag} takes exactly two gates U,V, got {text!r}")
+    return gates
+
+
 def _declare(draws: bool, **config) -> tuple[str, int | None]:
     """A run's one statement of what it reads: ``config`` names the command
     and holds each option it reads, keyed by option name, at what it
@@ -126,11 +133,8 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
     shots_val = None if exact else shots  # exact probabilities draw nothing
     stamp = _declare(shots_val is not None, command="simulate", model=model_spec, gates=gates,
                      shots=shots_val)
-    frame = build_frame(model.sys_qubits)
     for index, sequence in enumerate(sequences):
-        records = pipeline.simulate_records(
-            model, sequence, shots_val, seed=seed + index, frame=frame
-        )
+        records = pipeline.simulate_records(model, sequence, shots_val, seed=seed + index)
         path = serialize.write_records(out_dir, sequence, records, *stamp)
         click.echo(f"wrote {path} ({len(records)} records)")
 
@@ -140,13 +144,13 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tomo(records_path, out_path):
     """Reconstruct a channel from a records file."""
-    payload, records, frame = serialize.load_records(records_path)
+    payload, records = serialize.load_records(records_path)
     gates = payload.get("gates")
     with serialize.input_file("records", records_path):
         if not gates:
             raise ValidationError("no 'gates' sequence")
     cfg_hash, _ = _declare(False, command="tomo", records=payload)
-    result = pipeline.reconstruct_channel(records, frame)
+    result = pipeline.reconstruct_channel(records)
     # a channel carries the seed its records were drawn with
     serialize.dump_json(out_path, serialize.tomography_payload(
         result, gates, records[0].shots, cfg_hash, payload.get("seed")
@@ -173,7 +177,7 @@ def analyze(channels_dir, metric, samples, scale_figure, pair, seed, out_dir):
     )
     analysis = nonmarkov.analyze_grid(
         marginals, joints, metrics=_metrics(metric), m_samples=samples, seed=seed,
-        scale_figure=scale_figure, pair=None if pair is None else pair.split(","),
+        scale_figure=scale_figure, pair=None if pair is None else _gate_pair(pair, "--pair"),
     )
     serialize.write_analysis(out_dir, analysis, *stamp)
     click.echo(f"wrote analysis to {out_dir}")
@@ -217,9 +221,7 @@ def ptensor(model_path, gates, shots, exact, seed, out_path):
     from . import nonmarkov
 
     model, model_spec = serialize.load_model(model_path)
-    tokens = [GateLabel.parse(t) for t in gates.split(",")]
-    if len(tokens) != 2:
-        raise ValidationError("ptensor needs exactly two gates, e.g. --gates S,T")
+    tokens = _gate_pair(gates, "--gates")
     shots_val = None if exact else shots  # exact reference maps draw nothing
     stamp = _declare(shots_val is not None, command="ptensor", model=model_spec, gates=gates,
                      shots=shots_val)
@@ -245,12 +247,12 @@ def errors(records_path, trials, model_path, gate, eps_grid, seed, out_path):
     from . import errprop
 
     if records_path is not None:
-        payload, records, frame = serialize.load_records(records_path)
+        payload, records = serialize.load_records(records_path)
         # a records file has one mode, and only sampled records are redrawn
         stamp = _declare(records[0].shots is not None, command="errors", records=payload,
                          trials=trials)
         rng = np.random.default_rng(seed)
-        report = errprop.reconstruction_uncertainty(records, frame, trials, rng)
+        report = errprop.reconstruction_uncertainty(records, trials, rng)
         serialize.dump_json(out_path, serialize.report_payload(
             "uncertainty", *stamp, **dataclasses.asdict(report)
         ))

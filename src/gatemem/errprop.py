@@ -21,7 +21,7 @@ import numpy as np
 from . import pipeline
 from .channels import GateLabel
 from .exceptions import GatememError, ValidationError
-from .tomography import TomographyFrame, _count_record
+from .tomography import _count_record
 
 if TYPE_CHECKING:
     from .simulator import SEModel
@@ -119,9 +119,7 @@ def propagate_statistics(
     )
 
 
-def reconstruction_uncertainty(
-    records, frame: TomographyFrame, trials: int, rng: np.random.Generator
-) -> UncertaintyReport:
+def reconstruction_uncertainty(records, trials: int, rng: np.random.Generator) -> UncertaintyReport:
     """Statistical spread of a reconstructed channel: the Frobenius
     distance of each trial's reconstruction to the point estimate's,
     through :func:`propagate_statistics`, whose first call of the metric,
@@ -129,7 +127,7 @@ def reconstruction_uncertainty(
     first: dict = {}
 
     def metric(trial_records) -> float:
-        trial = pipeline.reconstruct_channel(trial_records, frame).channel.superop
+        trial = pipeline.reconstruct_channel(trial_records).channel.superop
         return float(np.linalg.norm(trial - first.setdefault("point", trial)))
 
     return propagate_statistics(

@@ -78,7 +78,8 @@ def simulate_records(
     those of ``sample_counts`` on each (preparation, setting)
     configuration of the frame, bit for bit.  Sampling seeds are spawned
     per configuration from ``seed`` so runs are reproducible and records
-    carry their own seeds.
+    carry their own seeds.  ``frame`` is the model's own (the default);
+    ``perfbench/workloads.py`` passes it.
     """
     from .simulator import output_state, setting_rotation
 
@@ -90,10 +91,7 @@ def simulate_records(
 
 
 def records_from_channel(
-    channel: QuantumChannel,
-    shots: int | None,
-    seed: int | None = None,
-    frame: TomographyFrame | None = None,
+    channel: QuantumChannel, shots: int | None, seed: int | None = None
 ) -> list[CountRecord]:
     """Count records an ideal experiment on ``channel`` would produce.
 
@@ -101,7 +99,7 @@ def records_from_channel(
     probabilities; otherwise each configuration is sampled
     multinomially with its own spawned seed.
     """
-    frame = frame or build_frame(channel.n_qubits)
+    frame = build_frame(channel.n_qubits)
     rotations = [meas_rotation(meas) for meas in frame.meas_labels]
     outputs = (apply(channel, state) for state in frame.prep_states)
     return _sampled_records(frame, outputs, rotations, shots, seed)
@@ -110,7 +108,8 @@ def records_from_channel(
 def reconstruct_channel(records, frame: TomographyFrame | None = None) -> TomographyResult:
     """Full reconstruction chain over a record set: check and group the
     records by configuration, run the likelihood estimator on all
-    preparations at once, then invert the frame to a channel."""
+    preparations at once, then invert the frame to a channel.  ``frame``
+    is the records' own (the default); ``perfbench/workloads.py`` passes it."""
     records = list(records)
     if not (frame or records):
         raise IncompleteDataError("an empty record set names no frame", [])
@@ -124,16 +123,10 @@ def reconstruct_channel(records, frame: TomographyFrame | None = None) -> Tomogr
 
 
 def reconstruct_from_model(
-    model: SEModel,
-    gates,
-    shots: int | None,
-    seed: int | None = None,
-    frame: TomographyFrame | None = None,
+    model: SEModel, gates, shots: int | None, seed: int | None = None
 ) -> TomographyResult:
     """Simulate one sequence and reconstruct its channel."""
-    frame = frame or build_frame(model.sys_qubits)
-    records = simulate_records(model, gates, shots, seed, frame)
-    return reconstruct_channel(records, frame)
+    return reconstruct_channel(simulate_records(model, gates, shots, seed))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .exceptions import IncompleteDataError, ValidationError
 from .tomography import (
     LABEL_GRAMMAR_VERSION,
     CountRecord,
-    TomographyFrame,
     TomographyResult,
     _frame_width,
     _records_by_config,
@@ -40,6 +39,11 @@ if TYPE_CHECKING:
     from .simulator import SEModel
 
 SCHEMA_VERSION = 1
+
+#: Largest real or imaginary part, in magnitude, of a channel file's
+#: superoperator entries: far above any reconstruction (a CPTP map's entries
+#: are at most 1), and the product of two loaded maps stays finite.
+CHANNEL_ENTRY_BOUND = 1e6
 
 
 def encode_matrix(mat: np.ndarray) -> list:
@@ -202,10 +206,10 @@ def _check_gates(payload: dict, n_qubits: int) -> None:
     _fitted_gates([GateLabel.parse(tok) for tok in gates], n_qubits)
 
 
-def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, TomographyFrame]:
-    """The count records of a records file and the tomography frame of its
-    ``n_qubits``, once the records meet the record-set rule of
-    ``tomography._records_by_config``; error messages name ``path``."""
+def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRecord]:
+    """The count records of a records file, once they meet the record-set
+    rule of ``tomography._records_by_config`` in the frame of its
+    ``n_qubits``; error messages name ``path``."""
     with input_file("records", path):
         _check_schema(payload, "records")
         version = payload.get("grammar_version", LABEL_GRAMMAR_VERSION)
@@ -232,13 +236,13 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> tuple[list, 
             except ValidationError as err:
                 raise ValidationError(f"record {i}: {err}") from err
         _records_by_config(records, frame, frame.prep_labels)
-        return records, frame
+        return records
 
 
-def load_records(path: str) -> tuple[dict, list[CountRecord], TomographyFrame]:
-    """A records file as (payload, records, tomography frame)."""
+def load_records(path: str) -> tuple[dict, list[CountRecord]]:
+    """A records file as (payload, records)."""
     payload = load_json(path)
-    return (payload, *records_from_payload(payload, path))
+    return payload, records_from_payload(payload, path)
 
 
 def load_model(path: str) -> tuple[SEModel, dict]:
@@ -299,6 +303,8 @@ def channel_from_payload(payload: dict, path: str = "<payload>") -> QuantumChann
         if missing:
             raise ValidationError(f"missing {missing}")
         channel = QuantumChannel(decode_matrix(payload["superop"]))
+        if np.abs(channel.superop.view(float)).max() > CHANNEL_ENTRY_BOUND:
+            raise ValidationError(f"superop entries must be at most {CHANNEL_ENTRY_BOUND:g}")
         if payload["dim"] != channel.dim:
             raise ValidationError("superop size disagrees with dim")
         if not payload.get("gates"):

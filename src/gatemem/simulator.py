@@ -125,7 +125,13 @@ class SEModel:
     def __post_init__(self):
         if self.reset_policy not in ("persistent", "reset_each_gate"):
             raise ValidationError(f"unknown reset policy {self.reset_policy!r}")
-        env = np.array(self.env_initial, dtype=complex)
+        if not isinstance(self.spam, SpamSpec):
+            raise ValidationError(f"'spam' must be a SpamSpec, got {self.spam!r}")
+        try:
+            env = np.array(self.env_initial, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"'env_initial' must be a matrix of numbers, got {self.env_initial!r}") from None
         if env.shape != (self.env_dim, self.env_dim):
             raise DimensionError(f"'env_initial' must be {self.env_dim} x {self.env_dim},"
                                  f" got shape {env.shape}")
@@ -200,7 +206,7 @@ def build_default_model(
     error naming it as a model file does (``gates``, a non-empty list, for
     ``labels``): the width, ``sys_qubits`` or else the widest gate's, is 1
     or 2; ``coupling``, ``env_omega`` and the ``durations`` of gate names
-    are finite; :class:`SEModel` checks ``reset_policy`` and ``env_initial``.
+    are finite; :class:`SEModel` checks ``reset_policy``, ``env_initial`` and ``spam``.
     """
     labels = [l if isinstance(l, GateLabel) else GateLabel.parse(l) for l in labels]
     if not labels:
@@ -210,17 +216,20 @@ def build_default_model(
     _fitted_gates(labels, n)
     coupling = _finite_real(coupling, "coupling")
     env_omega = _finite_real(env_omega, "env_omega")
+    if not isinstance(durations, (dict, type(None))):
+        raise ValidationError(f"'durations' must map gate names to numbers, got {durations!r}")
     durations = {name: _finite_real(t, f"durations.{name}")
-                 for name, t in dict(durations or {}).items()}
+                 for name, t in (durations or {}).items()}
     names = {label.name for label in labels}
     unknown = sorted(set(durations) - names, key=str)
     if unknown:
         raise ValidationError(f"'durations.{unknown[0]}' names no gate of the model;"
                               f" its gates are {sorted(names)}")
-    # SEModel checks the policy and the environment state before any unitary is built
+    # SEModel checks the policy, the environment state (default |+><+|) and
+    # the SPAM spec before any unitary is built
     model = SEModel(sys_qubits=n, env_dim=2, gate_unitaries={}, reset_policy=reset_policy,
                     env_initial=np.full((2, 2), 0.5) if env_initial is None else env_initial,
-                    spam=spam or SpamSpec())  # the default environment is |+><+|
+                    spam=SpamSpec() if spam is None else spam)
     unitaries = {}
     for label in labels:
         t = durations.get(label.name, 2.0 if label.name == "CX" else 1.0)

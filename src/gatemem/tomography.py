@@ -131,42 +131,28 @@ def _frame_width(n_qubits, name: str = "the qubit count") -> int:
 
 
 def build_frame(n_qubits: int) -> TomographyFrame:
-    """Frame of 4^N preparations and 3^N Pauli measurement settings."""
-    n_qubits = _frame_width(n_qubits)
+    """Frame of 4^N preparations and 3^N Pauli measurement settings: one
+    frame per width, built once and shared, its arrays read-only.  Every
+    other layer derives a frame from its data's width through here."""
+    return _shared_frame(_frame_width(n_qubits))
+
+
+@functools.lru_cache(maxsize=None)  # keyed by a checked int width, 1 or 2
+def _shared_frame(n_qubits: int) -> TomographyFrame:
     ket0 = np.zeros(2**n_qubits, dtype=complex)
     ket0[0] = 1.0
-
-    prep_labels = []
-    prep_states = []
-    for symbols in itertools.product(PREP_SYMBOLS, repeat=n_qubits):
-        label = join_label(symbols)
-        u = prep_unitary(label)
-        v = u @ ket0
-        prep_labels.append(label)
-        prep_states.append(np.outer(v, v.conj()))
-
-    gram = np.array(
-        [[np.trace(a.conj().T @ b) for b in prep_states] for a in prep_states]
-    )
-    cond = np.linalg.cond(gram)
-    if cond > 1e6:
-        raise ValidationError(f"preparation set is ill-conditioned (kappa={cond:.3g})")
-    gram_inv = np.linalg.inv(gram)
-    duals = []
-    for i in range(len(prep_states)):
-        d = sum(gram_inv[k, i] * prep_states[k] for k in range(len(prep_states)))
-        duals.append(d)
-
-    meas_labels = [
-        join_label(symbols) for symbols in itertools.product(MEAS_SYMBOLS, repeat=n_qubits)
-    ]
-    return TomographyFrame(
-        n_qubits=n_qubits,
-        prep_labels=tuple(prep_labels),
-        prep_states=tuple(prep_states),
-        duals=tuple(duals),
-        meas_labels=tuple(meas_labels),
-    )
+    prep_labels = tuple(join_label(s) for s in itertools.product(PREP_SYMBOLS, repeat=n_qubits))
+    kets = [prep_unitary(label) @ ket0 for label in prep_labels]
+    prep_states = tuple(np.outer(v, v.conj()) for v in kets)
+    # the Gram matrix of these fixed states has condition number 10.4 (1 qubit) or 108 (2)
+    gram_inv = np.linalg.inv(np.array(
+        [[np.trace(a.conj().T @ b) for b in prep_states] for a in prep_states]))
+    duals = tuple(sum(gram_inv[k, i] * p for k, p in enumerate(prep_states))
+                  for i in range(len(prep_states)))
+    for array in prep_states + duals:
+        array.setflags(write=False)
+    meas_labels = tuple(join_label(s) for s in itertools.product(MEAS_SYMBOLS, repeat=n_qubits))
+    return TomographyFrame(n_qubits, prep_labels, prep_states, duals, meas_labels)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def test_criterion_05_tomography_round_trip():
 
     worst_exact = 0.0
     for truth in channels:
-        records = records_from_channel(truth, None, frame=frame)
+        records = records_from_channel(truth, None)
         result = reconstruct_channel(records, frame)
         worst_exact = max(
             worst_exact, float(np.linalg.norm(result.channel.superop - truth.superop))
@@ -204,7 +204,7 @@ def test_criterion_05_tomography_round_trip():
 
     worst_sampled = 0.0
     for index, truth in enumerate(channels):
-        records = records_from_channel(truth, 100_000, seed=300 + index, frame=frame)
+        records = records_from_channel(truth, 100_000, seed=300 + index)
         result = reconstruct_channel(records, frame)
         worst_sampled = max(
             worst_sampled, float(np.linalg.norm(result.channel.superop - truth.superop))
@@ -216,7 +216,7 @@ def test_criterion_05_tomography_round_trip():
     for shots in shot_grid:
         errors = []
         for index, truth in enumerate(channels[:8]):
-            records = records_from_channel(truth, shots, seed=500 + index, frame=frame)
+            records = records_from_channel(truth, shots, seed=500 + index)
             result = reconstruct_channel(records, frame)
             errors.append(np.linalg.norm(result.channel.superop - truth.superop))
         mean_errors.append(float(np.mean(errors)))
@@ -280,7 +280,7 @@ def test_criterion_07_memory_scan_ground_truth():
             power = compose(base, power)
             truths.append(compose(power, kick) if (with_kick and n >= lag) else power)
         for index, truth in enumerate(truths):
-            records = records_from_channel(truth, shots, seed=seed + index, frame=frame)
+            records = records_from_channel(truth, shots, seed=seed + index)
             chans.append(reconstruct_channel(records, frame).channel)
         return chans
 
@@ -354,7 +354,7 @@ def test_criterion_09_error_propagation():
 
     shots, trials = 1024, 200
     records = [
-        r for r in records_from_channel(chan, shots, seed=77, frame=frame)
+        r for r in records_from_channel(chan, shots, seed=77)
         if r.prep_label == "Z+"
     ]
     report = propagate_statistics(records, pipeline, trials, np.random.default_rng(13))
@@ -362,7 +362,7 @@ def test_criterion_09_error_propagation():
     oracle_values = []
     for k in range(trials):
         fresh = [
-            r for r in records_from_channel(chan, shots, seed=5000 + k, frame=frame)
+            r for r in records_from_channel(chan, shots, seed=5000 + k)
             if r.prep_label == "Z+"
         ]
         oracle_values.append(pipeline(fresh))

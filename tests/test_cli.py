@@ -3,6 +3,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,8 @@ class TestSimulateAndTomo:
         ])
         payload = load_json(str(out / "records_X0.json"))
         assert len(payload["records"]) == 12
-        records, frame = records_from_payload(payload)
-        assert frame.n_qubits == 1
+        records = records_from_payload(payload)
+        assert {r.n_qubits for r in records} == {1}
         assert all(r.shots == 256 for r in records)
 
     def test_two_qubit_record_count(self, runner, tmp_path):
@@ -271,15 +272,27 @@ class TestAnalyzeScanErrors:
         assert result.exit_code == 2, result.output
         assert str(bad) in result.output
 
-    @pytest.mark.parametrize("pair", ["X", "X,Z,Z", "Z,X"])
-    def test_pair_not_a_grid_cell_exits_2(self, runner, channel_dir, tmp_path, pair):
-        # the grid's first gates are X and Z, its only second gate is Z
+    @pytest.mark.parametrize("pair, reason", [
+        ("X", "--pair takes exactly two gates U,V, got 'X'"),
+        ("X,Z,Z", "--pair takes exactly two gates U,V, got 'X,Z,Z'"),
+        ("Z,X", "pair Z@0,X@0 is not in the channel grid"),
+    ])
+    def test_pair_not_a_grid_cell_exits_2(self, runner, channel_dir, tmp_path, pair, reason):
+        # the grid's first gates are X and Z, its only second gate is Z;
+        # the command names the flag it parses, the library the cell it misses
         result = runner.invoke(main, [
             "analyze", "--channels", str(channel_dir), "--pair", pair,
             "--samples", "100", "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 2, result.output
-        assert "--pair" in result.output
+        assert reason in result.output
+
+    def test_ptensor_gates_read_as_the_pair_does(self, runner, model_file, tmp_path):
+        # one parser, and one message form, for --pair and ptensor's --gates
+        result = runner.invoke(main, ["ptensor", "--model", model_file, "--gates", "S,T,X",
+                                      "--exact", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "--gates takes exactly two gates U,V, got 'S,T,X'" in result.output
 
     def test_scan_lower_triangle(self, runner, model_file, tmp_path):
         rec = tmp_path / "rec"
@@ -761,12 +774,37 @@ def test_valid_input_the_run_cannot_use_exits_2(runner, tmp_path, run):
         "ptensor-two-qubit-model": (["ptensor", "--model", str(model), "--gates", "S,T"],
                                     "single-qubit model"),
         "scan-mixed-dimensions": (["scan", "--channels", str(tmp_path / "chan"), "--nmax", "2",
-                                   "--samples", "10"], "share one dimension"),
+                                   "--samples", "10"], "dimension mismatch: 4 vs 2"),
     }[run]
     result = runner.invoke(main, [*args, "--out", str(out / "o.json")])
     assert result.exit_code == 2, result.output
     assert reason in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze"])
+def test_channel_entry_beyond_the_bound_exits_2_and_names_the_file(runner, model_file, tmp_path,
+                                                                  command):
+    # a 1e308 entry is finite, but the product of two maps holding it is not
+    rec, chan = tmp_path / "rec", tmp_path / "chan"
+    _invoke(runner, ["simulate", "--model", model_file, "--gates", "X;X,X", "--exact",
+                     "--out", str(rec)])
+    for slug in ("X0", "X0-X0"):
+        _invoke(runner, ["tomo", "--records", str(rec / f"records_{slug}.json"),
+                         "--out", str(chan / f"channel_{slug}.json")])
+    bad = chan / "channel_X0.json"
+    payload = load_json(str(bad))
+    payload["superop"][0][0][0] = 1e308
+    bad.write_text(json.dumps(payload))
+    args = {"scan": ["scan", "--nmax", "2"], "analyze": ["analyze"]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [*args, "--channels", str(chan), "--samples", "10",
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"channel file {bad}: superop entries must be at most 1e+06" in result.output
+    assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("count", [float("inf"), float("nan")])
@@ -1105,7 +1143,7 @@ class TestLibraryEntryPoints:
         ])
         marginals, joints = load_grid(str(channel_dir))
         analysis = analyze_grid(marginals, joints, metrics=("avg",), m_samples=2000, seed=4,
-                                pair=("X", "Z"))
+                                pair=("X@0", "Z@0"))
         cvm = load_json(str(out / "cond_vs_marginal_avg.json"))
         assert cvm["values"] == analysis.cond_vs_marginal["avg"].values.tolist()
         cpv = load_json(str(out / "cp_violation.json"))
@@ -1127,8 +1165,8 @@ class TestLibraryEntryPoints:
         out = tmp_path / "unc.json"
         _invoke(runner, ["errors", "--records", path, "--trials", "4", "--seed", "5",
                          "--out", str(out)])
-        _, records, frame = load_records(path)
-        report = reconstruction_uncertainty(records, frame, 4, np.random.default_rng(5))
+        _, records = load_records(path)
+        report = reconstruction_uncertainty(records, 4, np.random.default_rng(5))
         written = load_json(str(out))
         assert written["values"] == list(report.values)
         assert written["std"] == report.std
@@ -1221,11 +1259,11 @@ class TestLoaders:
     def test_load_records(self, runner, model_file, tmp_path):
         _invoke(runner, ["simulate", "--model", model_file, "--gates", "X,Z", "--shots", "64",
                          "--out", str(tmp_path)])
-        payload, records, frame = load_records(str(tmp_path / "records_X0-Z0.json"))
+        payload, records = load_records(str(tmp_path / "records_X0-Z0.json"))
         assert payload["gates"] == ["X@0", "Z@0"]
         assert payload["grammar_version"] == LABEL_GRAMMAR_VERSION
         assert len(records) == 12 and all(r.shots == 64 for r in records)
-        assert frame.n_qubits == 1
+        assert {r.n_qubits for r in records} == {1}
 
     def test_load_channel_dir_keys_files_by_sequence(self, channel_dir):
         (channel_dir / "notes.json").write_text("{}")  # not a channel_*.json file

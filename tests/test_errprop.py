@@ -29,7 +29,7 @@ class TestPropagateStatistics:
     def test_exact_records_have_zero_std(self, rng):
         frame = build_frame(1)
         chan = random_channel(2, rng)
-        records = [r for r in records_from_channel(chan, None, frame=frame) if r.prep_label == "Z+"]
+        records = [r for r in records_from_channel(chan, None) if r.prep_label == "Z+"]
         from gatemem.channels import apply
 
         truth = apply(chan, frame.prep_states[frame.prep_labels.index("Z+")])
@@ -38,9 +38,8 @@ class TestPropagateStatistics:
         assert report.shots is None
 
     def test_needs_two_trials(self, rng):
-        frame = build_frame(1)
         chan = random_channel(2, rng)
-        records = records_from_channel(chan, None, frame=frame)
+        records = records_from_channel(chan, None)
         with pytest.raises(ValidationError):
             propagate_statistics(records, lambda r: 0.0, 1, rng)
 
@@ -55,7 +54,7 @@ class TestPropagateStatistics:
         shots, trials = 1024, 120
         records = [
             r
-            for r in records_from_channel(chan, shots, seed=3, frame=frame)
+            for r in records_from_channel(chan, shots, seed=3)
             if r.prep_label == "Z+"
         ]
         pipeline = state_pipeline(frame, truth)
@@ -65,7 +64,7 @@ class TestPropagateStatistics:
         for k in range(trials):
             fresh = [
                 r
-                for r in records_from_channel(chan, shots, seed=1000 + k, frame=frame)
+                for r in records_from_channel(chan, shots, seed=1000 + k)
                 if r.prep_label == "Z+"
             ]
             oracle_values.append(pipeline(fresh))
@@ -85,7 +84,7 @@ class TestPropagateStatistics:
         for shots in shot_grid:
             records = [
                 r
-                for r in records_from_channel(chan, shots, seed=6, frame=frame)
+                for r in records_from_channel(chan, shots, seed=6)
                 if r.prep_label == "Z+"
             ]
             stds.append(propagate_statistics(records, pipeline, 120, rng).std)
@@ -95,9 +94,8 @@ class TestPropagateStatistics:
     def test_trial_records_are_count_draws_at_the_data_shots(self, rng):
         # each trial is a multinomial redraw, not exact-mode pseudo-data,
         # so the estimator weighs and stops it as it does the data
-        frame = build_frame(1)
         chan = random_channel(2, np.random.default_rng(21))
-        records = records_from_channel(chan, 1024, seed=3, frame=frame)
+        records = records_from_channel(chan, 1024, seed=3)
         seen = []
 
         def spy(trial_records):
@@ -118,7 +116,7 @@ class TestPropagateStatistics:
         # the closure raises a package error on the chosen trials (call 0
         # is the point estimate); fewer than two survivors leave no spread
         records = records_from_channel(random_channel(2, np.random.default_rng(21)), 1024,
-                                       seed=3, frame=build_frame(1))
+                                       seed=3)
 
         def failing_on(trials):
             calls = []
@@ -148,7 +146,7 @@ class TestPropagateStatistics:
 
         def z_plus(seed):
             return [
-                r for r in records_from_channel(chan, shots, seed=seed, frame=frame)
+                r for r in records_from_channel(chan, shots, seed=seed)
                 if r.prep_label == "Z+"
             ]
 

@@ -235,7 +235,7 @@ def test_consistent_exact_data_takes_no_iterations(n_qubits):
     gate = CX if n_qubits == 2 else GateLabel.parse("H")
     model = build_default_model([str(gate)])
     for channel in (ideal_channel(gate), extract_channel(model, [gate])):
-        records = records_from_channel(channel, None, frame=frame)
+        records = records_from_channel(channel, None)
         estimates = mle_estimates(records, frame)
         assert {est.iterations for est in estimates.values()} == {0}
         assert_same_iterates(estimates, reference_estimates(records, frame))

@@ -399,7 +399,7 @@ class TestConditionalVsMarginal:
         joints = {(u, v): compose(random_channel(2, rng), marginals[u])
                   for u in firsts for v in seconds}
         analysis = analyze_grid(marginals, joints, metrics=("avg", "diamond"), m_samples=300,
-                                seed=4, pair=("X", "T"))
+                                seed=4, pair=("X@0", "T@0"))
         for metric in ("avg", "diamond"):
             expected = conditional_vs_marginal_matrix(marginals, joints, metric, 300,
                                                       np.random.default_rng(4))
@@ -445,6 +445,28 @@ class TestConditionalVsMarginal:
         analyze_grid(marginals, joints, metrics=("avg", "diamond"), m_samples=100)
         cells = 3 * 2 + 2 * 3  # conditioned vs marginal, plus 3 pairs per target
         assert calls == {"avg_trace_distance": cells + 1, "diamond_distance": cells}
+
+
+class TestAnalyzeGridPair:
+    def test_pair_is_found_by_canonical_token_whatever_the_grid_keys(self, memory_channels):
+        # in process a grid is keyed by gate labels; load_grid keys it by tokens
+        labels, singles, joints = memory_channels
+        x, z = labels[3], labels[5]
+        grid = {(u, v): joints[(u, v)] for u in (x, z) for v in (x, z)}
+        tokens = ({str(g): c for g, c in singles.items()},
+                  {(str(u), str(v)): c for (u, v), c in grid.items()})
+        runs = [analyze_grid(singles, grid, m_samples=100, pair=("X@0", "Z@0")),
+                analyze_grid(*tokens, m_samples=100, pair=(x, z)),
+                analyze_grid(*tokens, m_samples=100, pair=("X@0", "Z@0"))]
+        for analysis in runs:
+            assert analysis.pair == ("X@0", "Z@0")
+            np.testing.assert_array_equal(analysis.histogram.samples, runs[0].histogram.samples)
+
+    def test_a_pair_outside_the_grid_names_the_cell_not_a_flag(self, memory_channels):
+        labels, singles, joints = memory_channels
+        grid = {(u, v): joints[(u, v)] for u in labels[3::2] for v in labels[3::2]}
+        with pytest.raises(ValidationError, match="^pair H@0,X@0 is not in the channel grid$"):
+            analyze_grid(singles, grid, m_samples=100, pair=(labels[0], labels[3]))
 
 
 class TestConditionalGrid:

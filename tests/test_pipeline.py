@@ -23,14 +23,14 @@ class TestRoundTrips:
         frame = build_frame(1)
         for _ in range(10):
             truth = random_channel(2, rng)
-            records = records_from_channel(truth, None, frame=frame)
+            records = records_from_channel(truth, None)
             result = reconstruct_channel(records, frame)
             assert np.linalg.norm(result.channel.superop - truth.superop) <= 1e-8
 
     def test_finite_shots_stay_close(self, rng):
         frame = build_frame(1)
         truth = random_channel(2, rng)
-        records = records_from_channel(truth, 100_000, seed=8, frame=frame)
+        records = records_from_channel(truth, 100_000, seed=8)
         result = reconstruct_channel(records, frame)
         assert np.linalg.norm(result.channel.superop - truth.superop) <= 3e-2
 
@@ -47,7 +47,7 @@ class TestRoundTrips:
     def test_reconstructed_channels_nearly_tp_but_not_clamped(self, rng):
         frame = build_frame(1)
         truth = random_channel(2, rng)
-        records = records_from_channel(truth, 2_000, seed=5, frame=frame)
+        records = records_from_channel(truth, 2_000, seed=5)
         chan = reconstruct_channel(records, frame).channel
         ident = np.eye(2, dtype=complex).reshape(-1, order="F")
         marginal_error = np.max(np.abs(chan.superop.conj().T @ ident - ident))

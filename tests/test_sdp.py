@@ -97,10 +97,10 @@ class TestDiamondDistance:
         frame = build_frame(1)
         truth_a, truth_b = random_channel(2, rng), random_channel(2, rng)
         rec_a = reconstruct_channel(
-            records_from_channel(truth_a, 2_000, seed=1, frame=frame), frame
+            records_from_channel(truth_a, 2_000, seed=1), frame
         ).channel
         rec_b = reconstruct_channel(
-            records_from_channel(truth_b, 2_000, seed=2, frame=frame), frame
+            records_from_channel(truth_b, 2_000, seed=2), frame
         ).channel
         result = diamond_distance(rec_a, rec_b)
         bound = diamond_lower_bound(rec_a, rec_b, n_samples=4_000, rng=rng)

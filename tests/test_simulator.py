@@ -125,10 +125,14 @@ class TestModelValidation:
         (lambda: SpamSpec(meas_strength=True), ValidationError, "'spam.meas'"),
         (lambda: SpamSpec(meas_strength=np.inf), ValidationError, "'spam.meas'"),
         (lambda: SpamSpec(meas_strength=-0.01), ValidationError, "'spam.meas'"),
+        (lambda: build_default_model([X], spam={"prep": 0.1}), ValidationError, "'spam'"),
+        (lambda: build_default_model([X], env_initial="abc"), ValidationError, "'env_initial'"),
+        (lambda: build_default_model([X], durations=[1]), ValidationError, "'durations'"),
     ], ids=["coupling-nan", "coupling-str", "coupling-bool", "coupling-huge-int", "omega-inf",
             "omega-str", "duration-nan", "duration-bool", "width-40", "width-3", "wide-gate",
             "gate-wider-than-width", "no-gates", "negative-wire", "env-inf", "prep-nan",
-            "prep-str", "meas-bool", "meas-inf", "meas-negative"])
+            "prep-str", "meas-bool", "meas-inf", "meas-negative", "spam-dict", "env-str",
+            "durations-list"])
     def test_unusable_parameter_is_named_before_any_unitary_is_built(self, monkeypatch, make,
                                                                     error, named):
         def unbuilt(*args):
