@@ -3,11 +3,11 @@ reconstruction pipeline, and scaling of preparation/measurement
 imperfections.
 
 Shot statistics enter as a parametric bootstrap: each trial redraws
-every finite-shot record's counts with ``tomography._count_record``,
-the multinomial sampler that also simulates data, at the record's own
-shot count and from its observed frequencies.  Trial records keep
-``shots``, so the likelihood estimator weighs and stops them as it does
-the data.  A direct count-resampling oracle lives in the test suite to
+every record's counts with ``tomography._count_record``, the
+multinomial sampler that also simulates data, at the record set's one
+shot count and from the record's observed frequencies.  Trial records
+keep ``shots``, so the likelihood estimator weighs and stops them as it
+does the data.  A direct count-resampling oracle lives in the test suite to
 bound the bias of the whole procedure.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import pipeline
 from .channels import GateLabel
 from .exceptions import GatememError, ValidationError
-from .tomography import _count_record
+from .tomography import _count_record, _set_shots
 
 if TYPE_CHECKING:
     from .simulator import SEModel
@@ -39,12 +39,6 @@ class UncertaintyReport:
     shots: int | None
     values: tuple[float, ...]
     failed_trials: int = 0
-
-    def __post_init__(self):
-        if self.trials < 2:
-            raise ValidationError("uncertainty estimate needs at least two trials")
-        if self.std < 0:
-            raise ValidationError("standard deviation must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -72,21 +66,21 @@ def propagate_statistics(
 ) -> UncertaintyReport:
     """Push resampled statistics through an analysis closure.
 
-    ``pipeline`` maps a list of records to a real number.  Each trial
-    redraws every finite-shot record's counts from its observed
-    frequencies at its own shot count, reruns the closure, and
-    contributes one value; trials whose reconstruction fails are
-    excluded and counted.  Exact-mode records carry no statistical
-    noise: they pass through unchanged, and when every record is exact
-    the reported spread is zero.
+    ``pipeline`` maps a list of records to a real number.  ``records``
+    have one ``shots`` (``tomography._set_shots``; a mixed set raises
+    before the closure runs).  Each trial redraws every record's counts
+    from its observed frequencies at that shot count, reruns the
+    closure, and contributes one value; trials whose reconstruction
+    fails are excluded and counted.  A set of exact-mode records carries
+    no statistical noise: the closure runs once and the reported spread
+    is zero.
     """
     if trials < 2:
         raise ValidationError("need at least two trials")
     records = list(records)
+    shots = _set_shots(records)
     point = float(pipeline(records))
-    shots = records[0].shots if records else None
-
-    if all(r.shots is None for r in records):
+    if shots is None:
         return UncertaintyReport(
             metric=metric_name,
             point_estimate=point,
@@ -100,7 +94,7 @@ def propagate_statistics(
     failed = 0
     for _ in range(trials):
         try:
-            resampled = [_count_record(r.prep_label, r.meas_label, r.frequencies(), r.shots, rng)
+            resampled = [_count_record(r.prep_label, r.meas_label, r.frequencies(), shots, rng)
                          for r in records]
             values.append(float(pipeline(resampled)))
         except GatememError:

@@ -14,8 +14,9 @@ scan compares an n-step map against concatenations of its shorter
 reconstructions, and a relative-entropy proxy scores the multi-step
 process against its memoryless reference.
 
-Each analysis call computes its plan, a list of ``(kind, rng, a, b)``
-cells, in one :func:`_evaluate` call and returns views of the results.
+Each analysis call computes its plan, a list of ``(kind, label, rng, a,
+b)`` cells, in one :func:`_evaluate` call and returns views of the
+results; an error a cell raises names the cell's kind and label.
 The matrix functions return unscaled distances: :func:`analyze_grid`
 alone applies the display conventions (1/d for diamond entries, a factor
 2 for two-qubit target columns), once, to its finished matrices, and only
@@ -42,7 +43,7 @@ from .channels import (
     condition_number,
     invert,
 )
-from .exceptions import DimensionError, IncompleteDataError, ValidationError
+from .exceptions import DimensionError, GatememError, IncompleteDataError, ValidationError
 from .qcore import (
     DEFAULT_AVG_SAMPLES,
     _as_matrix,
@@ -295,26 +296,39 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
 
 
 def _evaluate(cells, m_samples: int):
-    """Yield each ``(kind, rng, a, b)`` cell's result in order: ``"cp"`` the
-    CP violation of ``a``; ``"avg"`` (drawing from ``rng``) and ``"diamond"``
-    the distance of ``a`` to ``b``; ``"histogram"`` the whole averaged result,
-    samples and all.  Functions are looked up at call time: wrappers see all."""
-    for kind, rng, a, b in cells:
-        if kind == "cp":
-            yield cp_violation(a)
-        elif kind == "diamond":
-            yield diamond_distance(a, b).value
-        elif kind == "avg":  # binds no result, so its samples go before the next cell draws
-            yield avg_trace_distance(a, b, m_samples, rng).mean
-        else:
-            yield avg_trace_distance(a, b, m_samples, rng)
+    """Yield each ``(kind, label, rng, a, b)`` cell's result in order:
+    ``"cp"`` the CP violation of ``a``; ``"avg"`` (drawing from ``rng``) and
+    ``"diamond"`` the distance of ``a`` to ``b``; ``"histogram"`` the whole
+    averaged result, samples and all.  An error of the package keeps its
+    type and gains the prefix ``<kind> cell <label>: ``.  Functions are
+    looked up at call time: wrappers see all."""
+    for kind, label, rng, a, b in cells:
+        try:
+            if kind == "cp":
+                result = cp_violation(a)
+            elif kind == "diamond":
+                result = diamond_distance(a, b).value
+            elif kind == "avg":  # keeps only the mean: samples go before the next cell draws
+                result = avg_trace_distance(a, b, m_samples, rng).mean
+            else:
+                result = avg_trace_distance(a, b, m_samples, rng)
+        except GatememError as err:
+            err.args = (f"{kind} cell {label}: {err}", *err.args[1:])
+            raise
+        yield result
 
 
 def _metric_cells(metric: str, rng, pairs) -> list:
-    """One ``metric`` cell per (a, b) pair of ``pairs``; the metric is avg or diamond."""
+    """One ``metric`` cell per (label, a, b) of ``pairs``; the metric is avg or diamond."""
     if metric not in ("avg", "diamond"):
         raise ValidationError(f"unknown metric {metric!r}; use 'avg' or 'diamond'")
-    return [(metric, rng, a, b) for a, b in pairs]
+    return [(metric, label, rng, a, b) for label, a, b in pairs]
+
+
+def _labelled_pairs(labelled) -> list:
+    """``(label vs label, a, b)`` for each pair of the ``(label, channel)``
+    items of ``labelled``, in :func:`itertools.combinations` order."""
+    return [(f"{x} vs {y}", a, b) for (x, a), (y, b) in itertools.combinations(labelled, 2)]
 
 
 def _grid_view(results, u_labels, v_labels, metric: str) -> DistanceMatrix:
@@ -364,8 +378,8 @@ def gate_dependence_matrix(
     labels = [str(k) for k in conditionals]
     if len(labels) < 2:
         raise ValidationError("need at least two conditioning gates")
-    chans = [_channel_of(v) for v in conditionals.values()]
-    cells = _metric_cells(metric, rng, itertools.combinations(chans, 2))
+    chans = zip(labels, map(_channel_of, conditionals.values()))
+    cells = _metric_cells(metric, rng, _labelled_pairs(chans))
     return _dependence_view(_evaluate(cells, m_samples), labels, metric)
 
 
@@ -407,7 +421,8 @@ def conditional_vs_marginal_matrix(
     non-constant columns are the signature of a past-dependent process.
     """
     u_labels, v_labels, maps = conditional_grid(marginals, joints)
-    cells = _metric_cells(metric, rng, [(cm.channel, marginals[v]) for (_, v), cm in maps.items()])
+    cells = _metric_cells(metric, rng, [(f"{u},{v}", cm.channel, marginals[v])
+                                        for (u, v), cm in maps.items()])
     return _grid_view(_evaluate(cells, m_samples), u_labels, v_labels, metric)
 
 
@@ -440,14 +455,14 @@ def analyze_grid(
 
     # a gate-dependence matrix compares at least two first gates
     targets = v_labels if len(u_labels) > 1 else []
-    grid = [(cm.channel, marginals[v]) for (_, v), cm in conditionals.items()]  # row-major
-    cells = [("cp", None, a, b) for a, b in grid]
+    grid = [(f"{u},{v}", cm.channel, marginals[v]) for (u, v), cm in conditionals.items()]
+    cells = [("cp", label, None, a, b) for label, a, b in grid]  # row-major
     for m in metrics:
         cells += _metric_cells(m, np.random.default_rng(seed), grid)
         for v in targets:
-            cells += _metric_cells(m, np.random.default_rng(seed + 1), itertools.combinations(
-                [conditionals[(u, v)].channel for u in u_labels], 2))
-    cells.append(("histogram", np.random.default_rng(seed + 2),
+            cells += _metric_cells(m, np.random.default_rng(seed + 1), _labelled_pairs(
+                [(f"{u},{v}", conditionals[(u, v)].channel) for u in u_labels]))
+    cells.append(("histogram", ",".join(pair), np.random.default_rng(seed + 2),
                   conditionals[(pair_u, pair_v)].channel, marginals[pair_v]))
     results = _evaluate(cells, m_samples)
     cp_matrix = _grid_view(results, u_labels, v_labels, "cp-violation")
@@ -498,7 +513,8 @@ def memory_scan(
     if n_max < 2:
         raise ValidationError("memory scan needs channels up to n >= 2")
     cuts = [(n, m) for n in range(2, n_max + 1) for m in range(1, n)]
-    pairs = [(chans[n - 1], compose(chans[m - 1], chans[n - m - 1])) for n, m in cuts]
+    pairs = [(f"n={n},m={m}", chans[n - 1], compose(chans[m - 1], chans[n - m - 1]))
+             for n, m in cuts]
     # metric after metric in cut order; only "avg" cells draw from rng
     cells = [c for metric in metrics for c in _metric_cells(metric, rng, pairs)]
     rows = np.fromiter(_evaluate(cells, m_samples), float).reshape(len(metrics), len(cuts)).T

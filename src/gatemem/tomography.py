@@ -13,11 +13,13 @@ Likelihood estimation runs on all preparations of a record set at once
 (:func:`mle_estimates`).  The preparations share the frame's effect
 stack, so the outcome probabilities of a whole stack of states are one
 real product, and so is each update, on real half-embeddings of the
-states and of R (:func:`_embedded`).  Each preparation is one row of
-weighted frequencies over the full outcome list; an outcome with zero
-counts has weight 0.  A candidate's probabilities serve both its
-log-likelihood and the next R operator.  Each preparation keeps its own
-stopping state, and only unfinished preparations advance.
+states and of R (:func:`_embedded`).  A record set is all exact or has
+one shot count (:func:`_set_shots`), so the set has one weight and one
+step tolerance.  Each preparation is one row of weighted frequencies
+over the full outcome list; an outcome with zero counts has weight 0.
+A candidate's probabilities serve both its log-likelihood and the next
+R operator.  Each preparation keeps its own stopping state, and only
+unfinished preparations advance.
 """
 
 from __future__ import annotations
@@ -212,11 +214,6 @@ class CountRecord:
             freq = freq / self.shots
         return freq
 
-    @property
-    def weight(self) -> float:
-        """Statistical weight of this record (1 in exact mode)."""
-        return 1.0 if self.shots is None else float(self.shots)
-
 
 @dataclass(frozen=True)
 class CircuitDescriptor:
@@ -319,14 +316,25 @@ class MleEstimate:
     iterations: int
 
 
+def _set_shots(records) -> int | None:
+    """The one ``shots`` of a record set, None when all are exact (or none
+    is there); mixed modes or shot counts raise :class:`ValidationError`."""
+    shots = {rec.shots for rec in records}
+    if None in shots and len(shots) > 1:
+        raise ValidationError("record set mixes exact-mode records (shots null) with sampled ones")
+    if len(shots) > 1:
+        raise ValidationError(f"record set mixes shot counts {sorted(shots)}")
+    return shots.pop() if shots else None
+
+
 def _records_by_config(records, frame: TomographyFrame, preps) -> dict:
     """The records keyed by ``(prep, meas)``, once they meet the one
     record-set rule: every record takes its labels from ``frame`` and its
-    preparation from ``preps``, all have one ``shots`` (None for every
-    exact record, or one shot count), and each configuration of ``preps``
-    and the frame's settings has exactly one record.  Errors name a
-    configuration ``prep/meas`` or a record index."""
-    by_config, repeated, shots = {}, set(), set()
+    preparation from ``preps``, all have one ``shots`` (:func:`_set_shots`),
+    and each configuration of ``preps`` and the frame's settings has
+    exactly one record.  Errors name a configuration ``prep/meas`` or a
+    record index."""
+    records, by_config, repeated = list(records), {}, set()
     for i, rec in enumerate(records):
         config = (rec.prep_label, rec.meas_label)
         if rec.prep_label not in frame.prep_labels or rec.meas_label not in frame.meas_labels:
@@ -338,11 +346,7 @@ def _records_by_config(records, frame: TomographyFrame, preps) -> dict:
         if config in by_config:
             repeated.add("/".join(config))
         by_config[config] = rec
-        shots.add(rec.shots)
-    if None in shots and len(shots) > 1:
-        raise ValidationError("record set mixes exact-mode records (shots null) with sampled ones")
-    if len(shots) > 1:
-        raise ValidationError(f"record set mixes shot counts {sorted(shots)}")
+    _set_shots(records)
     if repeated:
         raise ValidationError(f"record set repeats configurations {sorted(repeated)}")
     missing = [f"{p}/{m}" for p in preps for m in frame.meas_labels if (p, m) not in by_config]
@@ -351,37 +355,28 @@ def _records_by_config(records, frame: TomographyFrame, preps) -> dict:
     return by_config
 
 
-def _likelihood_row(by_config, prep: str, frame: TomographyFrame):
-    """One preparation's data over the frame's outcome list, from the
-    records of :func:`_records_by_config`: frequencies, weighted
-    frequencies over the total weight, step tolerance, and whether the
-    data is exact."""
-    recs = [by_config[prep, m] for m in frame.meas_labels]
-    freqs = np.concatenate([rec.frequencies() for rec in recs])
-    weights = np.repeat([rec.weight for rec in recs], frame.dim)
-    total_weight = float(sum(rec.weight for rec in recs))
-    step_tol = 1e-12
-    exact = recs[0].shots is None
-    # Beyond the shot-noise radius extra iterations buy nothing.
-    if not exact:
-        step_tol = max(step_tol, 1e-3 / math.sqrt(total_weight))
-    return freqs, weights * freqs / total_weight, step_tol, exact
-
-
 #: Iteration cap of the likelihood estimator.
 MLE_MAX_ITERATIONS = 10_000
 
 
 def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
     """Diluted fixed-point estimates of the preparations ``labels`` at
-    once, from the records of :func:`_records_by_config`.
+    once, from the records of :func:`_records_by_config`, whose one
+    ``shots`` sets every row's weight and the one step tolerance.
     See :func:`mle_estimate` for the iteration.  Iterates, R and the
     dilution gates are half-embeddings (:func:`_embedded`) until their
     rows finish or hit the cap."""
     design, effect_rows, probability_map = _likelihood_design(frame.meas_labels)
     d, n_preps = frame.dim, len(labels)
-    rows = [_likelihood_row(by_config, label, frame) for label in labels]
-    freqs, wft, step_tol, exact = (np.array(column) for column in zip(*rows))
+    shots = next(iter(by_config.values())).shots  # one per record set
+    weight = 1.0 if shots is None else float(shots)
+    total_weight = len(frame.meas_labels) * weight
+    freqs = np.array([np.concatenate([by_config[p, m].frequencies() for m in frame.meas_labels])
+                      for p in labels])
+    wft = weight * freqs / total_weight
+    # Exact data left to iterate heads for a sublinear boundary optimum that
+    # needs no exactness; counts stop at the shot-noise radius.
+    tol = 1e-9 if shots is None else max(1e-12, 1e-3 / math.sqrt(total_weight))
 
     def normalized(rho):
         return rho / np.einsum("pii->p", rho.real)[:, None, None]
@@ -401,34 +396,26 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
     states = np.empty((n_preps, d, d), dtype=complex)
     logliks = np.empty(n_preps)
     iterations = np.zeros(n_preps, dtype=int)
-    live = np.ones(n_preps, dtype=bool)
+    idx = np.arange(n_preps)
 
     # With exact probabilities the unconstrained likelihood maximum is
     # the least-squares state reproducing them; when that state is
     # physical it is the estimate, to machine precision rather than the
     # sqrt(eps) floor of likelihood-monitored iteration.
-    if exact.any():
-        ex = np.flatnonzero(exact)
-        solution, *_ = np.linalg.lstsq(design, freqs[ex].T.astype(complex), rcond=None)
-        rho_lin = np.ascontiguousarray(solution.T).reshape(len(ex), d, d)
+    if shots is None:
+        solution, *_ = np.linalg.lstsq(design, freqs.T.astype(complex), rcond=None)
+        rho_lin = np.ascontiguousarray(solution.T).reshape(n_preps, d, d)
         rho_lin = normalized(_hermitian_part(rho_lin))
-        residual = np.max(np.abs(real_probabilities(_embedded(rho_lin)) - freqs[ex]), axis=1)
+        residual = np.max(np.abs(real_probabilities(_embedded(rho_lin)) - freqs), axis=1)
         w, v = np.linalg.eigh(rho_lin)
         physical = (residual < 1e-10) & (w[:, 0] >= -1e-11)
         w = np.clip(w[physical], 0.0, None)
-        v = v[physical]
-        rho_lin = _from_spectrum(w / w.sum(axis=1, keepdims=True), v)
-        solved = ex[physical]
-        states[solved] = rho_lin
-        logliks[solved] = loglik(probabilities(_embedded(rho_lin)), wft[solved])
-        live[solved] = False
-        # inconsistent or unphysical exact-mode data heads for a boundary
-        # optimum, where the fixed point contracts sublinearly; such
-        # pseudo-data carries no exactness requirement
-        step_tol[ex[~physical]] = np.maximum(step_tol[ex[~physical]], 1e-9)
+        rho_lin = _from_spectrum(w / w.sum(axis=1, keepdims=True), v[physical])
+        states[physical] = rho_lin
+        logliks[physical] = loglik(probabilities(_embedded(rho_lin)), wft[physical])
+        idx = idx[~physical]
 
-    idx = np.flatnonzero(live)
-    wft, half_tol_sq = wft[idx], 0.5 * step_tol[idx] ** 2  # embedding halves |.|^2
+    wft, half_tol_sq = wft[idx], 0.5 * (tol * tol)  # embedding halves |.|^2
     ident = 0.5 * np.eye(2 * d)  # the half-embedded identity
     rho = np.repeat(ident[None] / d, len(idx), axis=0)
     probs = probabilities(rho)
@@ -479,7 +466,7 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
             iterations[out] = iteration
             going = ~finished
             idx, rho, probs, ll = idx[going], rho[going], probs[going], ll[going]
-            wft, half_tol_sq = wft[going], half_tol_sq[going]
+            wft = wft[going]
             stalled, polish_left = stalled[going], polish_left[going]
             any_stalled = bool(stalled.any())
     if idx.size:
@@ -500,7 +487,7 @@ def mle_estimates(records, frame: TomographyFrame) -> dict[str, MleEstimate]:
     """Likelihood estimates of every preparation of the frame from one
     record set that meets :func:`_records_by_config`, keyed by
     preparation label.  All preparations run the iteration of
-    :func:`mle_estimate` together, each with its own stopping rule.
+    :func:`mle_estimate` together, each with its own stopping state.
     The batch changes a preparation's iterates only by roundoff, which
     matters only where the likelihood gate compares two values equal to
     the last bits (exact-mode data iterating to the 1e-9 tolerance).
@@ -518,14 +505,14 @@ def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
     first record's preparation.  The iteration is the multiplicative
     R-rho-R update with the step diluted whenever the log-likelihood
     would decrease, so the likelihood is non-decreasing and the iterate
-    stays positive semidefinite throughout.  Convergence is declared when the
-    Frobenius step falls below 1e-12 (loosened to the statistical
-    resolution of the data when counts are finite, and to 1e-9 for
-    exact data no physical state reproduces), or 1,000 ungated
-    iterations after no dilution raises the likelihood; 10,000
-    iterations raise :class:`ConvergenceError`.  Exact-mode data that
-    is consistent with a physical state short-circuits to that state,
-    the least-squares solution, which is the exact optimum.
+    stays positive semidefinite throughout.  ``records`` are all exact
+    or share one shot count.  Exact-mode data that is consistent with a
+    physical state short-circuits to that state, the least-squares
+    solution, which is the exact optimum; other exact data iterates
+    until the Frobenius step falls below 1e-9, and counts until it falls
+    below ``1e-3 / sqrt(settings * shots)`` (at least 1e-12), or 1,000
+    ungated iterations after no dilution raises the likelihood; 10,000
+    iterations raise :class:`ConvergenceError`.
 
     This is the batched kernel of :func:`mle_estimates` on one
     preparation.  The data is one row of weighted frequencies over the

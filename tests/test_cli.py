@@ -807,6 +807,27 @@ def test_channel_entry_beyond_the_bound_exits_2_and_names_the_file(runner, model
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("metric", ["avg", "diamond"])
+def test_a_failing_analysis_cell_exits_2_and_is_named(runner, model_file, tmp_path, metric):
+    # a one-gate map scaled by 1e-300 passes the load checks and invert's
+    # relative threshold, but its conditioned map fails the Choi check
+    rec, chan = tmp_path / "rec", tmp_path / "chan"
+    _invoke(runner, ["simulate", "--model", model_file, "--gates", "X;X,X", "--shots", "10000",
+                     "--seed", "7", "--out", str(rec)])
+    for slug in ("X0", "X0-X0"):
+        _invoke(runner, ["tomo", "--records", str(rec / f"records_{slug}.json"),
+                         "--out", str(chan / f"channel_{slug}.json")])
+    scaled = chan / "channel_X0.json"
+    payload = load_json(str(scaled))
+    payload["superop"] = (np.array(payload["superop"]) * 1e-300).tolist()
+    scaled.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["analyze", "--channels", str(chan), "--metric", metric,
+                                  "--samples", "10", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "validation error: cp cell X@0,X@0: Choi matrix is not Hermitian" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("count", [float("inf"), float("nan")])
 def test_non_finite_count_of_sampled_records_exits_2(runner, model_file, tmp_path, count):
     # the rows above read exact-mode records; sampled counts must be integers

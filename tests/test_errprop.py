@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,20 @@ class TestPropagateStatistics:
         assert report.std == pytest.approx(2.0)
         with pytest.raises(ValidationError, match="only 1 trials survived"):
             propagate_statistics(records, failing_on({1, 2, 3, 4}), 5, rng)
+
+    @pytest.mark.parametrize("other_shots, message", [
+        (2048, "record set mixes shot counts [1024, 2048]"),
+        (None, "record set mixes exact-mode records (shots null) with sampled ones"),
+    ])
+    def test_mixed_record_set_is_refused_before_the_closure_runs(self, rng, other_shots,
+                                                                 message):
+        chan = random_channel(2, np.random.default_rng(21))
+        records = records_from_channel(chan, 1024, seed=3)
+        records[-1] = records_from_channel(chan, other_shots, seed=3)[-1]
+        calls = []
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            propagate_statistics(records, lambda r: calls.append(r) or 0.0, 3, rng)
+        assert calls == []
 
     def test_spread_matches_direct_resampling_oracle_within_forty_percent(self):
         # the setup of acceptance criterion 09, held to a tighter band

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from gatemem import tomography
-from gatemem.channels import GateLabel
+from gatemem.channels import GateLabel, QuantumChannel, vec
 from gatemem.exceptions import ConvergenceError, IncompleteDataError
 from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
 from gatemem.qcore import DensityMatrix
@@ -57,8 +57,11 @@ def reference_mle_estimate(records, frame, diagnostics=None):
     settings = list(frame.meas_labels)
     effects = np.concatenate([_measurement_effects(m) for m in settings])
     freqs = np.concatenate([grouped[m].frequencies() for m in settings])
-    weights = np.repeat([grouped[m].weight for m in settings], d)
-    total_weight = float(sum(grouped[m].weight for m in settings))
+    # a record's statistical weight: its shot count, or 1 in exact mode
+    record_weights = [1.0 if grouped[m].shots is None else float(grouped[m].shots)
+                      for m in settings]
+    weights = np.repeat(record_weights, d)
+    total_weight = float(sum(record_weights))
     wf = weights * freqs
 
     step_tol = 1e-12
@@ -239,6 +242,31 @@ def test_consistent_exact_data_takes_no_iterations(n_qubits):
         estimates = mle_estimates(records, frame)
         assert {est.iterations for est in estimates.values()} == {0}
         assert_same_iterates(estimates, reference_estimates(records, frame))
+
+
+def bloch_channel(m):
+    """The one-qubit unital map acting on Bloch vectors by the 3x3 matrix ``m``."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    transfer = np.eye(4)
+    transfer[1:, 1:] = m
+    # Pauli matrices over sqrt(2) are orthonormal: S = sum_j vec(out_j) vec(P_j)+ / 2
+    outputs = np.einsum("kj,kab->jab", transfer, np.array(paulis))
+    return QuantumChannel(sum(np.outer(vec(o), vec(p).conj()) for o, p in zip(outputs, paulis)) / 2)
+
+
+def test_exact_data_shortcut_and_iteration_share_one_batch():
+    # X+ goes to the Bloch vector (0.8, 0.8, 0): every outcome probability
+    # lies in [0, 1], but the vector is 1.13 long, so no state reproduces
+    # it and X+ iterates to the 1e-9 tolerance; Z+, Z- and Y+ land on
+    # states and take the least-squares shortcut
+    m = np.array([[0.8, 0.0, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    frame = build_frame(1)
+    records = records_from_channel(bloch_channel(m), None)
+    assert all(min(r.counts.values()) >= 0.0 for r in records)
+    estimates = mle_estimates(records, frame)
+    assert {p: est.iterations for p, est in estimates.items() if est.iterations} == {"X+": 47}
+    assert_same_iterates(estimates, reference_estimates(records, frame))
 
 
 def test_spam_kicked_exact_data_dilutes():

@@ -5,7 +5,7 @@ import pytest
 
 from gatemem.channels import GateLabel, QuantumChannel, compose
 from gatemem import nonmarkov
-from gatemem.exceptions import DimensionError, SingularChannelError, ValidationError
+from gatemem.exceptions import DimensionError, SingularChannelError, SolverError, ValidationError
 from gatemem.nonmarkov import (
     analyze_grid,
     avg_trace_distance,
@@ -447,6 +447,31 @@ class TestConditionalVsMarginal:
         assert calls == {"avg_trace_distance": cells + 1, "diamond_distance": cells}
 
 
+    @pytest.mark.parametrize("failing_call, label", [
+        (1, "avg cell A,D"), (2, "avg cell B,D"), (3, "avg cell A,D vs B,D"),
+        (4, "histogram cell A,D"),
+    ])
+    def test_an_error_names_its_cell_and_keeps_its_type(self, rng, monkeypatch, failing_call,
+                                                        label):
+        # the averaged cells run conditioned-vs-marginal, then the target's
+        # gate dependence, then the histogram
+        marginals = {g: random_channel(2, rng) for g in "ABD"}
+        joints = {(u, "D"): compose(random_channel(2, rng), marginals[u]) for u in "AB"}
+        calls = []
+
+        def failing(*args, _fn=nonmarkov.avg_trace_distance, **kwargs):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise SingularChannelError("sampled map is singular", 0.0, 1.0)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nonmarkov, "avg_trace_distance", failing)
+        with pytest.raises(SingularChannelError) as err:
+            analyze_grid(marginals, joints, m_samples=100)
+        assert str(err.value) == f"{label}: sampled map is singular"
+        assert (err.value.sigma_min, err.value.sigma_max) == (0.0, 1.0)
+
+
 class TestAnalyzeGridPair:
     def test_pair_is_found_by_canonical_token_whatever_the_grid_keys(self, memory_channels):
         # in process a grid is keyed by gate labels; load_grid keys it by tokens
@@ -523,6 +548,24 @@ class TestMemoryScan:
     def test_needs_at_least_two(self, rng):
         with pytest.raises(ValidationError):
             memory_scan([random_channel(2, rng)], metrics=("avg",), rng=rng)
+
+    def test_an_error_names_its_cut(self, rng, monkeypatch):
+        # cuts run (2, 1), (3, 1), (3, 2), so the second diamond cell is n=3,m=1
+        chans = [random_channel(2, rng) for _ in range(3)]
+        calls = []
+
+        def failing(a, b, _fn=nonmarkov.diamond_distance):
+            calls.append(a)
+            if len(calls) == 2:
+                raise SolverError("gap 0.5 above tolerance", 0.5)
+            return _fn(a, b)
+
+        monkeypatch.setattr(nonmarkov, "diamond_distance", failing)
+        with pytest.raises(SolverError) as err:
+            memory_scan(chans, metrics=("avg", "diamond"), m_samples=100, rng=rng)
+        assert str(err.value) == "diamond cell n=3,m=1: gap 0.5 above tolerance"
+        assert err.value.gap == 0.5
+        assert calls[1] is chans[2]
 
     def test_diamond_cells_leave_the_averaged_stream_alone(self, rng):
         base = random_channel(2, rng)
