@@ -16,7 +16,8 @@ process against its memoryless reference.
 
 Each analysis call computes its plan, a list of ``(kind, label, rng, a,
 b)`` cells, in one :func:`_evaluate` call and returns views of the
-results; an error a cell raises names the cell's kind and label.
+results; an error a cell raises names the cell's kind and label, and
+one raised building a conditioned map names its first gate.
 The matrix functions return unscaled distances: :func:`analyze_grid`
 alone applies the display conventions (1/d for diamond entries, a factor
 2 for two-qubit target columns), once, to its finished matrices, and only
@@ -29,6 +30,7 @@ memory scan compares, as ``gatemem scan`` does.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -295,15 +297,26 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     return diamond_sdp(choi_from_superop(a).data - choi_from_superop(b).data)
 
 
+@contextlib.contextmanager
+def _named(prefix: str):
+    """An error of the package raised in the block keeps its type and
+    fields and gains the prefix ``<prefix>: ``."""
+    try:
+        yield
+    except GatememError as err:
+        err.args = (f"{prefix}: {err}", *err.args[1:])
+        raise
+
+
 def _evaluate(cells, m_samples: int):
     """Yield each ``(kind, label, rng, a, b)`` cell's result in order:
     ``"cp"`` the CP violation of ``a``; ``"avg"`` (drawing from ``rng``) and
     ``"diamond"`` the distance of ``a`` to ``b``; ``"histogram"`` the whole
-    averaged result, samples and all.  An error of the package keeps its
-    type and gains the prefix ``<kind> cell <label>: ``.  Functions are
+    averaged result, samples and all.  An error of the package gains the
+    prefix ``<kind> cell <label>: `` (:func:`_named`).  Functions are
     looked up at call time: wrappers see all."""
     for kind, label, rng, a, b in cells:
-        try:
+        with _named(f"{kind} cell {label}"):
             if kind == "cp":
                 result = cp_violation(a)
             elif kind == "diamond":
@@ -312,9 +325,6 @@ def _evaluate(cells, m_samples: int):
                 result = avg_trace_distance(a, b, m_samples, rng).mean
             else:
                 result = avg_trace_distance(a, b, m_samples, rng)
-        except GatememError as err:
-            err.args = (f"{kind} cell {label}: {err}", *err.args[1:])
-            raise
         yield result
 
 
@@ -392,7 +402,9 @@ def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
     the sorted first-gate labels, the sorted second-gate labels, and the
     :class:`ConditionalMap` of each (first, second) cell.  Raises
     :class:`IncompleteDataError` listing every absent joint map and
-    single-gate marginal, or when ``joints`` is empty.
+    single-gate marginal, or when ``joints`` is empty.  An error of the
+    package building a map, such as the :class:`SingularChannelError` of
+    a singular first-gate map, gains the prefix ``first gate <label>: ``.
     """
     u_labels = sorted({u for (u, _) in joints}, key=str)
     v_labels = sorted({v for (_, v) in joints}, key=str)
@@ -401,8 +413,10 @@ def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
     if missing or not joints:
         missing = missing or ["two-gate maps"]
         raise IncompleteDataError(f"channel grid is incomplete: {missing}", missing)
-    maps = {(u, v): conditional_map(joints[(u, v)], marginals[u])
-            for u in u_labels for v in v_labels}
+    maps = {}
+    for u, v in itertools.product(u_labels, v_labels):
+        with _named(f"first gate {u}"):
+            maps[u, v] = conditional_map(joints[(u, v)], marginals[u])
     return u_labels, v_labels, maps
 
 

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel, _fitted_gates, apply
-from .exceptions import IncompleteDataError
+from .exceptions import IncompleteDataError, ValidationError
 from .tomography import (
     CountRecord,
     TomographyFrame,
@@ -52,13 +52,19 @@ def _sampled_records(
     """The one record loop: a record for every (preparation, setting) of
     ``frame`` in preparation-major order, each with its own seed spawned
     from ``seed``.  ``outputs`` yields each preparation's output state in
-    frame order, and ``rotations`` holds each setting's basis change."""
+    frame order, and ``rotations`` holds each setting's basis change.  An
+    outcome probability below -1e-12, which no positive map gives, raises
+    :class:`ValidationError` naming its configuration ``prep/meas``;
+    roundoff above that is clipped."""
     seeds = iter(_spawn_seeds(seed, len(frame.prep_labels) * len(frame.meas_labels)))
     records = []
     for prep, out in zip(frame.prep_labels, outputs):
         for meas, rot in zip(frame.meas_labels, rotations):
-            probs = _normalized(_rotated_probabilities(out, rot))
-            records.append(_count_record(prep, meas, probs, shots, next(seeds)))
+            probs = _rotated_probabilities(out, rot)
+            if probs.min() < -1e-12:
+                raise ValidationError(
+                    f"{prep}/{meas}: outcome probability {probs.min():.6g} is negative")
+            records.append(_count_record(prep, meas, _normalized(probs), shots, next(seeds)))
     return records
 
 
@@ -97,7 +103,9 @@ def records_from_channel(
 
     Exact mode (``shots=None``) emits the channel's true outcome
     probabilities; otherwise each configuration is sampled
-    multinomially with its own spawned seed.
+    multinomially with its own spawned seed.  A map that sends a
+    preparation to a negative outcome probability raises
+    :class:`ValidationError` in both modes.
     """
     frame = build_frame(channel.n_qubits)
     rotations = [meas_rotation(meas) for meas in frame.meas_labels]

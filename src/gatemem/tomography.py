@@ -16,7 +16,8 @@ real product, and so is each update, on real half-embeddings of the
 states and of R (:func:`_embedded`).  A record set is all exact or has
 one shot count (:func:`_set_shots`), so the set has one weight and one
 step tolerance.  Each preparation is one row of weighted frequencies
-over the full outcome list; an outcome with zero counts has weight 0.
+over the full outcome list, read in one pass over the set's counts (a
+missing key counts 0); an outcome with zero counts has weight 0.
 A candidate's probabilities serve both its log-likelihood and the next
 R operator.  Each preparation keeps its own stopping state, and only
 unfinished preparations advance.
@@ -371,27 +372,25 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
     shots = next(iter(by_config.values())).shots  # one per record set
     weight = 1.0 if shots is None else float(shots)
     total_weight = len(frame.meas_labels) * weight
-    freqs = np.array([np.concatenate([by_config[p, m].frequencies() for m in frame.meas_labels])
-                      for p in labels])
+    keys = outcome_bitstrings(frame.n_qubits)
+    freqs = np.array([[by_config[p, m].counts.get(k, 0) for m in frame.meas_labels for k in keys]
+                      for p in labels], dtype=float)
+    if shots is not None:
+        freqs = freqs / shots
     wft = weight * freqs / total_weight
     # Exact data left to iterate heads for a sublinear boundary optimum that
     # needs no exactness; counts stop at the shot-noise radius.
     tol = 1e-9 if shots is None else max(1e-12, 1e-3 / math.sqrt(total_weight))
 
-    def normalized(rho):
-        return rho / np.einsum("pii->p", rho.real)[:, None, None]
+    def normalized(rho):  # each trace is the sum of a strided diagonal of the flat stack
+        n = rho.shape[-1]
+        return rho / rho.reshape(len(rho), n * n)[:, :: n + 1].real.sum(axis=1)[:, None, None]
 
-    def real_probabilities(rho):  # of a stack of half-embedded states
-        return rho.reshape(len(rho), 4 * d * d) @ probability_map
-
-    def probabilities(rho):
-        return np.maximum(real_probabilities(rho), 1e-300)
+    def probabilities(rho):  # of a stack of half-embedded states
+        return np.maximum(rho.reshape(len(rho), 4 * d * d) @ probability_map, 1e-300)
 
     def loglik(probs, wft):
-        return np.einsum("pk,pk->p", wft, np.log(probs))
-
-    def r_operators(probs, wft):
-        return ((wft / probs) @ effect_rows).reshape(len(probs), 2 * d, 2 * d)
+        return np.vecdot(wft, np.log(probs))
 
     states = np.empty((n_preps, d, d), dtype=complex)
     logliks = np.empty(n_preps)
@@ -406,7 +405,7 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
         solution, *_ = np.linalg.lstsq(design, freqs.T.astype(complex), rcond=None)
         rho_lin = np.ascontiguousarray(solution.T).reshape(n_preps, d, d)
         rho_lin = normalized(_hermitian_part(rho_lin))
-        residual = np.max(np.abs(real_probabilities(_embedded(rho_lin)) - freqs), axis=1)
+        residual = np.max(np.abs(probabilities(_embedded(rho_lin)) - freqs), axis=1)
         w, v = np.linalg.eigh(rho_lin)
         physical = (residual < 1e-10) & (w[:, 0] >= -1e-11)
         w = np.clip(w[physical], 0.0, None)
@@ -429,7 +428,7 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
     iteration = 0
     while idx.size and iteration < MLE_MAX_ITERATIONS:
         iteration += 1
-        r = r_operators(probs, wft)
+        r = ((wft / probs) @ effect_rows).reshape(len(idx), 2 * d, 2 * d)
         cand = normalized(r @ rho @ r)
         probs_cand = probabilities(cand)  # for the likelihood and the next R
         ll_cand = loglik(probs_cand, wft)
@@ -454,7 +453,7 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
             stalled[dropped] = True
             any_stalled = True
         diff = (cand - rho).reshape(len(idx), 4 * d * d)
-        step_sq = np.einsum("pk,pk->p", diff, diff)
+        step_sq = np.vecdot(diff, diff)
         rho, probs, ll = cand, probs_cand, ll_cand
         finished = step_sq < half_tol_sq
         if any_stalled:

@@ -1320,6 +1320,19 @@ class TestExitCodes:
         assert result.output.startswith("numerical error")
         assert not out.exists()
 
+    def test_a_rank_one_first_gate_map_is_named(self, runner, tmp_path):
+        # rho -> tr(rho)|0><0| is vec(|0><0|) vec(I)+ in column-stacking order
+        rank_one = np.zeros((4, 4))
+        rank_one[0, [0, 3]] = 1.0
+        x = ideal_channel(GateLabel("X", (0,)))
+        _write_channels(tmp_path / "chan", {("X@0",): QuantumChannel(rank_one),
+                                            ("X@0", "X@0"): compose(x, x)})
+        result = runner.invoke(main, ["analyze", "--channels", str(tmp_path / "chan"),
+                                      "--samples", "50", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("numerical error: first gate X@0: superoperator is"
+                                        " singular (sigma_min=0.000e+00, sigma_max=1.414e+00)")
+
     @pytest.mark.parametrize("content", [b'{"gates": ["X@0"], "sup', b'\xff\xfe{"gates": []}'],
                              ids=["truncated", "not-utf-8"])
     @pytest.mark.parametrize("kind", ["records", "channel", "model"])

@@ -514,6 +514,17 @@ class TestConditionalGrid:
             conditional_grid({"A": random_channel(2, rng)}, joints)
         assert err.value.missing == ["A,D", "C,B", "B", "C", "D"]
 
+    def test_a_singular_first_gate_map_is_named_and_keeps_its_type(self, rng):
+        rank_one = np.zeros((4, 4))
+        rank_one[0, [0, 3]] = 1.0  # rho -> tr(rho)|0><0|
+        marginals = {"A": random_channel(2, rng), "B": QuantumChannel(rank_one)}
+        joints = {(u, "A"): random_channel(2, rng) for u in "AB"}
+        with pytest.raises(SingularChannelError) as err:
+            conditional_grid(marginals, joints)
+        assert str(err.value).startswith("first gate B: superoperator is singular")
+        assert err.value.sigma_min == 0.0
+        assert err.value.sigma_max == pytest.approx(np.sqrt(2.0))
+
 
 class TestMemoryScan:
     def test_default_depth(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatemem import simulator
-from gatemem.channels import GateLabel, QuantumChannel
+from gatemem.channels import GateLabel, QuantumChannel, vec
 from gatemem.exceptions import DimensionError, IncompleteDataError, ValidationError
 from gatemem.pipeline import (
     reconstruct_channel,
@@ -37,6 +37,17 @@ class TestRoundTrips:
     def test_channel_width_comes_from_its_dim(self):
         with pytest.raises(DimensionError, match="'dim' must be a power of two, got 3"):
             records_from_channel(QuantumChannel(np.eye(9)), None)
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_a_negative_outcome_probability_is_refused(self, shots):
+        # a Bloch x stretch by 1.25 sends X+ to p(1) = -0.125 under the X setting
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1.0, -1.0])]
+        stretch = QuantumChannel(sum(scale * np.outer(vec(p), vec(p).conj())
+                                     for scale, p in zip((1.0, 1.25, 1.0, 1.0), paulis)) / 2)
+        with pytest.raises(ValidationError,
+                           match=r"^X\+/X: outcome probability -0\.125 is negative$"):
+            records_from_channel(stretch, shots, seed=3)
 
     def test_simulator_exact_reconstruction(self):
         model = build_default_model(LABELS, coupling=0.4, reset_policy="persistent")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -14,13 +15,16 @@ from gatemem.exceptions import (
     LabelError,
     ValidationError,
 )
+from gatemem.pipeline import simulate_records
 from gatemem.qcore import _half_trace_norm
+from gatemem.simulator import build_default_model
 from gatemem.tomography import (
     CountRecord,
     _rotated_probabilities,
     build_frame,
     meas_rotation,
     mle_estimate,
+    mle_estimates,
     prep_unitary,
     process_tomography,
 )
@@ -212,6 +216,20 @@ class TestMleEstimate:
         a = mle_estimate(records, frame).state
         b = mle_estimate(records[::-1], frame).state
         assert _half_trace_norm(a.data - b.data) <= 1e-8
+
+    def test_counts_without_zero_keys_give_the_full_key_estimates(self):
+        # the CX set at 1e5 shots has 6 zero-count outcomes; a record that
+        # leaves a zero-count key out carries the same data
+        frame = build_frame(2)
+        model = build_default_model(["CX@1.0"])
+        records = simulate_records(model, [GateLabel.parse("CX@1.0")], 100_000, seed=7)
+        sparse = [dataclasses.replace(r, counts={k: c for k, c in r.counts.items() if c})
+                  for r in records]
+        assert sum(len(r.counts) - len(s.counts) for r, s in zip(records, sparse)) == 6
+        full, dropped = mle_estimates(records, frame), mle_estimates(sparse, frame)
+        for prep, est in full.items():
+            np.testing.assert_array_equal(dropped[prep].state.data, est.state.data)
+            assert (dropped[prep].loglik, dropped[prep].iterations) == (est.loglik, est.iterations)
 
     def test_loglik_and_iterations_reported(self):
         frame = build_frame(1)
