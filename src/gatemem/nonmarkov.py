@@ -400,7 +400,9 @@ def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
     ``joints`` maps (first, second) label pairs to two-gate channels.
     The grid spans every first and second gate in ``joints``.  Returns
     the sorted first-gate labels, the sorted second-gate labels, and the
-    :class:`ConditionalMap` of each (first, second) cell.  Raises
+    :class:`ConditionalMap` of each (first, second) cell, the one
+    :func:`conditional_map` builds, with each first-gate map inverted
+    once.  Raises
     :class:`IncompleteDataError` listing every absent joint map and
     single-gate marginal, or when ``joints`` is empty.  An error of the
     package building a map, such as the :class:`SingularChannelError` of
@@ -414,9 +416,11 @@ def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
         missing = missing or ["two-gate maps"]
         raise IncompleteDataError(f"channel grid is incomplete: {missing}", missing)
     maps = {}
-    for u, v in itertools.product(u_labels, v_labels):
+    for u in u_labels:
         with _named(f"first gate {u}"):
-            maps[u, v] = conditional_map(joints[(u, v)], marginals[u])
+            inverse, cond = invert(marginals[u]), condition_number(marginals[u])
+            for v in v_labels:
+                maps[u, v] = ConditionalMap(compose(joints[(u, v)], inverse), cond)
     return u_labels, v_labels, maps
 
 

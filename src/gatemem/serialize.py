@@ -392,7 +392,6 @@ def write_analysis(out_dir: str, analysis: GridAnalysis, cfg_hash: str, seed) ->
     and ``cond_vs_marginal_<metric>`` matrices (CSV and JSON), one
     ``gate_dependence_<target>_<metric>.csv`` per target gate, and the
     pair's ``histogram_<U>_<V>.json``."""
-    os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "cp_violation"), analysis.cp_violation, cfg_hash, seed)
     for metric, matrix in analysis.cond_vs_marginal.items():
         write_matrix(os.path.join(out_dir, f"cond_vs_marginal_{metric}"), matrix, cfg_hash, seed)
@@ -423,7 +422,6 @@ def scan_csv(scan: MemoryScan, metric: str, cfg_hash: str, seed) -> str:
 def write_scan(out_dir: str, scan: MemoryScan, cfg_hash: str, seed) -> None:
     """A memory scan in ``out_dir``: one ``scan_<metric>.csv`` per metric
     it holds, and ``scan.json`` with every entry."""
-    os.makedirs(out_dir, exist_ok=True)
     for metric in scan.entries[(2, 1)]:
         atomic_write_text(
             os.path.join(out_dir, f"scan_{metric}.csv"), scan_csv(scan, metric, cfg_hash, seed)

@@ -9,18 +9,8 @@ measurement symbols are ``X``, ``Y``, ``Z``, realized as a basis-change
 rotation followed by a computational-basis measurement.  Outcome keys
 are bitstrings with qubit 0 leftmost.
 
-Likelihood estimation runs on all preparations of a record set at once
-(:func:`mle_estimates`).  The preparations share the frame's effect
-stack, so the outcome probabilities of a whole stack of states are one
-real product, and so is each update, on real half-embeddings of the
-states and of R (:func:`_embedded`).  A record set is all exact or has
-one shot count (:func:`_set_shots`), so the set has one weight and one
-step tolerance.  Each preparation is one row of weighted frequencies
-over the full outcome list, read in one pass over the set's counts (a
-missing key counts 0); an outcome with zero counts has weight 0.
-A candidate's probabilities serve both its log-likelihood and the next
-R operator.  Each preparation keeps its own stopping state, and only
-unfinished preparations advance.
+Likelihood estimation (:func:`mle_estimate`) runs on all preparations
+of a record set at once (:func:`mle_estimates`).
 """
 
 from __future__ import annotations
@@ -361,12 +351,10 @@ MLE_MAX_ITERATIONS = 10_000
 
 
 def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
-    """Diluted fixed-point estimates of the preparations ``labels`` at
-    once, from the records of :func:`_records_by_config`, whose one
-    ``shots`` sets every row's weight and the one step tolerance.
-    See :func:`mle_estimate` for the iteration.  Iterates, R and the
-    dilution gates are half-embeddings (:func:`_embedded`) until their
-    rows finish or hit the cap."""
+    """The estimates of :func:`mle_estimate` for the preparations
+    ``labels`` at once, from the records of :func:`_records_by_config`,
+    whose one ``shots`` sets every row's weight and the one step
+    tolerance.  Only unfinished rows advance."""
     design, effect_rows, probability_map = _likelihood_design(frame.meas_labels)
     d, n_preps = frame.dim, len(labels)
     shots = next(iter(by_config.values())).shots  # one per record set
@@ -399,8 +387,8 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
 
     # With exact probabilities the unconstrained likelihood maximum is
     # the least-squares state reproducing them; when that state is
-    # physical it is the estimate, to machine precision rather than the
-    # sqrt(eps) floor of likelihood-monitored iteration.
+    # physical it is the estimate, to machine precision rather than to
+    # the step tolerance of the iteration.
     if shots is None:
         solution, *_ = np.linalg.lstsq(design, freqs.T.astype(complex), rcond=None)
         rho_lin = np.ascontiguousarray(solution.T).reshape(n_preps, d, d)
@@ -415,59 +403,23 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
         idx = idx[~physical]
 
     wft, half_tol_sq = wft[idx], 0.5 * (tol * tol)  # embedding halves |.|^2
-    ident = 0.5 * np.eye(2 * d)  # the half-embedded identity
-    rho = np.repeat(ident[None] / d, len(idx), axis=0)
+    rho = np.repeat(0.5 * np.eye(2 * d)[None] / d, len(idx), axis=0)  # half-embedded I / d
     probs = probabilities(rho)
-    ll = loglik(probs, wft)
-    # Likelihood gating resolves improvements only down to sqrt(machine
-    # epsilon) in state error; once it stalls, the plain fixed-point
-    # update keeps contracting for interior optima, so a bounded
-    # terminal phase runs ungated on the step criterion alone.
-    stalled, any_stalled = np.zeros(len(idx), dtype=bool), False
-    polish_left = np.full(len(idx), 1_000)
     iteration = 0
     while idx.size and iteration < MLE_MAX_ITERATIONS:
         iteration += 1
         r = ((wft / probs) @ effect_rows).reshape(len(idx), 2 * d, 2 * d)
         cand = normalized(r @ rho @ r)
-        probs_cand = probabilities(cand)  # for the likelihood and the next R
-        ll_cand = loglik(probs_cand, wft)
-        if any_stalled:
-            ll_cand[stalled] = ll[stalled]
-            polish_left -= stalled
-        dropped = (ll_cand < ll).nonzero()[0]
-        eps = 0.5
-        while dropped.size and eps > 1e-8:  # dilute toward the identity
-            g = ident + eps * (r[dropped] - ident)
-            diluted = normalized(g @ rho[dropped] @ g)
-            probs_diluted = probabilities(diluted)
-            ll_diluted = loglik(probs_diluted, wft[dropped])
-            kept = ll_diluted >= ll[dropped]
-            taken = dropped[kept]
-            cand[taken], probs_cand[taken], ll_cand[taken] = (
-                diluted[kept], probs_diluted[kept], ll_diluted[kept])
-            dropped = dropped[~kept]
-            eps *= 0.5
-        if dropped.size:  # no dilution improves these: stall on the undiluted candidate
-            ll_cand[dropped] = ll[dropped]
-            stalled[dropped] = True
-            any_stalled = True
         diff = (cand - rho).reshape(len(idx), 4 * d * d)
-        step_sq = np.vecdot(diff, diff)
-        rho, probs, ll = cand, probs_cand, ll_cand
-        finished = step_sq < half_tol_sq
-        if any_stalled:
-            finished |= stalled & (polish_left <= 0)
+        rho, probs = cand, probabilities(cand)  # for the next R, or the log-likelihood
+        finished = np.vecdot(diff, diff) < half_tol_sq
         if finished.any():
             out = idx[finished]
             states[out] = normalized(_hermitian_part(_unembedded(rho[finished])))
-            logliks[out] = ll[finished]
+            logliks[out] = loglik(probs[finished], wft[finished])
             iterations[out] = iteration
             going = ~finished
-            idx, rho, probs, ll = idx[going], rho[going], probs[going], ll[going]
-            wft = wft[going]
-            stalled, polish_left = stalled[going], polish_left[going]
-            any_stalled = bool(stalled.any())
+            idx, rho, probs, wft = idx[going], rho[going], probs[going], wft[going]
     if idx.size:
         raise ConvergenceError(
             f"MLE did not converge in {MLE_MAX_ITERATIONS} iterations"
@@ -486,10 +438,7 @@ def mle_estimates(records, frame: TomographyFrame) -> dict[str, MleEstimate]:
     """Likelihood estimates of every preparation of the frame from one
     record set that meets :func:`_records_by_config`, keyed by
     preparation label.  All preparations run the iteration of
-    :func:`mle_estimate` together, each with its own stopping state.
-    The batch changes a preparation's iterates only by roundoff, which
-    matters only where the likelihood gate compares two values equal to
-    the last bits (exact-mode data iterating to the 1e-9 tolerance).
+    :func:`mle_estimate` together, each stopping on its own step.
     If preparations hit the iteration cap, :class:`ConvergenceError`
     names the first of them in frame order."""
     by_config = _records_by_config(records, frame, frame.prep_labels)
@@ -498,28 +447,34 @@ def mle_estimates(records, frame: TomographyFrame) -> dict[str, MleEstimate]:
 
 
 def mle_estimate(records, frame: TomographyFrame) -> MleEstimate:
-    """Diluted fixed-point maximum-likelihood state estimate.
+    """Maximum-likelihood state estimate: the R-rho-R fixed point
+    (Hradil, PRA 55, R1561, 1997).
 
     ``records`` hold one record per setting of the frame, all of the
-    first record's preparation.  The iteration is the multiplicative
-    R-rho-R update with the step diluted whenever the log-likelihood
-    would decrease, so the likelihood is non-decreasing and the iterate
-    stays positive semidefinite throughout.  ``records`` are all exact
-    or share one shot count.  Exact-mode data that is consistent with a
-    physical state short-circuits to that state, the least-squares
-    solution, which is the exact optimum; other exact data iterates
-    until the Frobenius step falls below 1e-9, and counts until it falls
-    below ``1e-3 / sqrt(settings * shots)`` (at least 1e-12), or 1,000
-    ungated iterations after no dilution raises the likelihood; 10,000
-    iterations raise :class:`ConvergenceError`.
+    first record's preparation, and are all exact or share one shot
+    count (:func:`_set_shots`).  From the maximally mixed state, each
+    step is ``rho -> R rho R / tr``, with R the effects weighted by
+    frequency over probability, so the iterate stays positive
+    semidefinite.  Exact-mode data that a physical state reproduces to
+    1e-10 short-circuits to the least-squares state, the exact optimum
+    (``iterations`` 0).  Otherwise the iteration stops when the
+    Frobenius step falls below 1e-9 for exact data and below
+    ``1e-3 / sqrt(settings * shots)`` (at least 1e-12) for counts;
+    ``MLE_MAX_ITERATIONS`` (10,000) iterations raise
+    :class:`ConvergenceError`.  ``loglik`` is the log-likelihood of the
+    final iterate over the total weight (settings times shots, or the
+    settings in exact mode).
 
     This is the batched kernel of :func:`mle_estimates` on one
     preparation.  The data is one row of weighted frequencies over the
-    frame's full outcome list; an outcome with zero counts has weight 0
-    and drops out of the likelihood and of R.  Each candidate's outcome
-    probabilities are computed once, for its log-likelihood, and reused
-    for the next R.  The iteration runs in real arithmetic, on half the
-    real embeddings ``[[X, -Y], [Y, X]] / 2`` of the states and of R.
+    frame's full outcome list, read in one pass over the set's counts (a
+    missing key counts 0); an outcome with zero counts has weight 0 and
+    drops out of the likelihood and of R.  Each iterate's outcome
+    probabilities are computed once, for the next R or, at the end, for
+    the log-likelihood.  The iteration runs in real arithmetic, on half
+    the real embeddings ``[[X, -Y], [Y, X]] / 2`` of the states and of R
+    (:func:`_embedded`), so the probabilities of a stack of states are
+    one real product, and so is each update.
     """
     records = list(records)
     preps = (records[0].prep_label if records else frame.prep_labels[0],)

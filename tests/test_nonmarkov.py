@@ -369,23 +369,29 @@ class TestConditionalVsMarginal:
         with pytest.raises(IncompleteDataError):
             conditional_vs_marginal_matrix({"A": random_channel(2, rng)}, {}, m_samples=10)
 
-    def test_analyze_grid_builds_each_conditioned_map_once(self, rng, monkeypatch):
-        gates = ["A", "B"]
+    def test_analyze_grid_inverts_each_first_gate_once(self, rng, monkeypatch):
+        gates = ["A", "B", "C"]
         marginals = {g: random_channel(2, rng) for g in gates}
         joints = {(u, v): compose(random_channel(2, rng), marginals[u])
                   for u in gates for v in gates}
         expected = conditional_vs_marginal_matrix(marginals, joints, m_samples=200,
                                                   rng=np.random.default_rng(3))
-        build = nonmarkov.conditional_map
+        _, _, maps = conditional_grid(marginals, joints)
+        for (u, v), cm in maps.items():  # the cells of conditional_map, bit for bit
+            ref = conditional_map(joints[(u, v)], marginals[u])
+            np.testing.assert_array_equal(cm.channel.superop, ref.channel.superop)
+            assert cm.cond_number == ref.cond_number
+        build = nonmarkov.invert
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(nonmarkov, "conditional_map", spy)
+        monkeypatch.setattr(nonmarkov, "invert", spy)
         analysis = analyze_grid(marginals, joints, metrics=("avg",), m_samples=200, seed=3)
-        assert len(calls) == 4  # one per cell of the 2 x 2 grid
+        assert len(calls) == len(gates)  # one per first gate of the 3 x 3 grid
+        assert all(args[0] is marginals[g] for args, g in zip(calls, gates))
         np.testing.assert_array_equal(analysis.cond_vs_marginal["avg"].values, expected.values)
 
     def test_each_output_draws_from_its_named_stream(self, rng):
