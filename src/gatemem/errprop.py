@@ -142,6 +142,10 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     from .simulator import SpamSpec, extract_channel
 
     strengths = sorted(float(s) for s in strengths)
+    bad = [s for s in strengths if not (np.isfinite(s) and s >= 0.0)]
+    if bad:
+        raise ValidationError(f"strength grid: every strength must be finite and non-negative,"
+                              f" got {bad[0]!r}")
     if 0.0 not in strengths:
         raise ValidationError("strength grid must include 0")
     if len({s for s in strengths if s > 0}) < 2:

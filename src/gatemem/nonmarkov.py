@@ -178,8 +178,10 @@ def avg_trace_distance(
     one :func:`.qcore._complex_normals` call, so the batch size fixes
     the random stream.  Each sample is computed in the real coordinates
     of :func:`_half_norms`, straight from its Gaussian draw and with no
-    normalization, in slices of ``8_000 // d`` samples that all work in
-    one workspace, allocated once per call.
+    normalization, in slices of ``16_000 // d`` samples: a batch's real
+    parts are drawn whole, and its imaginary parts one slice at a time
+    after them, which leaves the stream as it is.  Every slice works in
+    one workspace (:func:`_workspace`), allocated once per call.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -190,26 +192,32 @@ def avg_trace_distance(
     d = a.dim
     samples = np.empty(m_samples)
     transfer = _hermitian_transfer(a.superop - b.superop)
-    # the draw size fixes the random stream.  Every slice of a draw writes
-    # its input and output coordinates into one workspace of the call, so
-    # no slice allocates a d^2-row array: its temporaries are single rows
-    # (16 or 32 KB at d = 4), which the heap reuses.  The slice is sized for
-    # the norm: at d = 4 the closed form's hundred or so array operations
-    # are spread over 2,000 samples (1,000 took a fifth longer per sample),
-    # and 4,000 would lift a paper-scale call's peak from 3.3 to 4.5 MB
-    step = 8_000 // d
-    work = np.empty((2 * d * d + d, min(step, m_samples)))
+    # the draw size fixes the random stream; the width does not.  It
+    # spreads each of the d = 4 closed form's hundred or so array
+    # operations over 4,000 samples, whose rows still stay in cache (a
+    # cell takes a fifth less time than at 2,000).  Drawing the imaginary
+    # parts by slice and writing every intermediate into the workspace pay
+    # for the wider rows: a paper-scale call peaks at 2.9 MB, not 3.3 MB
+    width = min(16_000 // d, m_samples)
+    work = _workspace(d, width)
     for start in range(0, m_samples, 20_000):
-        re, im = _complex_normals(d, min(20_000, m_samples - start), rng)
-        for lo in range(0, len(re), step):
-            hi = min(lo + step, len(re))
-            samples[start + lo : start + hi] = _half_norms(
-                transfer, re[lo:hi], im[lo:hi], work[:, : hi - lo]
-            )
-        del re, im  # so that the next draw does not sit beside this one
+        parts = _complex_normals(d, min(20_000, m_samples - start), rng, width)
+        re = next(parts)
+        for lo, im in zip(range(start, start + len(re), width), parts):
+            hi = lo + len(im)
+            _half_norms(transfer, re[lo - start : hi - start], im, work, samples[lo:hi])
+        del re, parts  # so that the next draw does not sit beside this one
+    del work  # nor the workspace beside the deviations that std takes
 
     stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
+
+
+def _workspace(d: int, width: int) -> np.ndarray:
+    """The rows :func:`_half_norms` writes into, for up to ``width``
+    samples: the input coordinates, the output coordinates and d spare
+    rows, 2 d^2 + d rows of ``width`` rounded up to a multiple of 16."""
+    return np.empty((2 * d * d + d, -(-width // 16) * 16))
 
 
 def _hermitian_transfer(delta: np.ndarray) -> np.ndarray:
@@ -237,12 +245,11 @@ def _hermitian_transfer(delta: np.ndarray) -> np.ndarray:
 
 
 def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray,
-                work: np.ndarray) -> np.ndarray:
-    """Half the trace norm of the Hermitian part of ``D(|z><z|)`` for the
-    Haar-random states ``|z>`` of the rows of a Gaussian draw
-    ``re + i im``, ``D`` given by its :func:`_hermitian_transfer` matrix.
-    ``work`` is a workspace of 2 d^2 + d rows, one column per row of the
-    draw: the input coordinates, the output coordinates and d spare rows.
+                work: np.ndarray, samples: np.ndarray) -> None:
+    """Write into ``samples`` half the trace norm of the Hermitian part of
+    ``D(|z><z|)`` for the Haar-random states ``|z>`` of the rows of a
+    Gaussian draw ``re + i im``, ``D`` given by its
+    :func:`_hermitian_transfer` matrix, in a :func:`_workspace` ``work``.
 
     From the normals ``z = a + i b`` of one row, the d^2 real
     coordinates of ``|z><z|`` are its diagonal ``a_i^2 + b_i^2``, and
@@ -254,11 +261,19 @@ def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray,
     trace norm is the larger magnitude of the two; 4 x 4 outputs take the
     closed form of :func:`.qcore._half_trace_norm_4x4_entries` and larger
     ones ``eigvalsh``.  Half the trace norm is homogeneous of degree 1,
-    so dividing by ``|z|^2`` takes the place of normalizing ``z``."""
-    d = re.shape[1]
+    so dividing by ``|z|^2`` takes the place of normalizing ``z``.
+
+    BLAS takes the last columns of a product that do not fill a block of
+    its kernel (16 wide with AVX-512) through other instructions, with
+    other roundings, so the transfer product runs over whole blocks of 16
+    columns, the extra ones zero: no sample's bits depend on where its
+    slice ends, and a one-sample slice is not a matrix-vector product."""
+    d, count = re.shape[1], len(re)
+    wide = work[:, : -(-count // 16) * 16]
+    rows = wide[:, :count]
     a, b = re.T, im.T
     n = d * (d - 1) // 2
-    coords, out, spare = work[: d * d], work[d * d : 2 * d * d], work[2 * d * d :]
+    coords, out, spare = rows[: d * d], rows[d * d : 2 * d * d], rows[2 * d * d :]
     np.multiply(a, a, out=coords[:d])
     coords[:d] += np.multiply(b, b, out=spare)
     # products go into coords and the spare rows (a new temporary per
@@ -273,15 +288,27 @@ def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray,
         np.multiply(b[i], a[i + 1 :], out=y)
         y -= np.multiply(a[i], b[i + 1 :], out=tmp)
         top += m
-    np.matmul(transfer, coords, out=out)
-    if d == 2:
-        mid, h = 0.5 * (out[0] + out[1]), 0.5 * (out[0] - out[1])
-        half = np.maximum(np.abs(mid), np.sqrt(h * h + out[2] * out[2] + out[3] * out[3]))
+    wide[: d * d, count:] = 0.0
+    np.matmul(transfer, wide[: d * d], out=wide[d * d : 2 * d * d])
+    norm = np.sum(coords[:d], axis=0, out=spare[0])
+    if d == 2:  # max(|mid|, sqrt(h^2 + x^2 + y^2)), in the spent input rows
+        mid, h, tmp = coords[:3]
+        np.multiply(0.5, np.add(out[0], out[1], out=mid), out=mid)
+        np.multiply(0.5, np.subtract(out[0], out[1], out=h), out=h)
+        np.multiply(h, h, out=h)
+        h += np.multiply(out[2], out[2], out=tmp)
+        h += np.multiply(out[3], out[3], out=tmp)
+        half = np.maximum(np.abs(mid, out=mid), np.sqrt(h, out=h), out=mid)
     elif d == 4:
-        half = _half_trace_norm_4x4_entries(out[:d], out[d : d + n], out[d + n :])
+        # the input coordinates are spent: their 16 whole rows take the
+        # closed form's 8 complex rows, the upper entries first, and the
+        # rows those leave and the spare rows take its real ones
+        crows = work[: d * d].reshape(8, -1).view(complex)[:, :count]
+        half = _half_trace_norm_4x4_entries(out[:d], out[d : d + n], out[d + n :],
+                                            ([*spare[1:], *out[d:]], crows))
     else:
         half = _half_trace_norm(_hermitian_from_entries(out[:d], out[d : d + n], out[d + n :]))
-    return half / coords[:d].sum(axis=0)
+    np.divide(half, norm, out=samples)
 
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:

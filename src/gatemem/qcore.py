@@ -121,7 +121,7 @@ def _half_trace_norm(mat: np.ndarray):
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(mat))), axis=-1)
 
 
-def _half_trace_norm_4x4_entries(diag, re, im) -> np.ndarray:
+def _half_trace_norm_4x4_entries(diag, re, im, work) -> np.ndarray:
     """Half the trace norm of n Hermitian 4 x 4 matrices given by their
     entries: ``diag`` the four real diagonals, ``re`` and ``im`` the real
     and imaginary parts of the six entries above it in ``_PAIRS`` order,
@@ -130,13 +130,9 @@ def _half_trace_norm_4x4_entries(diag, re, im) -> np.ndarray:
 
     The matrix is shifted by ``t = tr / 4`` to a traceless ``B`` with
     eigenvalues ``mu``; ``s2, s3, s4 = tr B^2, tr B^3, tr B^4`` come
-    entry by entry from the upper triangles of ``B`` and ``B^2``.  Each
-    ``|B_ij|^2`` comes from the two parts of the entry, and each
-    conjugate entry of ``B`` is formed where a product uses it; the upper
-    entries of ``B^2`` are formed one pair at a time, added into ``s3``
-    and ``s4`` and dropped, so few arrays of length n are alive at once.
-    The pair sums ``(mu_1 + mu_k)^2``, k = 2, 3, 4, are the roots
-    ``y1 >= y2 >= y3 >= 0`` of
+    entry by entry from the upper triangles of ``B`` and ``B^2``
+    (:func:`_power_sums_4x4`).  The pair sums ``(mu_1 + mu_k)^2``,
+    k = 2, 3, 4, are the roots ``y1 >= y2 >= y3 >= 0`` of
 
         y^3 - s2 y^2 + (s4 - s2^2 / 4) y - (s3 / 3)^2 = 0.
 
@@ -147,71 +143,143 @@ def _half_trace_norm_4x4_entries(diag, re, im) -> np.ndarray:
     ``-a + b - c`` and ``-a - b + c``, and the result is
     ``sum |mu + t| / 2``.
 
+    ``work`` is a pair of at least 14 real and 8 complex rows of length
+    n that holds every intermediate and the result.  The upper entries
+    are copied into its complex rows first, and only ``diag`` is read
+    after that, so ``re`` and ``im`` may be among its real rows.  Each
+    array operation is one step of the formula in the comment above it,
+    taken in the formula's order, so the result has the bits of the
+    formula written out.
+
     Close roots mean close eigenvalues, where the cubic loses about half
     its digits; matrices whose roots are closer than ``_RESOLVENT_GAP``
     (zero and rank-1 matrices among them) are assembled and go through
     ``eigvalsh``."""
-    t = 0.25 * (diag[0] + diag[1] + diag[2] + diag[3])
-    s2, s3, s4 = _power_sums_4x4([x - t for x in diag], re, im)
+    rows, crows = work
+    b = crows[:6]
+    b.real, b.imag = re, im
+    t, shifted = rows[0], rows[1:5]
+    # t = (diag_0 + diag_1 + diag_2 + diag_3) / 4, and B's diagonal
+    np.add(diag[0], diag[1], out=t)
+    t += diag[2]
+    t += diag[3]
+    t *= 0.25
+    for x, row in zip(diag, shifted):
+        np.subtract(x, t, out=row)
+    s2, s3, s4 = _power_sums_4x4(shifted, b, rows[5:], crows[6:])
 
     # in x = y - m the cubic reads x^3 - 3 r^2 x + q = 0, with roots
-    # 2 r cos(phi - 2 pi k / 3) for cos(3 phi) = -q / (2 r^3), k = 0, 1
-    c1 = s4 - 0.25 * s2 * s2
-    c0 = (s3 / 3.0) ** 2
-    m = s2 / 3.0
+    # 2 r cos(phi - 2 pi k / 3) for cos(3 phi) = -q / (2 r^3), k = 0, 1.
+    # B's diagonal is spent: its rows take c0, r, y1, y2 and a spare
+    c0, r, y1, y2, x = rows[1:6]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(np.maximum(m * m - c1 / 3.0, 0.0))
-        q = m * (c1 - 2.0 * m * m) - c0
-        cos_phi = np.cos(np.arccos(np.clip(-q / (2.0 * r**3), -1.0, 1.0)) / 3.0)
-        y1 = m + 2.0 * r * cos_phi
-        y2 = m + r * (np.sqrt(3.0 * (1.0 - cos_phi * cos_phi)) - cos_phi)
-        y3 = c0 / (y1 * y2)
-        # False on NaN, and only true for y1 > y2 > y3 >= 0
-        trusted = (y3 >= 0.0) & ((y1 - y2) * (y2 - y3) >= _RESOLVENT_GAP * y1 * y1)
-        a, bb, c = np.sqrt(y1), np.sqrt(y2), np.sqrt(y3)
+        # c1 = s4 - s2^2 / 4, into s4
+        c1 = np.subtract(s4, np.multiply(np.multiply(0.25, s2, out=x), s2, out=x), out=s4)
+        np.square(np.divide(s3, 3.0, out=c0), out=c0)  # c0 = (s3 / 3)^2
+        m = np.divide(s2, 3.0, out=s2)  # m = s2 / 3, into s2
+        # r = sqrt(max(m^2 - c1 / 3, 0))
+        np.multiply(m, m, out=r)
+        r -= np.divide(c1, 3.0, out=x)
+        np.sqrt(np.maximum(r, 0.0, out=r), out=r)
+        # q = m (c1 - 2 m^2) - c0, into c1
+        np.multiply(np.multiply(2.0, m, out=x), m, out=x)
+        q = np.subtract(c1, x, out=c1)
+        q *= m
+        q -= c0
+        # cos(phi) = cos(arccos(clip(-q / (2 r^3), -1, 1)) / 3), into q
+        np.multiply(2.0, np.power(r, 3, out=x), out=x)
+        cos_phi = np.negative(q, out=q)
+        cos_phi /= x
+        np.arccos(np.clip(cos_phi, -1.0, 1.0, out=cos_phi), out=cos_phi)
+        cos_phi /= 3.0
+        np.cos(cos_phi, out=cos_phi)
+        # y1 = m + 2 r cos(phi)
+        np.multiply(np.multiply(2.0, r, out=y1), cos_phi, out=y1)
+        y1 += m
+        # y2 = m + r (sqrt(3 (1 - cos(phi)^2)) - cos(phi))
+        np.subtract(1.0, np.multiply(cos_phi, cos_phi, out=y2), out=y2)
+        np.sqrt(np.multiply(3.0, y2, out=y2), out=y2)
+        y2 -= cos_phi
+        y2 *= r
+        y2 += m
+        y3 = np.divide(c0, np.multiply(y1, y2, out=x), out=c0)  # y3 = c0 / (y1 y2), into c0
+        # (y1 - y2)(y2 - y3) >= _RESOLVENT_GAP y1^2 and y3 >= 0: False on
+        # NaN, and only true for y1 > y2 > y3 >= 0
+        np.multiply(np.subtract(y1, y2, out=x), np.subtract(y2, y3, out=r), out=x)
+        trusted = x >= np.multiply(np.multiply(_RESOLVENT_GAP, y1, out=m), y1, out=m)
+        trusted &= y3 >= 0.0
+        a, bb, c = np.sqrt(y1, out=y1), np.sqrt(y2, out=y2), np.sqrt(y3, out=y3)
 
-    h = np.copysign(0.5, s3)
-    u, v = h * (a + bb), h * (a - bb)
-    hc = h * c
-    out = 0.5 * (np.abs(t + u + hc) + np.abs(t + v - hc) + np.abs(t - v - hc) + np.abs(t - u + hc))
+    # u, v, hc = h (a + b), h (a - b), h c for h = sign(s3) / 2, into the
+    # rows of x, a and c
+    h = np.copysign(0.5, s3, out=s3)
+    u = np.multiply(h, np.add(a, bb, out=x), out=x)
+    v = np.multiply(h, np.subtract(a, bb, out=a), out=a)
+    hc = np.multiply(h, c, out=c)
+    # (|t + u + hc| + |t + v - hc| + |t - v - hc| + |t - u + hc|) / 2
+    half, e = rows[6], rows[7]
+    np.abs(np.add(np.add(t, u, out=half), hc, out=half), out=half)
+    half += np.abs(np.subtract(np.add(t, v, out=e), hc, out=e), out=e)
+    half += np.abs(np.subtract(np.subtract(t, v, out=e), hc, out=e), out=e)
+    half += np.abs(np.add(np.subtract(t, u, out=e), hc, out=e), out=e)
+    half *= 0.5
     if not trusted.all():
         rest = ~trusted
-        herm = _hermitian_from_entries(*([x[rest] for x in part] for part in (diag, re, im)))
-        out[rest] = _half_trace_norm(herm)
-    return out
+        herm = _hermitian_from_entries([x[rest] for x in diag], b.real[:, rest], b.imag[:, rest])
+        half[rest] = _half_trace_norm(herm)
+    return half
 
 
-def _power_sums_4x4(d, re, im):
+def _power_sums_4x4(d, b, rows, crows):
     """``tr B^2, tr B^3, tr B^4`` of n Hermitian 4 x 4 matrices ``B``
-    with real diagonals ``d`` and entries ``re + i im`` above them, as
-    :func:`_half_trace_norm_4x4_entries` takes them.  Only the sums
-    outlive the call."""
-    b = np.empty((6, len(d[0])), dtype=complex)
-    b.real, b.imag = re, im
+    with real diagonals ``d`` and the six complex rows ``b`` of entries
+    above them, in ``_PAIRS`` order: three of the 9 real rows of length n
+    in ``rows``, which with the 2 complex rows of ``crows`` hold every
+    intermediate.
+
+    Each ``|B_ij|^2`` comes from the two parts of the entry, and each
+    conjugate entry of ``B`` is formed in a spare row where a product
+    uses it; the upper entries of ``B^2`` are formed one pair at a time,
+    added into ``s3`` and ``s4`` and dropped.  Every sum starts from zero
+    and adds its terms in index order."""
+    sq_diag, (s2, s3, s4, x, y) = rows[:4], rows[4:9]
+    sq, tmp = crows[0], crows[1]
     upper = dict(zip(_PAIRS, b))
 
-    def entry(i, j):  # B_ij off the diagonal
-        return upper[i, j] if i < j else np.conj(upper[j, i])
+    def entry(i, j):  # B_ij off the diagonal; no product takes two conjugates
+        return upper[i, j] if i < j else np.conj(upper[j, i], out=tmp)
 
-    norm2 = {}
-    for (i, j), x, y in zip(_PAIRS, re, im):
-        norm2[i, j] = norm2[j, i] = x * x + y * y
-
-    # B^2: a real diagonal, then the upper triangle, whose entries
-    # (B^2)_ij add 2 Re(conj(B_ij) (B^2)_ij) to s3 and 2 |(B^2)_ij|^2 to s4
-    sq_diag = [d[i] * d[i] + sum(norm2[i, k] for k in range(4) if k != i) for i in range(4)]
-    s2 = sum(sq_diag)
-    s3 = sum(d[i] * sq_diag[i] for i in range(4))
-    s4 = sum(x * x for x in sq_diag)
-    acc3, acc4 = np.zeros(len(s2), dtype=complex), np.zeros(len(s2), dtype=complex)
+    # B^2: a real diagonal, d_i^2 plus the |B_ik|^2 of row i, then the
+    # upper triangle, whose entries (B^2)_ij add 2 Re(conj(B_ij) (B^2)_ij)
+    # to s3 and 2 |(B^2)_ij|^2 to s4
+    for row in sq_diag:
+        row.fill(0.0)
+    for (i, j), b_ij in upper.items():
+        np.multiply(b_ij.real, b_ij.real, out=x)
+        x += np.multiply(b_ij.imag, b_ij.imag, out=y)
+        sq_diag[i] += x
+        sq_diag[j] += x
+    for d_i, row in zip(d, sq_diag):
+        row += np.multiply(d_i, d_i, out=x)
+    for s in (s2, s3, s4):
+        s.fill(0.0)
+    for d_i, row in zip(d, sq_diag):
+        s2 += row
+        s3 += np.multiply(d_i, row, out=x)
+        s4 += np.multiply(row, row, out=x)
+    acc3, acc4 = sq_diag[:2]  # the diagonal of B^2 is spent
+    acc3.fill(0.0)
+    acc4.fill(0.0)
     for (i, j), b_ij in upper.items():
         k, l = (k for k in range(4) if k not in (i, j))
-        sq = entry(i, k) * entry(k, j)
-        sq += entry(i, l) * entry(l, j)
-        sq += (d[i] + d[j]) * b_ij
-        acc3 += np.conj(b_ij) * sq
-        acc4 += np.conj(sq) * sq
-    return s2, s3 + 2.0 * acc3.real, s4 + 2.0 * acc4.real
+        np.multiply(entry(i, k), entry(k, j), out=sq)
+        sq += np.multiply(entry(i, l), entry(l, j), out=tmp)
+        sq += np.multiply(np.add(d[i], d[j], out=x), b_ij, out=tmp)
+        acc3 += np.multiply(np.conj(b_ij, out=tmp), sq, out=tmp).real
+        acc4 += np.multiply(np.conj(sq, out=tmp), sq, out=tmp).real
+    s3 += np.multiply(2.0, acc3, out=x)
+    s4 += np.multiply(2.0, acc4, out=x)
+    return s2, s3, s4
 
 
 def _hermitian_from_entries(diag, re, im) -> np.ndarray:
@@ -236,11 +304,18 @@ def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
     return _from_spectrum(fn(w), v)
 
 
-def _complex_normals(dim: int, count: int, rng: np.random.Generator):
-    """Real and imaginary parts, each of shape (count, dim), of ``count``
-    standard complex Gaussian vectors: the real parts are drawn first,
-    then the imaginary parts.  Every Gaussian draw of the package goes
-    through here, so one generator state gives one set of inputs whether
-    a caller normalizes them or not."""
-    return rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
-
+def _complex_normals(dim: int, count: int, rng: np.random.Generator, block: int | None = None):
+    """Real and imaginary parts of ``count`` standard complex Gaussian
+    vectors, as rows: yields the real parts, of shape (count, dim), then
+    the imaginary parts in blocks of ``block`` rows (one block of all
+    ``count`` by default), each drawn only when it is asked for and
+    written over the last.  The generator fills arrays one value after
+    the next, so neither the values nor the generator's final state
+    depend on ``block``.  Every Gaussian draw of the package goes through
+    here, so one generator state gives one set of inputs whether a caller
+    normalizes them or not."""
+    yield rng.standard_normal((count, dim))
+    block = count if block is None else block
+    buf = np.empty((min(block, count), dim))
+    for lo in range(0, count, block):
+        yield rng.standard_normal(out=buf[: min(block, count - lo)])

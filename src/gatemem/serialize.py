@@ -216,16 +216,24 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
         if version != LABEL_GRAMMAR_VERSION:
             raise ValidationError(
                 f"label grammar version {version!r}, expected {LABEL_GRAMMAR_VERSION}")
+        entries = payload.get("records", [])
+        if not isinstance(entries, list):
+            raise ValidationError("'records' must be a list of JSON objects")
+        for i, entry in enumerate(entries):  # before a key test reads a list by membership
+            if not isinstance(entry, dict):
+                raise ValidationError(f"record {i}: must be a JSON object")
         missing = [key for key in ("n_qubits", "records") if key not in payload]
-        missing += [f"records[{i}].{key}" for i, entry in enumerate(payload.get("records", []))
+        missing += [f"records[{i}].{key}" for i, entry in enumerate(entries)
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
-        if missing or not payload["records"]:
+        if missing or not entries:
             raise ValidationError(f"missing {missing or 'every record'}")
         frame = build_frame(_frame_width(payload["n_qubits"], "'n_qubits'"))
         _check_gates(payload, frame.n_qubits)
         records = []
-        for i, entry in enumerate(payload["records"]):
+        for i, entry in enumerate(entries):
             try:  # a record's own checks do not know its index
+                if not isinstance(entry["counts"], dict):  # dict() would take [key, value] pairs
+                    raise ValidationError("'counts' must be a JSON object")
                 records.append(CountRecord(
                     prep_label=entry["prep"],
                     meas_label=entry["meas"],

@@ -412,8 +412,11 @@ def _mle_batch(by_config, labels, frame: TomographyFrame) -> list[MleEstimate]:
         cand = normalized(r @ rho @ r)
         diff = (cand - rho).reshape(len(idx), 4 * d * d)
         rho, probs = cand, probabilities(cand)  # for the next R, or the log-likelihood
-        finished = np.vecdot(diff, diff) < half_tol_sq
-        if finished.any():
+        steps = np.vecdot(diff, diff)
+        # one reduction per iteration, true when any row's step is below the
+        # tolerance (fmin skips a NaN step), and a mask only when one is
+        if np.fmin.reduce(steps) < half_tol_sq:
+            finished = steps < half_tol_sq
             out = idx[finished]
             states[out] = normalized(_hermitian_part(_unembedded(rho[finished])))
             logliks[out] = loglik(probs[finished], wft[finished])

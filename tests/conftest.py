@@ -55,11 +55,13 @@ def hermitian_entries(stack):
     """The entries of the Hermitian part of each matrix in a stack of
     shape (n, 4, 4), as ``qcore._half_trace_norm_4x4_entries`` takes
     them: the four real diagonals, then the real and the imaginary parts
-    of the six entries above the diagonal, row by row."""
+    of the six entries above the diagonal, row by row, and a workspace of
+    14 real and 8 complex rows."""
     rows, cols = np.triu_indices(4, 1)
     diag = [stack[:, i, i].real for i in range(4)]
     upper = [0.5 * (stack[:, i, j] + np.conj(stack[:, j, i])) for i, j in zip(rows, cols)]
-    return diag, [x.real for x in upper], [x.imag for x in upper]
+    work = np.empty((14, len(stack))), np.empty((8, len(stack)), dtype=complex)
+    return diag, [x.real for x in upper], [x.imag for x in upper], work
 
 
 def purification(rho: np.ndarray) -> np.ndarray:

@@ -568,6 +568,8 @@ MALFORMED_VALUES = [
     ("option", "--eps-grid", "0,nan,1e-3", "errors-spam"),
     ("option", "--eps-grid", "0,1e-3,inf", "errors-spam"),
     ("option", "--eps-grid", "0,1e-3,-inf", "errors-spam"),
+    ("option", "--eps-grid", "0,nan,1e-3,1e-2", "errors-spam"),
+    ("option", "--eps-grid", "0,-1e-3,1e-3,1e-2", "errors-spam"),
     ("option", "--eps-grid", "0,1e-20,1e-19", "errors-spam"),  # errors at the roundoff floor
     ("option", "--eps-grid", "0,0.01,0.1", "errors-spam"),  # beyond the small-kick regime
     ("model", "coupling", "abc", "simulate"),
@@ -595,6 +597,7 @@ MALFORMED_VALUES = [
     ("model", "spam/sead", 3, "errors-spam"),
     ("records", "", [1, 2], "tomo"),  # a list, not an object
     ("records", "records/0/counts", [1, 2], "tomo"),
+    ("records", "records", {"0": {}}, "tomo"),
     ("records", "records/0/shots", "many", "tomo"),
     ("records", "records/0/counts/0", float("inf"), "tomo"),
     ("records", "records/0/counts/0", float("nan"), "tomo"),  # exact mode: a NaN sum
@@ -668,6 +671,37 @@ def test_malformed_value_exits_2(runner, model_file, tmp_path, kind, path, value
         assert f"gatemem.{source_kind}/{SCHEMA_VERSION}" in result.output
     if path == "grammar_version":  # and the found and the expected grammar
         assert f"version {value}, expected {LABEL_GRAMMAR_VERSION}" in result.output
+    if path == "--eps-grid" and value in BAD_STRENGTHS:  # it names the grid, not a model field
+        assert ("strength grid: every strength must be finite and non-negative,"
+                f" got {BAD_STRENGTHS[value]}") in result.output
+        assert "spam" not in result.output
+
+
+#: the first strength of each malformed --eps-grid above outside [0, inf)
+BAD_STRENGTHS = {"0,nan,1e-3": "nan", "0,1e-3,inf": "inf", "0,1e-3,-inf": "-inf",
+                 "0,nan,1e-3,1e-2": "nan", "0,-1e-3,1e-3,1e-2": "-0.001"}
+
+
+@pytest.mark.parametrize("entry", ["counts-as-pairs", "record-as-key-list"])
+def test_records_entry_that_is_not_an_object_exits_2_and_names_it(runner, model_file, tmp_path,
+                                                                   entry):
+    # dict() takes a list of [key, value] pairs, and a list of the key names
+    # passes a test for missing keys by membership: both are refused by type
+    payload = _valid_payload("records", model_file)
+    if entry == "counts-as-pairs":
+        counts = payload["records"][0]["counts"]
+        payload["records"][0]["counts"] = [[key, value] for key, value in counts.items()]
+        message = "record 0: 'counts' must be a JSON object"
+    else:
+        payload["records"][2] = ["prep", "meas", "counts", "shots"]
+        message = "record 2: must be a JSON object"
+    source = tmp_path / "records.json"
+    source.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["tomo", "--records", str(source), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"records file {source}: {message}" in result.output
+    assert not out.exists()
 
 
 #: A valid model that sets every key a model file may hold

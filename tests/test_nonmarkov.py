@@ -19,7 +19,13 @@ from gatemem.nonmarkov import (
     process_tensor_proxy,
     statistical_floor,
 )
-from gatemem.qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX, DensityMatrix, _half_trace_norm
+from gatemem.qcore import (
+    DEFAULT_AVG_SAMPLES,
+    DEFAULT_SCAN_NMAX,
+    DensityMatrix,
+    _complex_normals,
+    _half_trace_norm,
+)
 from gatemem.simulator import build_default_model, extract_channel
 
 from conftest import _haar_vectors, ideal_channel, random_channel, random_density
@@ -130,6 +136,10 @@ class TestCpViolation:
         assert min(values) > 0.01
 
 
+#: Samples per slice of the averaged distance, 16_000 // d
+WIDTHS = {2: 8_000, 3: 5_333, 4: 4_000, 8: 2_000}
+
+
 class TestAvgTraceDistance:
     def test_equal_channels_exactly_zero(self, rng):
         chan = random_channel(2, rng)
@@ -180,28 +190,48 @@ class TestAvgTraceDistance:
             (1, "raw"), (20_000, "raw"), (20_001, "raw"), (45_000, "raw"),
         ]),
         *((3, m, maps) for maps in ("channels", "raw") for m in (1, 1_777, 1_778, 20_001, 45_000)),
-        *((d, m, "channels") for d, width in [(2, 4_000), (3, 2_666), (4, 2_000), (8, 1_000)]
-          for m in (2 * width, 2 * width + 1)),
+        *((d, m, "channels") for d in (2, 3, 4, 8) for m in (2 * WIDTHS[d], 2 * WIDTHS[d] + 1)),
     ])
     def test_batch_edges_and_raw_maps_match_eigvalsh_reference(self, d, m_samples, maps):
         # 20,000 samples fill one batch exactly, 20,001 start a second one.
-        # A slice holds 8_000 // d samples: 4,000 at d = 2, 2,666 at d = 3
-        # (which do not divide a batch), 2,000 at d = 4 and 1,000 at d = 8;
-        # twice the width fills the last slice exactly, and one sample more
-        # leaves a one-sample slice
+        # A slice holds 16_000 // d samples (WIDTHS; 5,333 at d = 3 do not
+        # divide a batch); twice the width fills the last slice exactly, and
+        # one sample more leaves a one-sample slice
         self._check_against_eigvalsh_reference(d, m_samples, maps)
 
     def test_three_qubit_outputs_match_eigvalsh_reference(self):
         # d = 8 outputs are assembled from their entries for eigvalsh; the
-        # last of the three slices (1,000 samples each) holds one sample
+        # second of the two slices (2,000 samples each) holds one sample
         self._check_against_eigvalsh_reference(8, 2_001, "raw")
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("rest", [1, 3])
+    def test_slices_give_the_samples_and_stream_of_one_pass(self, d, rest):
+        # three slices of one batch, the last of 1 or 3 samples, their
+        # imaginary parts drawn one slice at a time, against one pass of the
+        # kernel over one draw of the whole batch: every sample has the same
+        # bits, and the generator ends where that draw leaves it
+        m_samples = 2 * WIDTHS[d] + rest
+        rng = np.random.default_rng(2024)
+        a = random_channel(d, rng)
+        b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel
+        gen = np.random.default_rng(11)
+        result = avg_trace_distance(a, b, m_samples, gen)
+
+        ref_rng = np.random.default_rng(11)
+        re, im = _complex_normals(d, m_samples, ref_rng)
+        expected = np.empty(m_samples)
+        transfer = nonmarkov._hermitian_transfer(a.superop - b.superop)
+        nonmarkov._half_norms(transfer, re, im, nonmarkov._workspace(d, m_samples), expected)
+        assert np.array_equal(result.samples, expected)
+        assert gen.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("d, limit", [(2, 3_000_000), (4, 4_000_000)])
     def test_paper_scale_call_stays_small(self, d, limit):
-        # 100,000 samples: the draw of one batch (0.6 MB at d = 2, 1.3 MB
-        # at d = 4) and the samples (0.8 MB) dominate; the workspace (0.3
-        # MB at d = 2, 0.6 MB at d = 4) and one slice's temporaries add
-        # the rest, and no batch's draw outlives its slices
+        # 100,000 samples: the samples (0.8 MB), a batch's real parts (0.3
+        # MB at d = 2, 0.6 MB at d = 4) and the workspace (0.6 MB at d = 2,
+        # 1.2 MB at d = 4) dominate; one slice's imaginary parts (0.1 MB)
+        # add the rest, and no batch's draw outlives its slices
         rng = np.random.default_rng(2024)
         a = random_channel(d, rng)
         b = conditional_map(random_channel(d, rng), random_channel(d, rng)).channel
