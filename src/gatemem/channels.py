@@ -1,11 +1,12 @@
-"""Quantum channels as superoperators, with Choi-matrix structure checks.
+"""Quantum channels as superoperators, and their Choi matrices.
 
 Vectorization is column-stacking throughout the package: ``vec`` stacks
 matrix columns, so the superoperator of a unitary conjugation
 ``rho -> U rho U+`` is ``kron(conj(U), U)``.  Choi matrices put the
 input factor first and have total trace d for trace-preserving maps;
 measures defined on the trace-1 operator representation divide by d
-themselves.
+themselves.  A Choi matrix is a plain array, checked Hermitian to 1e-8
+when :func:`choi_from_superop` builds it.
 
 Channels are never forced to be CP or TP: maps reconstructed from data
 or obtained by inversion are first-class values, and structure checks
@@ -122,32 +123,6 @@ class QuantumChannel:
         return s
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Operator representation of a channel, input factor first, with
-    total trace d for trace-preserving maps.  The matrix must be
-    Hermitian to 1e-8; CP and TP are not checked.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.array(self.data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValidationError(f"Choi matrix must be square, got {data.shape}")
-        d = math.isqrt(data.shape[0])
-        if d * d != data.shape[0]:
-            raise ValidationError(f"Choi size {data.shape[0]} is not a square")
-        if not np.max(np.abs(data - data.conj().T)) <= 1e-8:  # a NaN fails too
-            raise ValidationError("Choi matrix is not Hermitian")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.data.shape[0])
-
-
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(mat, dtype=complex).reshape(-1, order="F")
@@ -244,9 +219,13 @@ def condition_number(chan: QuantumChannel) -> float:
     return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
 
-def choi_from_superop(chan: QuantumChannel) -> ChoiMatrix:
-    """Choi matrix (input factor first, total trace d for TP maps)."""
-    return ChoiMatrix(_reshuffle(chan.superop))
+def choi_from_superop(chan: QuantumChannel) -> np.ndarray:
+    """Choi matrix (input factor first, total trace d for TP maps), once
+    it is Hermitian to 1e-8; CP and TP are not checked."""
+    choi = _reshuffle(chan.superop)
+    if not np.max(np.abs(choi - choi.conj().T)) <= 1e-8:  # a NaN fails too
+        raise ValidationError("Choi matrix is not Hermitian")
+    return choi
 
 
 def apply(chan: QuantumChannel, rho) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pipeline
 from .channels import GateLabel
-from .exceptions import GatememError, ValidationError
+from .exceptions import GatememError, ValidationError, context
 from .tomography import _count_record, _set_shots
 
 if TYPE_CHECKING:
@@ -137,7 +137,8 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     channel; to first order the error is linear in the strength, so the
     fitted log-log slope should sit near one.  Errors that are zero, or
     all equal, carry no slope (below roundoff they are the
-    floating-point floor), and are rejected rather than fitted.
+    floating-point floor), and are rejected rather than fitted.  An error
+    reconstructing at strength ``s`` gains the prefix ``strength <s>: ``.
     """
     from .simulator import SpamSpec, extract_channel
 
@@ -155,9 +156,10 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
     truth = extract_channel(model, [gate])
     errors = []
     for eps in strengths:
-        spec = SpamSpec(prep_strength=eps, meas_strength=eps, seed=model.spam.seed)
-        noisy = replace(model, spam=spec)
-        result = pipeline.reconstruct_from_model(noisy, [gate], shots=None)
+        with context(f"strength {eps}"):
+            spec = SpamSpec(prep_strength=eps, meas_strength=eps, seed=model.spam.seed)
+            noisy = replace(model, spam=spec)
+            result = pipeline.reconstruct_from_model(noisy, [gate], shots=None)
         errors.append(float(np.linalg.norm(result.channel.superop - truth.superop)))
 
     positive = [e for s, e in zip(strengths, errors) if s > 0]

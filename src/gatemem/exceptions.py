@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way to name an error's item."""
+
+import contextlib
 
 
 class GatememError(Exception):
@@ -53,3 +55,14 @@ class SolverError(GatememError):
     def __init__(self, message: str, gap: float):
         super().__init__(message)
         self.gap = gap
+
+
+@contextlib.contextmanager
+def context(prefix: str):
+    """An error of the package raised in the block keeps its type and
+    fields and gains the prefix ``<prefix>: ``, outermost block first."""
+    try:
+        yield
+    except GatememError as err:
+        err.args = (f"{prefix}: {err}", *err.args[1:])
+        raise

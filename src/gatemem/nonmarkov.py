@@ -30,7 +30,6 @@ memory scan compares, as ``gatemem scan`` does.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -45,7 +44,7 @@ from .channels import (
     condition_number,
     invert,
 )
-from .exceptions import DimensionError, GatememError, IncompleteDataError, ValidationError
+from .exceptions import DimensionError, IncompleteDataError, ValidationError, context
 from .qcore import (
     DEFAULT_AVG_SAMPLES,
     _as_matrix,
@@ -157,7 +156,7 @@ def cp_violation(cm) -> float:
     any eigenvalue dips below zero.
     """
     chan = _channel_of(cm)
-    choi = choi_from_superop(chan).data / chan.dim
+    choi = choi_from_superop(chan) / chan.dim
     return max(float(2.0 * _half_trace_norm(choi) - 1.0), 0.0)
 
 
@@ -314,25 +313,14 @@ def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray,
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:
     """Half the diamond norm of the difference, with a solver certificate.
 
-    Each Choi matrix is Hermitian to 1e-8 (:class:`ChoiMatrix`), and the
-    solver takes the Hermitian part of their difference.  The result
+    Each Choi matrix is Hermitian to 1e-8 (:func:`choi_from_superop`), and
+    the solver takes the Hermitian part of their difference.  The result
     carries the certified primal-dual gap (at most ``sdp.GAP_TOL``), the
     Newton steps taken as ``iterations``, and the optimizing input state.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return diamond_sdp(choi_from_superop(a).data - choi_from_superop(b).data)
-
-
-@contextlib.contextmanager
-def _named(prefix: str):
-    """An error of the package raised in the block keeps its type and
-    fields and gains the prefix ``<prefix>: ``."""
-    try:
-        yield
-    except GatememError as err:
-        err.args = (f"{prefix}: {err}", *err.args[1:])
-        raise
+    return diamond_sdp(choi_from_superop(a) - choi_from_superop(b))
 
 
 def _evaluate(cells, m_samples: int):
@@ -340,10 +328,10 @@ def _evaluate(cells, m_samples: int):
     ``"cp"`` the CP violation of ``a``; ``"avg"`` (drawing from ``rng``) and
     ``"diamond"`` the distance of ``a`` to ``b``; ``"histogram"`` the whole
     averaged result, samples and all.  An error of the package gains the
-    prefix ``<kind> cell <label>: `` (:func:`_named`).  Functions are
+    prefix ``<kind> cell <label>: `` (:func:`exceptions.context`).  Functions are
     looked up at call time: wrappers see all."""
     for kind, label, rng, a, b in cells:
-        with _named(f"{kind} cell {label}"):
+        with context(f"{kind} cell {label}"):
             if kind == "cp":
                 result = cp_violation(a)
             elif kind == "diamond":
@@ -444,7 +432,7 @@ def conditional_grid(marginals, joints) -> tuple[list, list, dict]:
         raise IncompleteDataError(f"channel grid is incomplete: {missing}", missing)
     maps = {}
     for u in u_labels:
-        with _named(f"first gate {u}"):
+        with context(f"first gate {u}"):
             inverse, cond = invert(marginals[u]), condition_number(marginals[u])
             for v in v_labels:
                 maps[u, v] = ConditionalMap(compose(joints[(u, v)], inverse), cond)
@@ -528,13 +516,18 @@ def repetitions(channels, nmax: int) -> list[QuantumChannel]:
     """The maps of the gate that the ``nmax``-gate sequences of
     ``channels`` (keyed by gate-token tuples) repeat, applied 1, ...,
     ``nmax`` times.  Raises :class:`ValidationError` when those sequences
-    repeat different gates, :class:`IncompleteDataError` for gaps."""
+    repeat different gates, :class:`IncompleteDataError` for gaps, and,
+    before building any run, when no sequence has ``nmax`` gates."""
     longest = sorted(",".join(key) for key in channels if len(key) == nmax)
     gates = tuple({gate for key in channels if len(key) == nmax for gate in key})
     if len(gates) > 1:
         raise ValidationError(f"the {nmax}-gate files must all repeat one gate: {longest}")
+    if not gates:
+        present = max(map(len, channels), default=0)
+        raise IncompleteDataError(
+            f"no sequence has nmax = {nmax} gates; the longest has {present}", [str(nmax)])
     runs = [gates * n for n in range(1, nmax + 1)]
-    missing = [str(n) for n, key in enumerate(runs, 1) if not gates or key not in channels]
+    missing = [str(n) for n, key in enumerate(runs, 1) if key not in channels]
     if missing:
         raise IncompleteDataError(f"missing sequence lengths: {missing}", missing)
     return [channels[key] for key in runs]
@@ -582,8 +575,8 @@ def markovian_choi_reference(chan_u: QuantumChannel, chan_v: QuantumChannel) -> 
     compare it against a measured one with
     :func:`process_tensor_proxy`.
     """
-    cu = choi_from_superop(chan_u).data / chan_u.dim
-    cv = choi_from_superop(chan_v).data / chan_v.dim
+    cu = choi_from_superop(chan_u) / chan_u.dim
+    cv = choi_from_superop(chan_v) / chan_v.dim
     return _hermitian_part(np.kron(cu, cv))
 
 

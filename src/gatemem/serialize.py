@@ -24,11 +24,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import GateLabel, QuantumChannel, _fitted_gates
-from .exceptions import IncompleteDataError, ValidationError
+from .exceptions import IncompleteDataError, ValidationError, context
 from .tomography import (
     LABEL_GRAMMAR_VERSION,
     CountRecord,
     TomographyResult,
+    _check_seed,
     _frame_width,
     _records_by_config,
     build_frame,
@@ -174,17 +175,15 @@ def write_records(out_dir: str, gates, records, cfg_hash: str, seed) -> str:
 @contextlib.contextmanager
 def input_file(kind: str, path: str):
     """Checks of the ``kind`` file at ``path``, each error naming the file:
-    a :class:`ValidationError` keeps its type and fields and gains the
-    prefix ``<kind> file <path>: ``, and a ``TypeError``, ``ValueError``,
+    an error of the package gains the prefix ``<kind> file <path>: ``
+    (:func:`exceptions.context`), and a ``TypeError``, ``ValueError``,
     ``AttributeError`` or ``ArithmeticError`` of a field of the wrong type,
     shape or size becomes ``<kind> file <path>: malformed: ...``."""
-    try:
-        yield
-    except ValidationError as err:
-        err.args = (f"{kind} file {path}: {err}", *err.args[1:])
-        raise
-    except (TypeError, ValueError, AttributeError, ArithmeticError) as err:
-        raise ValidationError(f"{kind} file {path}: malformed: {err}") from err
+    with context(f"{kind} file {path}"):
+        try:
+            yield
+        except (TypeError, ValueError, AttributeError, ArithmeticError) as err:
+            raise ValidationError(f"malformed: {err}") from err
 
 
 def _check_schema(payload: dict, kind: str) -> None:
@@ -227,11 +226,12 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
                     for key in ("prep", "meas", "counts", "shots") if key not in entry]
         if missing or not entries:
             raise ValidationError(f"missing {missing or 'every record'}")
+        _check_seed(payload.get("seed"))
         frame = build_frame(_frame_width(payload["n_qubits"], "'n_qubits'"))
         _check_gates(payload, frame.n_qubits)
         records = []
         for i, entry in enumerate(entries):
-            try:  # a record's own checks do not know its index
+            with context(f"record {i}"):  # a record's own checks do not know its index
                 if not isinstance(entry["counts"], dict):  # dict() would take [key, value] pairs
                     raise ValidationError("'counts' must be a JSON object")
                 records.append(CountRecord(
@@ -241,8 +241,6 @@ def records_from_payload(payload: dict, path: str = "<payload>") -> list[CountRe
                     shots=entry["shots"],
                     seed=entry.get("seed"),
                 ))
-            except ValidationError as err:
-                raise ValidationError(f"record {i}: {err}") from err
         _records_by_config(records, frame, frame.prep_labels)
         return records
 

@@ -148,14 +148,33 @@ def _shared_frame(n_qubits: int) -> TomographyFrame:
     return TomographyFrame(n_qubits, prep_labels, prep_states, duals, meas_labels)
 
 
+#: Most shots one configuration can take: numpy's multinomial sampler
+#: draws 64-bit signed counts.
+MAX_SHOTS = 2**63 - 1
+
+
+def _check_drawable(shots: int) -> None:
+    """``shots`` is at most :data:`MAX_SHOTS`, so numpy can draw it."""
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shots must be at most 2**63 - 1, got {shots}")
+
+
+def _check_seed(seed) -> None:
+    """A recorded seed is null or a non-negative integer, not a boolean."""
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                             or seed < 0):
+        raise ValidationError(f"'seed' must be null or a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """One measured configuration: preparation, setting, and outcomes.
 
-    ``shots`` is the repetition count, an ``int``; ``shots=None`` marks
-    exact mode, where ``counts`` holds outcome probabilities summing to one
-    instead of integers, none below -1e-9 (the rounding tolerance of the sum).
-    ``seed`` records the sampling seed when one was used.
+    ``shots`` is the repetition count, an ``int`` of at most :data:`MAX_SHOTS`;
+    ``shots=None`` marks exact mode, where ``counts`` holds outcome
+    probabilities summing to one instead of integers, none below -1e-9 (the
+    rounding tolerance of the sum).
+    ``seed`` records the sampling seed when one was used (:func:`_check_seed`).
     """
 
     prep_label: str
@@ -165,6 +184,7 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_seed(self.seed)
         n = len(split_label(self.prep_label))
         if len(split_label(self.meas_label)) != n:
             raise ValidationError(
@@ -186,6 +206,7 @@ class CountRecord:
             if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)) \
                     or self.shots <= 0:
                 raise ValidationError(f"shots must be a positive integer, got {self.shots!r}")
+            _check_drawable(self.shots)
             if any(not math.isfinite(v) or v < 0 or int(v) != v for v in self.counts.values()):
                 raise ValidationError("counts must be nonnegative integers")
             if total != self.shots:
@@ -239,12 +260,13 @@ def _spawn_seeds(seed: int | None, count: int) -> list[int]:
 def _count_record(prep: str, meas: str, probs, shots: int | None, rng) -> CountRecord:
     """Record of one configuration from its normalized outcome
     probabilities: the probabilities themselves when ``shots`` is None,
-    otherwise a multinomial draw from the generator ``rng``.  An integer
-    ``rng`` seeds a dedicated generator and is recorded as the record's
-    seed."""
+    otherwise a multinomial draw from the generator ``rng``, once ``shots``
+    is at most :data:`MAX_SHOTS`.  An integer ``rng`` seeds a dedicated
+    generator and is recorded as the record's seed."""
     keys = outcome_bitstrings(len(split_label(prep)))
     if shots is None:
         return CountRecord(prep, meas, {k: float(p) for k, p in zip(keys, probs)}, None)
+    _check_drawable(shots)
     seed = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)

@@ -40,14 +40,14 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def is_cp(choi, tol: float) -> bool:
     """Complete positivity of a Choi matrix: no eigenvalue below -tol."""
-    return bool(np.linalg.eigvalsh(choi.data)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(choi)[0] >= -tol)
 
 
 def is_tp(choi, tol: float) -> bool:
     """Trace preservation of a Choi matrix: its output-traced marginal is
     the identity, to tol."""
-    d = choi.dim
-    marginal = np.einsum(choi.data.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
+    d = math.isqrt(choi.shape[0])
+    marginal = np.einsum(choi.reshape(d, d, d, d), [0, 2, 1, 2], [0, 1])
     return bool(np.max(np.abs(marginal - np.eye(d))) <= tol)
 
 
@@ -162,7 +162,7 @@ def diamond_lower_bound(
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     rng = np.random.default_rng() if rng is None else rng
     d = a.dim
-    delta = choi_from_superop(a).data - choi_from_superop(b).data
+    delta = choi_from_superop(a) - choi_from_superop(b)
     choi4 = delta.reshape(d, d, d, d)  # [in, out, in', out']
 
     def output(psi_mat: np.ndarray) -> np.ndarray:

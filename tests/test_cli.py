@@ -893,6 +893,63 @@ def test_sampled_counts_and_shots_are_integers_not_booleans(runner, model_file, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "ptensor", "tomo", "errors"])
+def test_shots_numpy_cannot_draw_exit_2_and_are_named(runner, model_file, tmp_path, command):
+    # numpy's multinomial sampler draws int64 counts: 2**63 shots overflow it
+    shots = 2**63
+    payload = _valid_payload("records", model_file)
+    for entry in payload["records"]:
+        entry["shots"], entry["counts"] = shots, {"0": shots, "1": 0}
+    source = tmp_path / "records_X0.json"
+    source.write_text(json.dumps(payload))
+    out = str(tmp_path / "out")
+    args = {
+        "simulate": ["simulate", "--model", model_file, "--gates", "X", "--shots", str(shots)],
+        "ptensor": ["ptensor", "--model", model_file, "--gates", "X,X", "--shots", str(shots)],
+        "tomo": ["tomo", "--records", str(source)],
+        "errors": ["errors", "--records", str(source), "--trials", "2"],
+    }[command]
+    result = runner.invoke(main, [*args, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert f"shots must be at most 2**63 - 1, got {shots}" in result.output
+    if command in ("tomo", "errors"):
+        assert f"records file {source}: record 0: " in result.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["tomo", "errors"])
+@pytest.mark.parametrize("path, value, named", [
+    ("seed", {"weird": [1, 2]}, ""),
+    ("seed", -1, ""),
+    ("records/3/seed", "not-a-seed", "record 3: "),
+    ("records/0/seed", True, "record 0: "),
+    ("records/0/seed", 1.5, "record 0: "),
+], ids=["top-object", "top-negative", "record-string", "record-boolean", "record-float"])
+def test_seed_of_a_records_file_is_null_or_a_non_negative_integer(runner, model_file, tmp_path,
+                                                                  command, path, value, named):
+    payload = _valid_payload("records", model_file)
+    for entry in payload["records"]:
+        entry["shots"], entry["counts"], entry["seed"] = 10, {"0": 5, "1": 5}, 3
+    source = tmp_path / "records_X0.json"
+    source.write_text(json.dumps(_set(payload, path, value)))
+    out = str(tmp_path / "out.json")
+    args = {"tomo": ["tomo", "--records", str(source)],
+            "errors": ["errors", "--records", str(source), "--trials", "2"]}[command]
+    result = runner.invoke(main, [*args, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert (f"records file {source}: {named}'seed' must be null or a non-negative integer, "
+            f"got {value!r}") in result.output
+    assert not os.path.exists(out)
+
+
+def test_scan_far_beyond_the_directory_exits_2_at_once(runner, channel_dir, tmp_path):
+    result = runner.invoke(main, ["scan", "--channels", str(channel_dir), "--nmax", "1000000",
+                                  "--out", str(tmp_path / "scanout")])
+    assert result.exit_code == 2, result.output
+    assert "no sequence has nmax = 1000000 gates; the longest has 2" in result.output
+    assert len(result.output) < 400
+
+
 @pytest.mark.parametrize("dim, message", [
     (3, "'dim' must be a power of two, got 3"),
     (8, "the width of 'dim' 8 must be 1 or 2, got 3"),
@@ -1258,6 +1315,14 @@ class TestLibraryEntryPoints:
         with pytest.raises(IncompleteDataError) as excinfo:
             repetitions(channels, 3)
         assert excinfo.value.missing == ["2"]
+
+    def test_repetitions_beyond_the_longest_sequence_fail_before_building_runs(self):
+        x = ideal_channel(GateLabel("X", (0,)))
+        with pytest.raises(IncompleteDataError) as excinfo:
+            repetitions({("X@0",): x}, 1_000_000)
+        assert str(excinfo.value) == "no sequence has nmax = 1000000 gates; the longest has 1"
+        assert len(str(excinfo.value)) < 200
+        assert excinfo.value.missing == ["1000000"]
 
 
 def _write_channels(directory, channels):

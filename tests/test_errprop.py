@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from gatemem import pipeline
 from gatemem.channels import GateLabel, apply
 from gatemem.errprop import propagate_statistics, spam_scaling
 from gatemem.exceptions import ConvergenceError, ValidationError
@@ -225,3 +226,18 @@ class TestSpamScaling:
         model = build_default_model(LABELS, coupling=0.3, reset_policy="persistent")
         with pytest.raises(ValidationError, match="no log-log fit"):
             spam_scaling(model, GateLabel("X", (0,)), grid)
+
+    def test_a_failing_strength_is_named_and_keeps_its_type(self, monkeypatch):
+        model = build_default_model(LABELS, coupling=0.3, reset_policy="persistent")
+        reconstruct = pipeline.reconstruct_from_model
+
+        def failing_at_1e_3(noisy, gates, shots):
+            if noisy.spam.prep_strength == 1e-3:
+                raise ConvergenceError("MLE did not converge in 7 iterations", None, 7)
+            return reconstruct(noisy, gates, shots)
+
+        monkeypatch.setattr(pipeline, "reconstruct_from_model", failing_at_1e_3)
+        with pytest.raises(ConvergenceError) as err:
+            spam_scaling(model, GateLabel("X", (0,)), [0.0, 1e-4, 1e-3, 1e-2])
+        assert str(err.value) == "strength 0.001: MLE did not converge in 7 iterations"
+        assert err.value.iterations == 7

@@ -105,7 +105,7 @@ class TestCpViolation:
         from gatemem.channels import choi_from_superop
 
         transpose = QuantumChannel(swap)
-        eigs = np.sort(np.linalg.eigvalsh(choi_from_superop(transpose).data / 2))
+        eigs = np.sort(np.linalg.eigvalsh(choi_from_superop(transpose) / 2))
         np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
         assert cp_violation(transpose) == pytest.approx(1.0, abs=1e-12)
 
@@ -120,7 +120,7 @@ class TestCpViolation:
             a, b = random_channel(2, rng), random_channel(2, rng)
             mix = QuantumChannel(1.3 * a.superop - 0.3 * b.superop)
             value = cp_violation(mix)
-            min_eig = np.linalg.eigvalsh(choi_from_superop(mix).data)[0]
+            min_eig = np.linalg.eigvalsh(choi_from_superop(mix))[0]
             if value == 0.0:
                 assert min_eig >= -1e-10
             else:

@@ -171,7 +171,7 @@ def test_diamond_distance_dominates_averaged_distance(pair, seed):
     assert result.primal_bound <= result.value
     assert result.value >= avg.mean - 3.0 * avg.stderr - 1e-6
     # the purified input state reproduces the primal bound
-    choi4 = (choi_from_superop(a).data - choi_from_superop(b).data).reshape(2, 2, 2, 2)
+    choi4 = (choi_from_superop(a) - choi_from_superop(b)).reshape(2, 2, 2, 2)
     out = np.einsum("stuv,saub->tavb", choi4, purification(result.input_state).reshape((2,) * 4))
     assert _half_trace_norm(out.reshape(4, 4)) == pytest.approx(result.primal_bound, abs=1e-9)
 
@@ -215,7 +215,7 @@ def test_choi_superoperator_round_trip(d, weight, seed):
     # any Hermiticity-preserving map, CP or not: a real mixture of channels
     rng = np.random.default_rng(seed)
     chan = QuantumChannel(_channel(d, rng).superop + weight * _channel(d, rng).superop)
-    choi = choi_from_superop(chan).data
+    choi = choi_from_superop(chan)
     np.testing.assert_array_equal(_reshuffle(choi), chan.superop)
     # input factor first: J = sum_ij |i><j| (x) map(|i><j|)
     expected = sum(np.kron(unit, apply(chan, unit)) for _, _, unit in _matrix_units(d))

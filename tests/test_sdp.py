@@ -52,7 +52,7 @@ class TestDiamondDistance:
     def test_purified_input_state_achieves_primal_bound(self, rng):
         a, b = random_channel(2, rng), random_channel(2, rng)
         result = diamond_distance(a, b)
-        delta = choi_from_superop(a).data - choi_from_superop(b).data
+        delta = choi_from_superop(a) - choi_from_superop(b)
         choi4 = delta.reshape(2, 2, 2, 2)
         out = np.einsum(
             "stuv,saub->tavb", choi4, purification(result.input_state).reshape(2, 2, 2, 2)
@@ -110,7 +110,7 @@ class TestDiamondDistance:
 
     def test_solver_error_reports_gap(self, rng, monkeypatch):
         a, b = random_channel(2, rng), random_channel(2, rng)
-        delta = choi_from_superop(a).data - choi_from_superop(b).data
+        delta = choi_from_superop(a) - choi_from_superop(b)
         monkeypatch.setattr(sdp, "GAP_TOL", 1e-15)
         monkeypatch.setattr(sdp, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(SolverError) as excinfo:
@@ -191,7 +191,7 @@ class TestReferenceCells:
         assert result.gap <= 1e-6
         assert result.primal_bound <= result.value
         # the purified input state reproduces the primal bound
-        choi = (choi_from_superop(a).data - choi_from_superop(b).data).reshape((4,) * 4)
+        choi = (choi_from_superop(a) - choi_from_superop(b)).reshape((4,) * 4)
         joint = purification(result.input_state).reshape((4,) * 4)
         out = np.einsum("stuv,saub->tavb", choi, joint)
         achieved = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(out.reshape(16, 16))))

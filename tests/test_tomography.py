@@ -19,7 +19,9 @@ from gatemem.pipeline import simulate_records
 from gatemem.qcore import _half_trace_norm
 from gatemem.simulator import build_default_model
 from gatemem.tomography import (
+    MAX_SHOTS,
     CountRecord,
+    _count_record,
     _rotated_probabilities,
     build_frame,
     meas_rotation,
@@ -169,6 +171,24 @@ class TestMleEstimate:
     def test_count_must_be_a_nonnegative_integer(self, count):
         with pytest.raises(ValidationError, match="nonnegative integers"):
             CountRecord("Z+", "Z", {"0": count, "1": 10}, 10)
+
+    def test_shots_stop_at_what_numpy_can_draw(self):
+        CountRecord("Z+", "Z", {"0": MAX_SHOTS, "1": 0}, MAX_SHOTS)
+        with pytest.raises(ValidationError, match=r"shots must be at most 2\*\*63 - 1"):
+            CountRecord("Z+", "Z", {"0": MAX_SHOTS + 1, "1": 0}, MAX_SHOTS + 1)
+
+    def test_the_sampler_refuses_undrawable_shots_before_it_draws(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"shots must be at most 2\*\*63 - 1"):
+            _count_record("Z+", "Z", np.array([0.5, 0.5]), MAX_SHOTS + 1, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", ["7", True, -1, 2.0, [1]])
+    def test_seed_is_null_or_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="'seed' must be null or a non-negative"):
+            CountRecord("Z+", "Z", {"0": 1, "1": 0}, 1, seed=seed)
+        CountRecord("Z+", "Z", {"0": 1, "1": 0}, 1, seed=np.uint64(2**64 - 1))
 
     def test_exact_probability_below_rounding_is_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
