@@ -71,17 +71,18 @@ class GateLabel:
         """Parse ``NAME`` or ``NAME@q`` or ``CX@c.t`` (default wires 0 / 0.1).
 
         The wire separator is ``.`` so that comma-separated gate lists
-        stay unambiguous; ``,`` is accepted outside such lists.
+        stay unambiguous; ``,`` is accepted outside such lists.  A wire is
+        a run of ASCII digits: ``int`` would also read signs, spaces,
+        underscores and other scripts' digits, and rename the token.  A
+        minus sign passes, so that a negative wire meets its own error.
         """
-        name, _, wires = text.strip().partition("@")
-        if wires:
-            try:
-                qubits = tuple(int(q) for q in wires.replace(",", ".").split("."))
-            except ValueError:
-                raise LabelError(f"bad wire indices in gate {text!r}") from None
-        else:
-            qubits = (0, 1) if name == "CX" else (0,)
-        return cls(name, qubits)
+        name, at, wires = text.strip().partition("@")
+        if not at:
+            return cls(name, (0, 1) if name == "CX" else (0,))
+        parts = wires.replace(",", ".").split(".")
+        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+            raise LabelError(f"bad wire indices in gate {text!r}")
+        return cls(name, tuple(map(int, parts)))
 
 
 @dataclass(frozen=True)

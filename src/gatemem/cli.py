@@ -133,10 +133,13 @@ def simulate(model_path, gates, shots, exact, seed, out_dir):
     shots_val = None if exact else shots  # exact probabilities draw nothing
     stamp = _declare(shots_val is not None, command="simulate", model=model_spec, gates=gates,
                      shots=shots_val)
-    for index, sequence in enumerate(sequences):
-        records = pipeline.simulate_records(model, sequence, shots_val, seed=seed + index)
-        path = serialize.write_records(out_dir, sequence, records, *stamp)
-        click.echo(f"wrote {path} ({len(records)} records)")
+    # every sequence is simulated before the first write, so that one the
+    # model cannot run leaves no records file behind
+    records = [pipeline.simulate_records(model, sequence, shots_val, seed=seed + index)
+               for index, sequence in enumerate(sequences)]
+    for sequence, recs in zip(sequences, records):
+        path = serialize.write_records(out_dir, sequence, recs, *stamp)
+        click.echo(f"wrote {path} ({len(recs)} records)")
 
 
 @main.command()

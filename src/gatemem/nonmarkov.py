@@ -9,7 +9,8 @@ Three complementary witnesses of gate-history dependence:
 
 Two channel distances back these tests: the worst-case (diamond)
 distance via the certified SDP in :mod:`gatemem.sdp`, and the typical-
-case distance averaged over Haar-random pure inputs.  A memory-length
+case distance averaged over Haar-random pure inputs in
+:mod:`gatemem.avgdist`.  A memory-length
 scan compares an n-step map against concatenations of its shorter
 reconstructions, and a relative-entropy proxy scores the multi-step
 process against its memoryless reference.
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .avgdist import AvgDistanceResult, avg_trace_distance
 from .channels import (
     QuantumChannel,
     choi_from_superop,
@@ -45,16 +46,7 @@ from .channels import (
     invert,
 )
 from .exceptions import DimensionError, IncompleteDataError, ValidationError, context
-from .qcore import (
-    DEFAULT_AVG_SAMPLES,
-    _as_matrix,
-    _complex_normals,
-    _half_trace_norm,
-    _half_trace_norm_4x4_entries,
-    _hermitian_from_entries,
-    _hermitian_part,
-    _upper_indices,
-)
+from .qcore import DEFAULT_AVG_SAMPLES, _as_matrix, _half_trace_norm, _hermitian_part
 from .sdp import DiamondResult, diamond_sdp
 
 #: Weight of the maximally mixed state that :func:`process_tensor_proxy`
@@ -109,15 +101,6 @@ class MemoryScan:
 
 
 @dataclass(frozen=True)
-class AvgDistanceResult:
-    """Monte-Carlo averaged trace distance with its raw sample distances."""
-
-    mean: float
-    stderr: float
-    samples: np.ndarray
-
-
-@dataclass(frozen=True)
 class GridAnalysis:
     """Every memory witness of one channel grid.  ``cond_vs_marginal``
     is keyed by metric, ``gate_dependence`` by (second gate, metric), and
@@ -158,156 +141,6 @@ def cp_violation(cm) -> float:
     chan = _channel_of(cm)
     choi = choi_from_superop(chan) / chan.dim
     return max(float(2.0 * _half_trace_norm(choi) - 1.0), 0.0)
-
-
-def avg_trace_distance(
-    a: QuantumChannel,
-    b: QuantumChannel,
-    m_samples: int = DEFAULT_AVG_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> AvgDistanceResult:
-    """Mean output trace distance over Haar-random pure inputs.
-
-    Inputs are pure states of the system dimension (no ancilla), so
-    this is the typical-case counterpart of the worst-case diamond
-    distance.  The raw per-sample distances are returned for
-    distribution plots, along with the Monte-Carlo standard error.
-
-    Inputs are drawn in batches of 20,000, each batch the normals of
-    one :func:`.qcore._complex_normals` call, so the batch size fixes
-    the random stream.  Each sample is computed in the real coordinates
-    of :func:`_half_norms`, straight from its Gaussian draw and with no
-    normalization, in slices of ``16_000 // d`` samples: a batch's real
-    parts are drawn whole, and its imaginary parts one slice at a time
-    after them, which leaves the stream as it is.  Every slice works in
-    one workspace (:func:`_workspace`), allocated once per call.
-    """
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if m_samples < 1:
-        raise ValidationError(f"need at least one sample, got {m_samples}")
-    rng = np.random.default_rng() if rng is None else rng
-
-    d = a.dim
-    samples = np.empty(m_samples)
-    transfer = _hermitian_transfer(a.superop - b.superop)
-    # the draw size fixes the random stream; the width does not.  It
-    # spreads each of the d = 4 closed form's hundred or so array
-    # operations over 4,000 samples, whose rows still stay in cache (a
-    # cell takes a fifth less time than at 2,000).  Drawing the imaginary
-    # parts by slice and writing every intermediate into the workspace pay
-    # for the wider rows: a paper-scale call peaks at 2.9 MB, not 3.3 MB
-    width = min(16_000 // d, m_samples)
-    work = _workspace(d, width)
-    for start in range(0, m_samples, 20_000):
-        parts = _complex_normals(d, min(20_000, m_samples - start), rng, width)
-        re = next(parts)
-        for lo, im in zip(range(start, start + len(re), width), parts):
-            hi = lo + len(im)
-            _half_norms(transfer, re[lo - start : hi - start], im, work, samples[lo:hi])
-        del re, parts  # so that the next draw does not sit beside this one
-    del work  # nor the workspace beside the deviations that std takes
-
-    stderr = float(samples.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
-    return AvgDistanceResult(mean=float(samples.mean()), stderr=stderr, samples=samples)
-
-
-def _workspace(d: int, width: int) -> np.ndarray:
-    """The rows :func:`_half_norms` writes into, for up to ``width``
-    samples: the input coordinates, the output coordinates and d spare
-    rows, 2 d^2 + d rows of ``width`` rounded up to a multiple of 16."""
-    return np.empty((2 * d * d + d, -(-width // 16) * 16))
-
-
-def _hermitian_transfer(delta: np.ndarray) -> np.ndarray:
-    """Real d^2 x d^2 transfer matrix of a column-stacked superoperator
-    ``delta`` (``D``) on the coordinates of :func:`_half_norms`: it maps
-    those of a Hermitian ``rho`` to those of the Hermitian part of
-    ``D(rho)``, so ``D`` need not preserve trace or Hermiticity.
-
-    Coordinate ``m`` is the weight of the basis matrix ``B_m``: ``E_ii``,
-    then ``E_ij + E_ji`` and ``i E_ij - i E_ji`` for i < j.  The
-    Hermitian part of ``M`` has coordinates ``w_m Re tr(B_m^dag M)``,
-    with ``w_m`` 1 on the diagonal and 1/2 above it, so the matrix is
-    ``Re(w_m tr(B_m^dag D(B_l)))``."""
-    d = math.isqrt(len(delta))
-    rows, cols = _upper_indices(d)
-    n = len(rows)
-    # column m is vec(B_m): entry (i, j) of a matrix sits at j * d + i
-    vecs = np.zeros((d * d, d * d), dtype=complex)
-    vecs[np.arange(d) * (d + 1), np.arange(d)] = 1.0
-    k = d + np.arange(n)  # the real parts; the imaginary parts follow at k + n
-    vecs[cols * d + rows, k] = vecs[rows * d + cols, k] = 1.0
-    vecs[cols * d + rows, k + n], vecs[rows * d + cols, k + n] = 1j, -1j
-    weights = np.where(np.arange(d * d) < d, 1.0, 0.5)
-    return weights[:, None] * (vecs.conj().T @ delta @ vecs).real
-
-
-def _half_norms(transfer: np.ndarray, re: np.ndarray, im: np.ndarray,
-                work: np.ndarray, samples: np.ndarray) -> None:
-    """Write into ``samples`` half the trace norm of the Hermitian part of
-    ``D(|z><z|)`` for the Haar-random states ``|z>`` of the rows of a
-    Gaussian draw ``re + i im``, ``D`` given by its
-    :func:`_hermitian_transfer` matrix, in a :func:`_workspace` ``work``.
-
-    From the normals ``z = a + i b`` of one row, the d^2 real
-    coordinates of ``|z><z|`` are its diagonal ``a_i^2 + b_i^2``, and
-    ``Re z_i conj(z_j) = a_i a_j + b_i b_j`` and ``Im z_i conj(z_j) =
-    b_i a_j - a_i b_j`` over the upper triangle.  The transfer matrix
-    maps them to the output's coordinates.  A 2 x 2 output with diagonal
-    ``o_0, o_1`` and upper entry ``x + i y`` has eigenvalues ``mid +-
-    sqrt(h^2 + x^2 + y^2)``, ``mid, h = (o_0 +- o_1) / 2``, so half its
-    trace norm is the larger magnitude of the two; 4 x 4 outputs take the
-    closed form of :func:`.qcore._half_trace_norm_4x4_entries` and larger
-    ones ``eigvalsh``.  Half the trace norm is homogeneous of degree 1,
-    so dividing by ``|z|^2`` takes the place of normalizing ``z``.
-
-    BLAS takes the last columns of a product that do not fill a block of
-    its kernel (16 wide with AVX-512) through other instructions, with
-    other roundings, so the transfer product runs over whole blocks of 16
-    columns, the extra ones zero: no sample's bits depend on where its
-    slice ends, and a one-sample slice is not a matrix-vector product."""
-    d, count = re.shape[1], len(re)
-    wide = work[:, : -(-count // 16) * 16]
-    rows = wide[:, :count]
-    a, b = re.T, im.T
-    n = d * (d - 1) // 2
-    coords, out, spare = rows[: d * d], rows[d * d : 2 * d * d], rows[2 * d * d :]
-    np.multiply(a, a, out=coords[:d])
-    coords[:d] += np.multiply(b, b, out=spare)
-    # products go into coords and the spare rows (a new temporary per
-    # product made a d = 4 slice ~12% slower); the m pairs (i, i + 1..d - 1)
-    # of row i of the upper triangle are one block of rows in each half,
-    # so one call takes each product of a row
-    top = d
-    for i, m in enumerate(range(d - 1, 0, -1)):
-        x, y, tmp = coords[top : top + m], coords[top + n : top + n + m], spare[:m]
-        np.multiply(a[i], a[i + 1 :], out=x)
-        x += np.multiply(b[i], b[i + 1 :], out=tmp)
-        np.multiply(b[i], a[i + 1 :], out=y)
-        y -= np.multiply(a[i], b[i + 1 :], out=tmp)
-        top += m
-    wide[: d * d, count:] = 0.0
-    np.matmul(transfer, wide[: d * d], out=wide[d * d : 2 * d * d])
-    norm = np.sum(coords[:d], axis=0, out=spare[0])
-    if d == 2:  # max(|mid|, sqrt(h^2 + x^2 + y^2)), in the spent input rows
-        mid, h, tmp = coords[:3]
-        np.multiply(0.5, np.add(out[0], out[1], out=mid), out=mid)
-        np.multiply(0.5, np.subtract(out[0], out[1], out=h), out=h)
-        np.multiply(h, h, out=h)
-        h += np.multiply(out[2], out[2], out=tmp)
-        h += np.multiply(out[3], out[3], out=tmp)
-        half = np.maximum(np.abs(mid, out=mid), np.sqrt(h, out=h), out=mid)
-    elif d == 4:
-        # the input coordinates are spent: their 16 whole rows take the
-        # closed form's 8 complex rows, the upper entries first, and the
-        # rows those leave and the spare rows take its real ones
-        crows = work[: d * d].reshape(8, -1).view(complex)[:, :count]
-        half = _half_trace_norm_4x4_entries(out[:d], out[d : d + n], out[d + n :],
-                                            ([*spare[1:], *out[d:]], crows))
-    else:
-        half = _half_trace_norm(_hermitian_from_entries(out[:d], out[d : d + n], out[d + n :]))
-    np.divide(half, norm, out=samples)
 
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondResult:

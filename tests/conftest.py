@@ -53,7 +53,7 @@ def is_tp(choi, tol: float) -> bool:
 
 def hermitian_entries(stack):
     """The entries of the Hermitian part of each matrix in a stack of
-    shape (n, 4, 4), as ``qcore._half_trace_norm_4x4_entries`` takes
+    shape (n, 4, 4), as ``avgdist._half_trace_norm_4x4_entries`` takes
     them: the four real diagonals, then the real and the imaginary parts
     of the six entries above the diagonal, row by row, and a workspace of
     14 real and 8 complex rows."""

@@ -55,6 +55,16 @@ class TestGateLabel:
         with pytest.raises(ValidationError, match=f"non-negative, got {re.escape(token)}"):
             GateLabel.parse(token)
 
+    @pytest.mark.parametrize("token", [
+        "X@", "CX@",  # no wires: not the default wires
+        "X@1_0",  # int reads the underscore
+        "X@+1", "X@ 1", "CX@0. 1",  # int reads a sign or a space
+        "H@\u0660",  # int reads the Arabic-Indic digit zero
+    ])
+    def test_malformed_wires_are_refused(self, token):
+        with pytest.raises(LabelError, match=f"bad wire indices in gate {re.escape(repr(token))}"):
+            GateLabel.parse(token)
+
     def test_parse_round_trip(self):
         assert GateLabel.parse("H@1") == GateLabel("H", (1,))
         assert GateLabel.parse("CX@1,0") == GateLabel("CX", (1, 0))

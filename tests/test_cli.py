@@ -176,6 +176,24 @@ class TestSimulateAndTomo:
         assert "records_CX110.json" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("gates, message", [
+        ("X;Z;Y", "model has no unitary for gate Y@0"),
+        ("X;Z;X@1", "gate X@1 does not fit on 1 qubit(s)"),
+    ])
+    def test_sequence_the_model_cannot_run_writes_nothing(self, runner, tmp_path, gates,
+                                                          message):
+        # the bad sequence comes last: the two before it must not be written
+        model = tmp_path / "model_xz.json"
+        model.write_text(json.dumps({"gates": ["X", "Z"]}))
+        out = tmp_path / "records"
+        result = runner.invoke(main, [
+            "simulate", "--model", str(model), "--gates", gates,
+            "--shots", "64", "--seed", "7", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not list(out.glob("records_*.json"))
+
 
 @pytest.fixture
 def channel_dir(runner, model_file, tmp_path):

@@ -27,9 +27,9 @@ COMMON = {"channels", "exceptions", "pipeline", "qcore", "serialize", "tomograph
 BEYOND_COMMON = {
     "tomo": set(),
     "simulate": {"simulator"},
-    "analyze": {"nonmarkov", "sdp"},
-    "scan": {"nonmarkov", "sdp"},
-    "ptensor": {"simulator", "nonmarkov", "sdp"},
+    "analyze": {"avgdist", "nonmarkov", "sdp"},
+    "scan": {"avgdist", "nonmarkov", "sdp"},
+    "ptensor": {"simulator", "avgdist", "nonmarkov", "sdp"},
     "errors-records": {"errprop"},
     "errors-model": {"errprop", "simulator"},
 }

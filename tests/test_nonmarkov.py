@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatemem.channels import GateLabel, QuantumChannel, compose
-from gatemem import nonmarkov
+from gatemem import avgdist, nonmarkov
 from gatemem.exceptions import DimensionError, SingularChannelError, SolverError, ValidationError
 from gatemem.nonmarkov import (
     analyze_grid,
@@ -221,8 +221,8 @@ class TestAvgTraceDistance:
         ref_rng = np.random.default_rng(11)
         re, im = _complex_normals(d, m_samples, ref_rng)
         expected = np.empty(m_samples)
-        transfer = nonmarkov._hermitian_transfer(a.superop - b.superop)
-        nonmarkov._half_norms(transfer, re, im, nonmarkov._workspace(d, m_samples), expected)
+        transfer = avgdist._hermitian_transfer(a.superop - b.superop)
+        avgdist._half_norms(transfer, re, im, avgdist._workspace(d, m_samples), expected)
         assert np.array_equal(result.samples, expected)
         assert gen.bit_generator.state == ref_rng.bit_generator.state
 

@@ -23,8 +23,9 @@ from gatemem.channels import (
     unvec,
     vec,
 )
+from gatemem.avgdist import _half_trace_norm_4x4_entries
 from gatemem.nonmarkov import avg_trace_distance, cp_violation, diamond_distance
-from gatemem.qcore import _half_trace_norm, _half_trace_norm_4x4_entries
+from gatemem.qcore import _half_trace_norm
 
 from conftest import (
     _haar_vectors,

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from gatemem.avgdist import _half_trace_norm_4x4_entries
 from gatemem.exceptions import ValidationError
 from gatemem.qcore import (
     DensityMatrix,
     _from_spectrum,
     _half_trace_norm,
-    _half_trace_norm_4x4_entries,
     _hermitian_part,
     _trace_out_last,
 )
