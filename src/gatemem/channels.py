@@ -16,6 +16,7 @@ are explicit queries.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,15 +73,16 @@ class GateLabel:
 
         The wire separator is ``.`` so that comma-separated gate lists
         stay unambiguous; ``,`` is accepted outside such lists.  A wire is
-        a run of ASCII digits: ``int`` would also read signs, spaces,
-        underscores and other scripts' digits, and rename the token.  A
-        minus sign passes, so that a negative wire meets its own error.
+        ``0`` or a run of ASCII digits that does not start with ``0``:
+        ``int`` would also read signs, spaces, underscores, other scripts'
+        digits and leading zeros, and rename the token.  A minus sign
+        passes before a nonzero wire, so that it meets its own error.
         """
         name, at, wires = text.strip().partition("@")
         if not at:
             return cls(name, (0, 1) if name == "CX" else (0,))
         parts = wires.replace(",", ".").split(".")
-        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+        if not all(re.fullmatch(r"0|-?[1-9][0-9]*", p) for p in parts):
             raise LabelError(f"bad wire indices in gate {text!r}")
         return cls(name, tuple(map(int, parts)))
 

@@ -221,17 +221,17 @@ def scan(channels_dir, nmax, metric, samples, seed, out_dir):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ptensor(model_path, gates, shots, exact, seed, out_path):
     """Two-step process state against its memoryless reference."""
-    from . import nonmarkov
+    from . import process
 
     model, model_spec = serialize.load_model(model_path)
     tokens = _gate_pair(gates, "--gates")
     shots_val = None if exact else shots  # exact reference maps draw nothing
     stamp = _declare(shots_val is not None, command="ptensor", model=model_spec, gates=gates,
                      shots=shots_val)
-    result = pipeline.process_tensor_pair(model, *tokens, shots_val, seed)
+    result = process.process_tensor_pair(model, *tokens, shots_val, seed)
     serialize.dump_json(out_path, serialize.report_payload(
         "ptensor", *stamp, gates=[str(g) for g in tokens], shots=shots_val,
-        regularization=nonmarkov.PTENSOR_REGULARIZATION, **dataclasses.asdict(result),
+        regularization=process.PTENSOR_REGULARIZATION, **dataclasses.asdict(result),
     ))
     click.echo(f"relative entropy to memoryless reference: {result.relative_entropy:.6f}")
     click.echo(f"wrote {out_path}")

@@ -159,7 +159,7 @@ def spam_scaling(model: SEModel, gate: GateLabel, strengths) -> SpamDecompositio
         with context(f"strength {eps}"):
             spec = SpamSpec(prep_strength=eps, meas_strength=eps, seed=model.spam.seed)
             noisy = replace(model, spam=spec)
-            result = pipeline.reconstruct_from_model(noisy, [gate], shots=None)
+            result = pipeline.reconstruct_channel(pipeline.simulate_records(noisy, [gate], None))
         errors.append(float(np.linalg.norm(result.channel.superop - truth.superop)))
 
     positive = [e for s, e in zip(strengths, errors) if s > 0]

@@ -12,8 +12,8 @@ distance via the certified SDP in :mod:`gatemem.sdp`, and the typical-
 case distance averaged over Haar-random pure inputs in
 :mod:`gatemem.avgdist`.  A memory-length
 scan compares an n-step map against concatenations of its shorter
-reconstructions, and a relative-entropy proxy scores the multi-step
-process against its memoryless reference.
+reconstructions.  The two-step process state and its relative entropy
+to the memoryless reference are :mod:`gatemem.process`'s.
 
 Each analysis call computes its plan, a list of ``(kind, label, rng, a,
 b)`` cells, in one :func:`_evaluate` call and returns views of the
@@ -38,20 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .avgdist import AvgDistanceResult, avg_trace_distance
-from .channels import (
-    QuantumChannel,
-    choi_from_superop,
-    compose,
-    condition_number,
-    invert,
-)
+from .channels import QuantumChannel, choi_from_superop, compose, condition_number, invert
 from .exceptions import DimensionError, IncompleteDataError, ValidationError, context
-from .qcore import DEFAULT_AVG_SAMPLES, _as_matrix, _half_trace_norm, _hermitian_part
+from .qcore import DEFAULT_AVG_SAMPLES, _half_trace_norm
 from .sdp import DiamondResult, diamond_sdp
 
-#: Weight of the maximally mixed state that :func:`process_tensor_proxy`
-#: blends into its memoryless reference.
-PTENSOR_REGULARIZATION = 1e-12
 
 @dataclass(frozen=True)
 class ConditionalMap:
@@ -375,7 +366,8 @@ def memory_scan(
     """Compare n-step maps against every (m, n-m) concatenation.
 
     ``channels[k]`` must hold the reconstructed map of k+1 sequential
-    gate applications, all of one dimension.  For a divisible
+    gate applications, all of one dimension; an error composing a cut's
+    maps gains the prefix ``cut n=<n>,m=<m>: ``.  For a divisible
     (memoryless) family every entry vanishes; structure as a function of
     the cut position m reveals the range of the memory.
     """
@@ -384,8 +376,10 @@ def memory_scan(
     if n_max < 2:
         raise ValidationError("memory scan needs channels up to n >= 2")
     cuts = [(n, m) for n in range(2, n_max + 1) for m in range(1, n)]
-    pairs = [(f"n={n},m={m}", chans[n - 1], compose(chans[m - 1], chans[n - m - 1]))
-             for n, m in cuts]
+    pairs = []
+    for n, m in cuts:
+        with context(f"cut n={n},m={m}"):
+            pairs.append((f"n={n},m={m}", chans[n - 1], compose(chans[m - 1], chans[n - m - 1])))
     # metric after metric in cut order; only "avg" cells draw from rng
     cells = [c for metric in metrics for c in _metric_cells(metric, rng, pairs)]
     rows = np.fromiter(_evaluate(cells, m_samples), float).reshape(len(metrics), len(cuts)).T
@@ -399,45 +393,3 @@ def statistical_floor(values) -> float:
     if arr.size < 2:
         raise ValidationError("floor estimate needs at least two samples")
     return float(arr.mean() + 3.0 * arr.std(ddof=1))
-
-
-def markovian_choi_reference(chan_u: QuantumChannel, chan_v: QuantumChannel) -> np.ndarray:
-    """Product of the trace-1 operator representations of two maps.
-
-    This is the multi-step state a memoryless process would produce;
-    compare it against a measured one with
-    :func:`process_tensor_proxy`.
-    """
-    cu = choi_from_superop(chan_u) / chan_u.dim
-    cv = choi_from_superop(chan_v) / chan_v.dim
-    return _hermitian_part(np.kron(cu, cv))
-
-
-def process_tensor_proxy(measured, markovian_reference) -> float:
-    """Relative entropy of a measured multi-step state to its memoryless
-    reference.
-
-    The reference is blended with :data:`PTENSOR_REGULARIZATION` times
-    the maximally mixed state, which makes it full rank by construction,
-    so the base-2 entropy ``tr[m (log2 m - log2 r)]`` is evaluated on the
-    exact regularized spectrum (every eigenvalue is at least
-    ``PTENSOR_REGULARIZATION / d``); eigenvalues of the measured state at
-    or below 1e-12 contribute nothing.
-    """
-    m = _as_matrix(measured)
-    r = _as_matrix(markovian_reference)
-    if m.shape != r.shape or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"incompatible shapes {m.shape} vs {r.shape}")
-    reg = PTENSOR_REGULARIZATION
-    d = m.shape[0]
-    r = (1.0 - reg) * _hermitian_part(r) + reg * np.eye(d) / d
-
-    lam, u = np.linalg.eigh(_hermitian_part(m))
-    mu, v = np.linalg.eigh(r)
-    mu = np.maximum(mu, 0.5 * reg / d)  # guards roundoff only
-    lam = np.clip(lam, 0.0, None)
-    pos = lam > 1e-12
-    entropy_term = float(np.sum(lam[pos] * np.log2(lam[pos])))
-    overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-    cross_term = float(lam @ overlap @ np.log2(mu))
-    return max(entropy_term - cross_term, 0.0)

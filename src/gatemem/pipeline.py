@@ -1,16 +1,13 @@
 """End-to-end reconstruction flows shared by the CLI, the error
-analysis, and the test suite: enumerate configurations, sample (or
-evaluate exactly), estimate output states, and invert to a channel;
-and the two-step process state against its memoryless reference."""
+analysis, the process witness and the test suite: enumerate
+configurations, sample (or evaluate exactly), estimate output states,
+and invert to a channel."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channels import GateLabel, QuantumChannel, _fitted_gates, apply
+from .channels import QuantumChannel, _fitted_gates, apply
 from .exceptions import IncompleteDataError, ValidationError
 from .tomography import (
     CountRecord,
@@ -34,8 +31,8 @@ from .tomography import mle_estimate  # noqa: F401
 if TYPE_CHECKING:
     from .simulator import SEModel
 
-# :mod:`.simulator` and :mod:`.nonmarkov` load inside the functions that
-# use them, so reconstructing a channel from records imports neither.
+# :mod:`.simulator` loads inside the functions that use it, so
+# reconstructing a channel from records does not import it.
 
 
 def __getattr__(name: str):
@@ -128,41 +125,3 @@ def reconstruct_channel(records, frame: TomographyFrame | None = None) -> Tomogr
     iterations = {prep: est.iterations for prep, est in estimates.items()}
     channel = process_tomography(states, frame)
     return TomographyResult(channel=channel, loglik=logliks, iterations=iterations)
-
-
-def reconstruct_from_model(
-    model: SEModel, gates, shots: int | None, seed: int | None = None
-) -> TomographyResult:
-    """Simulate one sequence and reconstruct its channel."""
-    return reconstruct_channel(simulate_records(model, gates, shots, seed))
-
-
-@dataclass(frozen=True)
-class ProcessTensorPair:
-    """A measured two-step process state, its memoryless reference, and
-    the relative entropy of the first to the second."""
-
-    measured: np.ndarray
-    reference: np.ndarray
-    relative_entropy: float
-
-
-def process_tensor_pair(
-    model: SEModel, u: GateLabel, v: GateLabel, shots: int | None, seed: int = 0
-) -> ProcessTensorPair:
-    """Two-step process state of ``u`` then ``v`` against its memoryless
-    reference, built from the model's exact single-gate maps when
-    ``shots`` is None and otherwise from maps reconstructed with seeds
-    ``seed`` (for ``u``) and ``seed + 1`` (for ``v``)."""
-    from . import nonmarkov
-    from .simulator import cji_circuit, extract_channel
-
-    measured = cji_circuit(model, u, v)
-    if shots is None:
-        chan_u, chan_v = extract_channel(model, [u]), extract_channel(model, [v])
-    else:
-        chan_u = reconstruct_from_model(model, [u], shots, seed).channel
-        chan_v = reconstruct_from_model(model, [v], shots, seed + 1).channel
-    reference = nonmarkov.markovian_choi_reference(chan_u, chan_v)
-    value = nonmarkov.process_tensor_proxy(measured, reference)
-    return ProcessTensorPair(measured.data, reference, float(value))

@@ -24,17 +24,11 @@ from gatemem.nonmarkov import (
     cp_violation,
     diamond_distance,
     gate_dependence_matrix,
-    markovian_choi_reference,
     memory_scan,
-    process_tensor_proxy,
     statistical_floor,
 )
-from gatemem.pipeline import (
-    reconstruct_channel,
-    reconstruct_from_model,
-    records_from_channel,
-    simulate_records,
-)
+from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
+from gatemem.process import markovian_choi_reference, process_tensor_proxy
 from gatemem.qcore import DEFAULT_AVG_SAMPLES, DEFAULT_SCAN_NMAX, _half_trace_norm
 from gatemem.simulator import (
     DEFAULT_COUPLING,
@@ -112,12 +106,13 @@ def test_criterion_02_memory_detection():
         rng_seq = np.random.SeedSequence(seed)
         seeds = iter(rng_seq.generate_state(len(LABELS) + len(PAIRS), dtype=np.uint64))
         singles = {
-            l: reconstruct_from_model(model, [l], shots, int(next(seeds))).channel
+            l: reconstruct_channel(simulate_records(model, [l], shots, int(next(seeds)))).channel
             for l in LABELS
         }
         values = []
         for u, v in PAIRS:
-            joint = reconstruct_from_model(model, [u, v], shots, int(next(seeds))).channel
+            records = simulate_records(model, [u, v], shots, int(next(seeds)))
+            joint = reconstruct_channel(records).channel
             values.append(cp_violation(conditional_map(joint, singles[u])))
         return values
 

@@ -60,6 +60,7 @@ class TestGateLabel:
         "X@1_0",  # int reads the underscore
         "X@+1", "X@ 1", "CX@0. 1",  # int reads a sign or a space
         "H@\u0660",  # int reads the Arabic-Indic digit zero
+        "X@01", "X@00", "X@-0", "CX@1.00", "CX@00.1",  # int reads leading zeros and -0
     ])
     def test_malformed_wires_are_refused(self, token):
         with pytest.raises(LabelError, match=f"bad wire indices in gate {re.escape(repr(token))}"):

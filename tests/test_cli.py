@@ -15,7 +15,8 @@ from gatemem.cli import main
 from gatemem.errprop import reconstruction_uncertainty
 from gatemem.exceptions import GatememError, IncompleteDataError, ValidationError
 from gatemem.nonmarkov import analyze_grid, repetitions
-from gatemem.pipeline import process_tensor_pair, simulate_records
+from gatemem.pipeline import simulate_records
+from gatemem.process import process_tensor_pair
 from gatemem.serialize import (
     SCHEMA_VERSION,
     channel_from_payload,
@@ -813,20 +814,25 @@ def test_every_mutated_input_is_refused_by_name_or_runs(runner, model_file, tmp_
     assert failures == []
 
 
-@pytest.mark.parametrize("run", ["ptensor-two-qubit-model", "scan-mixed-dimensions"])
+@pytest.mark.parametrize("run", ["ptensor-two-qubit-model", "scan-mixed-dimensions",
+                                 "scan-cut-of-mixed-dimensions"])
 def test_valid_input_the_run_cannot_use_exits_2(runner, tmp_path, run):
     # the process-encoding circuit drives one qubit, and a scan compares
-    # maps of one dimension
+    # maps of one dimension: cut (3, 1) composes X (d = 2) with X^2 (d = 4)
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"sys_qubits": 2, "gates": ["S", "T"]}))
     x1, x2 = (ideal_channel(GateLabel("X", (0,)), n) for n in (1, 2))
-    _write_channels(tmp_path / "chan", {("X@0",): x1, ("X@0", "X@0"): compose(x2, x2)})
+    _write_channels(tmp_path / "chan", {("X@0",): x1, ("X@0", "X@0"): compose(x2, x2),
+                                        ("X@0", "X@0", "X@0"): x1})
     out = tmp_path / "out"
     args, reason = {
         "ptensor-two-qubit-model": (["ptensor", "--model", str(model), "--gates", "S,T"],
                                     "single-qubit model"),
         "scan-mixed-dimensions": (["scan", "--channels", str(tmp_path / "chan"), "--nmax", "2",
                                    "--samples", "10"], "dimension mismatch: 4 vs 2"),
+        "scan-cut-of-mixed-dimensions": (["scan", "--channels", str(tmp_path / "chan"),
+                                          "--nmax", "3", "--metric", "diamond"],
+                                         "cut n=3,m=1: dimension mismatch: 2 vs 4"),
     }[run]
     result = runner.invoke(main, [*args, "--out", str(out / "o.json")])
     assert result.exit_code == 2, result.output

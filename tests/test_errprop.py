@@ -229,14 +229,14 @@ class TestSpamScaling:
 
     def test_a_failing_strength_is_named_and_keeps_its_type(self, monkeypatch):
         model = build_default_model(LABELS, coupling=0.3, reset_policy="persistent")
-        reconstruct = pipeline.reconstruct_from_model
+        simulate = pipeline.simulate_records
 
         def failing_at_1e_3(noisy, gates, shots):
             if noisy.spam.prep_strength == 1e-3:
                 raise ConvergenceError("MLE did not converge in 7 iterations", None, 7)
-            return reconstruct(noisy, gates, shots)
+            return simulate(noisy, gates, shots)
 
-        monkeypatch.setattr(pipeline, "reconstruct_from_model", failing_at_1e_3)
+        monkeypatch.setattr(pipeline, "simulate_records", failing_at_1e_3)
         with pytest.raises(ConvergenceError) as err:
             spam_scaling(model, GateLabel("X", (0,)), [0.0, 1e-4, 1e-3, 1e-2])
         assert str(err.value) == "strength 0.001: MLE did not converge in 7 iterations"

@@ -29,7 +29,7 @@ BEYOND_COMMON = {
     "simulate": {"simulator"},
     "analyze": {"avgdist", "nonmarkov", "sdp"},
     "scan": {"avgdist", "nonmarkov", "sdp"},
-    "ptensor": {"simulator", "avgdist", "nonmarkov", "sdp"},
+    "ptensor": {"simulator", "process"},
     "errors-records": {"errprop"},
     "errors-model": {"errprop", "simulator"},
 }

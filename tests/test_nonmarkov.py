@@ -14,11 +14,10 @@ from gatemem.nonmarkov import (
     conditional_vs_marginal_matrix,
     cp_violation,
     gate_dependence_matrix,
-    markovian_choi_reference,
     memory_scan,
-    process_tensor_proxy,
     statistical_floor,
 )
+from gatemem.process import markovian_choi_reference, process_tensor_proxy
 from gatemem.qcore import (
     DEFAULT_AVG_SAMPLES,
     DEFAULT_SCAN_NMAX,
@@ -596,6 +595,12 @@ class TestMemoryScan:
         with pytest.raises(ValidationError):
             memory_scan([random_channel(2, rng)], metrics=("avg",), rng=rng)
 
+    def test_a_cut_whose_maps_do_not_compose_is_named(self, rng):
+        # cut (3, 1) composes the 1-gate map (d = 2) with the 2-gate map (d = 4)
+        chans = [random_channel(2, rng), random_channel(4, rng), random_channel(2, rng)]
+        with pytest.raises(DimensionError, match="^cut n=3,m=1: dimension mismatch: 2 vs 4$"):
+            memory_scan(chans, metrics=("diamond",), rng=rng)
+
     def test_an_error_names_its_cut(self, rng, monkeypatch):
         # cuts run (2, 1), (3, 1), (3, 2), so the second diamond cell is n=3,m=1
         chans = [random_channel(2, rng) for _ in range(3)]
@@ -702,15 +707,16 @@ class TestJointDetectionConsistency:
         # statistical floors on the same reconstructed data
         labels = [GateLabel(n, (0,)) for n in ("H", "X", "Z")]
         shots = 20_000
-        from gatemem.pipeline import reconstruct_from_model
+        from gatemem.pipeline import reconstruct_channel, simulate_records
 
         def reconstruct_all(model, seed):
             singles = {
-                l: reconstruct_from_model(model, [l], shots, seed + i).channel
+                l: reconstruct_channel(simulate_records(model, [l], shots, seed + i)).channel
                 for i, l in enumerate(labels)
             }
             joints = {
-                (u, v): reconstruct_from_model(model, [u, v], shots, seed + 17 * (3 * i + j)).channel
+                (u, v): reconstruct_channel(simulate_records(
+                    model, [u, v], shots, seed + 17 * (3 * i + j))).channel
                 for i, u in enumerate(labels)
                 for j, v in enumerate(labels)
             }

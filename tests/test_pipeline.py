@@ -4,12 +4,7 @@ import pytest
 from gatemem import simulator
 from gatemem.channels import GateLabel, QuantumChannel, vec
 from gatemem.exceptions import DimensionError, IncompleteDataError, ValidationError
-from gatemem.pipeline import (
-    reconstruct_channel,
-    reconstruct_from_model,
-    records_from_channel,
-    simulate_records,
-)
+from gatemem.pipeline import reconstruct_channel, records_from_channel, simulate_records
 from gatemem.simulator import SpamSpec, build_default_model, extract_channel, sample_counts
 from gatemem.tomography import CountRecord, _spawn_seeds, build_frame
 
@@ -52,7 +47,7 @@ class TestRoundTrips:
     def test_simulator_exact_reconstruction(self):
         model = build_default_model(LABELS, coupling=0.4, reset_policy="persistent")
         truth = extract_channel(model, [LABELS[3], LABELS[5]])
-        result = reconstruct_from_model(model, [LABELS[3], LABELS[5]], shots=None)
+        result = reconstruct_channel(simulate_records(model, [LABELS[3], LABELS[5]], shots=None))
         assert np.linalg.norm(result.channel.superop - truth.superop) <= 1e-8
 
     def test_reconstructed_channels_nearly_tp_but_not_clamped(self, rng):

@@ -10,9 +10,8 @@ from gatemem.nonmarkov import (
     avg_trace_distance,
     conditional_map,
     cp_violation,
-    markovian_choi_reference,
-    process_tensor_proxy,
 )
+from gatemem.process import markovian_choi_reference, process_tensor_proxy
 from gatemem.qcore import DensityMatrix, _half_trace_norm
 from gatemem.simulator import (
     DEFAULT_COUPLING,
